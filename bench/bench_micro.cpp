@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "oracle/oracle.h"
 
 #include "baselines/zfplike/block_codec.h"
 #include "common/rng.h"

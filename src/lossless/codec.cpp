@@ -8,6 +8,7 @@
 #include "common/byteio.h"
 #include "common/checksum.h"
 #include "lossless/arith.h"
+#include "lossless/deflate.h"
 #include "lossless/huffman.h"
 #include "lossless/lz77.h"
 
@@ -19,12 +20,8 @@ namespace sperr::lossless {
 
 namespace {
 
-// Per-block payload modes of the format-2 framing (also the leading byte of
-// reference streams).
-constexpr uint8_t kModeRaw = 0;
-constexpr uint8_t kModeLz = 1;
-// Stream format bytes of the blocked framings. Reference streams start with
-// kModeRaw/kModeLz, so 2/3 unambiguously select a blocked container:
+// Stream format bytes of the blocked framings. Single-block legacy streams
+// start with kModeRaw/kModeLz, so 2/3 unambiguously select a blocked container:
 // format 2 prefixes every block payload with a mode byte, format 3 moves
 // that information into a 2-bit entropy tag in the directory (and adds the
 // arithmetic entropy path).
@@ -55,27 +52,6 @@ constexpr uint32_t kCompSizeMask = (uint32_t(1) << kTagShift) - 1;
 // and a block's raw size never exceeds the stream's block size.
 constexpr uint64_t kMaxExpansion = 4096;
 
-// Deflate-style length/distance code tables (RFC 1951 §3.2.5).
-constexpr int kNumLenCodes = 29;
-constexpr uint16_t kLenBase[kNumLenCodes] = {
-    3,  4,  5,  6,  7,  8,  9,  10, 11,  13,  15,  17,  19,  23, 27,
-    31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258};
-constexpr uint8_t kLenExtra[kNumLenCodes] = {0, 0, 0, 0, 0, 0, 0, 0, 1, 1,
-                                             1, 1, 2, 2, 2, 2, 3, 3, 3, 3,
-                                             4, 4, 4, 4, 5, 5, 5, 5, 0};
-
-constexpr int kNumDistCodes = 30;
-constexpr uint32_t kDistBase[kNumDistCodes] = {
-    1,    2,    3,    4,    5,    7,     9,     13,    17,    25,
-    33,   49,   65,   97,   129,  193,   257,   385,   513,   769,
-    1025, 1537, 2049, 3073, 4097, 6145,  8193,  12289, 16385, 24577};
-constexpr uint8_t kDistExtra[kNumDistCodes] = {0, 0, 0,  0,  1,  1,  2,  2,  3,  3,
-                                               4, 4, 5,  5,  6,  6,  7,  7,  8,  8,
-                                               9, 9, 10, 10, 11, 11, 12, 12, 13, 13};
-
-constexpr uint32_t kEob = 256;           // end-of-block symbol
-constexpr size_t kLitAlphabet = 286;     // 0..255 literals, 256 EOB, 257..285 lengths
-
 constexpr size_t kLitLenBytes = (kLitAlphabet + 1) / 2;    // packed 4 bits each
 constexpr size_t kDistLenBytes = (kNumDistCodes + 1) / 2;  // 143 + 15 = 158
 
@@ -86,18 +62,6 @@ constexpr size_t kArithModelBytes = 2 * (kLitAlphabet + kNumDistCodes);
 // No valid arithmetic block payload is smaller than its model header,
 // which bounds adversarial expansion claims.
 constexpr size_t kMinArithBytes = kArithModelBytes;
-
-int length_code(uint32_t len) {
-  for (int i = kNumLenCodes - 1; i >= 0; --i)
-    if (len >= kLenBase[i]) return i;
-  return 0;
-}
-
-int distance_code(uint32_t dist) {
-  for (int i = kNumDistCodes - 1; i >= 0; --i)
-    if (dist >= kDistBase[i]) return i;
-  return 0;
-}
 
 // O(1) symbol lookup replacing the linear searches above on the hot paths.
 // Distances above 256 bucket by (d - 1) >> 7: every distance base past 256 is
@@ -122,15 +86,6 @@ const CodeLut& code_lut() {
 
 inline uint32_t fast_distance_code(const CodeLut& lut, uint32_t dist) {
   return dist <= 256 ? lut.dist_small[dist] : lut.dist_large[(dist - 1) >> 7];
-}
-
-// Code lengths are 0..15 so two fit per byte.
-void pack_lengths(std::vector<uint8_t>& out, const std::vector<uint8_t>& lengths) {
-  for (size_t i = 0; i < lengths.size(); i += 2) {
-    const uint8_t lo = lengths[i];
-    const uint8_t hi = i + 1 < lengths.size() ? lengths[i + 1] : 0;
-    out.push_back(uint8_t(lo | (hi << 4)));
-  }
 }
 
 std::vector<uint8_t> unpack_lengths(ByteReader& br, size_t count) {
@@ -847,66 +802,9 @@ Status inspect(const uint8_t* data, size_t size, StreamInfo& info) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference single-block codec (the pre-block-rewrite format, kept verbatim
-// as the differential-test oracle and serial benchmark baseline).
+// Single-block legacy format (lossless formats 0-1): decode only. The encoder
+// that wrote it lives in the test oracle (oracle/).
 // ---------------------------------------------------------------------------
-
-std::vector<uint8_t> encode_reference(const uint8_t* data, size_t size) {
-  const std::vector<Token> tokens = lz77_tokenize(data, size);
-
-  // Token symbol frequencies for both Huffman tables.
-  std::vector<uint64_t> lit_freq(kLitAlphabet, 0);
-  std::vector<uint64_t> dist_freq(kNumDistCodes, 0);
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      ++lit_freq[t.literal];
-    } else {
-      ++lit_freq[257 + size_t(length_code(t.length))];
-      ++dist_freq[size_t(distance_code(t.distance))];
-    }
-  }
-  ++lit_freq[kEob];
-
-  // 15-bit limit: the header packs code lengths into 4 bits each.
-  const auto lit_lengths = huffman_code_lengths(lit_freq, 15);
-  const auto dist_lengths = huffman_code_lengths(dist_freq, 15);
-  const HuffmanEncoder lit_enc(lit_lengths);
-  const HuffmanEncoder dist_enc(dist_lengths);
-
-  std::vector<uint8_t> out;
-  out.push_back(kModeLz);
-  put_u64(out, size);
-  pack_lengths(out, lit_lengths);
-  pack_lengths(out, dist_lengths);
-
-  BitWriter bw;
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      lit_enc.encode(bw, t.literal);
-      continue;
-    }
-    const int lc = length_code(t.length);
-    lit_enc.encode(bw, uint32_t(257 + lc));
-    bw.put_bits(t.length - kLenBase[lc], kLenExtra[lc]);
-    const int dc = distance_code(t.distance);
-    dist_enc.encode(bw, uint32_t(dc));
-    bw.put_bits(t.distance - kDistBase[dc], kDistExtra[dc]);
-  }
-  lit_enc.encode(bw, kEob);
-
-  const auto& payload = bw.bytes();
-  if (out.size() + payload.size() >= size + 9) {
-    // Entropy coding did not pay off; store raw.
-    std::vector<uint8_t> raw;
-    raw.reserve(size + 9);
-    raw.push_back(kModeRaw);
-    put_u64(raw, size);
-    raw.insert(raw.end(), data, data + size);
-    return raw;
-  }
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
-}
 
 Status decode_reference(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
                         const ResourceLimits* limits) {

@@ -17,11 +17,11 @@
 // tokens to a sink that feeds the entropy coder's bit writer directly — no
 // materialized token array, bounded memory per worker.
 //
-// The pre-existing single-shot whole-input codec survives as
-// encode_reference / decode_reference: it is the equivalence oracle for the
-// differential tests and the serial baseline in bench_micro
-// --lossless_json. decompress() accepts both framings (it dispatches on the
-// leading format byte).
+// The single-shot whole-input format that preceded the block framing
+// (formats 0-1) is still decoded: decompress() dispatches on the leading
+// format byte, and decode_reference is its decoder. Its encoder lives in the
+// test oracle (oracle/oracle.h), where it is the serial baseline in
+// bench_micro --lossless_json.
 //
 // Either path always decodes to exactly the original bytes; when entropy
 // coding would expand a block (typical for SPECK's near-random bitplanes)
@@ -63,7 +63,8 @@ inline std::vector<uint8_t> compress(const std::vector<uint8_t>& data,
   return compress(data.data(), data.size(), opts);
 }
 
-/// Decompress a buffer produced by compress() or encode_reference().
+/// Decompress a buffer produced by compress() or by the legacy single-block
+/// encoder.
 /// Every block's checksum is verified; on a per-block failure the return is
 /// Status::corrupt_block and `*corrupt_block` (when non-null) receives the
 /// zero-based index of the first bad block. Framing-level failures return
@@ -98,14 +99,9 @@ Status decompress_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t
                            std::vector<size_t>& bad_blocks, int num_threads = 0,
                            const ResourceLimits* limits = nullptr);
 
-/// Reference single-block codec: one serial LZ77+Huffman pass over the whole
-/// input, no directory, no checksums (the pre-block-rewrite format).
-std::vector<uint8_t> encode_reference(const uint8_t* data, size_t size);
-
-inline std::vector<uint8_t> encode_reference(const std::vector<uint8_t>& data) {
-  return encode_reference(data.data(), data.size());
-}
-
+/// Decoder of the single-block legacy format (formats 0-1: one serial
+/// LZ77+Huffman pass over the whole input, no directory, no checksums).
+/// decompress() dispatches such streams here.
 Status decode_reference(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
                         const ResourceLimits* limits = nullptr);
 

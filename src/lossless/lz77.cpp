@@ -169,66 +169,4 @@ void lz77_scan(const uint8_t* data, size_t size, TokenSink& sink,
   if (size > lit_start) sink.on_literals(data + lit_start, size - lit_start);
 }
 
-namespace {
-
-struct VectorSink final : TokenSink {
-  std::vector<Token>& tokens;
-  explicit VectorSink(std::vector<Token>& t) : tokens(t) {}
-  void on_literal(uint8_t byte) override {
-    Token lit{};
-    lit.literal = byte;
-    tokens.push_back(lit);
-  }
-  void on_match(uint32_t length, uint32_t distance) override {
-    Token m{};
-    m.length = length;
-    m.distance = distance;
-    tokens.push_back(m);
-  }
-};
-
-}  // namespace
-
-std::vector<Token> lz77_tokenize(const uint8_t* data, size_t size) {
-  std::vector<Token> tokens;
-  if (size == 0) return tokens;
-  tokens.reserve(size / 4);
-  VectorSink sink(tokens);
-  lz77_scan(data, size, sink);
-  return tokens;
-}
-
-bool lz77_reconstruct(const std::vector<Token>& tokens, std::vector<uint8_t>& out,
-                      size_t expected_size) {
-  if (expected_size) out.reserve(out.size() + expected_size);
-  for (const Token& t : tokens) {
-    if (t.length == 0) {
-      out.push_back(t.literal);
-      continue;
-    }
-    if (t.distance == 0 || t.distance > out.size()) return false;
-    const size_t len = t.length;
-    const size_t start = out.size() - t.distance;
-    out.resize(out.size() + len);
-    uint8_t* dst = out.data() + out.size() - len;
-    const uint8_t* src = out.data() + start;
-    if (t.distance >= len) {
-      std::memcpy(dst, src, len);
-    } else {
-      // Overlapping match: seed one period, then double the copied region
-      // until `len` is covered. Each memcpy's source and destination are
-      // disjoint, so this widens to bulk copies while preserving the
-      // byte-serial replication semantics.
-      size_t copied = std::min<size_t>(t.distance, len);
-      std::memcpy(dst, src, copied);
-      while (copied < len) {
-        const size_t chunk = std::min(copied, len - copied);
-        std::memcpy(dst + copied, dst, chunk);
-        copied += chunk;
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace sperr::lossless

@@ -12,8 +12,8 @@
 // (the block codec) can count symbol frequencies or feed an entropy coder
 // directly without ever materializing a token array. Literal runs are
 // delivered batched (one on_literals() call per run) to keep virtual
-// dispatch off the per-byte path. The vector-returning lz77_tokenize()
-// wrapper survives for unit tests and the reference (single-block) codec.
+// dispatch off the per-byte path. The test oracle (oracle/oracle.h) wraps it
+// into a token-vector tokenizer for unit tests and the single-block codec.
 
 #include <cstddef>
 #include <cstdint>
@@ -65,17 +65,5 @@ struct MatchScratch {
 /// far below that).
 void lz77_scan(const uint8_t* data, size_t size, TokenSink& sink,
                MatchScratch* scratch = nullptr);
-
-/// Tokenize `data` into a materialized token vector (lz77_scan + push_back).
-std::vector<Token> lz77_tokenize(const uint8_t* data, size_t size);
-
-/// Reconstruct the original bytes from a token stream, appending to `out`.
-/// `expected_size`, when nonzero, is the decoded size promised by the
-/// framing header and is reserved up front. Overlapping matches (distance <
-/// length) replicate their pattern with a doubling widened copy rather than
-/// a byte-at-a-time loop. Returns false if a token references data before
-/// the start of the output (corrupt stream).
-bool lz77_reconstruct(const std::vector<Token>& tokens, std::vector<uint8_t>& out,
-                      size_t expected_size = 0);
 
 }  // namespace sperr::lossless

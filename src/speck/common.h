@@ -12,6 +12,13 @@
 
 namespace sperr::speck {
 
+/// Exclusive upper bound on the coefficients one SPECK stream codes: the
+/// SetTree's node ids are uint32 and the decoder tags coefficient indices
+/// with a sign bit in bit 31. The container layer keeps chunks below it
+/// (docs/FORMAT.md), speck::encode throws and speck::decode answers
+/// corrupt_stream above it.
+inline constexpr size_t kMaxCoefficients = size_t(1) << 31;
+
 /// An axis-aligned box of coefficients within the (transformed) grid.
 struct Box {
   uint32_t x = 0, y = 0, z = 0;     ///< origin

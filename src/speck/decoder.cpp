@@ -1,9 +1,9 @@
-// Production SPECK decoder: flattened counterpart of encoder.cpp. The set
-// hierarchy is precomputed once into the SetTree (identical to the
-// encoder's, since it depends only on the extents), so the per-plane
-// traversal walks packed node ids instead of re-deriving box splits.
-// Mirrors the reference decoder's traversal (including the
-// deducible-significance rule and truncated-stream semantics) bit for bit.
+// SPECK decoder: flattened counterpart of encoder.cpp. The set hierarchy is
+// precomputed once into the SetTree (identical to the encoder's, since it
+// depends only on the extents), so the per-plane traversal walks packed
+// node ids instead of re-deriving box splits. Mirrors the traversal of the
+// recursive oracle decoder in oracle/ (including the deducible-significance
+// rule and truncated-stream semantics) bit for bit.
 //
 // The batch structure matches the encoder's sweeps:
 //   * sorting passes skip runs of 0-bits (still-insignificant sets) with a
@@ -268,11 +268,7 @@ Status decode(const uint8_t* stream,
               double* coeffs,
               DecodeStats* stats,
               int threads) {
-  // Node ids in the flattened tree are uint32 (and coefficient indices carry
-  // their sign in bit 31); beyond this fall back to the reference coder
-  // (mirrors speck::encode).
-  if (dims.total() >= (size_t(1) << 31))
-    return decode_reference(stream, nbytes, dims, coeffs, stats);
+  if (dims.total() >= kMaxCoefficients) return Status::corrupt_stream;
 
   ByteReader hr(stream, nbytes);
   Header hdr;

@@ -20,7 +20,9 @@ struct DecodeStats {
 };
 
 /// Decode a stream produced by speck::encode into `coeffs` (dims.total()
-/// doubles, fully overwritten; dead-zone coefficients become 0).
+/// doubles, fully overwritten; dead-zone coefficients become 0). Grids of
+/// kMaxCoefficients or more are answered corrupt_stream: no encoder
+/// produces them.
 ///
 /// `threads` parallelizes the data-parallel parts of the decode — the
 /// refinement-pass value updates and the final coefficient scatter (the
@@ -34,14 +36,5 @@ Status decode(const uint8_t* stream,
               double* coeffs,
               DecodeStats* stats = nullptr,
               int threads = 1);
-
-/// The original recursive decoder (reference.cpp), kept as the oracle for
-/// the flattened production decoder — identical output coefficients and
-/// DecodeStats for every stream, including truncated and corrupt ones.
-Status decode_reference(const uint8_t* stream,
-                        size_t nbytes,
-                        Dims dims,
-                        double* coeffs,
-                        DecodeStats* stats = nullptr);
 
 }  // namespace sperr::speck

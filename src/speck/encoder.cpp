@@ -1,5 +1,6 @@
-// Production SPECK encoder: data-parallel sweep rewrite of the reference
-// coder (reference.cpp), emitting bit-identical streams.
+// SPECK encoder: one data-parallel sweep engine for every mode, emitting
+// the paper's embedded stream bit for bit (tests/test_speck_fast.cpp holds
+// it to the recursive oracle coder in oracle/).
 //
 //   * The set hierarchy and every set's maximum significance plane are
 //     precomputed once into the contiguous SetTree (settree.h) — the
@@ -14,32 +15,30 @@
 //     popcounts over those words, and emits each run as one put_zeros —
 //     the memory traffic per plane is one byte per listed set instead of
 //     a worklist copy. Only significant sets enter the frame-stack
-//     descent (the reference's recursion order, preserving the
+//     descent (the recursive coder's order, preserving the
 //     deducible-significance rule bit for bit).
 //   * Refinement bits are transposed at discovery: when a coefficient
 //     turns significant at plane p, its whole future refinement sequence
-//     is known (one integer — see sweep_found_significant for the
-//     derivation from the reference's strict-> residual chain), and its
-//     bits are appended to per-plane bit buffers right there. A
+//     and its final reconstruction are known (see sweep_found_significant),
+//     and its bits are appended to per-plane bit buffers right there. A
 //     refinement pass is then a single word-batched append of the
 //     prebuilt buffer for that plane — it never rescans the LSP.
 //   * Deterministic intra-chunk parallelism (threads > 1): each bucket's
 //     entries are partitioned into fixed, word-aligned contiguous lanes;
-//     every lane sweeps its slice into private bit/arrival/LNSP/refinement
+//     every lane sweeps its slice into private bit/arrival/LSP/refinement
 //     buffers, and the per-lane outputs merge in lane order. Lane
 //     concatenation reproduces the serial entry order exactly, so the
 //     stream is byte-identical at every thread count. (Safe because a
 //     descent from bucket d only spawns entries for strictly deeper
 //     buckets, never for the bucket being swept.)
+//   * Size-bounded mode is the same sweep, stopped after the first whole
+//     plane that reaches the bit budget; the payload is then cut at the
+//     budget bit (the stream is embedded, so the cut is a valid prefix) and
+//     the cut-time statistics are derived from each entry's bit positions
+//     (apply_cut).
 //
-// The budgeted mode (which must stop on the exact budget bit) and the
-// >50-plane fallback keep the reference's serial per-bit walk. Timing of
-// each plane's sorting / significance-scan / refinement phases is recorded
-// into EncodeStats::passes for `bench_micro --speck_json`.
-//
-// tests/test_speck_fast.cpp holds this coder to bit-identical streams and
-// equal EncodeStats against encode_reference across shapes, modes, and
-// 1/2/4/8 intra-chunk threads.
+// Timing of each plane's sorting / significance-scan / refinement phases is
+// recorded into EncodeStats::passes for `bench_micro --speck_json`.
 
 #include "speck/encoder.h"
 
@@ -47,6 +46,8 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -69,146 +70,134 @@ namespace {
 constexpr size_t kParallelSortGrain = size_t(1) << 12;
 
 /// Tombstone plane for a bucket entry whose set has descended. Strictly
-/// below every real cached plane (int path planes are in [-1, 50]), so a
-/// consumed entry can never test significant.
+/// below every cached plane, so a consumed entry can never test significant.
 constexpr int8_t kConsumed = -128;
 
-class FastEncoder {
+/// Bucket entries cache their set's max plane as one byte, saturated here.
+/// Sorting passes at planes up to this one test the cached byte (n - 1
+/// still fits the SSE2 signed-byte compare); passes above it — reached only
+/// by fields spanning more than 126 planes — read the tree's int16 planes.
+constexpr int32_t kCachedPlaneMax = 126;
+
+/// Deepest discovery plane whose refinement takes the integer closed form:
+/// the subtracted total 2^n + v and the final recon stay exact doubles.
+/// Coefficients discovered above it walk the residual chain instead.
+constexpr int32_t kClosedFormPlanes = 50;
+
+int8_t cached_plane(int16_t p) {
+  return int8_t(std::min<int16_t>(p, kCachedPlaneMax));
+}
+
+/// The recursive coder's refinement chain for a coefficient of scaled
+/// magnitude m found significant at plane n: the residual r = m - 2^n walks
+/// planes n-1 .. 0, each emitting `r > 2^b` (subtracting 2^b on a 1) and
+/// moving the recon, seeded at the interval center 1.5 * 2^n, by +/- 2^b/2.
+/// `visit(b, bit)` sees each bit before it takes effect and returns false to
+/// stop the walk there. Returns the recon after the last applied bit.
+template <class Visit>
+double refine_walk(double m, int32_t n, Visit&& visit) {
+  const double top = std::ldexp(1.0, n);
+  double r = m - top;
+  double recon = 1.5 * top;
+  for (int32_t b = n - 1; b >= 0; --b) {
+    const double thrd = std::ldexp(1.0, b);
+    const bool bit = r > thrd;
+    if (!visit(b, bit)) break;
+    if (bit) r -= thrd;
+    recon += bit ? thrd / 2.0 : -thrd / 2.0;
+  }
+  return recon;
+}
+
+class Encoder {
  public:
-  FastEncoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
-              int threads)
+  Encoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
+          int threads)
       : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits) {
     const size_t n = dims.total();
     // One linear scan: per-coefficient significance planes (consumed by the
-    // tree fill below) and the squared-magnitude sum for estimated_rmse().
-    // Same expressions in the same order as the reference, so the
-    // accumulated double is bit-identical. Stays serial: double addition is
-    // not associative and the estimate must match the reference exactly.
-    coeff_planes_.resize(n);
+    // tree fill below) and the dead-zone squared magnitudes for
+    // estimated_rmse(), summed in index order like the oracle's.
+    std::vector<int16_t> planes(n);
     int16_t max_plane = kDeadPlane;
     for (size_t i = 0; i < n; ++i) {
       const double m = std::fabs(coeffs[i]) / q;
-      mag_sq_sum_ += m * m;
       const int16_t p = plane_of(m);
-      coeff_planes_[i] = p;
+      planes[i] = p;
+      if (p == kDeadPlane) dead_sq_ += m * m;
       if (p > max_plane) max_plane = p;
     }
-    // plane_of(max m) == max plane_of(m): same top plane as the reference's
-    // `largest n with 2^n < max magnitude` search.
+    // plane_of(max m) == max plane_of(m): the top plane is the largest n
+    // with 2^n < max magnitude.
     n_max_ = max_plane;
-
     if (n_max_ >= 0) {
       tree_.build(dims);
-      tree_.fill_planes(coeff_planes_.data());
-      std::vector<int16_t>().swap(coeff_planes_);  // leaf planes live in the tree now
+      tree_.fill_planes(planes.data());
     }
-
-    // The packed-integer refinement path holds a coefficient's whole bit
-    // sequence (up to n_max_ bits) in a uint64 and reconstructs recon/
-    // residual in closed form; both need the refined span to stay well
-    // inside double precision. 50 planes covers every real mode (fixed-rate
-    // picks q = max*2^-50); beyond that, and in budgeted mode (which must
-    // stop on an exact mid-pass bit), use the reference's residual walk.
-    int_path_ = budget_ == 0 && n_max_ <= 50;
-    // The sweep engine (int path) is the only one with parallel lanes; the
-    // serial fallbacks are inherently order-dependent.
-    threads_ = int_path_ ? resolve_thread_count(threads) : 1;
+    // Budgeted mode tracks the global bit position of every sign bit
+    // (sweep_found_significant), so it sweeps serially.
+    threads_ = budget_ ? 1 : resolve_thread_count(threads);
   }
 
+  /// Coefficient-domain RMSE of the quantization: never-coded coefficients
+  /// err by their full magnitude, coded ones by |m - recon|. The two sums
+  /// stay apart — folding them into one running total of m^2 minus the
+  /// coded m^2 cancels catastrophically when nearly everything is coded.
   [[nodiscard]] double estimated_rmse() const {
-    double sq = mag_sq_sum_;  // start with everything in the dead zone...
-    auto account = [&](double m, double recon) {
-      const double e = m - recon;
-      sq += e * e - m * m;  // ...and swap coded ones to their true error
-    };
-    if (int_path_) {
-      // Unbudgeted runs refine every LSP entry down to plane 0 and finish
-      // with an empty LNSP, so every recon has the closed form below.
-      for (size_t j = 0; j < lsp_idx_.size(); ++j) {
-        const double m = mag(lsp_idx_[j]);
-        account(m, final_recon(m, lsp_v_[j]));
-      }
-    } else {
-      for (const auto& p : lsp_) account(mag(p.idx), p.recon);
-      for (const auto& p : lnsp_) account(mag(p.idx), p.recon);
+    double coded_sq = 0.0;
+    for (size_t j = 0; j < lsp_idx_.size(); ++j) {
+      const double e = mag(lsp_idx_[j]) - lsp_recon_[j];
+      coded_sq += e * e;
     }
     const size_t n = dims_.total();
-    return n ? q_ * std::sqrt(std::max(sq, 0.0) / double(n)) : 0.0;
+    return n ? q_ * std::sqrt((dead_sq_ + coded_sq) / double(n)) : 0.0;
   }
 
   void export_recon(std::vector<double>& out) const {
     out.assign(dims_.total(), 0.0);
-    auto emit = [&](uint64_t idx, double recon) {
-      out[idx] = (std::signbit(coeffs_[idx]) ? -recon : recon) * q_;
-    };
-    if (int_path_) {
-      for (size_t j = 0; j < lsp_idx_.size(); ++j)
-        emit(lsp_idx_[j], final_recon(mag(lsp_idx_[j]), lsp_v_[j]));
-    } else {
-      for (const auto& p : lsp_) emit(p.idx, p.recon);
-      for (const auto& p : lnsp_) emit(p.idx, p.recon);
+    for (size_t j = 0; j < lsp_idx_.size(); ++j) {
+      const uint32_t idx = lsp_idx_[j];
+      const double r = lsp_recon_[j];
+      out[idx] = (std::signbit(coeffs_[idx]) ? -r : r) * q_;
     }
   }
 
   std::vector<uint8_t> run(EncodeStats* stats) {
-    if (n_max_ >= 0) {
-      if (int_path_) {
-        buckets_.resize(max_depth(dims_) + 1);
-        buckets_[0].push(0, int8_t(tree_.plane(0)));
-        run_sweeps();
-      } else {
-        lis_.resize(max_depth(dims_) + 1);
-        lis_[0].push_back({0, tree_.plane(0)});  // root node
-        run_legacy();
-      }
+    if (n_max_ >= 0) run_sweeps();
+    size_t nbits = wbw_.bit_count();
+    if (budget_ && nbits >= budget_) {
+      nbits = budget_;
+      apply_cut();
     }
 
     Header hdr;
     hdr.q = q_;
     hdr.n_max = n_max_;
-    const size_t nbits = int_path_ ? wbw_.bit_count() : bw_.bit_count();
     hdr.nbits = nbits;
     if (stats) {
       stats->payload_bits = nbits;
-      stats->planes_coded = planes_;
-      stats->significant_count =
-          int_path_ ? lsp_idx_.size() : lsp_.size() + lnsp_.size();
+      stats->planes_coded = pass_times_.size();
+      stats->significant_count = lsp_idx_.size();
       stats->estimated_coeff_rmse = estimated_rmse();
       stats->passes = std::move(pass_times_);
       stats->threads_used = threads_;
     }
 
+    const size_t nbytes = (nbits + 7) / 8;
     std::vector<uint8_t> out;
-    out.reserve(Header::kBytes + (nbits + 7) / 8);
+    out.reserve(Header::kBytes + nbytes);
     hdr.serialize(out);
-    if (int_path_) {
-      const auto& payload = wbw_.finish();
-      out.insert(out.end(), payload.begin(), payload.end());
-    } else {
-      const auto payload = bw_.take();
-      out.insert(out.end(), payload.begin(), payload.end());
-    }
+    const auto& payload = wbw_.finish();
+    out.insert(out.end(), payload.begin(), payload.begin() + ptrdiff_t(nbytes));
+    if (nbits % 8) out.back() &= uint8_t((1u << (nbits % 8)) - 1u);
     return out;
   }
 
  private:
-  struct SigEntry {
-    uint64_t idx;
-    double residual;  ///< remaining magnitude to refine away
-    double recon;     ///< decoder-equivalent reconstruction (scaled units)
-  };
-
-  /// One legacy-engine LIS entry (budgeted / >50-plane modes). The set's
-  /// max plane never changes, so it is cached at listing time.
-  struct LisEntry {
-    uint32_t id;
-    int32_t plane;  ///< == tree_.plane(id), cached at listing time
-  };
-
-  /// A sweep-engine worklist: entries append once and are tombstoned in
-  /// place when their set descends — never copied, unlike a re-listed LIS.
-  /// `planes` caches each set's max plane (int path planes fit int8), so a
-  /// sweep's significance tests read one contiguous byte per entry.
+  /// A worklist: entries append once and are tombstoned in place when their
+  /// set descends — never copied, unlike a re-listed LIS. `planes` caches
+  /// each set's max plane (saturated, see kCachedPlaneMax), so a sweep's
+  /// significance tests read one contiguous byte per entry.
   struct Bucket {
     std::vector<uint32_t> ids;
     std::vector<int8_t> planes;
@@ -219,26 +208,17 @@ class FastEncoder {
     }
   };
 
-  /// Within-pass descent frame: a significant internal node whose children
-  /// are being examined. `next` is the child cursor, `any_sig` feeds the
-  /// deducible-last-child rule.
-  struct Frame {
-    uint32_t node;
-    uint8_t next;
-    bool any_sig;
-  };
-
-  /// Sweep-engine descent frame: the node's children are scanned once at
-  /// frame creation into a significance mask and packed plane bytes
-  /// (branchless — see scan_children), so the walk emits sibling runs in
-  /// batches instead of testing one child per iteration.
+  /// Descent frame: the node's children are scanned once at frame creation
+  /// into a significance mask and packed plane bytes (branchless — see
+  /// scan_children), so the walk emits sibling runs in batches instead of
+  /// testing one child per iteration.
   struct SweepFrame {
     uint32_t node;
     uint8_t nc;
     uint8_t next;     ///< child cursor
     uint8_t mask;     ///< child significance bits at the current plane
     bool any_sig;     ///< a significant child has been coded
-    uint64_t planes;  ///< eight packed int8 child planes (for spills)
+    uint64_t planes;  ///< eight packed cached child planes (for spills)
   };
 
   /// One sweep lane's output channels. The serial sweep's lane points
@@ -248,13 +228,13 @@ class FastEncoder {
     WordBitWriter* bw = nullptr;
     std::vector<Bucket>* spill = nullptr;  ///< per-depth arrival dest
     std::vector<uint32_t>* lsp_idx = nullptr;
-    std::vector<uint64_t>* lsp_v = nullptr;
+    std::vector<double>* lsp_recon = nullptr;
     std::vector<WordBitWriter>* ref = nullptr;  ///< per-plane refinement bits
     std::vector<SweepFrame> frames;  ///< descent stack (always private)
     WordBitWriter local_bw;
     std::vector<Bucket> local_spill;
     std::vector<uint32_t> local_lsp_idx;
-    std::vector<uint64_t> local_lsp_v;
+    std::vector<double> local_lsp_recon;
     std::vector<WordBitWriter> local_ref;
     double significance_s = 0.0;  ///< this bucket's packed-scan time
   };
@@ -263,16 +243,16 @@ class FastEncoder {
     return std::fabs(coeffs_[idx]) / q_;
   }
 
-  // --- sweep engine (unbudgeted, <= 50 planes) -----------------------------
-
   void run_sweeps() {
+    buckets_.resize(max_depth(dims_) + 1);
+    buckets_[0].push(0, cached_plane(tree_.plane(0)));
     // Refinement bits for plane n collect in ref_streams_[n] as coefficients
     // are discovered (planes n_max_-1 .. 0 can receive bits).
     ref_streams_.resize(size_t(n_max_) + 1);
     serial_lane_.bw = &wbw_;
     serial_lane_.spill = &buckets_;
     serial_lane_.lsp_idx = &lsp_idx_;
-    serial_lane_.lsp_v = &lsp_v_;
+    serial_lane_.lsp_recon = &lsp_recon_;
     serial_lane_.ref = &ref_streams_;
     if (threads_ > 1) {
       pool_ = std::make_unique<TaskPool>(threads_);
@@ -282,7 +262,7 @@ class FastEncoder {
         ln.local_spill.resize(buckets_.size());
         ln.spill = &ln.local_spill;
         ln.lsp_idx = &ln.local_lsp_idx;
-        ln.lsp_v = &ln.local_lsp_v;
+        ln.lsp_recon = &ln.local_lsp_recon;
         ln.local_ref.resize(ref_streams_.size());
         ln.ref = &ln.local_ref;
       }
@@ -302,14 +282,14 @@ class FastEncoder {
       pt.refinement_s = t.seconds();
       pt.refinement_bits = wbw_.bit_count() - b0 - pt.sorting_bits;
       pass_times_.push_back(pt);
+      if (budget_ && wbw_.bit_count() >= budget_) break;
     }
   }
 
   void sweep_sorting_pass(int32_t n, double thrd, PassTiming& pt) {
-    ++planes_;
     // Deepest (smallest) sets first; children spawned by descents land in
     // deeper buckets that were already swept, so every set is examined
-    // exactly once per plane — the reference's order.
+    // exactly once per plane — the recursive coder's order.
     for (size_t d = buckets_.size(); d-- > 0;) {
       Bucket& bk = buckets_[d];
       const size_t count = bk.ids.size();
@@ -352,10 +332,10 @@ class FastEncoder {
           }
           lsp_idx_.insert(lsp_idx_.end(), ln.local_lsp_idx.begin(),
                           ln.local_lsp_idx.end());
-          lsp_v_.insert(lsp_v_.end(), ln.local_lsp_v.begin(),
-                        ln.local_lsp_v.end());
+          lsp_recon_.insert(lsp_recon_.end(), ln.local_lsp_recon.begin(),
+                            ln.local_lsp_recon.end());
           ln.local_lsp_idx.clear();
-          ln.local_lsp_v.clear();
+          ln.local_lsp_recon.clear();
           for (int32_t b = 0; b < n; ++b) {
             WordBitWriter& src = ln.local_ref[size_t(b)];
             if (src.bit_count()) {
@@ -374,23 +354,25 @@ class FastEncoder {
     }
   }
 
-  /// Pack significance (`plane >= n`) and liveness (`plane != kConsumed`)
+  /// Pack significance (set plane >= n) and liveness (`plane != kConsumed`)
   /// of bucket entries [b, e) into sig_'s / live_'s words — one linear pass
-  /// over the cached plane bytes. `b` is a multiple of 64; every covered
-  /// word is written in full, so no prior clearing is needed
-  /// (resize_for_overwrite above).
+  /// over the cached plane bytes (plus the tree's planes above
+  /// kCachedPlaneMax). `b` is a multiple of 64; every covered word is
+  /// written in full, so no prior clearing is needed (resize_for_overwrite
+  /// above).
   void fill_sig_words(const Bucket& bk, int32_t n, size_t b, size_t e) {
     uint64_t* sw = sig_.word_data();
     uint64_t* lw = live_.word_data();
     const int8_t* p = bk.planes.data();
+    const bool deep = n > kCachedPlaneMax;
     size_t i = b;
     for (size_t w = b >> 6; i < e; ++w) {
       uint64_t sig = 0, live = 0;
 #if defined(__SSE2__)
-      if (e - i >= 64) {
+      if (!deep && e - i >= 64) {
         // Four 16-byte compares per word: signed byte cmpgt gives the
-        // significance mask (plane >= n <=> plane > n-1; n-1 fits int8 for
-        // n in [0, 50]), cmpeq against the tombstone gives ~liveness.
+        // significance mask (plane >= n <=> plane > n-1), cmpeq against the
+        // tombstone gives ~liveness.
         const __m128i thr = _mm_set1_epi8(int8_t(n - 1));
         const __m128i dead = _mm_set1_epi8(kConsumed);
         for (unsigned g = 0; g < 4; ++g) {
@@ -410,8 +392,10 @@ class FastEncoder {
       const size_t lim = std::min(e, i + 64);
       for (unsigned k = 0; i < lim; ++i, ++k) {
         const int8_t pl = p[i];
-        sig |= uint64_t(pl >= n) << k;
-        live |= uint64_t(pl != kConsumed) << k;
+        const bool alive = pl != kConsumed;
+        const bool s = deep ? alive && tree_.plane(bk.ids[i]) >= n : pl >= n;
+        sig |= uint64_t(s) << k;
+        live |= uint64_t(alive) << k;
       }
       sw[w] = sig;
       lw[w] = live;
@@ -454,10 +438,10 @@ class FastEncoder {
     if (zeros) lane.bw->put_zeros(zeros);
   }
 
-  /// One branchless pass over a node's children: pack their max planes into
-  /// byte lanes of a uint64 (int path planes fit int8) and their
-  /// significance tests at plane n into a mask. Replaces the per-child
-  /// lazy plane load + compare with eight predictable iterations.
+  /// One branchless pass over a node's children: pack their cached planes
+  /// into byte lanes of a uint64 and their significance tests at plane n
+  /// into a mask. Replaces the per-child lazy plane load + compare with
+  /// eight predictable iterations.
   [[nodiscard]] std::pair<uint64_t, uint32_t> scan_children(uint32_t node,
                                                             int32_t n) const {
     const uint32_t first = tree_.first_child(node);
@@ -466,7 +450,7 @@ class FastEncoder {
     uint32_t mask = 0;
     for (uint32_t i = 0; i < nc; ++i) {
       const int16_t p = tree_.plane(first + i);
-      planes |= uint64_t(uint8_t(int8_t(p))) << (8 * i);
+      planes |= uint64_t(uint8_t(cached_plane(p))) << (8 * i);
       mask |= uint32_t(p >= n) << i;
     }
     return {planes, mask};
@@ -478,8 +462,8 @@ class FastEncoder {
             planes};
   }
 
-  /// The reference's recursive descent of a significant set, iteratively,
-  /// in identical DFS order with the identical deducible-significance rule —
+  /// The recursive coder's descent of a significant set, iteratively, in
+  /// identical DFS order with the identical deducible-significance rule —
   /// but emitting sibling bits in batches. The child significance mask is
   /// known at frame creation, so a run of insignificant siblings and the
   /// following significant child's 1-bit collapse into one put_bits (or
@@ -541,39 +525,51 @@ class FastEncoder {
   }
 
   /// A coefficient turning significant at plane n has magnitude
-  /// m in (2^n, 2^(n+1)], and the reference's refinement chain walks
-  /// r = m - 2^n down the planes emitting `r > 2^b` and subtracting on 1.
-  /// Every subtraction is exact (Sterbenz), so the emitted bits at planes
-  /// n-1..0 are exactly the binary digits of ceil(r0) - 1 with r0 = m - 2^n:
-  /// for r0 = I + f (integer I, fraction f > 0) strict > reads digit b of I;
-  /// for integral r0 = I the strict inequality shifts everything to I - 1.
-  /// That integer is captured once here, and its bits are transposed into
-  /// the per-plane refinement streams immediately — refinement passes never
-  /// revisit the coefficient.
+  /// m in (2^n, 2^(n+1)]; its refinement bits at planes n-1 .. 0 and its
+  /// final recon follow from m alone (refine_walk). Both are settled here:
+  /// the bits go straight into the per-plane refinement streams, so
+  /// refinement passes never revisit the coefficient, and the LSP keeps
+  /// only the index and the final recon.
+  ///
+  /// Up to plane kClosedFormPlanes the walk has a closed form. Every
+  /// subtraction is exact (Sterbenz), so the bits are exactly the binary
+  /// digits of v = ceil(r0) - 1 with r0 = m - 2^n: for r0 = I + f (integer
+  /// I, fraction f > 0) strict > reads digit b of I; for integral r0 = I the
+  /// strict inequality shifts everything to I - 1. The recon accumulation
+  /// 1.5 * 2^n + sum(+/- 2^b / 2) then telescopes to 2^n + v + 0.5, exact
+  /// while 2^(n+1) fits the 53-bit mantissa with room to spare.
   void sweep_found_significant(uint32_t idx, int32_t n, double thrd,
                                Lane& lane) {
     const double c = coeffs_[idx];
     lane.bw->put_bits(uint64_t(std::signbit(c)), 1);
-    uint64_t v = 0;
-    if (n > 0) {  // at plane 0, m in (1, 2] forces v = 0 and no future bits
+    auto& refs = *lane.ref;
+    double recon = 1.5 * thrd;  // n == 0: m in (1, 2], no refinement bits
+    if (n > kClosedFormPlanes) {
+      recon = refine_walk(std::fabs(c) / q_, n, [&](int32_t b, bool bit) {
+        refs[size_t(b)].put_bits(uint64_t(bit), 1);
+        return true;
+      });
+    } else if (n > 0) {
       const double r0 = std::fabs(c) / q_ - thrd;  // exact: m in (thrd, 2*thrd]
       // ceil(r0) - 1 without libm: r0 > 0, so trunc == floor, and ceil
       // differs from floor + 1 exactly when r0 is integral.
       const uint64_t t = uint64_t(r0);
-      v = double(t) == r0 ? t - 1 : t;
-      auto& refs = *lane.ref;
+      const uint64_t v = double(t) == r0 ? t - 1 : t;
       for (int32_t b = n - 1; b >= 0; --b)
         refs[size_t(b)].put_bits((v >> unsigned(b)) & uint64_t(1), 1);
+      recon = double((uint64_t(1) << n) + v) + 0.5;
     }
     lane.lsp_idx->push_back(idx);
-    lane.lsp_v->push_back(v);
+    lane.lsp_recon->push_back(recon);
+    // Budgeted mode is serial, so the lane writes the master stream and its
+    // bit count is this sign bit's global position + 1.
+    if (budget_ && lane.bw->bit_count() < budget_) kept_ = lane.lsp_idx->size();
   }
 
   /// Emit plane n's refinement bits: every entry discovered at a plane
   /// above n already deposited its bit for plane n into ref_streams_[n]
   /// (in LSP discovery order — lane merges preserve it), so the pass is one
-  /// word-batched append. Nothing else to do: lsp_idx_/lsp_v_ fill directly
-  /// at discovery, and an entry found at plane p never refines at plane p.
+  /// word-batched append.
   void sweep_refinement_pass(int32_t n) {
     WordBitWriter& rb = ref_streams_[size_t(n)];
     if (rb.bit_count()) {
@@ -582,159 +578,58 @@ class FastEncoder {
     }
   }
 
-  // --- legacy engine (budgeted mode and > 50 planes) ------------------------
-
-  void put(bool bit) {
-    bw_.put(bit);
-    if (budget_ && bw_.bit_count() >= budget_) budget_hit_ = true;
-  }
-
-  void run_legacy() {
-    for (int32_t n = n_max_; n >= 0 && !budget_hit_; --n) {
-      const double thrd = std::ldexp(1.0, n);
-      PassTiming pt;
-      pt.plane = n;
-      Timer t;
-      const uint64_t b0 = bw_.bit_count();
-      sorting_pass(n, thrd);
-      pt.sorting_s = t.seconds();
-      pt.sorting_bits = bw_.bit_count() - b0;
-      if (!budget_hit_) {
-        t.reset();
-        const uint64_t b1 = bw_.bit_count();
-        refinement_pass(thrd);
-        pt.refinement_s = t.seconds();
-        pt.refinement_bits = bw_.bit_count() - b1;
-      }
-      pass_times_.push_back(pt);
+  /// Bring the encoder state to what a coder stopping on the budget bit
+  /// holds: that last bit's update is skipped, so only bits at positions
+  /// below budget_ - 1 take effect. A coefficient whose sign bit falls at or
+  /// past that point is dropped (its magnitude joins the dead-zone sum), a
+  /// kept one is refined by exactly the bits before it, and the pass
+  /// records are clipped to the payload. Plane b's refinement pass lists
+  /// the LSP in discovery order, so entry j's bit there sits at that pass's
+  /// start + j.
+  void apply_cut() {
+    const uint64_t limit = budget_ - 1;
+    std::vector<uint64_t> ref_start(size_t(n_max_) + 1, UINT64_MAX);
+    uint64_t pos = 0;
+    size_t passes = 0;
+    for (PassTiming& pt : pass_times_) {
+      if (pos >= budget_) break;
+      ref_start[size_t(pt.plane)] = pos + pt.sorting_bits;
+      pt.sorting_bits = std::min<uint64_t>(pt.sorting_bits, budget_ - pos);
+      pos += pt.sorting_bits;
+      pt.refinement_bits = std::min<uint64_t>(pt.refinement_bits, budget_ - pos);
+      pos += pt.refinement_bits;
+      ++passes;
     }
-  }
+    pass_times_.resize(passes);
 
-  void sorting_pass(int32_t n, double thrd) {
-    ++planes_;
-    for (size_t d = lis_.size(); d-- > 0;) {
-      pending_.clear();
-      pending_.swap(lis_[d]);
-      for (const LisEntry& e : pending_) {
-        process_entry(e, uint32_t(d), n, thrd);
-        if (budget_hit_) return;
-      }
+    lsp_idx_.resize(kept_);
+    lsp_recon_.resize(kept_);
+    PackedBits coded(dims_.total());
+    for (size_t j = 0; j < kept_; ++j) {
+      const double m = mag(lsp_idx_[j]);
+      // j < limit: every kept entry's sign bit, and j before it, precede it.
+      lsp_recon_[j] = refine_walk(m, plane_of(m), [&](int32_t b, bool) {
+        return ref_start[size_t(b)] < limit - j;
+      });
+      coded.set(lsp_idx_[j]);
     }
-  }
-
-  /// Examine one LIS entry: emit its significance bit, then — when
-  /// significant — run the reference's recursive descent iteratively, with
-  /// the budget checked on every emitted bit.
-  void process_entry(LisEntry ent, uint32_t depth, int32_t n, double thrd) {
-    const uint32_t id = ent.id;
-    const bool sig = ent.plane >= n;
-    put(sig);
-    if (budget_hit_) return;
-    if (!sig) {
-      lis_[depth].push_back(ent);
-      return;
+    for (size_t i = 0; i < dims_.total(); ++i) {
+      const double m = mag(i);
+      if (m > 1.0 && !coded.get(i)) dead_sq_ += m * m;
     }
-    if (tree_.is_leaf(id)) {
-      found_significant(tree_.coeff_index(id), thrd);
-      return;
-    }
-    frames_.clear();
-    frames_.push_back({id, 0, false});
-    while (!frames_.empty()) {
-      Frame& f = frames_.back();
-      const uint32_t nc = tree_.child_count(f.node);
-      if (f.next == nc) {
-        frames_.pop_back();
-        continue;
-      }
-      const uint32_t child = tree_.first_child(f.node) + f.next;
-      const bool last = ++f.next == nc;
-      const bool deducible = last && !f.any_sig;
-      bool csig = true;
-      int32_t cplane = 0;
-      if (!deducible) {
-        cplane = tree_.plane(child);
-        csig = cplane >= n;
-        put(csig);
-        if (budget_hit_) return;
-      }
-      f.any_sig |= csig;
-      if (!csig) {
-        lis_[depth + frames_.size()].push_back({child, cplane});
-        continue;
-      }
-      if (tree_.is_leaf(child)) {
-        found_significant(tree_.coeff_index(child), thrd);
-        if (budget_hit_) return;
-        continue;
-      }
-      frames_.push_back({child, 0, false});
-    }
-  }
-
-  void found_significant(uint64_t idx, double thrd) {
-    put(std::signbit(coeffs_[idx]));
-    if (budget_hit_) return;  // sign bit emitted, entry dropped — as reference
-    lnsp_.push_back({idx, mag(idx), 1.5 * thrd});
-  }
-
-  /// Closed form of the reference's recon accumulation for a fully refined
-  /// entry: subtracted total 2^p + v, plus half the final interval (plane 0
-  /// => 0.5). Exact for spans <= 50 planes, hence bit-identical.
-  [[nodiscard]] double final_recon(double m, uint64_t v) const {
-    const int16_t p = plane_of(m);
-    return double((uint64_t(1) << p) + v) + 0.5;
-  }
-
-  void refinement_pass(double thrd) {
-    if (budget_ == 0) {
-      // >50-plane fallback: the reference's residual walk with batched
-      // emission through the word-at-a-time path.
-      uint64_t word = 0;
-      unsigned fill = 0;
-      for (auto& p : lsp_) {
-        const bool bit = p.residual > thrd;
-        if (bit) p.residual -= thrd;
-        p.recon += bit ? thrd / 2.0 : -thrd / 2.0;
-        word |= uint64_t(bit) << fill;
-        if (++fill == 64) {
-          bw_.put_word(word);
-          word = 0;
-          fill = 0;
-        }
-      }
-      if (fill) bw_.put_bits(word, fill);
-    } else {
-      // Budgeted: per-bit loop so encoding stops on the exact budget bit,
-      // with that bit's state update skipped — as the reference does.
-      for (auto& p : lsp_) {
-        const bool bit = p.residual > thrd;
-        put(bit);
-        if (budget_hit_) return;
-        if (bit) p.residual -= thrd;
-        p.recon += bit ? thrd / 2.0 : -thrd / 2.0;
-      }
-    }
-    for (auto& p : lnsp_) p.residual -= thrd;
-    lsp_.insert(lsp_.end(), lnsp_.begin(), lnsp_.end());
-    lnsp_.clear();
   }
 
   const double* coeffs_;
   Dims dims_;
   double q_;
   size_t budget_;
-  bool budget_hit_ = false;
 
-  std::vector<int16_t> coeff_planes_;  ///< per-coefficient planes (build-time only)
-  double mag_sq_sum_ = 0.0;
+  double dead_sq_ = 0.0;  ///< sum of m^2 over never-coded coefficients
   int32_t n_max_ = -1;
-  size_t planes_ = 0;
   std::vector<PassTiming> pass_times_;
 
   SetTree tree_;
 
-  bool int_path_ = false;  ///< packed-integer refinement (see constructor)
   int threads_ = 1;
   std::unique_ptr<TaskPool> pool_;  ///< non-null only when threads_ > 1
   Lane serial_lane_;
@@ -744,16 +639,10 @@ class FastEncoder {
   PackedBits live_;  ///< per-bucket packed liveness bits (scratch)
   std::vector<WordBitWriter> ref_streams_;  ///< per-plane refinement bits
 
-  std::vector<std::vector<LisEntry>> lis_;  ///< legacy worklists by depth
-  std::vector<LisEntry> pending_;           ///< legacy per-bucket scratch
-  std::vector<Frame> frames_;               ///< legacy engine's descent stack
-
-  std::vector<uint32_t> lsp_idx_;  ///< int path: coefficient indices, LSP order
-  std::vector<uint64_t> lsp_v_;    ///< int path: packed refinement bit sequences
-  std::vector<SigEntry> lsp_;  ///< fallback paths: residual-walk entries
-  std::vector<SigEntry> lnsp_;
-  WordBitWriter wbw_;  ///< sweep engine's master stream
-  BitWriter bw_;       ///< legacy engine's stream
+  std::vector<uint32_t> lsp_idx_;  ///< coefficient indices, LSP order
+  std::vector<double> lsp_recon_;  ///< final recon magnitudes (scaled units)
+  size_t kept_ = 0;  ///< budgeted: entries whose sign bit precedes the last bit
+  WordBitWriter wbw_;  ///< master stream
 };
 
 }  // namespace
@@ -765,11 +654,10 @@ std::vector<uint8_t> encode(const double* coeffs,
                             EncodeStats* stats,
                             std::vector<double>* recon_out,
                             int threads) {
-  // Node ids in the flattened tree are uint32; beyond this (far above any
-  // real chunk) fall back to the reference coder.
-  if (dims.total() >= (size_t(1) << 31))
-    return encode_reference(coeffs, dims, q, budget_bits, stats, recon_out);
-  FastEncoder enc(coeffs, dims, q, budget_bits, threads);
+  if (dims.total() >= kMaxCoefficients)
+    throw std::invalid_argument("speck::encode: " + dims.to_string() +
+                                " exceeds the 2^31-coefficient limit");
+  Encoder enc(coeffs, dims, q, budget_bits, threads);
   auto stream = enc.run(stats);
   if (recon_out) enc.export_recon(*recon_out);
   return stream;

@@ -9,6 +9,9 @@
 //   * the whole (transformed) domain is the root set;
 //   * the output is embedded: any prefix decodes, enabling the size-bounded
 //     mode by simply stopping at a bit budget.
+// One engine (encoder.cpp) codes every mode and every plane depth; the
+// recursive coder it was derived from lives outside the library as the
+// test oracle (oracle/).
 
 #include <cstdint>
 #include <vector>
@@ -18,9 +21,9 @@
 
 namespace sperr::speck {
 
-/// Cost breakdown of one bitplane, filled by the production encoder. The
-/// bit counts are properties of the stream (deterministic, compared in
-/// tests); the seconds are wall-clock measurements of this plane's passes.
+/// Cost breakdown of one bitplane. The bit counts are properties of the
+/// stream (deterministic, compared in tests); the seconds are wall-clock
+/// measurements of this plane's passes.
 struct PassTiming {
   int32_t plane = 0;           ///< bitplane n (threshold 2^n)
   double sorting_s = 0.0;      ///< whole sorting pass (includes significance_s)
@@ -41,32 +44,34 @@ struct EncodeStats {
   /// inverse transform (paper §III-A and the §VII average-error extension).
   double estimated_coeff_rmse = 0.0;
 
-  /// Per-bitplane pass costs, top plane first (production encoder only; the
-  /// reference coder leaves this empty). Feeds `bench_micro --speck_json`.
+  /// Per-bitplane pass costs, top plane first, one per plane in
+  /// planes_coded; in size-bounded mode the bit counts are clipped to the
+  /// payload, so they always sum to payload_bits. Feeds
+  /// `bench_micro --speck_json`.
   std::vector<PassTiming> passes;
 
-  /// Intra-chunk threads the encoder actually used (after resolving 0=auto
-  /// and the serial fallbacks for budgeted / >50-plane modes).
+  /// Intra-chunk threads the encoder actually used (after resolving 0=auto;
+  /// size-bounded mode always runs serial).
   int threads_used = 1;
 };
 
-/// Encode `coeffs` (dims.total() values) with finest step q (> 0).
+/// Encode `coeffs` (dims.total() values, fewer than kMaxCoefficients —
+/// larger grids throw std::invalid_argument) with finest step q (> 0).
 /// `budget_bits` == 0 means "all bitplanes down to q" (quality-driven / PWE
-/// mode); otherwise the stream is truncated at the first operation that
-/// reaches the budget (size-bounded mode).
+/// mode); otherwise the stream is truncated at the budget bit (size-bounded
+/// mode): whole planes are coded until the stream reaches the budget, and
+/// the embedded payload is cut there.
 ///
-/// `recon_out`, when non-null, receives the decoder-equivalent coefficient
-/// reconstruction (resized to dims.total()). The encoder maintains it
-/// alongside the emitted bits, so the SPERR pipeline can locate outliers
-/// without decoding its own stream (paper §V-C stage 3 is just an inverse
-/// transform plus a comparison). Only exact in unbudgeted mode.
+/// `recon_out`, when non-null, receives the encoder's coefficient
+/// reconstruction (resized to dims.total()), so the SPERR pipeline can
+/// locate outliers without decoding its own stream (paper §V-C stage 3 is
+/// just an inverse transform plus a comparison). Unbudgeted, it equals the
+/// decoder's output; a budgeted stream's last bit is not applied to it.
 ///
 /// `threads` enables deterministic intra-chunk parallelism: each bitplane's
 /// worklists are partitioned into fixed contiguous lanes whose outputs merge
-/// in lane order, so the stream is byte-identical at every thread count
-/// (including to the serial engine and to encode_reference). 0 = one lane
-/// per hardware thread; budgeted mode (which must stop on an exact mid-pass
-/// bit) always runs serial.
+/// in lane order, so the stream is byte-identical at every thread count.
+/// 0 = one lane per hardware thread; size-bounded mode always runs serial.
 std::vector<uint8_t> encode(const double* coeffs,
                             Dims dims,
                             double q,
@@ -74,17 +79,5 @@ std::vector<uint8_t> encode(const double* coeffs,
                             EncodeStats* stats = nullptr,
                             std::vector<double>* recon_out = nullptr,
                             int threads = 1);
-
-/// The original recursive, lazily-evaluated coder (reference.cpp), kept as
-/// the bit-exactness oracle for the flattened production encoder — same
-/// stream bytes, same EncodeStats, for every input and mode. Differentially
-/// tested in tests/test_speck_fast.cpp; the speedup is recorded by
-/// `bench_micro --speck_json` (BENCH_speck.json).
-std::vector<uint8_t> encode_reference(const double* coeffs,
-                                      Dims dims,
-                                      double q,
-                                      size_t budget_bits = 0,
-                                      EncodeStats* stats = nullptr,
-                                      std::vector<double>* recon_out = nullptr);
 
 }  // namespace sperr::speck

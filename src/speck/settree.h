@@ -53,8 +53,8 @@ inline int16_t plane_of(double m) {
 }
 
 /// The flattened set-partition tree. Node ids are uint32: callers must
-/// ensure dims.total() < 2^31 (the speck::encode/decode entry points fall
-/// back to the reference coder above that).
+/// ensure dims.total() < kMaxCoefficients (the speck::encode/decode entry
+/// points reject larger grids).
 ///
 /// Storage is one interleaved 8-byte record per node: the sorting-pass
 /// descent reads a child's structure and max plane together, so each node

@@ -43,6 +43,19 @@ std::vector<Chunk> make_chunks(Dims volume, Dims preferred) {
   return chunks;
 }
 
+Dims largest_chunk(Dims volume, Dims preferred) {
+  // segments() emits full `pref` segments and folds a remainder shorter than
+  // pref / 2 into the last one, so the longest is pref + that remainder.
+  const auto longest = [](size_t n, size_t pref) {
+    if (n == 0) return n;
+    pref = std::min(std::max<size_t>(pref, 1), n);
+    const size_t rest = n % pref;
+    return rest < pref / 2 ? pref + rest : pref;
+  };
+  return {longest(volume.x, preferred.x), longest(volume.y, preferred.y),
+          longest(volume.z, preferred.z)};
+}
+
 void gather_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
                   double* out) {
   const Dims& d = chunk.dims;

@@ -34,6 +34,11 @@ inline size_t chunk_count_bound(Dims volume, Dims preferred) {
          per_axis(volume.z, preferred.z);
 }
 
+/// Extents of the largest chunk make_chunks(volume, preferred) produces,
+/// computed per axis without enumerating the grid (so untrusted headers can
+/// be checked before anything is allocated).
+Dims largest_chunk(Dims volume, Dims preferred);
+
 /// Copy one chunk out of a volume into a contiguous buffer.
 void gather_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
                   double* out);

@@ -2,6 +2,7 @@
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "common/arena.h"
 #include "common/checksum.h"
@@ -19,17 +20,13 @@ namespace sperr {
 
 namespace {
 
+void require_valid(Dims dims, const Config& cfg) {
+  if (const char* why = pipeline::config_error(dims, cfg))
+    throw std::invalid_argument(std::string("sperr: ") + why);
+}
+
 std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& cfg,
                                    uint8_t precision, Stats* stats) {
-  if (dims.total() == 0) throw std::invalid_argument("sperr: empty input");
-  if (cfg.mode == Mode::pwe && !(cfg.tolerance > 0.0))
-    throw std::invalid_argument("sperr: PWE mode requires tolerance > 0");
-  if (cfg.mode == Mode::fixed_rate && !(cfg.bpp > 0.0))
-    throw std::invalid_argument("sperr: fixed-rate mode requires bpp > 0");
-  if (cfg.mode == Mode::target_rmse && !(cfg.rmse > 0.0))
-    throw std::invalid_argument("sperr: target-rmse mode requires rmse > 0");
-  if (cfg.mode == Mode::pwe && !(cfg.q_over_t > 0.0))
-    throw std::invalid_argument("sperr: q_over_t must be > 0");
   // Non-finite samples would silently poison the transform and quantizer;
   // reject them up front (the reference SPERR has the same requirement).
   for (size_t i = 0; i < dims.total(); ++i)
@@ -153,11 +150,13 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
 
 std::vector<uint8_t> compress(const double* data, Dims dims, const Config& cfg,
                               Stats* stats) {
+  require_valid(dims, cfg);
   return compress_impl(data, dims, cfg, 8, stats);
 }
 
 std::vector<uint8_t> compress(const float* data, Dims dims, const Config& cfg,
                               Stats* stats) {
+  require_valid(dims, cfg);
   std::vector<double> wide(data, data + dims.total());
   return compress_impl(wide.data(), dims, cfg, 4, stats);
 }

@@ -3,6 +3,8 @@
 #include "common/byteio.h"
 #include "common/checksum.h"
 #include "lossless/codec.h"
+#include "speck/common.h"
+#include "sperr/chunker.h"
 
 namespace sperr {
 
@@ -54,6 +56,10 @@ Status ContainerHeader::deserialize(ByteReader& br, uint8_t ver) {
   const uint32_t n = br.u32();
   if (!br.ok()) return Status::truncated_stream;
   if (!plausible_dims(dims)) return Status::corrupt_stream;
+  // No encoder writes a chunk the SPECK coder cannot take; refuse such a
+  // header before its directory is allocated.
+  if (largest_chunk(dims, chunk_dims).total() >= speck::kMaxCoefficients)
+    return Status::corrupt_stream;
   const size_t entry_bytes = has_integrity() ? kEntryBytesV3 : kEntryBytesV2;
   // An entry count beyond what the remaining bytes can hold is garbage.
   if (n > br.remaining() / entry_bytes) return Status::truncated_stream;

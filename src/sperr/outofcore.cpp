@@ -147,7 +147,7 @@ bool write_chunk(std::fstream& out, Dims vol, int precision, const Chunk& c,
 Status compress_file(const std::string& in_path, Dims dims, int precision,
                      const Config& cfg, const std::string& out_path,
                      Stats* stats) {
-  if ((precision != 4 && precision != 8) || dims.total() == 0)
+  if ((precision != 4 && precision != 8) || pipeline::config_error(dims, cfg))
     return Status::invalid_argument;
 
   std::ifstream in(in_path, std::ios::binary | std::ios::ate);

@@ -7,9 +7,24 @@
 #include "outlier/coder.h"
 #include "speck/decoder.h"
 #include "speck/encoder.h"
+#include "sperr/chunker.h"
 #include "wavelet/dwt.h"
 
 namespace sperr::pipeline {
+
+const char* config_error(Dims dims, const Config& cfg) {
+  if (dims.total() == 0) return "empty input";
+  if (cfg.mode == Mode::pwe && !(cfg.tolerance > 0.0))
+    return "PWE mode requires tolerance > 0";
+  if (cfg.mode == Mode::fixed_rate && !(cfg.bpp > 0.0))
+    return "fixed-rate mode requires bpp > 0";
+  if (cfg.mode == Mode::target_rmse && !(cfg.rmse > 0.0))
+    return "target-rmse mode requires rmse > 0";
+  if (cfg.mode == Mode::pwe && !(cfg.q_over_t > 0.0)) return "q_over_t must be > 0";
+  if (largest_chunk(dims, cfg.chunk_dims).total() >= speck::kMaxCoefficients)
+    return "chunk of 2^31 voxels or more (reduce chunk_dims)";
+  return nullptr;
+}
 
 ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
                        double q_over_t,

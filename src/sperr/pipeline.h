@@ -19,6 +19,14 @@
 
 namespace sperr::pipeline {
 
+/// Why `cfg` cannot compress a `dims` volume, or nullptr when it can: an
+/// empty volume, a mode parameter out of range, or a chunk of
+/// speck::kMaxCoefficients voxels or more. The shared validation of
+/// sperr::compress (which throws std::invalid_argument with the reason) and
+/// outofcore::compress_file (which returns Status::invalid_argument), run
+/// before either reads any input.
+const char* config_error(Dims dims, const Config& cfg);
+
 struct ChunkStream {
   std::vector<uint8_t> speck;    ///< SPECK stream (header + payload)
   std::vector<uint8_t> outlier;  ///< outlier stream (empty in fixed-rate mode)
@@ -52,8 +60,8 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
 
 /// Size-bounded encode: the SPECK stream is truncated at `budget_bits`.
 /// No outlier correction (no error bound), matching classic SPECK / the
-/// paper's fixed-size mode. (The budgeted coder must stop on the exact
-/// budget bit and is inherently serial, so it takes no thread knob.)
+/// paper's fixed-size mode. (The budgeted coder tracks the global position
+/// of every emitted bit and runs serial, so it takes no thread knob.)
 ChunkStream encode_fixed_rate(const double* data, Dims dims, size_t budget_bits,
                               Arena* arena = nullptr);
 

@@ -6,29 +6,10 @@ namespace sperr::wavelet {
 
 namespace {
 
-// One lifting step on the odd samples: x[i] += c * (x[i-1] + x[i+1]) for odd
-// i, with symmetric extension at the right edge when the last sample is odd.
-void lift_odd(double* x, size_t n, double c) {
-  for (size_t i = 1; i + 1 < n; i += 2) x[i] += c * (x[i - 1] + x[i + 1]);
-  if (n % 2 == 0 && n >= 2) x[n - 1] += 2.0 * c * x[n - 2];
-}
-
-// One lifting step on the even samples, symmetric extension on both edges.
-void lift_even(double* x, size_t n, double c) {
-  if (n >= 2) x[0] += 2.0 * c * x[1];
-  for (size_t i = 2; i + 1 < n; i += 2) x[i] += c * (x[i - 1] + x[i + 1]);
-  if (n % 2 == 1 && n >= 3) x[n - 1] += 2.0 * c * x[n - 2];
-}
-
-void scale(double* x, size_t n, double even_factor, double odd_factor) {
-  for (size_t i = 0; i < n; i += 2) x[i] *= even_factor;
-  for (size_t i = 1; i < n; i += 2) x[i] *= odd_factor;
-}
-
-// Batched counterparts on an SoA tile (sample-major, nb lanes per sample).
-// Each helper mirrors its scalar sibling above exactly: same coefficients,
-// same operation order per lane, so results are bit-identical. The lane
-// loops are trivially independent and vectorize.
+// Lifting steps on an SoA tile (sample-major, nb lanes per sample). Each
+// mirrors the scalar line kernel in oracle/ exactly: same coefficients, same
+// operation order per lane, so results are bit-identical. The lane loops are
+// trivially independent and vectorize.
 
 void lift_odd_batch(double* t, size_t n, size_t nb, double c) {
   for (size_t i = 1; i + 1 < n; i += 2) {
@@ -119,38 +100,6 @@ double* cdf97_synthesis_batch(double* tile, size_t n, size_t nb, double* scratch
   lift_even_batch(scratch, n, nb, -kBeta);
   lift_odd_batch(scratch, n, nb, -kAlpha);
   return scratch;
-}
-
-void cdf97_analysis(double* x, size_t n, double* scratch) {
-  if (n < 2) return;
-
-  lift_odd(x, n, kAlpha);
-  lift_even(x, n, kBeta);
-  lift_odd(x, n, kGamma);
-  lift_even(x, n, kDelta);
-  scale(x, n, kZeta, 1.0 / kZeta);
-
-  // De-interleave: evens (approximation) first, odds (detail) after.
-  const size_t na = approx_len(n);
-  for (size_t i = 0; i < na; ++i) scratch[i] = x[2 * i];
-  for (size_t i = 0; i < n - na; ++i) scratch[na + i] = x[2 * i + 1];
-  std::copy(scratch, scratch + n, x);
-}
-
-void cdf97_synthesis(double* x, size_t n, double* scratch) {
-  if (n < 2) return;
-
-  // Re-interleave.
-  const size_t na = approx_len(n);
-  for (size_t i = 0; i < na; ++i) scratch[2 * i] = x[i];
-  for (size_t i = 0; i < n - na; ++i) scratch[2 * i + 1] = x[na + i];
-  std::copy(scratch, scratch + n, x);
-
-  scale(x, n, 1.0 / kZeta, kZeta);
-  lift_even(x, n, -kDelta);
-  lift_odd(x, n, -kGamma);
-  lift_even(x, n, -kBeta);
-  lift_odd(x, n, -kAlpha);
 }
 
 size_t num_levels(size_t n) {

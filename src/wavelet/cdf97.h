@@ -7,9 +7,10 @@
 // error injected into coefficients during coding is approximately the L2
 // error of the reconstruction — the property SPERR's design leans on.
 //
-// These routines operate on one contiguous line. The analysis output is
-// de-interleaved: approximation (low-pass) coefficients occupy the front
-// (n+1)/2 slots, detail (high-pass) coefficients the back n/2 slots.
+// The routines transform tiles of lines in lockstep (SoA layout, below).
+// The analysis output is de-interleaved: approximation (low-pass)
+// coefficients occupy the front (n+1)/2 samples of each line, detail
+// (high-pass) coefficients the back n/2.
 
 #include <cstddef>
 
@@ -25,18 +26,12 @@ inline constexpr double kZeta = 1.1496043988602;  ///< scaling (approx unit norm
 /// Number of approximation coefficients a length-n line produces.
 constexpr size_t approx_len(size_t n) { return (n + 1) / 2; }
 
-/// One forward transform pass on line x[0..n-1]; output de-interleaved.
-/// `scratch` must hold at least n doubles. n >= 1 (n < 2 is a no-op).
-void cdf97_analysis(double* x, size_t n, double* scratch);
-
-/// Inverse of cdf97_analysis (exact up to floating-point rounding).
-void cdf97_synthesis(double* x, size_t n, double* scratch);
-
 /// Batched forward pass on `nb` lines of length `n` stored as an SoA tile:
 /// tile[i * nb + j] is sample i of line j, so every lifting step is a
 /// contiguous, independent sweep over the nb lanes and auto-vectorizes.
-/// Performs per lane exactly the operations of cdf97_analysis — output is
-/// bit-identical to nb per-line calls. `scratch` must hold n * nb doubles.
+/// Performs per lane exactly the operations of the scalar line kernel (the
+/// oracle's cdf97_analysis) — output is bit-identical to nb per-line calls.
+/// n < 2 is a no-op. `scratch` must hold n * nb doubles.
 /// Returns the buffer holding the result (`scratch`, or `tile` for no-op
 /// lines); both buffers are clobbered.
 double* cdf97_analysis_batch(double* tile, size_t n, size_t nb, double* scratch);

@@ -99,43 +99,6 @@ void blocked_pass(double* data, const AxisPass& p, Arena& arena, BatchFn fn) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Per-line reference drivers (the original implementation): one strided
-// line at a time through a scalar scratch buffer. Kept as the equivalence
-// oracle and benchmark baseline.
-
-// Apply `fn` (analysis or synthesis) along the x axis for every (y, z) line
-// inside box (bx, by, bz) of a grid with full extents `dims`.
-template <class Fn>
-void transform_x(double* data, Dims dims, Dims box, Fn fn) {
-  std::vector<double> scratch(box.x);
-  for (size_t z = 0; z < box.z; ++z)
-    for (size_t y = 0; y < box.y; ++y)
-      fn(data + dims.index(0, y, z), box.x, scratch.data());
-}
-
-template <class Fn>
-void transform_y(double* data, Dims dims, Dims box, Fn fn) {
-  std::vector<double> line(box.y), scratch(box.y);
-  for (size_t z = 0; z < box.z; ++z)
-    for (size_t x = 0; x < box.x; ++x) {
-      for (size_t y = 0; y < box.y; ++y) line[y] = data[dims.index(x, y, z)];
-      fn(line.data(), box.y, scratch.data());
-      for (size_t y = 0; y < box.y; ++y) data[dims.index(x, y, z)] = line[y];
-    }
-}
-
-template <class Fn>
-void transform_z(double* data, Dims dims, Dims box, Fn fn) {
-  std::vector<double> line(box.z), scratch(box.z);
-  for (size_t y = 0; y < box.y; ++y)
-    for (size_t x = 0; x < box.x; ++x) {
-      for (size_t z = 0; z < box.z; ++z) line[z] = data[dims.index(x, y, z)];
-      fn(line.data(), box.z, scratch.data());
-      for (size_t z = 0; z < box.z; ++z) data[dims.index(x, y, z)] = line[z];
-    }
-}
-
 // X and Y passes only couple samples within one z-plane, so they can be
 // fused plane-by-plane: transform a plane's x lines, then its y lines (or
 // the reverse for synthesis) while the plane (512 KiB at 256²) is still
@@ -234,34 +197,6 @@ void inverse_dwt_partial(double* data, Dims dims, size_t keep_levels,
   }
 }
 
-void forward_dwt_reference(double* data, Dims dims, Kernel kernel) {
-  const LevelPlan plan = plan_levels(dims);
-  const auto boxes = lowpass_boxes(dims);
-  const auto analysis = [kernel](double* x, size_t n, double* scratch) {
-    line_analysis(kernel, x, n, scratch);
-  };
-  for (size_t l = 0; l < boxes.size(); ++l) {
-    const Dims box = boxes[l];
-    if (l < plan.lx) transform_x(data, dims, box, analysis);
-    if (l < plan.ly) transform_y(data, dims, box, analysis);
-    if (l < plan.lz) transform_z(data, dims, box, analysis);
-  }
-}
-
-void inverse_dwt_reference(double* data, Dims dims, Kernel kernel) {
-  const LevelPlan plan = plan_levels(dims);
-  const auto boxes = lowpass_boxes(dims);
-  const auto synthesis = [kernel](double* x, size_t n, double* scratch) {
-    line_synthesis(kernel, x, n, scratch);
-  };
-  for (size_t l = boxes.size(); l-- > 0;) {
-    const Dims box = boxes[l];
-    if (l < plan.lz) transform_z(data, dims, box, synthesis);
-    if (l < plan.ly) transform_y(data, dims, box, synthesis);
-    if (l < plan.lx) transform_x(data, dims, box, synthesis);
-  }
-}
-
 Dims lowpass_box_at(Dims dims, size_t levels) {
   const LevelPlan plan = plan_levels(dims);
   Dims cur = dims;
@@ -279,8 +214,7 @@ double lowpass_dc_gain() {
     // One analysis pass on a long constant line; read an interior
     // approximation coefficient (boundary effects decay within ~4 samples).
     std::vector<double> line(256, 1.0), scratch(256);
-    cdf97_analysis(line.data(), line.size(), scratch.data());
-    return line[64];
+    return cdf97_analysis_batch(line.data(), line.size(), 1, scratch.data())[64];
   }();
   return gain;
 }

@@ -12,8 +12,7 @@
 // the whole tile, and scatters back. The strided element-at-a-time walks of
 // the Y/Z axes become sequential kLineBatch-wide loads/stores and the
 // lifting arithmetic vectorizes across lanes. Output is bit-identical to
-// the per-line reference drivers, which remain available (and tested
-// against) below.
+// the per-line drivers kept in the test oracle (oracle/oracle.h).
 
 #include <cstddef>
 #include <vector>
@@ -59,13 +58,6 @@ void inverse_dwt(double* data, Dims dims, Kernel kernel = Kernel::cdf97,
 /// is a coarsened version of the data.
 void inverse_dwt_partial(double* data, Dims dims, size_t keep_levels,
                          Arena* arena = nullptr);
-
-/// Unblocked per-line reference drivers: the original element-at-a-time
-/// implementation, kept as the equivalence oracle for the blocked path and
-/// as the baseline in bench_micro's BENCH_wavelet.json record. Bit-identical
-/// to forward_dwt / inverse_dwt.
-void forward_dwt_reference(double* data, Dims dims, Kernel kernel = Kernel::cdf97);
-void inverse_dwt_reference(double* data, Dims dims, Kernel kernel = Kernel::cdf97);
 
 /// The sequence of low-pass box extents the forward transform visits,
 /// starting with the full grid; entry i is the box transformed at level i.

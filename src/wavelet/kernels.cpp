@@ -11,79 +11,9 @@ namespace {
 
 const double kSqrt2 = std::sqrt(2.0);
 
-void deinterleave(double* x, size_t n, double* scratch) {
-  const size_t na = approx_len(n);
-  for (size_t i = 0; i < na; ++i) scratch[i] = x[2 * i];
-  for (size_t i = 0; i < n - na; ++i) scratch[na + i] = x[2 * i + 1];
-  std::copy(scratch, scratch + n, x);
-}
-
-void interleave(double* x, size_t n, double* scratch) {
-  const size_t na = approx_len(n);
-  for (size_t i = 0; i < na; ++i) scratch[2 * i] = x[i];
-  for (size_t i = 0; i < n - na; ++i) scratch[2 * i + 1] = x[na + i];
-  std::copy(scratch, scratch + n, x);
-}
-
-// --- Haar (orthonormal via lifting) ----------------------------------------
-
-void haar_analysis(double* x, size_t n, double* scratch) {
-  if (n < 2) return;
-  for (size_t i = 1; i < n; i += 2) x[i] -= x[i - 1];        // detail
-  for (size_t i = 1; i < n; i += 2) x[i - 1] += 0.5 * x[i];  // mean
-  for (size_t i = 0; i < n; i += 2) x[i] *= kSqrt2;
-  for (size_t i = 1; i < n; i += 2) x[i] /= kSqrt2;
-  deinterleave(x, n, scratch);
-}
-
-void haar_synthesis(double* x, size_t n, double* scratch) {
-  if (n < 2) return;
-  interleave(x, n, scratch);
-  for (size_t i = 0; i < n; i += 2) x[i] /= kSqrt2;
-  for (size_t i = 1; i < n; i += 2) x[i] *= kSqrt2;
-  for (size_t i = 1; i < n; i += 2) x[i - 1] -= 0.5 * x[i];
-  for (size_t i = 1; i < n; i += 2) x[i] += x[i - 1];
-}
-
-// --- LeGall / CDF 5/3 --------------------------------------------------------
-
-void lift_odd53(double* x, size_t n) {
-  for (size_t i = 1; i + 1 < n; i += 2) x[i] -= 0.5 * (x[i - 1] + x[i + 1]);
-  if (n % 2 == 0 && n >= 2) x[n - 1] -= x[n - 2];  // symmetric extension
-}
-
-void lift_even53(double* x, size_t n) {
-  if (n >= 2) x[0] += 0.5 * x[1];
-  for (size_t i = 2; i + 1 < n; i += 2) x[i] += 0.25 * (x[i - 1] + x[i + 1]);
-  if (n % 2 == 1 && n >= 3) x[n - 1] += 0.5 * x[n - 2];
-}
-
-void cdf53_analysis(double* x, size_t n, double* scratch) {
-  if (n < 2) return;
-  lift_odd53(x, n);
-  lift_even53(x, n);
-  // Approximate unit-norm scaling (exact orthonormality is impossible for
-  // this kernel; sqrt(2) balances the branches like JPEG 2000's convention).
-  for (size_t i = 0; i < n; i += 2) x[i] *= kSqrt2;
-  for (size_t i = 1; i < n; i += 2) x[i] /= kSqrt2;
-  deinterleave(x, n, scratch);
-}
-
-void cdf53_synthesis(double* x, size_t n, double* scratch) {
-  if (n < 2) return;
-  interleave(x, n, scratch);
-  for (size_t i = 0; i < n; i += 2) x[i] /= kSqrt2;
-  for (size_t i = 1; i < n; i += 2) x[i] *= kSqrt2;
-  if (n >= 2) x[0] -= 0.5 * x[1];
-  for (size_t i = 2; i + 1 < n; i += 2) x[i] -= 0.25 * (x[i - 1] + x[i + 1]);
-  if (n % 2 == 1 && n >= 3) x[n - 1] -= 0.5 * x[n - 2];
-  for (size_t i = 1; i + 1 < n; i += 2) x[i] += 0.5 * (x[i - 1] + x[i + 1]);
-  if (n % 2 == 0 && n >= 2) x[n - 1] += x[n - 2];
-}
-
-// --- Batched variants (SoA tile, lanes innermost; see cdf97.h) -------------
-// Each mirrors its scalar sibling operation-for-operation per lane, so the
-// output is bit-identical to per-line transforms.
+// --- Batched kernels (SoA tile, lanes innermost; see cdf97.h) ---------------
+// Each mirrors its scalar line kernel in oracle/ operation-for-operation per
+// lane, so the output is bit-identical to per-line transforms.
 
 double* haar_analysis_batch(double* t, size_t n, size_t nb, double* scratch) {
   if (n < 2 || nb == 0) return t;
@@ -187,22 +117,6 @@ double* batch_synthesis(Kernel k, double* tile, size_t n, size_t nb, double* scr
     case Kernel::haar: return haar_synthesis_batch(tile, n, nb, scratch);
   }
   return tile;
-}
-
-void line_analysis(Kernel k, double* x, size_t n, double* scratch) {
-  switch (k) {
-    case Kernel::cdf97: cdf97_analysis(x, n, scratch); return;
-    case Kernel::cdf53: cdf53_analysis(x, n, scratch); return;
-    case Kernel::haar: haar_analysis(x, n, scratch); return;
-  }
-}
-
-void line_synthesis(Kernel k, double* x, size_t n, double* scratch) {
-  switch (k) {
-    case Kernel::cdf97: cdf97_synthesis(x, n, scratch); return;
-    case Kernel::cdf53: cdf53_synthesis(x, n, scratch); return;
-    case Kernel::haar: haar_synthesis(x, n, scratch); return;
-  }
 }
 
 const char* to_string(Kernel k) {

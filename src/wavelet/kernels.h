@@ -9,7 +9,8 @@
 //   * LeGall/CDF 5/3 (biorthogonal, the JPEG 2000 lossless kernel), scaled
 //     toward unit norm for lossy use.
 // The dwt driver accepts a Kernel so the ablation bench can run the whole
-// SPERR coefficient path with each.
+// SPERR coefficient path with each. The kernels run batched over SoA tiles
+// of lines (see cdf97.h); the scalar per-line forms live in the oracle.
 
 #include <cstddef>
 
@@ -21,16 +22,9 @@ enum class Kernel {
   haar,
 };
 
-/// One forward pass on a line; same contract as cdf97_analysis (output
-/// de-interleaved, approximation first).
-void line_analysis(Kernel k, double* x, size_t n, double* scratch);
-
-/// Exact inverse of line_analysis.
-void line_synthesis(Kernel k, double* x, size_t n, double* scratch);
-
 /// Batched forward pass on `nb` lines in an SoA tile (tile[i * nb + j] is
 /// sample i of lane j; see cdf97_analysis_batch). Bit-identical per lane to
-/// nb line_analysis calls; `scratch` must hold n * nb doubles. Returns the
+/// nb per-line passes; `scratch` must hold n * nb doubles. Returns the
 /// buffer holding the result (tile or scratch); both are clobbered.
 double* batch_analysis(Kernel k, double* tile, size_t n, size_t nb, double* scratch);
 

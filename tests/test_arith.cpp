@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "oracle/oracle.h"
 #include "lossless/codec.h"
 
 namespace sperr::lossless {

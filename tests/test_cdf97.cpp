@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "oracle/oracle.h"
 
 namespace sperr::wavelet {
 namespace {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
 
@@ -77,6 +78,19 @@ TEST(Chunker, GatherExtractsCorrectValues) {
   gather_chunk(volume.data(), vol, c, buf.data());
   EXPECT_EQ(buf[0], double(vol.index(4, 4, 4)));
   EXPECT_EQ(buf[c.dims.index(3, 3, 3)], double(vol.index(7, 7, 7)));
+}
+
+TEST(Chunker, LargestChunkMatchesEnumeration) {
+  for (size_t n = 1; n <= 40; ++n)
+    for (size_t pref = 0; pref <= 45; ++pref) {
+      size_t longest = 0;
+      for (const Chunk& c : make_chunks(Dims{n, 1, 1}, Dims{pref, 1, 1}))
+        longest = std::max(longest, c.dims.x);
+      EXPECT_EQ(largest_chunk(Dims{n, 1, 1}, Dims{pref, 1, 1}).x, longest)
+          << "n " << n << " pref " << pref;
+    }
+  EXPECT_EQ(largest_chunk(Dims{300, 512, 40}, Dims{256, 256, 256}),
+            (Dims{300, 256, 40}));
 }
 
 TEST(Chunker, PreferredLargerThanVolumeClamped) {

@@ -10,6 +10,7 @@
 
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "oracle/oracle.h"
 
 namespace sperr::lossless {
 namespace {

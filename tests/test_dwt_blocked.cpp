@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "oracle/oracle.h"
 #include "wavelet/dwt.h"
 
 namespace sperr::wavelet {

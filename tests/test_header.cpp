@@ -131,6 +131,28 @@ TEST(ContainerHeader, RejectsImplausibleExtents) {
   EXPECT_EQ(parsed.deserialize(br), Status::corrupt_stream);
 }
 
+TEST(ContainerHeader, RejectsChunkBeyondSpeckLimitBeforeDirectory) {
+  // No encoder writes a chunk of 2^31 voxels (speck::kMaxCoefficients), so
+  // a header declaring one is corrupt — refused before the directory is
+  // allocated.
+  auto hdr = sample_header();
+  hdr.dims = Dims{2048, 1024, 1024};
+  hdr.chunk_dims = hdr.dims;
+  std::vector<uint8_t> buf;
+  hdr.serialize(buf);
+  ByteReader br(buf.data(), buf.size());
+  ContainerHeader parsed;
+  EXPECT_EQ(parsed.deserialize(br), Status::corrupt_stream);
+  EXPECT_EQ(parsed.entries.capacity(), 0u);
+
+  // Half the chunk (2^30 voxels) is a legal header.
+  hdr.chunk_dims = Dims{2048, 1024, 512};
+  buf.clear();
+  hdr.serialize(buf);
+  ByteReader ok(buf.data(), buf.size());
+  EXPECT_EQ(parsed.deserialize(ok), Status::ok);
+}
+
 TEST(ContainerHeader, RejectsTruncation) {
   auto hdr = sample_header();
   std::vector<uint8_t> buf;

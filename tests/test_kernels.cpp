@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "oracle/oracle.h"
 #include "wavelet/cdf97.h"
 #include "wavelet/dwt.h"
 

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/rng.h"
+#include "oracle/oracle.h"
 
 namespace sperr::lossless {
 namespace {

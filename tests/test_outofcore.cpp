@@ -8,9 +8,9 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "sperr/sperr.h"
@@ -18,11 +18,14 @@
 namespace sperr::outofcore {
 namespace {
 
+/// A uniquely named file in the shared temp dir. The pid keeps concurrent
+/// test processes (ctest runs each test in its own) from colliding.
 class TempFile {
  public:
   explicit TempFile(const std::string& suffix) {
     static int counter = 0;
-    path_ = testing::TempDir() + "sperr_ooc_" + std::to_string(counter++) + suffix;
+    path_ = testing::TempDir() + "sperr_ooc_" + std::to_string(::getpid()) + "_" +
+            std::to_string(counter++) + suffix;
   }
   ~TempFile() { std::remove(path_.c_str()); }
   [[nodiscard]] const std::string& path() const { return path_; }
@@ -147,14 +150,12 @@ TEST(OutOfCore, SizeMismatchRejected) {
 // The crash-consistency contract of outofcore.h: kill the writer at EVERY
 // stage boundary of the atomic write path and the destination is either
 // absent, its previous content, or the complete new content — never a torn
-// container. Each case forks, _exit()s inside the crash hook at one stage,
-// and inspects what the "crashed" process left on disk.
-
-const char* g_crash_stage = nullptr;
-
-void crash_at_stage(const char* stage) {
-  if (std::strcmp(stage, g_crash_stage) == 0) _exit(42);
-}
+// container. Each case runs the operation in a freshly exec'd helper
+// (ooc_crash_child.cpp) that _exit()s inside the crash hook at one stage,
+// and inspects what the "crashed" process left on disk. A plain fork of
+// this process would not do: the clean runs below start libgomp's thread
+// pool, and a forked child's first OpenMP region waits on pool threads that
+// do not exist in it.
 
 std::vector<uint8_t> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -169,20 +170,34 @@ bool file_exists(const std::string& path) {
 constexpr const char* kCrashStages[] = {"tmp_open",   "tmp_partial", "tmp_written",
                                         "tmp_synced", "renamed",     "dir_synced"};
 
-/// Run `op` in a forked child that _exit(42)s at `stage`; returns true when
-/// the hook actually fired (guards against a stage silently not reached).
-template <class Op>
-bool crash_child_at(const char* stage, Op&& op) {
+/// Run the helper with `args` (its operation and paths) so that it
+/// _exit(42)s at `stage`; returns true when the hook actually fired (guards
+/// against a stage silently not reached).
+bool crash_child_at(const char* stage, std::vector<std::string> args) {
+  args.insert(args.begin(), {SPERR_OOC_CRASH_CHILD, stage});
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
   const pid_t pid = fork();
   if (pid == 0) {
-    g_crash_stage = stage;
-    detail::set_crash_hook(&crash_at_stage);
-    op();
-    _exit(0);  // hook never fired
+    ::execv(argv[0], argv.data());
+    _exit(127);
   }
   int wstatus = 0;
   EXPECT_EQ(::waitpid(pid, &wstatus, 0), pid);
   return WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 42;
+}
+
+/// Helper arguments that rerun compress_file(raw, dims, 8, cfg, dest) with
+/// the tolerance and chunk extents of `cfg` (PWE mode, other fields default).
+std::vector<std::string> compress_args(const std::string& raw, Dims dims,
+                                       const Config& cfg, const std::string& dest) {
+  char tol[32];
+  std::snprintf(tol, sizeof tol, "%a", cfg.tolerance);
+  return {"compress", raw, dest,
+          std::to_string(dims.x), std::to_string(dims.y), std::to_string(dims.z),
+          tol, std::to_string(cfg.chunk_dims.x), std::to_string(cfg.chunk_dims.y),
+          std::to_string(cfg.chunk_dims.z)};
 }
 
 TEST(OutOfCoreCrash, CompressKilledAtEveryStageNeverTearsDestination) {
@@ -209,9 +224,7 @@ TEST(OutOfCoreCrash, CompressKilledAtEveryStageNeverTearsDestination) {
       out.write(reinterpret_cast<const char*>(old_content.data()),
                 std::streamsize(old_content.size()));
     }
-    ASSERT_TRUE(crash_child_at(stage, [&] {
-      compress_file(raw.path(), dims, 8, cfg, dest.path());
-    }));
+    ASSERT_TRUE(crash_child_at(stage, compress_args(raw.path(), dims, cfg, dest.path())));
     ASSERT_TRUE(file_exists(dest.path()));
     const std::vector<uint8_t> found = slurp(dest.path());
     EXPECT_TRUE(found == old_content || found == clean)
@@ -225,9 +238,7 @@ TEST(OutOfCoreCrash, CompressKilledAtEveryStageNeverTearsDestination) {
   // never a partial file.
   for (const char* stage : kCrashStages) {
     SCOPED_TRACE(stage);
-    ASSERT_TRUE(crash_child_at(stage, [&] {
-      compress_file(raw.path(), dims, 8, cfg, dest.path());
-    }));
+    ASSERT_TRUE(crash_child_at(stage, compress_args(raw.path(), dims, cfg, dest.path())));
     if (file_exists(dest.path())) {
       EXPECT_EQ(slurp(dest.path()), clean);
     }
@@ -251,9 +262,7 @@ TEST(OutOfCoreCrash, DecompressKilledAtEveryStageNeverTearsDestination) {
 
   for (const char* stage : kCrashStages) {
     SCOPED_TRACE(stage);
-    ASSERT_TRUE(crash_child_at(stage, [&] {
-      decompress_file(packed.path(), dest.path(), 8);
-    }));
+    ASSERT_TRUE(crash_child_at(stage, {"decompress", packed.path(), dest.path()}));
     if (file_exists(dest.path())) {
       EXPECT_EQ(slurp(dest.path()), clean);
     }

@@ -128,6 +128,30 @@ TEST(Pipeline, SpeckEstimatedRmseTracksReality) {
     EXPECT_GT(ratio, 0.5) << "q " << q;
     EXPECT_LT(ratio, 2.0) << "q " << q;
   }
+
+  // At the pipeline's own step (q = 1.5 t, idx 30) nearly every coefficient
+  // is coded. An estimate formed as sum(m^2) minus each coded m^2 cancels to
+  // 0 there; the coder must report the coefficient-domain RMSE its own
+  // decoder produces.
+  const Dims fine{64, 64, 64};
+  const auto pressure = data::miranda_pressure(fine);
+  const double q = 1.5 * tolerance_from_idx(pressure.data(), pressure.size(), 30);
+  coeffs = pressure;
+  wavelet::forward_dwt(coeffs.data(), fine);
+  speck::EncodeStats stats;
+  const auto stream = speck::encode(coeffs.data(), fine, q, 0, &stats);
+  std::vector<double> decoded(fine.total());
+  ASSERT_EQ(speck::decode(stream.data(), stream.size(), fine, decoded.data()),
+            Status::ok);
+  double sq = 0;
+  for (size_t i = 0; i < coeffs.size(); ++i) {
+    const double e = coeffs[i] - decoded[i];
+    sq += e * e;
+  }
+  const double actual = std::sqrt(sq / double(coeffs.size()));
+  ASSERT_GT(actual, 0.0);
+  EXPECT_NEAR(stats.estimated_coeff_rmse / actual, 1.0, 1e-9)
+      << "estimate " << stats.estimated_coeff_rmse << " actual " << actual;
 }
 
 }  // namespace

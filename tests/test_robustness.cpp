@@ -26,6 +26,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "lossless/codec.h"
+#include "oracle/oracle.h"
 #include "outlier/coder.h"
 #include "speck/common.h"
 #include "speck/decoder.h"

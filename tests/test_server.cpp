@@ -19,6 +19,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -682,8 +683,15 @@ TEST(ServerHardened, DisconnectWhileReplyInFlightDoesNotCrash) {
   std::vector<uint8_t> reply;
   ASSERT_TRUE(roundtrip(good.fd, Opcode::verify, 40, w.container, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
+  // Each RST'd connection's reader unwinds on its own thread, possibly
+  // after this reply: wait (bounded) for the count to settle at `good`.
   StatsSnapshot snap;
   ASSERT_TRUE(fetch_stats(good.fd, 41, snap));
+  sperr::Timer guard;
+  while (snap.active_connections != 1u && guard.seconds() < 10.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_TRUE(fetch_stats(good.fd, 42, snap));
+  }
   EXPECT_EQ(snap.active_connections, 1u);
   srv.stop();
 }

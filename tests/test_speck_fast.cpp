@@ -1,20 +1,23 @@
-// Differential tests: the flattened production SPECK coder (speck::encode /
-// speck::decode) against the recursive reference coder it replaced
-// (encode_reference / decode_reference). The contract is total: bit-identical
-// streams, equal EncodeStats (bit for bit, including the estimated RMSE
-// double), identical exported reconstructions, and identical decodes — over
-// randomized shapes including degenerate ones, budgeted and unbudgeted
-// modes, and adversarial magnitudes (exact powers of two sit right on the
-// strict significance threshold). Plus the embedded-prefix property the
-// format guarantees: any prefix decodes to a finite field whose coefficient
-// RMSE never increases as the prefix grows.
+// Differential tests: the library's SPECK coder (speck::encode /
+// speck::decode) against the recursive oracle coder it was derived from
+// (encode_reference / decode_reference, oracle/speck_reference.cpp). The
+// contract is total: bit-identical streams, equal EncodeStats (bit for bit,
+// including the estimated RMSE double), identical exported reconstructions,
+// and identical decodes — over randomized shapes including degenerate ones,
+// budgeted and unbudgeted modes, adversarial magnitudes (exact powers of two
+// sit right on the strict significance threshold), and magnitudes hundreds
+// of planes above q. Plus the embedded-prefix property the format
+// guarantees: any prefix decodes to a finite field whose coefficient RMSE
+// never increases as the prefix grows.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.h"
+#include "oracle/oracle.h"
 #include "speck/common.h"
 #include "speck/decoder.h"
 #include "speck/encoder.h"
@@ -25,21 +28,23 @@ namespace {
 
 /// Heavy-tailed coefficients with adversarial values mixed in: exact
 /// power-of-two multiples of q (the strict `m > 2^n` boundary), exact
-/// threshold magnitudes, negative zeros, and dead-zone values.
-std::vector<double> adversarial_coeffs(Dims dims, uint64_t seed, double q) {
+/// threshold magnitudes, negative zeros, and dead-zone values. `scale` (a
+/// power of two keeps the boundaries exact) lifts everything but the dead
+/// zone, so the top plane sits log2(scale) planes higher.
+std::vector<double> adversarial_coeffs(Dims dims, uint64_t seed, double q,
+                                       double scale = 1.0) {
   Rng rng(seed);
   std::vector<double> c(dims.total());
   for (auto& v : c) {
     const double u = rng.uniform();
     if (u < 0.08) {
-      v = (rng.next() & 1 ? -1.0 : 1.0) * std::ldexp(q, int(rng.below(12)));
+      v = (rng.next() & 1 ? -1.0 : 1.0) * std::ldexp(q, int(rng.below(12))) * scale;
     } else if (u < 0.12) {
       v = rng.next() & 1 ? -0.0 : 0.0;
     } else if (u < 0.2) {
       v = rng.uniform(-q, q);  // dead zone
     } else {
-      const double scale = u < 0.25 ? 1000.0 : (u < 0.55 ? 10.0 : 0.1);
-      v = rng.gaussian() * scale * q;
+      v = rng.gaussian() * (u < 0.25 ? 1000.0 : (u < 0.55 ? 10.0 : 0.1)) * q * scale;
     }
   }
   return c;
@@ -70,10 +75,16 @@ constexpr int kThreadWall[] = {1, 2, 4, 8};
 /// thread count in kThreadWall: the encoded stream must be byte-identical
 /// to the reference coder's (and so to every other thread count), per-pass
 /// bit counts must be thread-invariant, and decodes bit-identical.
-void expect_coders_identical(Dims dims, double q, size_t budget, uint64_t seed) {
+/// `scale` lifts the coefficients (adversarial_coeffs); a nonzero `spike`
+/// overwrites one coefficient with spike * q.
+void expect_coders_identical(Dims dims, double q, size_t budget, uint64_t seed,
+                             double scale = 1.0, double spike = 0.0) {
   SCOPED_TRACE(dims.to_string() + " q=" + std::to_string(q) +
-               " budget=" + std::to_string(budget) + " seed=" + std::to_string(seed));
-  const auto coeffs = adversarial_coeffs(dims, seed, q);
+               " budget=" + std::to_string(budget) + " seed=" + std::to_string(seed) +
+               " scale=2^" + std::to_string(std::ilogb(scale)) +
+               " spike=" + std::to_string(spike));
+  auto coeffs = adversarial_coeffs(dims, seed, q, scale);
+  if (spike != 0.0) coeffs[coeffs.size() / 3] = spike * q;
 
   EncodeStats ref_stats, fast_stats;
   std::vector<double> ref_recon, fast_recon;
@@ -149,6 +160,25 @@ TEST(SpeckFast, BudgetedModesMatchReference) {
     // beyond the unbudgeted stream length.
     for (const size_t budget : {size_t(3), size_t(64), n / 2, 2 * n, 100 * n})
       expect_coders_identical(d, 0.25, budget, ++seed);
+  }
+}
+
+TEST(SpeckFast, DeepPlanesMatchReference) {
+  // Tops far above q: discoveries past plane 50 take the residual walk
+  // instead of the integer closed form, and sorting passes above plane 126
+  // read the tree's planes instead of the saturated bucket bytes. A lone
+  // +/-2^1000 q spike spans ~1000 planes with one significant coefficient
+  // on top of an ordinary field.
+  const Dims shapes[] = {{16, 16, 8}, {25, 11, 4}, {1, 48, 3}};
+  uint64_t seed = 600;
+  for (const Dims& d : shapes) {
+    const size_t n = d.total();
+    for (const double scale : {std::ldexp(1.0, 60), std::ldexp(1.0, 200)})
+      for (const size_t budget : {size_t(0), n / 2, 40 * n})
+        expect_coders_identical(d, 0.25, budget, ++seed, scale);
+    for (const double spike : {std::ldexp(1.0, 1000), -std::ldexp(1.0, 1000)})
+      for (const size_t budget : {size_t(0), n / 2, 4 * n})
+        expect_coders_identical(d, 0.25, budget, ++seed, 1.0, spike);
   }
 }
 
@@ -350,6 +380,45 @@ TEST(SpeckFast, PerPassBitCountsPartitionThePayload) {
       EXPECT_EQ(ts.passes[i].refinement_bits, st.passes[i].refinement_bits);
     }
   }
+
+  // Budgeted: the passes cover exactly the truncated payload. Cut points
+  // inside a sorting pass, inside a refinement pass (mid-byte), and one bit
+  // short of the whole stream.
+  const uint64_t full = st.payload_bits;
+  const uint64_t sorting_end = st.passes[0].sorting_bits + st.passes[0].refinement_bits +
+                         st.passes[1].sorting_bits / 2;
+  for (const uint64_t budget : {sorting_end, full / 2 + 3, full - 1}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    EncodeStats bs;
+    const auto cut = encode(coeffs.data(), dims, 0.1, budget, &bs);
+    EXPECT_EQ(bs.payload_bits, budget);
+    EXPECT_EQ(cut.size(), Header::kBytes + (budget + 7) / 8);
+    EXPECT_EQ(bs.planes_coded, bs.passes.size());
+    uint64_t bsum = 0;
+    for (size_t i = 0; i < bs.passes.size(); ++i) {
+      EXPECT_EQ(bs.passes[i].plane, st.passes[i].plane);
+      bsum += bs.passes[i].sorting_bits + bs.passes[i].refinement_bits;
+    }
+    EXPECT_EQ(bsum, budget);
+    // The cut stream is the unbudgeted one's prefix.
+    for (uint64_t bit = 0; bit < budget; ++bit) {
+      const size_t byte = Header::kBytes + size_t(bit / 8);
+      const unsigned sh = unsigned(bit % 8);
+      ASSERT_EQ((cut[byte] >> sh) & 1, (stream[byte] >> sh) & 1) << "bit " << bit;
+    }
+  }
+}
+
+TEST(SpeckFast, RejectsGridsBeyondTheCoefficientLimit) {
+  // Node ids are uint32 and decoded indices carry the sign in bit 31: the
+  // coder refuses 2^31 coefficients before touching the data.
+  const Dims big{2048, 1024, 1024};
+  ASSERT_EQ(big.total(), kMaxCoefficients);
+  EXPECT_THROW((void)encode(nullptr, big, 1.0), std::invalid_argument);
+  const Dims small{4, 4, 4};
+  const std::vector<double> field(small.total(), 3.0);
+  const auto stream = encode(field.data(), small, 1.0);
+  EXPECT_EQ(decode(stream.data(), stream.size(), big, nullptr), Status::corrupt_stream);
 }
 
 TEST(SpeckFast, SetTreeCoversGridExactly) {

@@ -187,6 +187,24 @@ TEST(SperrRoundTrip, InvalidConfigThrows) {
   EXPECT_THROW((void)compress(field.data(), dims, bad_rate), std::invalid_argument);
 }
 
+TEST(SperrRoundTrip, ChunkBeyondSpeckLimitRejectedBeforeInputIsRead) {
+  // 2048 x 1024 x 1024 = 2^31 voxels in one chunk is past the SPECK coder's
+  // limit. Validation runs first, so a null input is never dereferenced.
+  const Dims dims{2048, 1024, 1024};
+  Config cfg;
+  cfg.tolerance = 1e-3;
+  cfg.chunk_dims = dims;
+  EXPECT_THROW((void)compress(static_cast<const double*>(nullptr), dims, cfg),
+               std::invalid_argument);
+  EXPECT_THROW((void)compress(static_cast<const float*>(nullptr), dims, cfg),
+               std::invalid_argument);
+  // A 1000-deep chunk grid over 1024 leaves a 24-sample sliver that the
+  // chunker folds into the last chunk, which is then 2^31 voxels again.
+  cfg.chunk_dims = Dims{2048, 1024, 1000};
+  EXPECT_THROW((void)compress(static_cast<const double*>(nullptr), dims, cfg),
+               std::invalid_argument);
+}
+
 TEST(SperrRoundTrip, NonFiniteInputRejected) {
   const Dims dims{8, 8, 8};
   Config cfg;

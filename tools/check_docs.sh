@@ -7,7 +7,10 @@
 #      README.md or docs/*.md names in backticks exists on disk, so the
 #      architecture table cannot drift from the tree;
 #   3. docs/PROTOCOL.md carries exactly one machine-readable conformance
-#      block (the hexdump tests/test_server.cpp replays verbatim).
+#      block (the hexdump tests/test_server.cpp replays verbatim);
+#   4. every seed file tools/fuzz/make_corpus.cpp writes is tracked by git,
+#      so an ignore rule cannot silently shrink the corpus a fresh clone
+#      replays (fuzz_regression, cli_exit_codes).
 # External (http/https/mailto) links are not fetched: CI must not depend on
 # network reachability.
 
@@ -77,6 +80,27 @@ else
     echo "CONFORMANCE BLOCK: docs/PROTOCOL.md block has no >>/<< hexdump lines"
     fail=1
   fi
+fi
+
+# --- 4. committed fuzz corpus ---------------------------------------------------
+if git -C "$ROOT" rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+  seeds=0
+  while IFS= read -r rel; do
+    seeds=$((seeds + 1))
+    if ! git -C "$ROOT" ls-files --error-unmatch "tools/fuzz/corpus/$rel" \
+        > /dev/null 2>&1; then
+      echo "UNTRACKED CORPUS FILE: tools/fuzz/corpus/$rel" \
+           "(written by tools/fuzz/make_corpus.cpp)"
+      fail=1
+    fi
+  done < <(grep -o 'root / "[a-z]*" / "[^"]*"' "$ROOT/tools/fuzz/make_corpus.cpp" \
+             | sed 's|root / "\([^"]*\)" / "\([^"]*\)"|\1/\2|')
+  if [ "$seeds" -eq 0 ]; then
+    echo "CORPUS CHECK: no write_file(root / ...) calls found in tools/fuzz/make_corpus.cpp"
+    fail=1
+  fi
+else
+  echo "check_docs: not a git work tree, corpus tracking check skipped"
 fi
 
 if [ "$fail" -ne 0 ]; then

@@ -29,6 +29,7 @@
 
 #include "common/byteio.h"
 #include "lossless/codec.h"
+#include "oracle/oracle.h"
 #include "server/metrics.h"
 #include "server/protocol.h"
 #include "sperr/sperr.h"
