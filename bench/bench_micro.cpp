@@ -330,6 +330,8 @@ struct SpeckRecord {
   bool bit_identical = false;      // serial fast coder vs reference
   bool parallel_bit_identical = false;  // every thread count vs reference
   std::vector<sperr::speck::PassTiming> passes;  // serial fast encode
+  double setup_s = 0.0;   // serial fast encode, outside the passes
+  double finish_s = 0.0;
 };
 
 SpeckRecord run_speck_record(size_t n, int repeats, int threads) {
@@ -363,6 +365,8 @@ SpeckRecord run_speck_record(size_t n, int repeats, int threads) {
   rec.planes = fast_stats.planes_coded;
   rec.payload_bits = fast_stats.payload_bits;
   rec.passes = fast_stats.passes;
+  rec.setup_s = fast_stats.setup_s;
+  rec.finish_s = fast_stats.finish_s;
 
   // Intra-chunk lane determinism: streams and decodes must stay identical
   // at every thread count, not just the benchmarked one.
@@ -449,7 +453,9 @@ int write_speck_json(const std::string& path, size_t n, int repeats, int threads
       "  \"fast_encode_mvox_s\": %.2f,\n"
       "  \"fast_decode_mvox_s\": %.2f,\n"
       "  \"bit_identical\": %s,\n"
-      "  \"parallel_bit_identical\": %s,\n",
+      "  \"parallel_bit_identical\": %s,\n"
+      "  \"setup_seconds\": %.6f,\n"
+      "  \"finish_seconds\": %.6f,\n",
       rec.dims.x, rec.dims.y, rec.dims.z, rec.repeats, rec.threads, rec.planes,
       rec.payload_bits, rec.ref_encode_s, rec.ref_decode_s, rec.fast_encode_s,
       rec.fast_decode_s, rec.par_encode_s, rec.par_decode_s,
@@ -461,9 +467,10 @@ int write_speck_json(const std::string& path, size_t n, int repeats, int threads
       rec.fast_decode_s / rec.par_decode_s,
       mvox_e / rec.fast_encode_s, mvox_e / rec.fast_decode_s,
       rec.bit_identical ? "true" : "false",
-      rec.parallel_bit_identical ? "true" : "false");
+      rec.parallel_bit_identical ? "true" : "false", rec.setup_s, rec.finish_s);
   std::string json(buf);
-  // Per-pass cost records from the serial fast encode, top plane first. The
+  // Per-pass cost records from the serial fast encode, top plane first
+  // (setup_seconds + their seconds + finish_seconds is the whole call). The
   // bit counts are stream properties (reproducible anywhere); the seconds
   // are this machine's wall clock.
   json += "  \"per_pass\": [\n";

@@ -17,15 +17,19 @@
 //     a worklist copy. Only significant sets enter the frame-stack
 //     descent (the recursive coder's order, preserving the
 //     deducible-significance rule bit for bit).
-//   * Refinement bits are transposed at discovery: when a coefficient
-//     turns significant at plane p, its whole future refinement sequence
-//     and its final reconstruction are known (see sweep_found_significant),
-//     and its bits are appended to per-plane bit buffers right there. A
-//     refinement pass is then a single word-batched append of the
-//     prebuilt buffer for that plane — it never rescans the LSP.
+//   * Integer magnitudes in tree leaf order: setup stores every coefficient
+//     scaled by 1/q in the SetTree's DFS leaf order (number_leaves), so a
+//     discovery reads its neighbour's cache line instead of missing on a
+//     random linear index. A coefficient found at plane n <= 50 is
+//     quantized there, once, to K = ceil(|c|/q) - 1 (its refinement bits
+//     are K's binary digits below n and its final recon is K + 0.5, see
+//     sweep_found_significant), and K joins a contiguous LSP array. A
+//     refinement pass pulls bit n of every earlier entry's K, 48 entries per
+//     put_bits; the PWE recon export recomputes K in one linear pass over
+//     the coefficients.
 //   * Deterministic intra-chunk parallelism (threads > 1): each bucket's
 //     entries are partitioned into fixed, word-aligned contiguous lanes;
-//     every lane sweeps its slice into private bit/arrival/LSP/refinement
+//     every lane sweeps its slice into private bit/arrival/LSP/error
 //     buffers, and the per-lane outputs merge in lane order. Lane
 //     concatenation reproduces the serial entry order exactly, so the
 //     stream is byte-identical at every thread count. (Safe because a
@@ -79,13 +83,28 @@ constexpr int8_t kConsumed = -128;
 /// by fields spanning more than 126 planes — read the tree's int16 planes.
 constexpr int32_t kCachedPlaneMax = 126;
 
-/// Deepest discovery plane whose refinement takes the integer closed form:
-/// the subtracted total 2^n + v and the final recon stay exact doubles.
-/// Coefficients discovered above it walk the residual chain instead.
+/// Deepest discovery plane whose coefficients take the integer closed form:
+/// K = ceil(m) - 1 < 2^51 and the final recon K + 0.5 stay exact doubles.
+/// Coefficients discovered above it walk the residual chain instead; they
+/// are found first, so they always form a prefix of the LSP.
 constexpr int32_t kClosedFormPlanes = 50;
+
+/// Smallest scaled magnitude discovered above kClosedFormPlanes:
+/// plane_of(m) > kClosedFormPlanes <=> m > 2^(kClosedFormPlanes + 1).
+constexpr double kDeepMagnitude = double(uint64_t(1) << (kClosedFormPlanes + 1));
 
 int8_t cached_plane(int16_t p) {
   return int8_t(std::min<int16_t>(p, kCachedPlaneMax));
+}
+
+/// Integer magnitude K = ceil(m) - 1 of a scaled magnitude m in
+/// (1, kDeepMagnitude], without libm: m > 0, so the truncating conversion
+/// is floor, and ceil differs from floor + 1 exactly when m is integral.
+/// For m in (2^n, 2^(n+1)], K lies in [2^n, 2^(n+1)) and its binary digits
+/// below n are the reference walk's refinement bits (refine_walk).
+uint64_t magnitude_of(double m) {
+  const auto t = int64_t(m);  // m <= 2^51: one signed conversion each way
+  return uint64_t(double(t) == m ? t - 1 : t);
 }
 
 /// The recursive coder's refinement chain for a coefficient of scaled
@@ -94,6 +113,14 @@ int8_t cached_plane(int16_t p) {
 /// moving the recon, seeded at the interval center 1.5 * 2^n, by +/- 2^b/2.
 /// `visit(b, bit)` sees each bit before it takes effect and returns false to
 /// stop the walk there. Returns the recon after the last applied bit.
+///
+/// Up to plane kClosedFormPlanes the walk has a closed form. Every
+/// subtraction is exact (Sterbenz), so the bits are the binary digits of
+/// ceil(m - 2^n) - 1 = K - 2^n (for a fractional residual strict > reads
+/// the integer part's digits; for an integral one it shifts everything to
+/// I - 1), and the recon accumulation 1.5 * 2^n + sum(+/- 2^b / 2)
+/// telescopes to K + 0.5, exact while 2^(n+1) fits the 53-bit mantissa
+/// with room to spare.
 template <class Visit>
 double refine_walk(double m, int32_t n, Visit&& visit) {
   const double top = std::ldexp(1.0, n);
@@ -109,80 +136,115 @@ double refine_walk(double m, int32_t n, Visit&& visit) {
   return recon;
 }
 
+/// Bit n of each of k[0 .. count), count <= 48, packed LSB-first.
+template <class Mag>
+uint64_t plane_word(const Mag* k, unsigned count, int32_t n) {
+  uint64_t w = 0;
+#if defined(__SSE2__)
+  if (count == 48) {
+    // Shift bit n into each lane's sign bit, then movemask gathers the
+    // signs: four 32-bit or two 64-bit lanes per 16-byte load.
+    constexpr unsigned kLanes = 16 / sizeof(Mag);
+    const __m128i sh = _mm_cvtsi32_si128(int(8 * sizeof(Mag)) - 1 - n);
+    for (unsigned g = 0; g < 48 / kLanes; ++g) {
+      const __m128i v =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(k + kLanes * g));
+      unsigned bits;
+      if constexpr (kLanes == 4)
+        bits = unsigned(_mm_movemask_ps(_mm_castsi128_ps(_mm_sll_epi32(v, sh))));
+      else
+        bits = unsigned(_mm_movemask_pd(_mm_castsi128_pd(_mm_sll_epi64(v, sh))));
+      w |= uint64_t(bits) << (kLanes * g);
+    }
+    return w;
+  }
+#endif
+  for (unsigned i = 0; i < count; ++i) w |= uint64_t((k[i] >> n) & 1u) << i;
+  return w;
+}
+
+/// Append bit n of each of k[0 .. count) to `bw` in order, 48 per put_bits.
+template <class Mag>
+void put_plane_bits(const Mag* k, size_t count, int32_t n, WordBitWriter& bw) {
+  for (size_t j = 0; j < count; j += 48) {
+    const auto c = unsigned(std::min<size_t>(48, count - j));
+    bw.put_bits(plane_word(k + j, c, n), c);
+  }
+}
+
+/// What the encoder learns from one linear pass over the coefficients,
+/// before any structure is built.
+struct Scan {
+  double dead_sq = 0.0;    ///< sum of m^2 over the dead zone, index order
+  size_t significant = 0;  ///< coefficients outside the dead zone
+  int32_t n_max = -1;      ///< top bitplane (kDeadPlane when none)
+};
+
+Scan scan_coefficients(const double* coeffs, size_t n, double q) {
+  Scan s;
+  double top = 0.0;
+  // Branch-free: adding +0.0 leaves the sum bit-identical, and NaN lands
+  // in the dead-zone sum as in the oracle.
+  for (size_t i = 0; i < n; ++i) {
+    const double m = std::fabs(coeffs[i]) / q;
+    const bool sig = m > 1.0;
+    s.significant += sig;
+    s.dead_sq += sig ? 0.0 : m * m;
+    top = m > top ? m : top;
+  }
+  // plane_of(max m) == max plane_of(m): the top plane is the largest n
+  // with 2^n < max magnitude.
+  s.n_max = plane_of(top);
+  return s;
+}
+
+/// `Mag` holds the integer magnitudes K < 2^(n_max + 1) in the LSP. The LSP
+/// only serves refinement bits, which lie below the top plane, so K's bits
+/// from n_max up may be dropped: uint32_t while n_max <= 32, else uint64_t.
+template <class Mag>
 class Encoder {
  public:
   Encoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
-          int threads)
-      : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits) {
-    const size_t n = dims.total();
-    // One linear scan: per-coefficient significance planes (consumed by the
-    // tree fill below) and the dead-zone squared magnitudes for
-    // estimated_rmse(), summed in index order like the oracle's.
-    std::vector<int16_t> planes(n);
-    int16_t max_plane = kDeadPlane;
-    for (size_t i = 0; i < n; ++i) {
-      const double m = std::fabs(coeffs[i]) / q;
-      const int16_t p = plane_of(m);
-      planes[i] = p;
-      if (p == kDeadPlane) dead_sq_ += m * m;
-      if (p > max_plane) max_plane = p;
-    }
-    // plane_of(max m) == max plane_of(m): the top plane is the largest n
-    // with 2^n < max magnitude.
-    n_max_ = max_plane;
+          int threads, const Scan& scan)
+      : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits),
+        dead_sq_(scan.dead_sq), n_max_(scan.n_max) {
     if (n_max_ >= 0) {
+      const size_t n = dims.total();
       tree_.build(dims);
-      tree_.fill_planes(planes.data());
+      // One gather in DFS leaf order: the scaled coefficients (sign and
+      // magnitude for discovery), the leaf planes, and — budgeted only —
+      // the way back from leaf ordinal to linear index.
+      leaf_val_.reset(new double[n]);
+      if (budget_) leaf_idx_.reset(new uint32_t[n]);
+      tree_.number_leaves([&](uint32_t ord, uint32_t idx) {
+        const double s = coeffs_[idx] / q_;
+        leaf_val_[ord] = s;
+        if (budget_) leaf_idx_[ord] = idx;
+        return plane_of(std::fabs(s));
+      });
+      lsp_.reserve(scan.significant);
     }
     // Budgeted mode tracks the global bit position of every sign bit
     // (sweep_found_significant), so it sweeps serially.
     threads_ = budget_ ? 1 : resolve_thread_count(threads);
   }
 
-  /// Coefficient-domain RMSE of the quantization: never-coded coefficients
-  /// err by their full magnitude, coded ones by |m - recon|. The two sums
-  /// stay apart — folding them into one running total of m^2 minus the
-  /// coded m^2 cancels catastrophically when nearly everything is coded.
-  [[nodiscard]] double estimated_rmse() const {
-    double coded_sq = 0.0;
-    for (size_t j = 0; j < lsp_idx_.size(); ++j) {
-      const double e = mag(lsp_idx_[j]) - lsp_recon_[j];
-      coded_sq += e * e;
-    }
-    const size_t n = dims_.total();
-    return n ? q_ * std::sqrt((dead_sq_ + coded_sq) / double(n)) : 0.0;
-  }
-
-  void export_recon(std::vector<double>& out) const {
-    out.assign(dims_.total(), 0.0);
-    for (size_t j = 0; j < lsp_idx_.size(); ++j) {
-      const uint32_t idx = lsp_idx_[j];
-      const double r = lsp_recon_[j];
-      out[idx] = (std::signbit(coeffs_[idx]) ? -r : r) * q_;
-    }
-  }
-
-  std::vector<uint8_t> run(EncodeStats* stats) {
+  std::vector<uint8_t> run(double setup_s, EncodeStats* stats,
+                           std::vector<double>* recon_out) {
     if (n_max_ >= 0) run_sweeps();
+    Timer finish;
     size_t nbits = wbw_.bit_count();
-    if (budget_ && nbits >= budget_) {
+    const bool cut = budget_ && nbits >= budget_;
+    if (cut) {
       nbits = budget_;
       apply_cut();
     }
+    const size_t significant = cut ? kept_ : lsp_.size();
 
     Header hdr;
     hdr.q = q_;
     hdr.n_max = n_max_;
     hdr.nbits = nbits;
-    if (stats) {
-      stats->payload_bits = nbits;
-      stats->planes_coded = pass_times_.size();
-      stats->significant_count = lsp_idx_.size();
-      stats->estimated_coeff_rmse = estimated_rmse();
-      stats->passes = std::move(pass_times_);
-      stats->threads_used = threads_;
-    }
-
     const size_t nbytes = (nbits + 7) / 8;
     std::vector<uint8_t> out;
     out.reserve(Header::kBytes + nbytes);
@@ -190,6 +252,31 @@ class Encoder {
     const auto& payload = wbw_.finish();
     out.insert(out.end(), payload.begin(), payload.begin() + ptrdiff_t(nbytes));
     if (nbits % 8) out.back() &= uint8_t((1u << (nbits % 8)) - 1u);
+
+    // The coder state is dead: free it before the export allocates the
+    // recon, so the two never share the peak.
+    tree_ = SetTree();
+    leaf_val_.reset();
+    leaf_idx_.reset();
+    lsp_ = {};
+    buckets_ = {};
+    lanes_ = {};
+    wbw_ = {};
+    if (recon_out && cut)
+      export_cut(*recon_out);
+    else if (recon_out)
+      export_recon(*recon_out);
+
+    if (stats) {
+      stats->payload_bits = nbits;
+      stats->planes_coded = pass_times_.size();
+      stats->significant_count = significant;
+      stats->estimated_coeff_rmse = estimated_rmse();
+      stats->passes = std::move(pass_times_);
+      stats->threads_used = threads_;
+      stats->setup_s = setup_s;
+      stats->finish_s = finish.seconds();
+    }
     return out;
   }
 
@@ -227,15 +314,16 @@ class Encoder {
   struct Lane {
     WordBitWriter* bw = nullptr;
     std::vector<Bucket>* spill = nullptr;  ///< per-depth arrival dest
-    std::vector<uint32_t>* lsp_idx = nullptr;
-    std::vector<double>* lsp_recon = nullptr;
-    std::vector<WordBitWriter>* ref = nullptr;  ///< per-plane refinement bits
+    std::vector<Mag>* lsp = nullptr;       ///< K per discovery, LSP order
+    std::vector<WordBitWriter>* ref = nullptr;  ///< deep-prefix bits per plane
+    std::vector<double>* errs = nullptr;  ///< squared coded errors (null:
+                                          ///< summed into coded_sq_ directly)
     std::vector<SweepFrame> frames;  ///< descent stack (always private)
     WordBitWriter local_bw;
     std::vector<Bucket> local_spill;
-    std::vector<uint32_t> local_lsp_idx;
-    std::vector<double> local_lsp_recon;
+    std::vector<Mag> local_lsp;
     std::vector<WordBitWriter> local_ref;
+    std::vector<double> local_errs;
     double significance_s = 0.0;  ///< this bucket's packed-scan time
   };
 
@@ -243,16 +331,78 @@ class Encoder {
     return std::fabs(coeffs_[idx]) / q_;
   }
 
+  /// Coefficient-domain RMSE of the quantization: never-coded coefficients
+  /// err by their full magnitude, coded ones by |m - recon|. The two sums
+  /// stay apart — folding them into one running total of m^2 minus the
+  /// coded m^2 cancels catastrophically when nearly everything is coded.
+  [[nodiscard]] double estimated_rmse() const {
+    const size_t n = dims_.total();
+    return n ? q_ * std::sqrt((dead_sq_ + coded_sq_) / double(n)) : 0.0;
+  }
+
+  /// Every significant coefficient was coded through plane 0, so its recon
+  /// follows from the coefficient alone: one linear pass, no LSP scatter.
+  /// The closed form K + 0.5 = ceil(m) - 0.5 is taken from m rounded to
+  /// the nearest integer by adding and removing 2^52 (exact below 2^52), so
+  /// there is no integer conversion and SSE2 codes two coefficients per
+  /// step; deep-plane coefficients are then redone with the walk.
+  void export_recon(std::vector<double>& out) const {
+    const size_t n = dims_.total();
+    out.resize(n);
+    double* o = out.data();
+    constexpr double kRound = 0x1p52;
+    size_t i = 0;
+#if defined(__SSE2__)
+    const __m128d q = _mm_set1_pd(q_), one = _mm_set1_pd(1.0);
+    const __m128d round = _mm_set1_pd(kRound), half = _mm_set1_pd(0.5);
+    const __m128d sign = _mm_set1_pd(-0.0);
+    for (; i + 2 <= n; i += 2) {
+      const __m128d c = _mm_loadu_pd(coeffs_ + i);
+      const __m128d m = _mm_div_pd(_mm_andnot_pd(sign, c), q);
+      const __m128d near = _mm_sub_pd(_mm_add_pd(m, round), round);
+      // near + 0.5 where near < m, near - 0.5 elsewhere; then c's sign.
+      const __m128d up = _mm_cmplt_pd(near, m);
+      const __m128d r = _mm_add_pd(near, _mm_or_pd(half, _mm_andnot_pd(up, sign)));
+      const __m128d signed_r = _mm_or_pd(r, _mm_and_pd(c, sign));
+      _mm_storeu_pd(o + i, _mm_and_pd(_mm_cmpgt_pd(m, one), _mm_mul_pd(signed_r, q)));
+    }
+#endif
+    for (; i < n; ++i) {
+      const double c = coeffs_[i];
+      const double m = std::fabs(c) / q_;
+      const double near = (m + kRound) - kRound;
+      const double r = near < m ? near + 0.5 : near - 0.5;
+      o[i] = m > 1.0 ? std::copysign(r, c) * q_ : 0.0;
+    }
+    if (n_max_ > kClosedFormPlanes)
+      for (size_t k = 0; k < n; ++k) {
+        const double m = mag(k);
+        if (!(m > kDeepMagnitude)) continue;
+        const double r =
+            refine_walk(m, plane_of(m), [](int32_t, bool) { return true; });
+        o[k] = std::copysign(r, coeffs_[k]) * q_;
+      }
+  }
+
+  /// A budget cut leaves the kept entries partially refined (apply_cut).
+  void export_cut(std::vector<double>& out) const {
+    out.assign(dims_.total(), 0.0);
+    for (size_t j = 0; j < lsp_idx_.size(); ++j) {
+      const uint32_t idx = lsp_idx_[j];
+      const double r = cut_recon_[j];
+      out[idx] = (std::signbit(coeffs_[idx]) ? -r : r) * q_;
+    }
+  }
+
   void run_sweeps() {
     buckets_.resize(max_depth(dims_) + 1);
     buckets_[0].push(0, cached_plane(tree_.plane(0)));
-    // Refinement bits for plane n collect in ref_streams_[n] as coefficients
-    // are discovered (planes n_max_-1 .. 0 can receive bits).
-    ref_streams_.resize(size_t(n_max_) + 1);
+    // Coefficients found above kClosedFormPlanes deposit their refinement
+    // bits for plane b into ref_streams_[b] at discovery.
+    if (n_max_ > kClosedFormPlanes) ref_streams_.resize(size_t(n_max_) + 1);
     serial_lane_.bw = &wbw_;
     serial_lane_.spill = &buckets_;
-    serial_lane_.lsp_idx = &lsp_idx_;
-    serial_lane_.lsp_recon = &lsp_recon_;
+    serial_lane_.lsp = &lsp_;
     serial_lane_.ref = &ref_streams_;
     if (threads_ > 1) {
       pool_ = std::make_unique<TaskPool>(threads_);
@@ -261,24 +411,27 @@ class Encoder {
         ln.bw = &ln.local_bw;
         ln.local_spill.resize(buckets_.size());
         ln.spill = &ln.local_spill;
-        ln.lsp_idx = &ln.local_lsp_idx;
-        ln.lsp_recon = &ln.local_lsp_recon;
+        ln.lsp = &ln.local_lsp;
         ln.local_ref.resize(ref_streams_.size());
         ln.ref = &ln.local_ref;
+        ln.errs = &ln.local_errs;
       }
     }
 
     for (int32_t n = n_max_; n >= 0; --n) {
-      const double thrd = std::ldexp(1.0, n);
+      // Everything found above the closed-form planes is the deep prefix.
+      if (n == kClosedFormPlanes) deep_ = lsp_.size();
+      // Closed-form entries found above plane n are refined at n.
+      const size_t refined = n < kClosedFormPlanes ? lsp_.size() : deep_;
       PassTiming pt;
       pt.plane = n;
       Timer t;
       const uint64_t b0 = wbw_.bit_count();
-      sweep_sorting_pass(n, thrd, pt);
+      sweep_sorting_pass(n, pt);
       pt.sorting_s = t.seconds();
       pt.sorting_bits = wbw_.bit_count() - b0;
       t.reset();
-      sweep_refinement_pass(n);
+      sweep_refinement_pass(n, refined);
       pt.refinement_s = t.seconds();
       pt.refinement_bits = wbw_.bit_count() - b0 - pt.sorting_bits;
       pass_times_.push_back(pt);
@@ -286,7 +439,7 @@ class Encoder {
     }
   }
 
-  void sweep_sorting_pass(int32_t n, double thrd, PassTiming& pt) {
+  void sweep_sorting_pass(int32_t n, PassTiming& pt) {
     // Deepest (smallest) sets first; children spawned by descents land in
     // deeper buckets that were already swept, so every set is examined
     // exactly once per plane — the recursive coder's order.
@@ -313,43 +466,43 @@ class Encoder {
           Timer lt;
           fill_sig_words(bk, n, b, e);
           ln.significance_s = lt.seconds();
-          sweep_range(d, n, thrd, b, e, ln);
+          sweep_range(d, n, b, e, ln);
         });
-        for (Lane& ln : lanes_) {
-          pt.significance_s += ln.significance_s;  // folded in lane order
-          ln.significance_s = 0.0;
-          const auto& bits = ln.local_bw.finish();
-          wbw_.append_bits(bits.data(), ln.local_bw.bit_count());
-          ln.local_bw.clear();
-          for (size_t dd = 0; dd < buckets_.size(); ++dd) {
-            Bucket& src = ln.local_spill[dd];
-            buckets_[dd].ids.insert(buckets_[dd].ids.end(), src.ids.begin(),
-                                    src.ids.end());
-            buckets_[dd].planes.insert(buckets_[dd].planes.end(),
-                                       src.planes.begin(), src.planes.end());
-            src.ids.clear();
-            src.planes.clear();
-          }
-          lsp_idx_.insert(lsp_idx_.end(), ln.local_lsp_idx.begin(),
-                          ln.local_lsp_idx.end());
-          lsp_recon_.insert(lsp_recon_.end(), ln.local_lsp_recon.begin(),
-                            ln.local_lsp_recon.end());
-          ln.local_lsp_idx.clear();
-          ln.local_lsp_recon.clear();
-          for (int32_t b = 0; b < n; ++b) {
-            WordBitWriter& src = ln.local_ref[size_t(b)];
-            if (src.bit_count()) {
-              ref_streams_[size_t(b)].append_bits(src.finish().data(),
-                                                  src.bit_count());
-              src.clear();
-            }
-          }
-        }
+        for (Lane& ln : lanes_) merge_lane(ln, n, pt);
       } else {
         Timer t;
         fill_sig_words(bk, n, 0, count);
         pt.significance_s += t.seconds();
-        sweep_range(d, n, thrd, 0, count, serial_lane_);
+        sweep_range(d, n, 0, count, serial_lane_);
+      }
+    }
+  }
+
+  /// Append a parallel lane's outputs to the master structures (lanes are
+  /// merged in lane order == serial entry order) and clear them.
+  void merge_lane(Lane& ln, int32_t n, PassTiming& pt) {
+    pt.significance_s += ln.significance_s;  // folded in lane order
+    ln.significance_s = 0.0;
+    wbw_.append_bits(ln.local_bw.finish().data(), ln.local_bw.bit_count());
+    ln.local_bw.clear();
+    for (size_t dd = 0; dd < buckets_.size(); ++dd) {
+      Bucket& src = ln.local_spill[dd];
+      buckets_[dd].ids.insert(buckets_[dd].ids.end(), src.ids.begin(),
+                              src.ids.end());
+      buckets_[dd].planes.insert(buckets_[dd].planes.end(), src.planes.begin(),
+                                 src.planes.end());
+      src.ids.clear();
+      src.planes.clear();
+    }
+    lsp_.insert(lsp_.end(), ln.local_lsp.begin(), ln.local_lsp.end());
+    ln.local_lsp.clear();
+    for (const double e2 : ln.local_errs) coded_sq_ += e2;
+    ln.local_errs.clear();
+    for (size_t b = 0; b < ln.local_ref.size() && b < size_t(n); ++b) {
+      WordBitWriter& src = ln.local_ref[b];
+      if (src.bit_count()) {
+        ref_streams_[b].append_bits(src.finish().data(), src.bit_count());
+        src.clear();
       }
     }
   }
@@ -406,8 +559,7 @@ class Encoder {
   /// are counted by popcount and emitted as one batched zero run (the sets
   /// themselves stay listed in place — no copy); significant sets emit
   /// their 1-bit, descend, and are tombstoned. `b` is a multiple of 64.
-  void sweep_range(size_t d, int32_t n, double thrd, size_t b, size_t e,
-                   Lane& lane) {
+  void sweep_range(size_t d, int32_t n, size_t b, size_t e, Lane& lane) {
     Bucket& bk = buckets_[d];
     const uint64_t* sigw = sig_.word_data();
     const uint64_t* livew = live_.word_data();
@@ -430,7 +582,7 @@ class Encoder {
         }
         lane.bw->put_bits(1, 1);
         const size_t idx = base + k;
-        sweep_descend(bk.ids[idx], uint32_t(d), n, thrd, lane);
+        sweep_descend(bk.ids[idx], uint32_t(d), n, lane);
         bk.planes[idx] = kConsumed;
       }
       zeros += size_t(std::popcount(live));
@@ -470,10 +622,9 @@ class Encoder {
   /// put_zeros) call, and the per-child branches on the bit value disappear.
   /// Spilled-set order and the emitted bit sequence are unchanged: bits and
   /// bucket arrivals are separate channels, and each stays in child order.
-  void sweep_descend(uint32_t id, uint32_t depth, int32_t n, double thrd,
-                     Lane& lane) {
+  void sweep_descend(uint32_t id, uint32_t depth, int32_t n, Lane& lane) {
     if (tree_.is_leaf(id)) {
-      sweep_found_significant(tree_.coeff_index(id), n, thrd, lane);
+      sweep_found_significant(tree_.leaf_ordinal(id), n, lane);
       return;
     }
     auto& frames = lane.frames;
@@ -517,7 +668,7 @@ class Encoder {
       f.next = uint8_t(j + 1);
       const uint32_t child = first + j;
       if (tree_.is_leaf(child)) {
-        sweep_found_significant(tree_.coeff_index(child), n, thrd, lane);
+        sweep_found_significant(tree_.leaf_ordinal(child), n, lane);
         continue;
       }
       frames.push_back(make_frame(child, n));
@@ -526,56 +677,55 @@ class Encoder {
 
   /// A coefficient turning significant at plane n has magnitude
   /// m in (2^n, 2^(n+1)]; its refinement bits at planes n-1 .. 0 and its
-  /// final recon follow from m alone (refine_walk). Both are settled here:
-  /// the bits go straight into the per-plane refinement streams, so
-  /// refinement passes never revisit the coefficient, and the LSP keeps
-  /// only the index and the final recon.
-  ///
-  /// Up to plane kClosedFormPlanes the walk has a closed form. Every
-  /// subtraction is exact (Sterbenz), so the bits are exactly the binary
-  /// digits of v = ceil(r0) - 1 with r0 = m - 2^n: for r0 = I + f (integer
-  /// I, fraction f > 0) strict > reads digit b of I; for integral r0 = I the
-  /// strict inequality shifts everything to I - 1. The recon accumulation
-  /// 1.5 * 2^n + sum(+/- 2^b / 2) then telescopes to 2^n + v + 0.5, exact
-  /// while 2^(n+1) fits the 53-bit mantissa with room to spare.
-  void sweep_found_significant(uint32_t idx, int32_t n, double thrd,
-                               Lane& lane) {
-    const double c = coeffs_[idx];
-    lane.bw->put_bits(uint64_t(std::signbit(c)), 1);
-    auto& refs = *lane.ref;
-    double recon = 1.5 * thrd;  // n == 0: m in (1, 2], no refinement bits
+  /// final recon follow from m alone (refine_walk). Up to plane
+  /// kClosedFormPlanes both are read off K = magnitude_of(m), which joins
+  /// the LSP for the refinement passes to pull bits from; above it the walk
+  /// writes its bits into the per-plane deep-prefix streams at once and the
+  /// LSP slot is a placeholder. The squared coded error joins the running
+  /// sum in LSP order, as the oracle sums it.
+  void sweep_found_significant(uint32_t ord, int32_t n, Lane& lane) {
+    const double s = leaf_val_[ord];
+    lane.bw->put_bits(uint64_t(std::signbit(s)), 1);
+    const double m = std::fabs(s);
+    double recon;
     if (n > kClosedFormPlanes) {
-      recon = refine_walk(std::fabs(c) / q_, n, [&](int32_t b, bool bit) {
+      auto& refs = *lane.ref;
+      recon = refine_walk(m, n, [&](int32_t b, bool bit) {
         refs[size_t(b)].put_bits(uint64_t(bit), 1);
         return true;
       });
-    } else if (n > 0) {
-      const double r0 = std::fabs(c) / q_ - thrd;  // exact: m in (thrd, 2*thrd]
-      // ceil(r0) - 1 without libm: r0 > 0, so trunc == floor, and ceil
-      // differs from floor + 1 exactly when r0 is integral.
-      const uint64_t t = uint64_t(r0);
-      const uint64_t v = double(t) == r0 ? t - 1 : t;
-      for (int32_t b = n - 1; b >= 0; --b)
-        refs[size_t(b)].put_bits((v >> unsigned(b)) & uint64_t(1), 1);
-      recon = double((uint64_t(1) << n) + v) + 0.5;
+      lane.lsp->push_back(0);
+    } else {
+      const uint64_t k = magnitude_of(m);
+      lane.lsp->push_back(Mag(k));
+      recon = double(k) + 0.5;
     }
-    lane.lsp_idx->push_back(idx);
-    lane.lsp_recon->push_back(recon);
+    const double e = m - recon;
+    if (lane.errs)
+      lane.errs->push_back(e * e);
+    else
+      coded_sq_ += e * e;
     // Budgeted mode is serial, so the lane writes the master stream and its
     // bit count is this sign bit's global position + 1.
-    if (budget_ && lane.bw->bit_count() < budget_) kept_ = lane.lsp_idx->size();
+    if (budget_) {
+      lsp_idx_.push_back(leaf_idx_[ord]);
+      if (lane.bw->bit_count() < budget_) kept_ = lsp_idx_.size();
+    }
   }
 
-  /// Emit plane n's refinement bits: every entry discovered at a plane
-  /// above n already deposited its bit for plane n into ref_streams_[n]
-  /// (in LSP discovery order — lane merges preserve it), so the pass is one
-  /// word-batched append.
-  void sweep_refinement_pass(int32_t n) {
-    WordBitWriter& rb = ref_streams_[size_t(n)];
-    if (rb.bit_count()) {
-      wbw_.append_bits(rb.finish().data(), rb.bit_count());
-      rb.clear();
+  /// Emit plane n's refinement bits in LSP order: the deep prefix's bits,
+  /// deposited at discovery, then bit n of the K of every closed-form
+  /// entry found above n (LSP entries [deep_, refined)).
+  void sweep_refinement_pass(int32_t n, size_t refined) {
+    if (size_t(n) < ref_streams_.size()) {
+      WordBitWriter& rb = ref_streams_[size_t(n)];
+      if (rb.bit_count()) {
+        wbw_.append_bits(rb.finish().data(), rb.bit_count());
+        rb.clear();
+      }
     }
+    if (refined > deep_)
+      put_plane_bits(lsp_.data() + deep_, refined - deep_, n, wbw_);
   }
 
   /// Bring the encoder state to what a coder stopping on the budget bit
@@ -603,14 +753,17 @@ class Encoder {
     pass_times_.resize(passes);
 
     lsp_idx_.resize(kept_);
-    lsp_recon_.resize(kept_);
+    cut_recon_.resize(kept_);
+    coded_sq_ = 0.0;
     PackedBits coded(dims_.total());
     for (size_t j = 0; j < kept_; ++j) {
       const double m = mag(lsp_idx_[j]);
       // j < limit: every kept entry's sign bit, and j before it, precede it.
-      lsp_recon_[j] = refine_walk(m, plane_of(m), [&](int32_t b, bool) {
+      cut_recon_[j] = refine_walk(m, plane_of(m), [&](int32_t b, bool) {
         return ref_start[size_t(b)] < limit - j;
       });
+      const double e = m - cut_recon_[j];
+      coded_sq_ += e * e;
       coded.set(lsp_idx_[j]);
     }
     for (size_t i = 0; i < dims_.total(); ++i) {
@@ -624,11 +777,14 @@ class Encoder {
   double q_;
   size_t budget_;
 
-  double dead_sq_ = 0.0;  ///< sum of m^2 over never-coded coefficients
+  double dead_sq_ = 0.0;   ///< sum of m^2 over never-coded coefficients
+  double coded_sq_ = 0.0;  ///< sum of (m - recon)^2 over the LSP, in order
   int32_t n_max_ = -1;
   std::vector<PassTiming> pass_times_;
 
-  SetTree tree_;
+  SetTree tree_;  ///< leaves numbered in DFS order (number_leaves)
+  std::unique_ptr<double[]> leaf_val_;  ///< c / q per leaf ordinal
+  std::unique_ptr<uint32_t[]> leaf_idx_;  ///< budgeted: linear index per ordinal
 
   int threads_ = 1;
   std::unique_ptr<TaskPool> pool_;  ///< non-null only when threads_ > 1
@@ -637,13 +793,25 @@ class Encoder {
   std::vector<Bucket> buckets_;  ///< sweep worklists, bucketed by depth
   PackedBits sig_;   ///< per-bucket packed significance bits (scratch)
   PackedBits live_;  ///< per-bucket packed liveness bits (scratch)
-  std::vector<WordBitWriter> ref_streams_;  ///< per-plane refinement bits
 
-  std::vector<uint32_t> lsp_idx_;  ///< coefficient indices, LSP order
-  std::vector<double> lsp_recon_;  ///< final recon magnitudes (scaled units)
+  std::vector<Mag> lsp_;  ///< K per significant coefficient, discovery order
+  size_t deep_ = 0;       ///< LSP prefix found above kClosedFormPlanes
+  std::vector<WordBitWriter> ref_streams_;  ///< deep-prefix bits per plane
+
+  std::vector<uint32_t> lsp_idx_;   ///< budgeted: linear index, LSP order
+  std::vector<double> cut_recon_;   ///< budgeted cut: recon of kept entries
   size_t kept_ = 0;  ///< budgeted: entries whose sign bit precedes the last bit
   WordBitWriter wbw_;  ///< master stream
 };
+
+template <class Mag>
+std::vector<uint8_t> encode_as(const double* coeffs, Dims dims, double q,
+                               size_t budget_bits, int threads, const Scan& scan,
+                               const Timer& setup, EncodeStats* stats,
+                               std::vector<double>* recon_out) {
+  Encoder<Mag> enc(coeffs, dims, q, budget_bits, threads, scan);
+  return enc.run(setup.seconds(), stats, recon_out);
+}
 
 }  // namespace
 
@@ -657,10 +825,13 @@ std::vector<uint8_t> encode(const double* coeffs,
   if (dims.total() >= kMaxCoefficients)
     throw std::invalid_argument("speck::encode: " + dims.to_string() +
                                 " exceeds the 2^31-coefficient limit");
-  Encoder enc(coeffs, dims, q, budget_bits, threads);
-  auto stream = enc.run(stats);
-  if (recon_out) enc.export_recon(*recon_out);
-  return stream;
+  const Timer setup;
+  const Scan scan = scan_coefficients(coeffs, dims.total(), q);
+  return scan.n_max <= 32
+             ? encode_as<uint32_t>(coeffs, dims, q, budget_bits, threads, scan,
+                                   setup, stats, recon_out)
+             : encode_as<uint64_t>(coeffs, dims, q, budget_bits, threads, scan,
+                                   setup, stats, recon_out);
 }
 
 }  // namespace sperr::speck

@@ -53,6 +53,14 @@ struct EncodeStats {
   /// Intra-chunk threads the encoder actually used (after resolving 0=auto;
   /// size-bounded mode always runs serial).
   int threads_used = 1;
+
+  /// Wall-clock seconds outside the per-plane passes, so that
+  /// setup_s + sum(passes) + finish_s accounts for the whole encode call:
+  /// setup is the coefficient scan, the SetTree build and the leaf-order
+  /// gather; finish is the budget cut, the stream assembly and the recon
+  /// export.
+  double setup_s = 0.0;
+  double finish_s = 0.0;
 };
 
 /// Encode `coeffs` (dims.total() values, fewer than kMaxCoefficients —

@@ -1,13 +1,12 @@
 #include "speck/settree.h"
 
-#include <algorithm>
-
 namespace sperr::speck {
 
 void SetTree::build(Dims dims) {
   nodes_.clear();
 
   const size_t n = dims.total();
+  leaves_ = uint32_t(n);
   // Leaves = n; internal nodes are ~n/7 for octree bulk, up to n-1 in the
   // all-binary-splits worst case (thin 1-D grids). Reserve for the typical
   // shape and let the vector grow for pathological ones.
@@ -56,23 +55,6 @@ void SetTree::build(Dims dims) {
     // subtree is allocated before child 1's, giving the DFS id layout.
     for (int i = nc; i-- > 0;)
       if (!children[i].is_single()) stack.push_back({children[i], base + uint32_t(i)});
-  }
-}
-
-void SetTree::fill_planes(const int16_t* coeff_planes) {
-  // DFS allocation puts every child after its parent, so one reverse sweep
-  // sees all children before their parent.
-  for (size_t i = node_count(); i-- > 0;) {
-    Node& nd = nodes_[i];
-    if (nd.nchild == 0) {
-      nd.plane = coeff_planes[nd.first];
-      continue;
-    }
-    const uint32_t f = nd.first;
-    int16_t mx = nodes_[f].plane;
-    for (uint32_t c = 1; c < nd.nchild; ++c)
-      mx = std::max(mx, nodes_[f + c].plane);
-    nd.plane = mx;
   }
 }
 

@@ -16,11 +16,13 @@
 // parent), which makes the bottom-up fold a reverse linear sweep and keeps a
 // subtree's nodes adjacent in memory — the generalized Morton layout: for a
 // power-of-two cube, leaves appear exactly in Z-order. A leaf stores its
-// coefficient's linear index instead of a child range.
+// coefficient's linear index instead of a child range; the encoder swaps it
+// for the leaf's ordinal in that order (number_leaves).
 //
 // The structure depends only on the grid extents, so encoder and decoder
 // build identical trees without communicating anything.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -64,27 +66,50 @@ class SetTree {
   /// Build the structure for `dims`. Deterministic and data-independent.
   void build(Dims dims);
 
-  /// Fill per-node max planes bottom-up from per-coefficient planes
-  /// (indexed by linear coefficient index). Requires build() first.
-  void fill_planes(const int16_t* coeff_planes);
+  /// Encoder setup, one reverse sweep after build(): every leaf's payload
+  /// becomes its ordinal in id order (the DFS leaf order, 0 .. leaves-1),
+  /// its plane becomes `leaf(ordinal, coeff_index)`, and the per-node max
+  /// planes fold bottom-up. The encoder stores its per-coefficient data in
+  /// this order, so a traversal reads it near-sequentially.
+  template <class Leaf>
+  void number_leaves(Leaf&& leaf) {
+    // DFS allocation puts every child after its parent, so one reverse
+    // sweep sees all children before their parent.
+    uint32_t ord = leaves_;
+    for (size_t i = nodes_.size(); i-- > 0;) {
+      Node& nd = nodes_[i];
+      if (nd.nchild == 0) {
+        nd.plane = leaf(--ord, nd.first);
+        nd.first = ord;
+        continue;
+      }
+      int16_t mx = nodes_[nd.first].plane;
+      for (uint32_t c = 1; c < nd.nchild; ++c)
+        mx = std::max(mx, nodes_[nd.first + c].plane);
+      nd.plane = mx;
+    }
+  }
 
   [[nodiscard]] size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] bool is_leaf(uint32_t id) const { return nodes_[id].nchild == 0; }
   [[nodiscard]] uint32_t first_child(uint32_t id) const { return nodes_[id].first; }
   [[nodiscard]] uint32_t child_count(uint32_t id) const { return nodes_[id].nchild; }
-  /// Linear coefficient index of a leaf node.
+  /// Linear coefficient index of a leaf node (before number_leaves).
   [[nodiscard]] uint32_t coeff_index(uint32_t id) const { return nodes_[id].first; }
+  /// DFS ordinal of a leaf node (after number_leaves).
+  [[nodiscard]] uint32_t leaf_ordinal(uint32_t id) const { return nodes_[id].first; }
   [[nodiscard]] int16_t plane(uint32_t id) const { return nodes_[id].plane; }
 
  private:
   struct Node {
-    uint32_t first;   ///< internal: first child id; leaf: coeff index
+    uint32_t first;   ///< internal: first child id; leaf: coeff index or ordinal
     uint16_t nchild;  ///< 0 for leaves, 2..8 otherwise
-    int16_t plane;    ///< max significance plane over the set (fill_planes)
+    int16_t plane;    ///< max significance plane over the set (number_leaves)
   };
   static_assert(sizeof(Node) == 8);
 
   std::vector<Node> nodes_;
+  uint32_t leaves_ = 0;  ///< leaf count == coefficient count
 };
 
 }  // namespace sperr::speck

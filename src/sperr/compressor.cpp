@@ -71,9 +71,8 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
       streams[i] = pipeline::encode_target_rmse(buf, c.dims, cfg.rmse, &arena,
                                                 intra_threads);
     } else {
-      const auto budget = size_t(std::llround(cfg.bpp * double(c.dims.total())));
-      streams[i] = pipeline::encode_fixed_rate(buf, c.dims,
-                                               std::max<size_t>(budget, 8), &arena);
+      streams[i] = pipeline::encode_fixed_rate(
+          buf, c.dims, pipeline::fixed_rate_budget(cfg.bpp, c.dims), &arena);
     }
   }
 
@@ -139,6 +138,8 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
         stats->speck_significance_s += p.significance_s;
         stats->speck_refinement_s += p.refinement_s;
       }
+      stats->speck_setup_s += s.speck_stats.setup_s;
+      stats->speck_finish_s += s.speck_stats.finish_s;
       stats->timing += s.timing;
     }
     stats->bpp = double(out.size()) * 8.0 / double(dims.total());

@@ -190,6 +190,11 @@ struct Stats {
   double speck_sorting_s = 0.0;
   double speck_significance_s = 0.0;
   double speck_refinement_s = 0.0;
+  /// SPECK time outside the passes (speck::EncodeStats::setup_s/finish_s),
+  /// summed the same way: setup + sorting + refinement + finish accounts
+  /// for timing.speck_s up to the call overhead.
+  double speck_setup_s = 0.0;
+  double speck_finish_s = 0.0;
   StageTiming timing;
 };
 

@@ -176,9 +176,9 @@ Status compress_file(const std::string& in_path, Dims dims, int precision,
     } else if (cfg.mode == Mode::target_rmse) {
       streams[i] = pipeline::encode_target_rmse(buf.data(), chunks[i].dims, cfg.rmse);
     } else {
-      const auto budget = size_t(cfg.bpp * double(chunks[i].dims.total()));
-      streams[i] = pipeline::encode_fixed_rate(buf.data(), chunks[i].dims,
-                                               std::max<size_t>(budget, 8));
+      streams[i] = pipeline::encode_fixed_rate(
+          buf.data(), chunks[i].dims,
+          pipeline::fixed_rate_budget(cfg.bpp, chunks[i].dims));
     }
   }
 

@@ -76,6 +76,11 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
   return result;
 }
 
+size_t fixed_rate_budget(double bpp, Dims chunk_dims) {
+  const auto budget = size_t(std::llround(bpp * double(chunk_dims.total())));
+  return std::max<size_t>(budget, 8);
+}
+
 ChunkStream encode_fixed_rate(const double* data, Dims dims, size_t budget_bits,
                               Arena* arena) {
   ChunkStream result;

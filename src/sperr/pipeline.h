@@ -58,6 +58,12 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
                        std::vector<outlier::Outlier>* capture_outliers = nullptr,
                        Arena* arena = nullptr, int intra_chunk_threads = 1);
 
+/// SPECK bit budget of one fixed-rate chunk: bpp * voxels rounded to the
+/// nearest bit, at least one byte. sperr::compress and
+/// outofcore::compress_file both take it from here, so they write the same
+/// container for the same input.
+size_t fixed_rate_budget(double bpp, Dims chunk_dims);
+
 /// Size-bounded encode: the SPECK stream is truncated at `budget_bits`.
 /// No outlier correction (no error bound), matching classic SPECK / the
 /// paper's fixed-size mode. (The budgeted coder tracks the global position

@@ -131,6 +131,26 @@ TEST(OutOfCore, FixedRateFiles) {
   EXPECT_LE(stats.bpp, 2.3);
 }
 
+TEST(OutOfCore, FixedRateBudgetMatchesInMemoryPath) {
+  // At this bpp, bpp * voxels = 65535.67 bits: rounding and truncation pick
+  // different budgets, and both entry points must pick the same one.
+  const Dims dims{32, 32, 32};
+  const auto field = data::s3d_temperature(dims);
+  Config cfg;
+  cfg.mode = Mode::fixed_rate;
+  cfg.bpp = 1.99999;
+  const double exact = cfg.bpp * double(dims.total());
+  ASSERT_NE(size_t(exact), size_t(std::llround(exact)));
+
+  TempFile raw(".raw"), packed(".sperr");
+  write_raw(raw.path(), field, 8);
+  ASSERT_EQ(compress_file(raw.path(), dims, 8, cfg, packed.path()), Status::ok);
+  std::ifstream in(packed.path(), std::ios::binary);
+  const std::vector<uint8_t> blob{std::istreambuf_iterator<char>(in),
+                                  std::istreambuf_iterator<char>()};
+  EXPECT_EQ(blob, compress(field.data(), dims, cfg));
+}
+
 TEST(OutOfCore, SizeMismatchRejected) {
   const Dims dims{16, 16, 16};
   const auto field = data::s3d_ch4(dims);

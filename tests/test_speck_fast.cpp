@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -71,21 +72,14 @@ void expect_decode_stats_equal(const DecodeStats& a, const DecodeStats& b) {
 /// real concurrency).
 constexpr int kThreadWall[] = {1, 2, 4, 8};
 
-/// Full differential check of one (dims, q, budget, seed) cell, at every
+/// Full differential check of one field at one (q, budget), at every
 /// thread count in kThreadWall: the encoded stream must be byte-identical
 /// to the reference coder's (and so to every other thread count), per-pass
 /// bit counts must be thread-invariant, and decodes bit-identical.
-/// `scale` lifts the coefficients (adversarial_coeffs); a nonzero `spike`
-/// overwrites one coefficient with spike * q.
-void expect_coders_identical(Dims dims, double q, size_t budget, uint64_t seed,
-                             double scale = 1.0, double spike = 0.0) {
+void expect_field_identical(const std::vector<double>& coeffs, Dims dims,
+                            double q, size_t budget) {
   SCOPED_TRACE(dims.to_string() + " q=" + std::to_string(q) +
-               " budget=" + std::to_string(budget) + " seed=" + std::to_string(seed) +
-               " scale=2^" + std::to_string(std::ilogb(scale)) +
-               " spike=" + std::to_string(spike));
-  auto coeffs = adversarial_coeffs(dims, seed, q, scale);
-  if (spike != 0.0) coeffs[coeffs.size() / 3] = spike * q;
-
+               " budget=" + std::to_string(budget));
   EncodeStats ref_stats, fast_stats;
   std::vector<double> ref_recon, fast_recon;
   const auto ref = encode_reference(coeffs.data(), dims, q, budget, &ref_stats, &ref_recon);
@@ -140,6 +134,17 @@ void expect_coders_identical(Dims dims, double q, size_t budget, uint64_t seed,
   }
 }
 
+/// expect_field_identical on adversarial_coeffs(dims, seed, q, scale); a
+/// nonzero `spike` overwrites one coefficient with spike * q.
+void expect_coders_identical(Dims dims, double q, size_t budget, uint64_t seed,
+                             double scale = 1.0, double spike = 0.0) {
+  SCOPED_TRACE("seed=" + std::to_string(seed) + " scale=2^" +
+               std::to_string(std::ilogb(scale)) + " spike=" + std::to_string(spike));
+  auto coeffs = adversarial_coeffs(dims, seed, q, scale);
+  if (spike != 0.0) coeffs[coeffs.size() / 3] = spike * q;
+  expect_field_identical(coeffs, dims, q, budget);
+}
+
 TEST(SpeckFast, DegenerateShapesMatchReference) {
   const Dims shapes[] = {{1, 1, 1}, {2, 1, 1},  {1, 7, 1},   {1, 1, 64},
                          {1, 31, 17}, {5, 1, 9}, {64, 1, 1},  {3, 3, 3},
@@ -179,6 +184,119 @@ TEST(SpeckFast, DeepPlanesMatchReference) {
     for (const double spike : {std::ldexp(1.0, 1000), -std::ldexp(1.0, 1000)})
       for (const size_t budget : {size_t(0), n / 2, 4 * n})
         expect_coders_identical(d, 0.25, budget, ++seed, 1.0, spike);
+  }
+}
+
+// The integer-magnitude path: a coefficient found at plane n <= 50 is coded
+// from K = ceil(m) - 1, held in 32 bits while the top plane is at most 32.
+// These grids are large enough (32x32x16) for the sorting sweep to split
+// buckets across lanes at 2/4/8 threads.
+
+/// Overwrite every `stride`-th coefficient with a random sign times m * q.
+template <class Magnitude>
+void plant(std::vector<double>& c, double q, size_t stride, uint64_t seed,
+           Magnitude&& magnitude) {
+  Rng rng(seed);
+  for (size_t i = 0; i < c.size(); i += stride)
+    c[i] = (rng.next() & 1 ? -1.0 : 1.0) * magnitude(rng) * q;
+}
+
+TEST(SpeckFast, IntegerMagnitudeBoundariesMatchReference) {
+  // Exact integers m = k, where ceil(m) - 1 = k - 1 but truncation gives k,
+  // and the next double above them, where the two agree. q = 0.25 keeps
+  // m = c / q exact; q = 0.3 puts m within an ulp of the integer.
+  const Dims dims{32, 32, 16};
+  for (const double q : {0.25, 0.3}) {
+    auto c = adversarial_coeffs(dims, 900, q);
+    plant(c, q, 3, 901, [](Rng& rng) {
+      const double k = double(1 + rng.below(1u << 12));
+      return rng.next() & 1 ? k : std::nextafter(k, 2 * k);
+    });
+    for (const size_t budget : {size_t(0), dims.total() / 2, 3 * dims.total()})
+      expect_field_identical(c, dims, q, budget);
+  }
+}
+
+TEST(SpeckFast, ClosedFormBoundaryPlanesMatchReference) {
+  // One stream with discoveries at planes 49, 50, 51 and 52: the deep
+  // prefix (51, 52) walks the residual chain, the suffix (49, 50) and the
+  // ordinary field below take K, and every later refinement pass lists
+  // both. Interval tops, exact integers and their successors included.
+  const Dims dims{32, 32, 16};
+  const double q = 0.5;
+  auto c = adversarial_coeffs(dims, 950, q);
+  int slot = 0;
+  plant(c, q, 97, 951, [&](Rng& rng) {
+    const double base = std::ldexp(1.0, 49 + slot++ % 4);
+    const double m = std::floor(base * (1.0 + rng.uniform()));
+    switch (rng.below(4)) {
+      case 0: return 2 * base;
+      case 1: return m;
+      case 2: return std::nextafter(m, 2 * m);
+      default: return base * (1.0 + rng.uniform());
+    }
+  });
+  double top = 0.0;
+  for (const double v : c) top = std::max(top, std::fabs(v) / q);
+  ASSERT_EQ(plane_of(top), 52);
+  const size_t n = dims.total();
+  for (const size_t budget : {size_t(0), n / 2, 8 * n, 40 * n})
+    expect_field_identical(c, dims, q, budget);
+}
+
+TEST(SpeckFast, IntegerWidthBoundaryMatchesReference) {
+  // Top planes 31, 32 and 33 straddle the switch from 32- to 64-bit K. At
+  // top 31 the interval top m = 2^32 gives K = 2^32 - 1; at top 32 the
+  // stored K loses its leading bit, which no refinement pass reads; at top
+  // 33 refinement at plane 32 needs bit 32.
+  const Dims dims{32, 32, 16};
+  const double q = 0.5;
+  for (const int top : {31, 32, 33}) {
+    SCOPED_TRACE("top plane " + std::to_string(top));
+    const double scale = std::ldexp(1.0, top - 16);
+    auto c = adversarial_coeffs(dims, 960 + uint64_t(top), q, scale);
+    const double base = std::ldexp(1.0, top);
+    plant(c, q, 211, 970 + uint64_t(top), [&](Rng& rng) {
+      switch (rng.below(3)) {
+        case 0: return 2 * base;
+        case 1: return std::floor(base * (1.0 + rng.uniform())) + 1.0;
+        default: return base * (1.0 + rng.uniform());
+      }
+    });
+    double m_top = 0.0;
+    for (const double v : c) m_top = std::max(m_top, std::fabs(v) / q);
+    ASSERT_EQ(plane_of(m_top), top);
+    for (const size_t budget : {size_t(0), dims.total(), 20 * dims.total()})
+      expect_field_identical(c, dims, q, budget);
+  }
+}
+
+TEST(SpeckFast, BudgetsCuttingRefinementPassesMatchReference) {
+  // Cuts one bit into, halfway through and one bit short of the end of
+  // refinement passes, on a 32-bit-K field and on one whose top plane lies
+  // in the deep prefix.
+  const Dims dims{32, 32, 16};
+  const double q = 0.1;
+  for (const double scale : {1.0, std::ldexp(1.0, 42)}) {
+    SCOPED_TRACE("scale 2^" + std::to_string(std::ilogb(scale)));
+    const auto c = adversarial_coeffs(dims, 990, q, scale);
+    EncodeStats st;
+    (void)encode(c.data(), dims, q, 0, &st);
+    uint64_t pos = 0;
+    int cut_passes = 0;
+    for (const auto& p : st.passes) {
+      pos += p.sorting_bits;
+      // Passes around the closed-form boundary (plane 50) and the last
+      // three, wherever they have bits to refine.
+      if (p.refinement_bits > 2 && (p.plane >= 46 || p.plane < 3)) {
+        ++cut_passes;
+        for (const uint64_t b : {pos + 1, pos + p.refinement_bits / 2,
+                                 pos + p.refinement_bits - 1})
+          expect_field_identical(c, dims, q, size_t(b));
+      }
+      pos += p.refinement_bits;
+    }
+    EXPECT_GE(cut_passes, 3);
   }
 }
 
@@ -424,7 +542,7 @@ TEST(SpeckFast, RejectsGridsBeyondTheCoefficientLimit) {
 TEST(SpeckFast, SetTreeCoversGridExactly) {
   // Structural invariants of the flattened tree: leaves partition the grid
   // (every linear index exactly once), children are contiguous and ordered,
-  // and fill_planes propagates the max upward.
+  // and number_leaves propagates the max upward.
   for (const Dims dims : {Dims{7, 5, 3}, Dims{1, 9, 2}, Dims{16, 16, 1}, Dims{4, 4, 4}}) {
     SCOPED_TRACE(dims.to_string());
     SetTree t;
@@ -444,12 +562,24 @@ TEST(SpeckFast, SetTreeCoversGridExactly) {
     EXPECT_EQ(leaves, dims.total());
     for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], 1) << "index " << i;
 
-    std::vector<int16_t> planes(dims.total());
-    for (size_t i = 0; i < planes.size(); ++i) planes[i] = int16_t(i % 7);
-    t.fill_planes(planes.data());
-    int16_t expect_root = 0;
-    for (int16_t p : planes) expect_root = std::max(expect_root, p);
-    EXPECT_EQ(t.plane(0), expect_root);
+    // number_leaves numbers the leaves 0, 1, 2, ... in id order, hands each
+    // its coefficient index, and folds the returned planes upward.
+    std::vector<uint32_t> leaf_index(dims.total());
+    t.number_leaves([&](uint32_t ord, uint32_t idx) {
+      leaf_index[ord] = idx;
+      return int16_t(idx % 7);
+    });
+    uint32_t next = 0;
+    for (uint32_t id = 0; id < t.node_count(); ++id) {
+      if (!t.is_leaf(id)) continue;
+      ASSERT_EQ(t.leaf_ordinal(id), next++);
+      EXPECT_EQ(t.plane(id), int16_t(leaf_index[t.leaf_ordinal(id)] % 7));
+    }
+    std::vector<int> indexed(dims.total(), 0);
+    for (const uint32_t idx : leaf_index) ++indexed[idx];
+    for (size_t i = 0; i < indexed.size(); ++i)
+      EXPECT_EQ(indexed[i], 1) << "index " << i;
+    EXPECT_EQ(t.plane(0), int16_t(std::min<size_t>(dims.total() - 1, 6)));
   }
 }
 

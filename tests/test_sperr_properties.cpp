@@ -161,6 +161,33 @@ TEST(PipelineProperty, StageTimingsArePopulated) {
   EXPECT_GT(cs.timing.total(), 0.0);
 }
 
+TEST(PipelineProperty, SpeckSetupAndFinishFitInsideTheStage) {
+  // EncodeStats splits one SPECK call into setup, the per-plane passes and
+  // finish. They are disjoint spans inside the pipeline's speck_s span, so
+  // each is populated and together they cannot exceed it — per chunk, and
+  // summed over chunks in Stats.
+  const Dims dims{40, 40, 20};
+  const auto field = mixed_field(dims, 31);
+  const auto cs = pipeline::encode_pwe(field.data(), dims, 0.01, 1.5);
+  const auto& st = cs.speck_stats;
+  EXPECT_GT(st.setup_s, 0.0);
+  EXPECT_GT(st.finish_s, 0.0);
+  double passes = 0.0;
+  for (const auto& p : st.passes) passes += p.sorting_s + p.refinement_s;
+  EXPECT_LE(st.setup_s + passes + st.finish_s, cs.timing.speck_s);
+
+  Config cfg;
+  cfg.tolerance = 0.01;
+  cfg.chunk_dims = {20, 20, 20};
+  Stats stats;
+  compress(field.data(), dims, cfg, &stats);
+  EXPECT_GT(stats.speck_setup_s, 0.0);
+  EXPECT_GT(stats.speck_finish_s, 0.0);
+  EXPECT_LE(stats.speck_setup_s + stats.speck_sorting_s +
+                stats.speck_refinement_s + stats.speck_finish_s,
+            stats.timing.speck_s);
+}
+
 TEST(PipelineProperty, SpeckStatsThreadThroughChunkStreamAndStats) {
   const Dims dims{40, 40, 20};
   const auto field = mixed_field(dims, 31);
