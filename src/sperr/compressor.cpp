@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -7,6 +6,7 @@
 #include "common/arena.h"
 #include "common/checksum.h"
 #include "common/stats.h"
+#include "common/timer.h"
 #include "sperr/chunker.h"
 #include "sperr/header.h"
 #include "sperr/pipeline.h"
@@ -18,64 +18,11 @@
 
 namespace sperr {
 
-namespace {
+namespace pipeline {
 
-void require_valid(Dims dims, const Config& cfg) {
-  if (const char* why = pipeline::config_error(dims, cfg))
-    throw std::invalid_argument(std::string("sperr: ") + why);
-}
-
-std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& cfg,
-                                   uint8_t precision, Stats* stats) {
-  // Non-finite samples would silently poison the transform and quantizer;
-  // reject them up front (the reference SPERR has the same requirement).
-  for (size_t i = 0; i < dims.total(); ++i)
-    if (!std::isfinite(data[i]))
-      throw std::invalid_argument("sperr: input contains NaN or Inf at index " +
-                                  std::to_string(i));
-
-  const auto chunks = make_chunks(dims, cfg.chunk_dims);
-  std::vector<pipeline::ChunkStream> streams(chunks.size());
-  std::vector<double> means(chunks.size(), 0.0);
-
-  // Intra-chunk SPECK lanes (byte-identical output at any setting). An
-  // explicit count is honored as-is; auto (0) only expands on single-chunk
-  // inputs, where the OpenMP chunk loop cannot use the machine — combining
-  // auto with a parallel chunk loop would oversubscribe every core.
-  const int intra_threads =
-      cfg.intra_chunk_threads == 0 && chunks.size() > 1 ? 1
-                                                        : cfg.intra_chunk_threads;
-
-#ifdef SPERR_HAVE_OPENMP
-  const int nt = cfg.num_threads > 0 ? cfg.num_threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
-#endif
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    const Chunk& c = chunks[i];
-    // All large per-chunk scratch (gather buffer, coefficient copy, wavelet
-    // tiles) comes from this worker's arena: after the first chunk of a
-    // given size the loop performs no heap allocation for these buffers.
-    Arena& arena = tls_arena();
-    arena.reset();
-    double* buf = arena.alloc<double>(c.dims.total());
-    gather_chunk(data, dims, c, buf);
-    // Chunk mean goes into the v3 directory: the DC fallback for coarse_fill
-    // recovery when a damaged chunk's SPECK stream is beyond salvage.
-    double sum = 0.0;
-    for (size_t k = 0; k < c.dims.total(); ++k) sum += buf[k];
-    means[i] = sum / double(c.dims.total());
-    if (cfg.mode == Mode::pwe) {
-      streams[i] = pipeline::encode_pwe(buf, c.dims, cfg.tolerance, cfg.q_over_t,
-                                        nullptr, &arena, intra_threads);
-    } else if (cfg.mode == Mode::target_rmse) {
-      streams[i] = pipeline::encode_target_rmse(buf, c.dims, cfg.rmse, &arena,
-                                                intra_threads);
-    } else {
-      streams[i] = pipeline::encode_fixed_rate(
-          buf, c.dims, pipeline::fixed_rate_budget(cfg.bpp, c.dims), &arena);
-    }
-  }
-
+std::vector<uint8_t> write_container(const std::vector<ChunkStream>& streams,
+                                     Dims dims, uint8_t precision,
+                                     const Config& cfg, Stats* stats) {
   ContainerHeader hdr;
   hdr.mode = cfg.mode;
   hdr.precision = precision;
@@ -84,49 +31,54 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
   hdr.quality = cfg.mode == Mode::pwe ? cfg.tolerance
                 : cfg.mode == Mode::target_rmse ? cfg.rmse
                                                 : cfg.bpp;
-  std::vector<uint8_t> cat;  // scratch to hash speck‖outlier contiguously
-  for (size_t i = 0; i < streams.size(); ++i) {
-    const auto& s = streams[i];
-    ChunkEntry e(s.speck.size(), s.outlier.size());
-    if (s.outlier.empty()) {
-      e.checksum = xxhash64(s.speck.data(), s.speck.size());
-    } else {
-      cat.assign(s.speck.begin(), s.speck.end());
-      cat.insert(cat.end(), s.outlier.begin(), s.outlier.end());
-      e.checksum = xxhash64(cat.data(), cat.size());
-    }
-    e.mean = means[i];
-    hdr.entries.push_back(e);
+  size_t payload_bytes = 0;
+  for (const ChunkStream& s : streams) {
+    hdr.entries.emplace_back(s.speck.size(), s.outlier.size());
+    hdr.entries.back().mean = s.mean;
+    payload_bytes += s.speck.size() + s.outlier.size();
   }
 
+  // The header's size does not depend on the checksums it carries: lay it
+  // out with them zero, append the streams, hash each chunk's speck‖outlier
+  // bytes where they now lie contiguous, and rewrite the header in place.
   std::vector<uint8_t> inner;
   hdr.serialize(inner);
-  for (const auto& s : streams) {
+  const size_t header_bytes = inner.size();
+  inner.reserve(header_bytes + payload_bytes);
+  for (const ChunkStream& s : streams) {
     inner.insert(inner.end(), s.speck.begin(), s.speck.end());
     inner.insert(inner.end(), s.outlier.begin(), s.outlier.end());
   }
+  size_t pos = header_bytes;
+  for (ChunkEntry& e : hdr.entries) {
+    e.checksum = xxhash64(inner.data() + pos, size_t(e.total_len()));
+    pos += size_t(e.total_len());
+  }
+  std::vector<uint8_t> header;
+  hdr.serialize(header);
+  std::copy(header.begin(), header.end(), inner.begin());
 
   const size_t inner_bytes = inner.size();
-  const lossless::EncodeOptions lossless_opts{cfg.lossless_block_size, cfg.num_threads};
-  const auto t0 = std::chrono::steady_clock::now();
-  auto out = wrap_container(std::move(inner), cfg.lossless_pass, lossless_opts);
-  const auto t1 = std::chrono::steady_clock::now();
+  Timer timer;
+  auto out = wrap_container(std::move(inner), cfg.lossless_pass,
+                            {cfg.lossless_block_size, cfg.num_threads});
+  const double lossless_s = timer.seconds();
 
   if (stats) {
     *stats = Stats{};
     stats->compressed_bytes = out.size();
-    stats->num_chunks = chunks.size();
+    stats->num_chunks = streams.size();
     if (cfg.lossless_pass) {
       const size_t bs = std::clamp(cfg.lossless_block_size, size_t(1) << 12, size_t(1) << 30);
       stats->lossless_blocks = inner_bytes == 0 ? 0 : (inner_bytes - 1) / bs + 1;
-      stats->timing.lossless_s = std::chrono::duration<double>(t1 - t0).count();
+      stats->timing.lossless_s = lossless_s;
     }
     // Serial reduction in chunk-index order — per-pass (and per-stage)
     // timers are doubles, and summing them in OpenMP completion order would
     // make these fields differ run-to-run on identical inputs (float
     // addition is not associative). Keeping the fold here, ordered, makes
     // Stats (and the --speck_json records built from it) reproducible.
-    for (const auto& s : streams) {
+    for (const ChunkStream& s : streams) {
       stats->speck_bytes += s.speck.size();
       stats->outlier_bytes += s.outlier.size();
       stats->num_outliers += s.num_outliers;
@@ -145,6 +97,56 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
     stats->bpp = double(out.size()) * 8.0 / double(dims.total());
   }
   return out;
+}
+
+}  // namespace pipeline
+
+namespace {
+
+void require_valid(Dims dims, const Config& cfg) {
+  if (const char* why = pipeline::config_error(dims, cfg))
+    throw std::invalid_argument(std::string("sperr: ") + why);
+}
+
+std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& cfg,
+                                   uint8_t precision, Stats* stats) {
+  const auto chunks = make_chunks(dims, cfg.chunk_dims);
+  std::vector<pipeline::ChunkStream> streams(chunks.size());
+
+  // Intra-chunk SPECK lanes (byte-identical output at any setting). An
+  // explicit count is honored as-is; auto (0) only expands on single-chunk
+  // inputs, where the OpenMP chunk loop cannot use the machine — combining
+  // auto with a parallel chunk loop would oversubscribe every core.
+  const int intra_threads =
+      cfg.intra_chunk_threads == 0 && chunks.size() > 1 ? 1
+                                                        : cfg.intra_chunk_threads;
+
+  bool nonfinite = false;
+#ifdef SPERR_HAVE_OPENMP
+  const int nt = cfg.num_threads > 0 ? cfg.num_threads : omp_get_max_threads();
+#pragma omp parallel for schedule(dynamic) num_threads(nt) reduction(|| : nonfinite)
+#endif
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    const Chunk& c = chunks[i];
+    // All large per-chunk scratch (gather buffer, coefficient copy, wavelet
+    // tiles) comes from this worker's arena: after the first chunk of a
+    // given size the loop performs no heap allocation for these buffers.
+    Arena& arena = tls_arena();
+    arena.reset();
+    double* buf = arena.alloc<double>(c.dims.total());
+    gather_chunk(data, dims, c, buf);
+    if (pipeline::encode_chunk(buf, c.dims, cfg, streams[i], &arena, intra_threads) !=
+        Status::ok)
+      nonfinite = true;
+  }
+  // The reference SPERR has the same requirement; name the first offender.
+  if (nonfinite) {
+    const double* bad = std::find_if_not(data, data + dims.total(),
+                                         [](double v) { return std::isfinite(v); });
+    throw std::invalid_argument("sperr: input contains NaN or Inf at index " +
+                                std::to_string(bad - data));
+  }
+  return pipeline::write_container(streams, dims, precision, cfg, stats);
 }
 
 }  // namespace

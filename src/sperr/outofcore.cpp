@@ -1,21 +1,16 @@
 #include "sperr/outofcore.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
+#include <new>
 #include <vector>
 
 #include "common/arena.h"
-#include "common/byteio.h"
-#include "common/checksum.h"
 #include "sperr/chunker.h"
-#include "sperr/header.h"
 #include "sperr/pipeline.h"
 #include "sperr/recovery.h"
 #include "sperr/sperr.h"
@@ -35,13 +30,15 @@ void crash_point(const char* stage) {
   if (detail::g_crash_hook) detail::g_crash_hook(stage);
 }
 
-/// EINTR-safe full write to a descriptor.
-bool write_fd(int fd, const uint8_t* data, size_t n) {
+/// EINTR-safe full write of `n` bytes at file offset `offset`.
+bool write_at(int fd, const void* data, size_t n, uint64_t offset) {
+  const auto* p = static_cast<const uint8_t*>(data);
   while (n > 0) {
-    const ssize_t put = ::write(fd, data, n);
+    const ssize_t put = ::pwrite(fd, p, n, off_t(offset));
     if (put > 0) {
-      data += put;
+      p += put;
       n -= size_t(put);
+      offset += uint64_t(put);
     } else if (put < 0 && errno != EINTR) {
       return false;
     }
@@ -62,30 +59,38 @@ void fsync_parent_dir(const std::string& path) {
   }
 }
 
-/// Publish `blob` at `out_path` atomically: <out_path>.tmp + fsync +
-/// rename + directory fsync. A crash anywhere leaves the destination
-/// absent, its old content, or the full new content — never a torn file.
-Status atomic_write_file(const std::string& out_path,
-                         const uint8_t* data, size_t size) {
+/// The staged-file writer behind both compress_file and decompress_file:
+/// `fill(fd)` writes the content into a fresh `<out_path>.tmp` (firing the
+/// "tmp_partial" crash point once part of it is down), then the file is
+/// fsync()ed, renamed over the destination and the directory fsync()ed.
+/// A crash anywhere leaves the destination absent, its old content, or the
+/// full new content — never a torn file. Any failure, including a non-ok
+/// status from `fill` (resource_exhausted when it runs out of memory),
+/// unlinks the temp file and is returned.
+template <typename Fill>
+Status write_staged(const std::string& out_path, Fill&& fill) {
   const std::string tmp = out_path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Status::invalid_argument;
   crash_point("tmp_open");
-  const size_t half = size / 2;
-  bool ok = write_fd(fd, data, half);
-  if (ok) crash_point("tmp_partial");
-  ok = ok && write_fd(fd, data + half, size - half);
-  if (ok) crash_point("tmp_written");
-  ok = ok && ::fsync(fd) == 0;
-  ::close(fd);
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    return Status::invalid_argument;
+  Status s = Status::ok;
+  try {
+    s = fill(fd);
+  } catch (const std::bad_alloc&) {
+    s = Status::resource_exhausted;
   }
-  crash_point("tmp_synced");
-  if (::rename(tmp.c_str(), out_path.c_str()) != 0) {
+  if (s == Status::ok) {
+    crash_point("tmp_written");
+    if (::fsync(fd) != 0) s = Status::invalid_argument;
+  }
+  ::close(fd);
+  if (s == Status::ok) {
+    crash_point("tmp_synced");
+    if (::rename(tmp.c_str(), out_path.c_str()) != 0) s = Status::invalid_argument;
+  }
+  if (s != Status::ok) {
     ::unlink(tmp.c_str());
-    return Status::invalid_argument;
+    return s;
   }
   crash_point("renamed");
   fsync_parent_dir(out_path);
@@ -119,7 +124,7 @@ bool read_chunk(std::ifstream& in, Dims vol, int precision, const Chunk& c,
 }
 
 /// Write one decoded chunk into a raw field file, row by row.
-bool write_chunk(std::fstream& out, Dims vol, int precision, const Chunk& c,
+bool write_chunk(int fd, Dims vol, int precision, const Chunk& c,
                  const std::vector<double>& data) {
   const size_t row_elems = c.dims.x;
   std::vector<char> row(row_elems * size_t(precision));
@@ -136,8 +141,7 @@ bool write_chunk(std::fstream& out, Dims vol, int precision, const Chunk& c,
       const uint64_t offset =
           vol.index(c.origin.x, c.origin.y + y, c.origin.z + z) *
           uint64_t(precision);
-      out.seekp(std::streamoff(offset));
-      if (!out.write(row.data(), std::streamsize(row.size()))) return false;
+      if (!write_at(fd, row.data(), row.size(), offset)) return false;
     }
   return true;
 }
@@ -163,74 +167,23 @@ Status compress_file(const std::string& in_path, Dims dims, int precision,
   // chunks (the input file is the bottleneck); in-memory compression keeps
   // the chunk-parallel OpenMP path.
   std::vector<double> buf;
-  std::vector<double> means(chunks.size(), 0.0);
   for (size_t i = 0; i < chunks.size(); ++i) {
     if (!read_chunk(in, dims, precision, chunks[i], buf))
       return Status::truncated_stream;
-    double sum = 0.0;
-    for (const double v : buf) sum += v;
-    means[i] = sum / double(buf.size());
-    if (cfg.mode == Mode::pwe) {
-      streams[i] =
-          pipeline::encode_pwe(buf.data(), chunks[i].dims, cfg.tolerance, cfg.q_over_t);
-    } else if (cfg.mode == Mode::target_rmse) {
-      streams[i] = pipeline::encode_target_rmse(buf.data(), chunks[i].dims, cfg.rmse);
-    } else {
-      streams[i] = pipeline::encode_fixed_rate(
-          buf.data(), chunks[i].dims,
-          pipeline::fixed_rate_budget(cfg.bpp, chunks[i].dims));
-    }
+    if (const Status s = pipeline::encode_chunk(buf.data(), chunks[i].dims, cfg, streams[i]);
+        s != Status::ok)
+      return s;
   }
+  const auto blob = pipeline::write_container(streams, dims, uint8_t(precision), cfg, stats);
 
-  ContainerHeader hdr;
-  hdr.mode = cfg.mode;
-  hdr.precision = uint8_t(precision);
-  hdr.dims = dims;
-  hdr.chunk_dims = cfg.chunk_dims;
-  hdr.quality = cfg.mode == Mode::pwe ? cfg.tolerance
-                : cfg.mode == Mode::target_rmse ? cfg.rmse
-                                                : cfg.bpp;
-  std::vector<uint8_t> cat;  // scratch to hash speck‖outlier contiguously
-  for (size_t i = 0; i < streams.size(); ++i) {
-    const auto& s = streams[i];
-    ChunkEntry e(s.speck.size(), s.outlier.size());
-    if (s.outlier.empty()) {
-      e.checksum = xxhash64(s.speck.data(), s.speck.size());
-    } else {
-      cat.assign(s.speck.begin(), s.speck.end());
-      cat.insert(cat.end(), s.outlier.begin(), s.outlier.end());
-      e.checksum = xxhash64(cat.data(), cat.size());
-    }
-    e.mean = means[i];
-    hdr.entries.push_back(e);
-  }
-
-  std::vector<uint8_t> inner;
-  hdr.serialize(inner);
-  for (auto& s : streams) {
-    inner.insert(inner.end(), s.speck.begin(), s.speck.end());
-    inner.insert(inner.end(), s.outlier.begin(), s.outlier.end());
-  }
-  const auto blob = wrap_container(std::move(inner), cfg.lossless_pass,
-                                   {cfg.lossless_block_size, cfg.num_threads});
-
-  if (const Status ws = atomic_write_file(out_path, blob.data(), blob.size());
-      ws != Status::ok)
-    return ws;
-
-  if (stats) {
-    *stats = Stats{};
-    stats->compressed_bytes = blob.size();
-    stats->num_chunks = chunks.size();
-    for (const auto& s : streams) {
-      stats->speck_bytes += s.speck.size();
-      stats->outlier_bytes += s.outlier.size();
-      stats->num_outliers += s.num_outliers;
-      stats->timing += s.timing;
-    }
-    stats->bpp = double(blob.size()) * 8.0 / double(dims.total());
-  }
-  return Status::ok;
+  return write_staged(out_path, [&](int fd) {
+    const size_t half = blob.size() / 2;
+    if (!write_at(fd, blob.data(), half, 0)) return Status::invalid_argument;
+    crash_point("tmp_partial");
+    return write_at(fd, blob.data() + half, blob.size() - half, half)
+               ? Status::ok
+               : Status::invalid_argument;
+  });
 }
 
 Status decompress_file(const std::string& in_path, const std::string& out_path,
@@ -267,10 +220,8 @@ Status decompress_file(const std::string& in_path, const std::string& out_path,
   // before touching either. One chunk of doubles is the working set.
   const ResourceLimits& rl = effective_limits(limits);
   const uint64_t out_bytes = uint64_t(oc.hdr.dims.total()) * uint64_t(precision);
-  uint64_t chunk_bytes = 0;
-  for (const Chunk& c : oc.chunks)
-    chunk_bytes =
-        std::max<uint64_t>(chunk_bytes, uint64_t(c.dims.total()) * sizeof(double));
+  const uint64_t chunk_bytes =
+      uint64_t(largest_chunk(oc.hdr.dims, oc.hdr.chunk_dims).total()) * sizeof(double);
   Reservation budget_hold;
   if (!rl.admits_output(out_bytes) || !rl.admits_working(chunk_bytes) ||
       !budget_hold.acquire(rl.budget, chunk_bytes)) {
@@ -278,27 +229,11 @@ Status decompress_file(const std::string& in_path, const std::string& out_path,
     return rep.status;
   }
 
-  // Pre-size a temp file, fill it chunk by chunk, and only rename it over
-  // the destination once every chunk landed — a crash mid-decode (or a
-  // fail_fast abort) never leaves a torn raw field at out_path.
-  const std::string tmp_path = out_path + ".tmp";
-  {
-    std::ofstream create(tmp_path, std::ios::binary);
-    if (!create) return Status::invalid_argument;
-    create.seekp(
-        std::streamoff(oc.hdr.dims.total() * uint64_t(precision) - 1));
-    create.put('\0');
-    if (!create) return Status::invalid_argument;
-  }
-  crash_point("tmp_open");
-  {
-    std::fstream out(tmp_path,
-                     std::ios::binary | std::ios::in | std::ios::out);
-    if (!out) {
-      ::unlink(tmp_path.c_str());
-      return Status::invalid_argument;
-    }
-
+  // Fill the staged file chunk by chunk; it only replaces the destination
+  // once every chunk landed — a crash mid-decode (or a fail_fast abort)
+  // never leaves a torn raw field at out_path.
+  const Status ws = write_staged(out_path, [&](int fd) {
+    if (::ftruncate(fd, off_t(out_bytes)) != 0) return Status::invalid_argument;
     rep.chunks.resize(oc.chunks.size());
     std::vector<double> buf;
     Arena& arena = tls_arena();
@@ -313,46 +248,18 @@ Status decompress_file(const std::string& in_path, const std::string& out_path,
           // Serial and in order, so this is the lowest damaged index.
           rep.chunks.resize(i + 1);
           rep.status = rep.chunks[i].status;
-          out.close();
-          ::unlink(tmp_path.c_str());
           return rep.status;
         }
       }
-      if (!write_chunk(out, oc.hdr.dims, precision, oc.chunks[i], buf)) {
-        out.close();
-        ::unlink(tmp_path.c_str());
+      if (!write_chunk(fd, oc.hdr.dims, precision, oc.chunks[i], buf))
         return Status::invalid_argument;
-      }
       if (i == 0) crash_point("tmp_partial");
     }
-    out.flush();
-    if (!out) {
-      out.close();
-      ::unlink(tmp_path.c_str());
-      return Status::invalid_argument;
-    }
-  }
-  crash_point("tmp_written");
-  {
-    const int fd = ::open(tmp_path.c_str(), O_WRONLY);
-    const bool synced = fd >= 0 && ::fsync(fd) == 0;
-    if (fd >= 0) ::close(fd);
-    if (!synced) {
-      ::unlink(tmp_path.c_str());
-      return Status::invalid_argument;
-    }
-  }
-  crash_point("tmp_synced");
-  if (::rename(tmp_path.c_str(), out_path.c_str()) != 0) {
-    ::unlink(tmp_path.c_str());
-    return Status::invalid_argument;
-  }
-  crash_point("renamed");
-  fsync_parent_dir(out_path);
-  crash_point("dir_synced");
-  rep.status = Status::ok;
-  rep.field_valid = true;
-  return Status::ok;
+    return Status::ok;
+  });
+  rep.status = ws;
+  rep.field_valid = ws == Status::ok;
+  return ws;
 } catch (const std::bad_alloc&) {
   if (report) report->status = Status::resource_exhausted;
   return Status::resource_exhausted;

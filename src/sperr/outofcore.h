@@ -9,10 +9,15 @@
 // O(volume).
 //
 // Raw files are x-fastest arrays of f32 or f64 (the SDRBench layout).
+// compress_file runs the same per-chunk step (pipeline::encode_chunk) and
+// container writer (pipeline::write_container) as sperr::compress, so it
+// writes the same bytes and fills the same Stats; decompress_file decodes
+// each chunk through the recovery core that sperr::decompress_tolerant uses.
 //
-// Output files are written crash-consistently: bytes go to `<path>.tmp`,
-// the file is fsync()ed, rename()d over the destination, and the parent
-// directory fsync()ed. A crash at ANY point leaves the destination either
+// Output files are written crash-consistently by one staged-file writer
+// shared by both directions: bytes go to `<path>.tmp`, the file is
+// fsync()ed, rename()d over the destination, and the parent directory
+// fsync()ed. A crash at ANY point leaves the destination either
 // absent, its previous content, or the complete new content — never a
 // torn container (the torn-write crash-point test in test_outofcore.cpp
 // kills the writer at every stage boundary and asserts exactly that).
@@ -45,7 +50,9 @@ void set_crash_hook(CrashHook hook);
 
 /// Compress the raw field stored at `in_path` (extents `dims`, `precision`
 /// bytes per sample: 4 or 8) into a SPERR container at `out_path`.
-/// Returns invalid_argument when the file size does not match dims.
+/// Returns invalid_argument when the file size does not match dims or the
+/// field holds a NaN or Inf (nothing is written then, not even the temp
+/// file).
 Status compress_file(const std::string& in_path, Dims dims, int precision,
                      const Config& cfg, const std::string& out_path,
                      Stats* stats = nullptr);

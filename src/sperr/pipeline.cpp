@@ -134,6 +134,29 @@ ChunkStream encode_target_rmse(const double* data, Dims dims, double rmse_target
   return result;
 }
 
+Status encode_chunk(const double* data, Dims dims, const Config& cfg,
+                    ChunkStream& out, Arena* arena, int intra_chunk_threads) {
+  // A finite sum proves every sample finite, so the scan for a NaN or Inf
+  // runs only when the sum is not (it may also just have overflowed).
+  const size_t n = dims.total();
+  double sum = 0.0;
+  for (size_t k = 0; k < n; ++k) sum += data[k];
+  if (!std::isfinite(sum) &&
+      !std::all_of(data, data + n, [](double v) { return std::isfinite(v); }))
+    return Status::invalid_argument;
+
+  if (cfg.mode == Mode::pwe) {
+    out = encode_pwe(data, dims, cfg.tolerance, cfg.q_over_t, nullptr, arena,
+                     intra_chunk_threads);
+  } else if (cfg.mode == Mode::target_rmse) {
+    out = encode_target_rmse(data, dims, cfg.rmse, arena, intra_chunk_threads);
+  } else {
+    out = encode_fixed_rate(data, dims, fixed_rate_budget(cfg.bpp, dims), arena);
+  }
+  out.mean = sum / double(n);
+  return Status::ok;
+}
+
 Status decode_lowres(const uint8_t* speck_stream, size_t speck_len, Dims dims,
                      size_t drop_levels, std::vector<double>& out,
                      Dims& coarse_dims) {

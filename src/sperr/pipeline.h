@@ -34,6 +34,7 @@ struct ChunkStream {
   size_t outlier_payload_bits = 0;  ///< bits in the outlier payload (excl. header)
   speck::EncodeStats speck_stats;  ///< coder-internal counters for this chunk
   StageTiming timing;
+  double mean = 0.0;  ///< input mean: the directory's DC fallback for coarse_fill recovery
 };
 
 /// PWE-bounded encode of one chunk: guarantees every reconstructed value is
@@ -59,9 +60,9 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
                        Arena* arena = nullptr, int intra_chunk_threads = 1);
 
 /// SPECK bit budget of one fixed-rate chunk: bpp * voxels rounded to the
-/// nearest bit, at least one byte. sperr::compress and
-/// outofcore::compress_file both take it from here, so they write the same
-/// container for the same input.
+/// nearest bit, at least one byte. encode_chunk and truncate_fixed_rate both
+/// take it from here, so a cut lands on the budget a direct encode at the
+/// same rate would use.
 size_t fixed_rate_budget(double bpp, Dims chunk_dims);
 
 /// Size-bounded encode: the SPECK stream is truncated at `budget_bits`.
@@ -76,6 +77,28 @@ ChunkStream encode_fixed_rate(const double* data, Dims dims, size_t budget_bits,
 /// bitplanes down to that step are coded, no outlier pass.
 ChunkStream encode_target_rmse(const double* data, Dims dims, double rmse_target,
                                Arena* arena = nullptr, int intra_chunk_threads = 1);
+
+/// The per-chunk step of both compressors (sperr::compress and
+/// outofcore::compress_file): reject a chunk holding NaN or Inf (returns
+/// invalid_argument with `out` untouched — non-finite samples would poison
+/// the transform and quantizer), record the chunk mean, and encode the chunk
+/// in cfg.mode: encode_pwe, encode_target_rmse, or encode_fixed_rate at
+/// fixed_rate_budget(cfg.bpp, dims).
+Status encode_chunk(const double* data, Dims dims, const Config& cfg,
+                    ChunkStream& out, Arena* arena = nullptr,
+                    int intra_chunk_threads = 1);
+
+/// The one writer of v3 containers (sperr::compress, outofcore::compress_file
+/// and truncate_fixed_rate all assemble through it): the header for a `dims`
+/// volume of `precision`-byte input with cfg's mode, chunk extents and
+/// quality; the chunk directory (stream lengths, XXH64 over each chunk's
+/// speck‖outlier bytes, mean); the concatenated streams; and wrap_container
+/// with cfg's lossless settings. `streams` are in make_chunks order.
+/// `stats`, when non-null, receives the container's Stats, folded over the
+/// chunks in index order so the timing sums are reproducible run to run.
+std::vector<uint8_t> write_container(const std::vector<ChunkStream>& streams,
+                                     Dims dims, uint8_t precision,
+                                     const Config& cfg, Stats* stats = nullptr);
 
 /// Multi-level decode (paper §VII): reconstruct the chunk at a coarsened
 /// resolution by stopping the inverse wavelet recursion `drop_levels` early

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "common/arena.h"
 #include "common/byteio.h"
@@ -205,42 +206,45 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
   return r;
 }
 
-}  // namespace detail
-
-Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
-                           std::vector<double>& out, Dims& dims,
-                           DecodeReport* report, const ResourceLimits* limits) try {
-  DecodeReport local;
-  DecodeReport& rep = report ? *report : local;
+template <typename T>
+Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
+                    std::vector<T>& out, Dims& dims, DecodeReport& rep,
+                    const ResourceLimits* limits) try {
   rep = DecodeReport{};
   rep.policy = policy;
   Timer timer;
-
-  detail::OpenedContainer oc;
-  if (const Status s =
-          detail::open_tolerant(stream, nbytes, policy, oc, &rep, limits);
-      s != Status::ok) {
+  const auto finish = [&](Status s) {
     rep.status = s;
     rep.seconds = timer.seconds();
     return s;
-  }
+  };
+
+  OpenedContainer oc;
+  if (const Status s = open_tolerant(stream, nbytes, policy, oc, &rep, limits);
+      s != Status::ok)
+    return finish(s);
 
   // The header parsed, but its extents size the output field — admit them
   // (and carve them from the shared budget, when one is attached) before
-  // the assign below commits the allocation. The per-chunk scratch buffers
-  // are bounded by the largest chunk, itself bounded by the field.
+  // the assign below commits the allocation. A double field also bounds the
+  // per-chunk scratch; a float field holds one chunk of doubles on top, as
+  // each chunk decodes into arena scratch and is narrowed straight into it.
   const ResourceLimits& rl = effective_limits(limits);
-  const uint64_t field_bytes = uint64_t(oc.hdr.dims.total()) * sizeof(double);
-  Reservation budget_hold;
-  if (!rl.admits_output(field_bytes) || !rl.admits_working(field_bytes) ||
-      !budget_hold.acquire(rl.budget, field_bytes)) {
-    rep.status = Status::resource_exhausted;
-    rep.seconds = timer.seconds();
-    return rep.status;
+  const uint64_t field_bytes = uint64_t(oc.hdr.dims.total()) * sizeof(T);
+  uint64_t working_bytes = field_bytes;
+  uint64_t held_bytes = field_bytes;
+  if constexpr (std::is_same_v<T, float>) {
+    working_bytes =
+        uint64_t(largest_chunk(oc.hdr.dims, oc.hdr.chunk_dims).total()) * sizeof(double);
+    held_bytes += working_bytes;
   }
+  Reservation budget_hold;
+  if (!rl.admits_output(field_bytes) || !rl.admits_working(working_bytes) ||
+      !budget_hold.acquire(rl.budget, held_bytes))
+    return finish(Status::resource_exhausted);
 
   dims = oc.hdr.dims;
-  out.assign(dims.total(), 0.0);
+  out.assign(dims.total(), T(0));
   rep.chunks.resize(oc.chunks.size());
 
   // Single-chunk containers cannot use the chunk-parallel loop below, so
@@ -255,10 +259,14 @@ Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy
   for (size_t i = 0; i < oc.chunks.size(); ++i) {
     Arena& arena = tls_arena();
     arena.reset();
-    double* buf = arena.alloc<double>(oc.chunks[i].dims.total());
-    std::fill(buf, buf + oc.chunks[i].dims.total(), 0.0);
-    rep.chunks[i] = detail::decode_chunk(oc, i, policy, buf, &arena, intra_threads);
-    scatter_chunk(buf, oc.chunks[i], out.data(), dims);
+    const size_t n = oc.chunks[i].dims.total();
+    double* buf = arena.alloc<double>(n);
+    std::fill(buf, buf + n, 0.0);
+    rep.chunks[i] = decode_chunk(oc, i, policy, buf, &arena, intra_threads);
+    if constexpr (std::is_same_v<T, float>)
+      scatter_chunk_narrow(buf, oc.chunks[i], out.data(), dims);
+    else
+      scatter_chunk(buf, oc.chunks[i], out.data(), dims);
   }
 
   for (const ChunkReport& c : rep.chunks) {
@@ -266,22 +274,31 @@ Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy
     ++rep.damaged;
     if (c.action != ChunkAction::none) ++rep.recovered;
   }
-  if (policy == Recovery::fail_fast && rep.damaged > 0) {
-    // Deterministic attribution: the lowest damaged chunk index wins, no
-    // matter which OpenMP worker saw its failure first.
-    rep.status = rep.chunks[rep.first_damaged()].status;
-    rep.field_valid = false;
-  } else {
-    rep.status = Status::ok;
-    rep.field_valid = true;
-  }
-  rep.seconds = timer.seconds();
-  return rep.status;
+  // Deterministic attribution: under fail_fast the lowest damaged chunk
+  // index wins, no matter which OpenMP worker saw its failure first.
+  rep.field_valid = policy != Recovery::fail_fast || rep.damaged == 0;
+  return finish(rep.field_valid ? Status::ok
+                                : rep.chunks[rep.first_damaged()].status);
 } catch (const std::bad_alloc&) {
   // Belt and braces: the limits above should have rejected anything this
   // large, but a genuinely out-of-memory machine still gets an answer.
-  if (report) report->status = Status::resource_exhausted;
+  rep.status = Status::resource_exhausted;
   return Status::resource_exhausted;
+}
+
+template Status decode_field(const uint8_t*, size_t, Recovery, std::vector<double>&,
+                             Dims&, DecodeReport&, const ResourceLimits*);
+template Status decode_field(const uint8_t*, size_t, Recovery, std::vector<float>&,
+                             Dims&, DecodeReport&, const ResourceLimits*);
+
+}  // namespace detail
+
+Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
+                           std::vector<double>& out, Dims& dims,
+                           DecodeReport* report, const ResourceLimits* limits) {
+  DecodeReport local;
+  return detail::decode_field(stream, nbytes, policy, out, dims,
+                              report ? *report : local, limits);
 }
 
 Status verify_container(const uint8_t* stream, size_t nbytes,

@@ -1,9 +1,11 @@
 #pragma once
 
-// Internal fault-isolated decode core shared by the in-memory tolerant
-// decoder (sperr::decompress_tolerant, sperr::decompress), the out-of-core
-// reader (sperr::outofcore::decompress_file), and the integrity audit
-// (sperr::verify_container). Not part of the public API — include
+// Internal fault-isolated decode core. open_tolerant and audit_chunk serve
+// every reader: the in-memory decode loop decode_field (behind
+// sperr::decompress_tolerant and both sperr::decompress overloads), the
+// out-of-core reader (sperr::outofcore::decompress_file), the integrity
+// audit (sperr::verify_container), sperr::decompress_lowres and
+// sperr::truncate_fixed_rate. Not part of the public API — include
 // sperr/sperr.h instead.
 
 #include <cstdint>
@@ -60,5 +62,15 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
 
 /// Checksum/extent audit of chunk `i` without decoding (verify_container).
 ChunkReport audit_chunk(const OpenedContainer& oc, size_t i);
+
+/// The one in-memory decode loop, for double (decompress_tolerant) and
+/// float (the f32 decompress) output: open, admit the output field against
+/// `limits`, decode every chunk in parallel, scatter it into `out` — or
+/// narrow it, for float — and fold the per-chunk verdicts into `report`.
+/// Returns report.status.
+template <typename T>
+Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
+                    std::vector<T>& out, Dims& dims, DecodeReport& report,
+                    const ResourceLimits* limits);
 
 }  // namespace sperr::detail

@@ -46,19 +46,26 @@ void write_file(const std::string& path, const std::vector<uint8_t>& bytes) {
   ASSERT_TRUE(out.good()) << "cannot write " << path;
 }
 
-/// Compress the field, compare byte-for-byte against the committed fixture
-/// (or rewrite it under SPERR_GOLDEN_REGEN=1), then decode the FIXTURE bytes
-/// and hand the reconstruction back for mode-specific checks.
-void check_golden(const std::string& name, const std::vector<double>& field,
-                  Dims dims, const Config& cfg, std::vector<double>& recon) {
-  const auto fresh = compress(field.data(), dims, cfg);
+/// Compare freshly produced container bytes against the committed fixture
+/// (or rewrite it under SPERR_GOLDEN_REGEN=1) and return the FIXTURE bytes.
+std::vector<uint8_t> check_bytes(const std::string& name,
+                                 const std::vector<uint8_t>& fresh) {
   const std::string path = golden_path(name);
   if (regen_requested()) write_file(path, fresh);
 
   const auto golden = read_file(path);
-  ASSERT_FALSE(golden.empty()) << path << " missing — run with SPERR_GOLDEN_REGEN=1";
-  ASSERT_EQ(fresh.size(), golden.size()) << name << ": stream length changed";
-  ASSERT_EQ(fresh, golden) << name << ": stream bytes changed";
+  EXPECT_FALSE(golden.empty()) << path << " missing — run with SPERR_GOLDEN_REGEN=1";
+  EXPECT_EQ(fresh.size(), golden.size()) << name << ": stream length changed";
+  EXPECT_TRUE(fresh == golden) << name << ": stream bytes changed";
+  return golden;
+}
+
+/// Compress the field, check the bytes against the fixture, then decode the
+/// FIXTURE bytes and hand the reconstruction back for mode-specific checks.
+void check_golden(const std::string& name, const std::vector<double>& field,
+                  Dims dims, const Config& cfg, std::vector<double>& recon) {
+  const auto golden = check_bytes(name, compress(field.data(), dims, cfg));
+  ASSERT_FALSE(::testing::Test::HasFailure());
 
   Dims out_dims;
   ASSERT_EQ(decompress(golden.data(), golden.size(), recon, out_dims), Status::ok);
@@ -105,6 +112,78 @@ TEST(GoldenStreams, Pwe2dSlice) {
   check_golden("pwe_2d.sperr", field, dims, cfg, recon);
   for (size_t i = 0; i < recon.size(); ++i)
     ASSERT_LE(std::fabs(field[i] - recon[i]), cfg.tolerance) << "index " << i;
+}
+
+// ---- Multi-chunk container writer ------------------------------------------
+// The fixtures above are single-chunk f64. These two pin what only a
+// multi-chunk container carries: the directory (lengths, checksums, means)
+// over a non-divisible chunk grid, the f32 precision byte, the target-rmse
+// quality field, and the container that truncate_fixed_rate re-assembles.
+
+TEST(GoldenStreams, TargetRmseF32MultiChunk) {
+  const Dims dims{40, 26, 18};  // 16^3 chunks: a 3 x 2 x 1 grid of unequal chunks
+  const auto wide = data::s3d_temperature(dims, 4);
+  const std::vector<float> field(wide.begin(), wide.end());
+  Config cfg;
+  cfg.mode = Mode::target_rmse;
+  cfg.rmse = 2e-3;
+  cfg.chunk_dims = Dims{16, 16, 16};
+  const auto golden = check_bytes("rmse_f32_multichunk.sperr",
+                                  compress(field.data(), dims, cfg));
+  ASSERT_FALSE(HasFailure());
+  ASSERT_EQ(golden[4], ContainerHeader::kVersion);
+
+  std::vector<uint8_t> inner;
+  ContainerHeader hdr;
+  ASSERT_EQ(open_container(golden.data(), golden.size(), inner, hdr), Status::ok);
+  EXPECT_EQ(hdr.precision, 4u);
+  EXPECT_EQ(hdr.quality, cfg.rmse);
+  EXPECT_EQ(hdr.entries.size(), 6u);
+
+  // The f32 decoder narrows what the f64 decoder reconstructs, and the
+  // field meets its RMSE target.
+  std::vector<float> recon32;
+  std::vector<double> recon64;
+  Dims d32, d64;
+  ASSERT_EQ(decompress(golden.data(), golden.size(), recon32, d32), Status::ok);
+  ASSERT_EQ(decompress(golden.data(), golden.size(), recon64, d64), Status::ok);
+  ASSERT_EQ(d32, dims);
+  ASSERT_EQ(d64, dims);
+  double sq = 0.0;
+  for (size_t i = 0; i < recon64.size(); ++i) {
+    ASSERT_EQ(recon32[i], float(recon64[i])) << "index " << i;
+    const double e = double(field[i]) - recon64[i];
+    sq += e * e;
+  }
+  EXPECT_LE(std::sqrt(sq / double(recon64.size())), cfg.rmse);
+}
+
+TEST(GoldenStreams, TruncatedFixedRateMultiChunk) {
+  const Dims dims{36, 30, 20};  // 16^3 chunks: a 2 x 2 x 1 grid of unequal chunks
+  const auto field = data::nyx_dark_matter_density(dims, 5);
+  Config cfg;
+  cfg.mode = Mode::fixed_rate;
+  cfg.bpp = 6.0;
+  cfg.chunk_dims = Dims{16, 16, 16};
+  const auto full = compress(field.data(), dims, cfg);
+  std::vector<uint8_t> cut;
+  ASSERT_EQ(truncate_fixed_rate(full.data(), full.size(), 1.5, cut), Status::ok);
+  const auto golden = check_bytes("rate_cut_multichunk.sperr", cut);
+  ASSERT_FALSE(HasFailure());
+
+  std::vector<uint8_t> inner;
+  ContainerHeader hdr;
+  ASSERT_EQ(open_container(golden.data(), golden.size(), inner, hdr), Status::ok);
+  EXPECT_EQ(hdr.quality, 1.5);
+  EXPECT_EQ(hdr.entries.size(), 4u);
+  EXPECT_LT(double(golden.size()) * 8.0 / double(dims.total()), 1.5 * 1.25);
+
+  std::vector<double> recon;
+  Dims out_dims;
+  ASSERT_EQ(decompress(golden.data(), golden.size(), recon, out_dims), Status::ok);
+  ASSERT_EQ(out_dims, dims);
+  for (size_t i = 0; i < recon.size(); ++i)
+    ASSERT_TRUE(std::isfinite(recon[i])) << "index " << i;
 }
 
 // ---- Legacy container compatibility ---------------------------------------

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -92,6 +93,23 @@ TEST(OutOfCore, PweRoundTripMatchesInMemoryPath) {
   for (size_t i = 0; i < field.size(); ++i)
     max_err = std::max(max_err, std::fabs(field[i] - file_recon[i]));
   EXPECT_LE(max_err, cfg.tolerance);
+
+  // Both entry points write through one container writer, so every count in
+  // Stats matches the in-memory compressor's.
+  Stats mem;
+  EXPECT_EQ(compress(field.data(), dims, cfg, &mem), blob);
+  EXPECT_EQ(stats.compressed_bytes, mem.compressed_bytes);
+  EXPECT_EQ(stats.speck_bytes, mem.speck_bytes);
+  EXPECT_EQ(stats.outlier_bytes, mem.outlier_bytes);
+  EXPECT_EQ(stats.num_outliers, mem.num_outliers);
+  EXPECT_EQ(stats.num_chunks, mem.num_chunks);
+  EXPECT_EQ(stats.lossless_blocks, mem.lossless_blocks);
+  EXPECT_GT(stats.lossless_blocks, 0u);
+  EXPECT_EQ(stats.speck_payload_bits, mem.speck_payload_bits);
+  EXPECT_GT(stats.speck_payload_bits, 0u);
+  EXPECT_EQ(stats.speck_planes_coded, mem.speck_planes_coded);
+  EXPECT_EQ(stats.speck_significant, mem.speck_significant);
+  EXPECT_EQ(stats.bpp, mem.bpp);
 }
 
 TEST(OutOfCore, SinglePrecisionFiles) {
@@ -136,19 +154,54 @@ TEST(OutOfCore, FixedRateBudgetMatchesInMemoryPath) {
   // different budgets, and both entry points must pick the same one.
   const Dims dims{32, 32, 32};
   const auto field = data::s3d_temperature(dims);
-  Config cfg;
-  cfg.mode = Mode::fixed_rate;
-  cfg.bpp = 1.99999;
-  const double exact = cfg.bpp * double(dims.total());
+  Config rate;
+  rate.mode = Mode::fixed_rate;
+  rate.bpp = 1.99999;
+  const double exact = rate.bpp * double(dims.total());
   ASSERT_NE(size_t(exact), size_t(std::llround(exact)));
+
+  // The error-bounded modes write the same container from a file as from
+  // memory too, here over a non-divisible chunk grid.
+  Config pwe;
+  pwe.tolerance = tolerance_from_idx(field.data(), field.size(), 14);
+  pwe.chunk_dims = Dims{20, 20, 20};
+  Config rmse;
+  rmse.mode = Mode::target_rmse;
+  rmse.rmse = pwe.tolerance;
+  rmse.chunk_dims = pwe.chunk_dims;
 
   TempFile raw(".raw"), packed(".sperr");
   write_raw(raw.path(), field, 8);
-  ASSERT_EQ(compress_file(raw.path(), dims, 8, cfg, packed.path()), Status::ok);
-  std::ifstream in(packed.path(), std::ios::binary);
-  const std::vector<uint8_t> blob{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-  EXPECT_EQ(blob, compress(field.data(), dims, cfg));
+  for (const Config& cfg : {rate, pwe, rmse}) {
+    SCOPED_TRACE(int(cfg.mode));
+    ASSERT_EQ(compress_file(raw.path(), dims, 8, cfg, packed.path()), Status::ok);
+    std::ifstream in(packed.path(), std::ios::binary);
+    const std::vector<uint8_t> blob{std::istreambuf_iterator<char>(in),
+                                    std::istreambuf_iterator<char>()};
+    EXPECT_EQ(blob, compress(field.data(), dims, cfg));
+  }
+}
+
+TEST(OutOfCore, NonFiniteInputRejected) {
+  // A NaN or Inf sample fails the file compressor the way it fails the
+  // in-memory one: nothing is written, not even the staged temp file.
+  const Dims dims{24, 20, 18};
+  Config cfg;
+  cfg.tolerance = 1e-3;
+  cfg.chunk_dims = Dims{16, 16, 16};
+  for (const int precision : {8, 4}) {
+    for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+      SCOPED_TRACE(std::to_string(precision) + " " + std::to_string(bad));
+      auto field = data::miranda_density(dims);
+      field[dims.index(20, 17, 9)] = bad;  // in the last chunk
+      TempFile raw(".raw"), packed(".sperr");
+      write_raw(raw.path(), field, precision);
+      EXPECT_EQ(compress_file(raw.path(), dims, precision, cfg, packed.path()),
+                Status::invalid_argument);
+      EXPECT_FALSE(std::ifstream(packed.path()).good());
+      EXPECT_FALSE(std::ifstream(packed.path() + ".tmp").good());
+    }
+  }
 }
 
 TEST(OutOfCore, SizeMismatchRejected) {

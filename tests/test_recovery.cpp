@@ -370,6 +370,29 @@ TEST(Recovery, LowresVerifiesChunkChecksum) {
             Status::corrupt_chunk);
 }
 
+TEST(Recovery, TruncateRefusesDamagedChunk) {
+  // A cut re-hashes every chunk it writes, so it must check the stored
+  // checksum first: cutting a damaged chunk would hand back a container
+  // whose checksums vouch for the damage.
+  const Dims dims{48, 48, 24};
+  const auto field = data::miranda_pressure(dims, 9);
+  Config cfg;
+  cfg.mode = Mode::fixed_rate;
+  cfg.bpp = 4.0;
+  cfg.chunk_dims = Dims{24, 24, 24};
+  cfg.lossless_pass = false;  // streams at known offsets
+  const auto blob = compress(field.data(), dims, cfg);
+  std::vector<uint8_t> cut;
+  ASSERT_EQ(truncate_fixed_rate(blob.data(), blob.size(), 1.0, cut), Status::ok);
+
+  const auto ranges = chunk_ranges(blob);
+  ASSERT_EQ(ranges.size(), 4u);
+  auto bad = blob;
+  bad[ranges[2].offset + 40] ^= 0x10;  // inside the first bits the cut keeps
+  EXPECT_EQ(truncate_fixed_rate(bad.data(), bad.size(), 1.0, cut),
+            Status::corrupt_chunk);
+}
+
 // ---- out-of-core reader ------------------------------------------------------
 
 TEST(Recovery, OutOfCoreTolerantMatchesInMemory) {

@@ -3,9 +3,9 @@
 # ctest:
 #   1. every relative markdown link in README.md and docs/*.md resolves to a
 #      file or directory that exists;
-#   2. every `src/...` (also docs/, tools/, bench/, tests/, scripts/) path
-#      README.md or docs/*.md names in backticks exists on disk, so the
-#      architecture table cannot drift from the tree;
+#   2. every `src/...` (also docs/, tools/, bench/, tests/, scripts/,
+#      oracle/, perfbench/) path README.md or docs/*.md names in backticks
+#      exists on disk, so the architecture table cannot drift from the tree;
 #   3. docs/PROTOCOL.md carries exactly one machine-readable conformance
 #      block (the hexdump tests/test_server.cpp replays verbatim);
 #   4. every seed file tools/fuzz/make_corpus.cpp writes is tracked by git,
@@ -58,7 +58,7 @@ for f in "$ROOT"/README.md "$ROOT"/docs/*.md; do
       echo "MISSING PATH: ${f#"$ROOT"/} names \`$path\`"
       fail=1
     fi
-  done < <(grep -o '`\(src\|docs\|tools\|bench\|tests\|scripts\)/[^` ]*`' "$f")
+  done < <(grep -o '`\(src\|docs\|tools\|bench\|tests\|scripts\|oracle\|perfbench\)/[^` ]*`' "$f")
 done
 
 # --- 3. PROTOCOL.md conformance block ----------------------------------------
