@@ -332,6 +332,7 @@ struct SpeckRecord {
   std::vector<sperr::speck::PassTiming> passes;  // serial fast encode
   double setup_s = 0.0;   // serial fast encode, outside the passes
   double finish_s = 0.0;
+  sperr::speck::DecodeStats decode_stats;  // serial fast decode
 };
 
 SpeckRecord run_speck_record(size_t n, int repeats, int threads) {
@@ -354,7 +355,8 @@ SpeckRecord run_speck_record(size_t n, int repeats, int threads) {
   const auto fast_stream = encode(coeffs.data(), rec.dims, q, 0, &fast_stats);
   std::vector<double> ref_out(coeffs.size()), fast_out(coeffs.size());
   (void)decode_reference(ref_stream.data(), ref_stream.size(), rec.dims, ref_out.data());
-  (void)decode(fast_stream.data(), fast_stream.size(), rec.dims, fast_out.data());
+  (void)decode(fast_stream.data(), fast_stream.size(), rec.dims, fast_out.data(),
+               &rec.decode_stats);
   rec.bit_identical =
       fast_stream == ref_stream &&
       fast_stats.payload_bits == ref_stats.payload_bits &&
@@ -455,7 +457,12 @@ int write_speck_json(const std::string& path, size_t n, int repeats, int threads
       "  \"bit_identical\": %s,\n"
       "  \"parallel_bit_identical\": %s,\n"
       "  \"setup_seconds\": %.6f,\n"
-      "  \"finish_seconds\": %.6f,\n",
+      "  \"finish_seconds\": %.6f,\n"
+      "  \"planes_decoded\": %zu,\n"
+      "  \"decode_setup_seconds\": %.6f,\n"
+      "  \"decode_sorting_seconds\": %.6f,\n"
+      "  \"decode_refinement_seconds\": %.6f,\n"
+      "  \"decode_finish_seconds\": %.6f,\n",
       rec.dims.x, rec.dims.y, rec.dims.z, rec.repeats, rec.threads, rec.planes,
       rec.payload_bits, rec.ref_encode_s, rec.ref_decode_s, rec.fast_encode_s,
       rec.fast_decode_s, rec.par_encode_s, rec.par_decode_s,
@@ -467,10 +474,14 @@ int write_speck_json(const std::string& path, size_t n, int repeats, int threads
       rec.fast_decode_s / rec.par_decode_s,
       mvox_e / rec.fast_encode_s, mvox_e / rec.fast_decode_s,
       rec.bit_identical ? "true" : "false",
-      rec.parallel_bit_identical ? "true" : "false", rec.setup_s, rec.finish_s);
+      rec.parallel_bit_identical ? "true" : "false", rec.setup_s, rec.finish_s,
+      rec.decode_stats.planes_decoded, rec.decode_stats.setup_s,
+      rec.decode_stats.sorting_s, rec.decode_stats.refinement_s,
+      rec.decode_stats.finish_s);
   std::string json(buf);
   // Per-pass cost records from the serial fast encode, top plane first
-  // (setup_seconds + their seconds + finish_seconds is the whole call). The
+  // (setup_seconds + their seconds + finish_seconds is the whole call; the
+  // decode_* seconds split the first serial fast decode the same way). The
   // bit counts are stream properties (reproducible anywhere); the seconds
   // are this machine's wall clock.
   json += "  \"per_pass\": [\n";

@@ -27,21 +27,30 @@ inline int64_t nb2int(uint64_t x) {
   return int64_t((x ^ kNbMask) - kNbMask);
 }
 
+// The lifts run in uint64_t: additions wrap modulo 2^64 (a corrupt stream
+// can hand the inverse transform any 64-bit values, and signed overflow
+// would be undefined), while asr() keeps zfp's arithmetic right shifts.
+inline uint64_t asr(uint64_t x, int s) { return uint64_t(int64_t(x) >> s); }
+
 // zfp's forward decorrelating lifting transform on one 4-vector.
-inline void fwd_lift(int64_t& x, int64_t& y, int64_t& z, int64_t& w) {
-  x += w; x >>= 1; w -= x;
-  z += y; z >>= 1; y -= z;
-  x += z; x >>= 1; z -= x;
-  w += y; w >>= 1; y -= w;
-  w += y >> 1; y -= w >> 1;
+inline void fwd_lift(int64_t& x0, int64_t& y0, int64_t& z0, int64_t& w0) {
+  uint64_t x = uint64_t(x0), y = uint64_t(y0), z = uint64_t(z0), w = uint64_t(w0);
+  x += w; x = asr(x, 1); w -= x;
+  z += y; z = asr(z, 1); y -= z;
+  x += z; x = asr(x, 1); z -= x;
+  w += y; w = asr(w, 1); y -= w;
+  w += asr(y, 1); y -= asr(w, 1);
+  x0 = int64_t(x), y0 = int64_t(y), z0 = int64_t(z), w0 = int64_t(w);
 }
 
-inline void inv_lift(int64_t& x, int64_t& y, int64_t& z, int64_t& w) {
-  y += w >> 1; w -= y >> 1;
+inline void inv_lift(int64_t& x0, int64_t& y0, int64_t& z0, int64_t& w0) {
+  uint64_t x = uint64_t(x0), y = uint64_t(y0), z = uint64_t(z0), w = uint64_t(w0);
+  y += asr(w, 1); w -= asr(y, 1);
   y += w; w <<= 1; w -= y;
   z += x; x <<= 1; x -= z;
   y += z; z <<= 1; z -= y;
   w += x; x <<= 1; x -= w;
+  x0 = int64_t(x), y0 = int64_t(y), z0 = int64_t(z), w0 = int64_t(w);
 }
 
 template <class Lift>

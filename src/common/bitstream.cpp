@@ -45,43 +45,28 @@ void WordBitWriter::grow() {
   bytes_.resize(std::max<size_t>(256, bytes_.size() * 2));
 }
 
-size_t BitReader::peek_zero_run(size_t limit) const {
-  const size_t avail = pos_ < nbits_ ? nbits_ - pos_ : 0;
-  limit = std::min(limit, avail);
-  size_t run = 0;
-  size_t p = pos_;
-  while (run < limit) {
-    const unsigned off = unsigned(p % 8);
-    const unsigned chunk = unsigned(std::min<size_t>(8 - off, limit - run));
-    const unsigned window = (unsigned(data_[p / 8]) >> off) & ((1u << chunk) - 1u);
-    if (window != 0) {
-      // First 1-bit inside the window ends the run.
-      unsigned z = 0;
-      while (((window >> z) & 1u) == 0) ++z;
-      return run + z;
-    }
-    run += chunk;
-    p += chunk;
-  }
-  return run;
+uint64_t BitReader::word_at_end(size_t bit) const {
+  if (bit >= nbits_) return 0;
+  const size_t byte = bit / 8;
+  const unsigned sh = unsigned(bit % 8);
+  // Up to nine bytes hold the word: load those that exist.
+  uint64_t w = 0;
+  for (size_t i = 0; i < 8 && byte + i < nbytes_; ++i)
+    w |= uint64_t(data_[byte + i]) << (8 * i);
+  w >>= sh;
+  if (byte + 8 < nbytes_) w |= (uint64_t(data_[byte + 8]) << 1) << (63 - sh);
+  const size_t left = nbits_ - bit;
+  if (left < 64) w &= (uint64_t(1) << left) - 1;
+  return w;
 }
 
 uint64_t BitReader::get_bits(unsigned count) {
   if (count == 0) return 0;
-  const size_t avail = pos_ < nbits_ ? nbits_ - pos_ : 0;
-  const unsigned take = count <= avail ? count : unsigned(std::min<size_t>(avail, 64));
+  const size_t avail = bits_left();
+  const unsigned take = count <= avail ? count : unsigned(avail);
   if (take < count) exhausted_ = true;  // missing bits read as zero
-  uint64_t v = 0;
-  unsigned got = 0;
-  size_t p = pos_;
-  while (got < take) {
-    const unsigned off = unsigned(p % 8);
-    const unsigned chunk = std::min(8 - off, take - got);
-    const unsigned bits = (unsigned(data_[p / 8]) >> off) & ((1u << chunk) - 1u);
-    v |= uint64_t(bits) << got;
-    got += chunk;
-    p += chunk;
-  }
+  uint64_t v = word_at(pos_);
+  if (take < 64) v &= (uint64_t(1) << take) - 1;
   pos_ += take;
   return v;
 }

@@ -5,8 +5,11 @@
 // stream can be truncated at any byte boundary and remain a decodable prefix
 // (the property SPECK's embedded coding relies on).
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace sperr {
@@ -140,11 +143,14 @@ class WordBitWriter {
 /// Sequential bit reader over an externally owned byte range. Reading past
 /// the end does not throw: it returns 0-bits and latches `exhausted()`, which
 /// lets embedded-stream decoders terminate exactly where the encoder stopped.
+/// The bulk reads (get_bits, peek_zero_run, word_at) load whole 64-bit words
+/// and never touch a byte past `nbytes`.
 class BitReader {
  public:
   BitReader() = default;
   BitReader(const uint8_t* data, size_t nbytes, size_t nbits = SIZE_MAX)
-      : data_(data), nbits_(nbits == SIZE_MAX ? nbytes * 8 : nbits) {}
+      : data_(data), nbytes_(nbytes),
+        nbits_(nbits / 8 >= nbytes ? nbytes * 8 : nbits) {}
 
   [[nodiscard]] bool get() {
     if (pos_ >= nbits_) {
@@ -157,15 +163,42 @@ class BitReader {
   }
 
   /// Read `count` (<= 64) bits, least-significant first. Missing bits read
-  /// as zero (latching exhausted(), like get()). Byte-at-a-time internally —
-  /// the word-batched counterpart of get() for refinement-style bulk reads.
+  /// as zero (latching exhausted(), like get()). One word load.
   [[nodiscard]] uint64_t get_bits(unsigned count);
 
   /// Length of the run of zero bits starting at the cursor, capped at
   /// min(limit, bits_left()). Does not consume bits or latch exhausted():
   /// the SPECK decoder peeks the insignificant-set run, bulk-skips it, then
-  /// resumes bit-by-bit at the first 1-bit (or stream end).
-  [[nodiscard]] size_t peek_zero_run(size_t limit) const;
+  /// resumes bit-by-bit at the first 1-bit (or stream end). Scans a word at
+  /// a time.
+  [[nodiscard]] size_t peek_zero_run(size_t limit) const {
+    limit = std::min(limit, bits_left());
+    for (size_t run = 0; run < limit; run += 64) {
+      const uint64_t w = word_at(pos_ + run);
+      if (w != 0) return std::min(limit, run + size_t(std::countr_zero(w)));
+    }
+    return limit;
+  }
+
+  /// The 64 bits starting at absolute bit position `bit`, least-significant
+  /// first; bits at or past the end read as zero. Random access that
+  /// neither moves the cursor nor latches exhausted(): the SPECK decoder
+  /// reads a whole refinement pass this way, one word per 64 entries.
+  [[nodiscard]] uint64_t word_at(size_t bit) const {
+    const size_t byte = bit / 8;
+    if (byte + 8 >= nbytes_ || bit + 64 > nbits_) return word_at_end(bit);
+    uint64_t w;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&w, data_ + byte, 8);
+    } else {
+      w = 0;
+      for (unsigned i = 0; i < 8; ++i) w |= uint64_t(data_[byte + i]) << (8 * i);
+    }
+    // The ninth byte supplies the top bit % 8 bits (none when aligned: the
+    // split shift then moves it out entirely).
+    const unsigned sh = unsigned(bit % 8);
+    return (w >> sh) | ((uint64_t(data_[byte + 8]) << 1) << (63 - sh));
+  }
 
   /// Advance the cursor by `count` bits. Caller guarantees
   /// count <= bits_left() (peek_zero_run's clamp provides this).
@@ -176,8 +209,12 @@ class BitReader {
   [[nodiscard]] size_t bits_left() const { return pos_ < nbits_ ? nbits_ - pos_ : 0; }
 
  private:
+  /// word_at within 64 bits of the stream's or the buffer's end.
+  [[nodiscard]] uint64_t word_at_end(size_t bit) const;
+
   const uint8_t* data_ = nullptr;
-  size_t nbits_ = 0;
+  size_t nbytes_ = 0;
+  size_t nbits_ = 0;  ///< <= nbytes_ * 8
   size_t pos_ = 0;
   bool exhausted_ = false;
 };

@@ -4,6 +4,11 @@
 // coming from the stream, reconstructing coefficients at the centers of
 // their refined intervals (mid-riser). Tolerates truncated payloads — any
 // prefix of an embedded stream yields a coarser but valid reconstruction.
+//
+// A significant coefficient is held as the integer K of the bits decoded
+// for it so far (its leading 1 at discovery, then one refinement bit per
+// pass), which is the reconstruction (K + 0.5) * 2^p * q once plane p is
+// the last one applied to it.
 
 #include <cstdint>
 #include <vector>
@@ -17,6 +22,19 @@ struct DecodeStats {
   size_t bits_consumed = 0;
   size_t significant_count = 0;
   bool truncated = false;  ///< stream ended before the last plane finished
+
+  /// Bitplanes from which at least one payload bit was read (the last may
+  /// be partial).
+  size_t planes_decoded = 0;
+
+  /// Wall-clock seconds, summing to no more than the whole decode call:
+  /// setup is the header parse and the SetTree build; sorting and
+  /// refinement are summed over the planes; finish is the coefficient
+  /// export.
+  double setup_s = 0.0;
+  double sorting_s = 0.0;
+  double refinement_s = 0.0;
+  double finish_s = 0.0;
 };
 
 /// Decode a stream produced by speck::encode into `coeffs` (dims.total()
@@ -25,7 +43,7 @@ struct DecodeStats {
 /// produces them.
 ///
 /// `threads` parallelizes the data-parallel parts of the decode — the
-/// refinement-pass value updates and the final coefficient scatter (the
+/// refinement passes' integer updates and the final coefficient export (the
 /// sorting pass is bit-serial by nature). The output is identical at every
 /// thread count: each parallel region partitions a contiguous array into
 /// fixed lanes of element-independent updates. 0 = one lane per hardware

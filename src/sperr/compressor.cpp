@@ -135,8 +135,8 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
     arena.reset();
     double* buf = arena.alloc<double>(c.dims.total());
     gather_chunk(data, dims, c, buf);
-    if (pipeline::encode_chunk(buf, c.dims, cfg, streams[i], &arena, intra_threads) !=
-        Status::ok)
+    if (pipeline::encode_chunk(buf, c.dims, cfg, streams[i], &arena, intra_threads,
+                               precision == 4) != Status::ok)
       nonfinite = true;
   }
   // The reference SPERR has the same requirement; name the first offender.

@@ -170,7 +170,8 @@ Status compress_file(const std::string& in_path, Dims dims, int precision,
   for (size_t i = 0; i < chunks.size(); ++i) {
     if (!read_chunk(in, dims, precision, chunks[i], buf))
       return Status::truncated_stream;
-    if (const Status s = pipeline::encode_chunk(buf.data(), chunks[i].dims, cfg, streams[i]);
+    if (const Status s = pipeline::encode_chunk(buf.data(), chunks[i].dims, cfg,
+                                                streams[i], nullptr, 1, precision == 4);
         s != Status::ok)
       return s;
   }

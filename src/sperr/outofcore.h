@@ -52,7 +52,8 @@ void set_crash_hook(CrashHook hook);
 /// bytes per sample: 4 or 8) into a SPERR container at `out_path`.
 /// Returns invalid_argument when the file size does not match dims or the
 /// field holds a NaN or Inf (nothing is written then, not even the temp
-/// file).
+/// file). With 4-byte input the PWE bound holds for a 4-byte
+/// decompress_file as well as an 8-byte one.
 Status compress_file(const std::string& in_path, Dims dims, int precision,
                      const Config& cfg, const std::string& out_path,
                      Stats* stats = nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/timer.h"
 #include "outlier/coder.h"
@@ -29,7 +30,7 @@ const char* config_error(Dims dims, const Config& cfg) {
 ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
                        double q_over_t,
                        std::vector<outlier::Outlier>* capture_outliers,
-                       Arena* arena, int intra_chunk_threads) {
+                       Arena* arena, int intra_chunk_threads, bool float_output) {
   ChunkStream result;
   const size_t n = dims.total();
   const double q = q_over_t * tolerance;
@@ -54,21 +55,36 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
   result.timing.speck_s = timer.seconds();
 
   // Stage 3: locate outliers — inverse transform plus a comparison with the
-  // original input (paper §V-C stage 3).
+  // original input (paper §V-C stage 3). An f32 container may be decoded to
+  // doubles or to floats, so there the reconstruction rounded to float must
+  // be within t too.
   timer.reset();
   wavelet::inverse_dwt(recon.data(), dims, wavelet::Kernel::cdf97, &a);
   std::vector<outlier::Outlier> outliers;
   for (size_t i = 0; i < n; ++i) {
     const double err = data[i] - recon[i];
-    if (std::fabs(err) > tolerance) outliers.push_back({i, err});
+    if (std::fabs(err) > tolerance ||
+        (float_output && std::fabs(data[i] - double(float(recon[i]))) > tolerance))
+      outliers.push_back({i, err});
   }
   result.timing.locate_s = timer.seconds();
   if (capture_outliers) *capture_outliers = outliers;
 
-  // Stage 4: code the outliers so they can be corrected to within t.
+  // Stage 4: code the outliers so they can be corrected to within t: the
+  // decoded value y lands within step/2 of x. The coder drops corrections
+  // of magnitude <= step, which an f32 outlier can have: one found only by
+  // the float test has |x - recon| in (t/2, t], because a recon within t/2
+  // of a float x rounds to a float within t of x. Every correction thus
+  // exceeds t/2, so that step codes them all, and it leaves y within t/4.
   timer.reset();
+  double step = tolerance;
+  if (float_output) {
+    double smallest = std::numeric_limits<double>::infinity();
+    for (const auto& o : outliers) smallest = std::min(smallest, std::fabs(o.corr));
+    if (smallest <= tolerance) step = tolerance / 2;
+  }
   outlier::EncodeStats ostats;
-  result.outlier = outlier::encode(std::move(outliers), n, tolerance, &ostats);
+  result.outlier = outlier::encode(std::move(outliers), n, step, &ostats);
   result.num_outliers = ostats.num_outliers;
   result.outlier_payload_bits = ostats.payload_bits;
   result.timing.outlier_s = timer.seconds();
@@ -135,7 +151,8 @@ ChunkStream encode_target_rmse(const double* data, Dims dims, double rmse_target
 }
 
 Status encode_chunk(const double* data, Dims dims, const Config& cfg,
-                    ChunkStream& out, Arena* arena, int intra_chunk_threads) {
+                    ChunkStream& out, Arena* arena, int intra_chunk_threads,
+                    bool float_output) {
   // A finite sum proves every sample finite, so the scan for a NaN or Inf
   // runs only when the sum is not (it may also just have overflowed).
   const size_t n = dims.total();
@@ -147,7 +164,7 @@ Status encode_chunk(const double* data, Dims dims, const Config& cfg,
 
   if (cfg.mode == Mode::pwe) {
     out = encode_pwe(data, dims, cfg.tolerance, cfg.q_over_t, nullptr, arena,
-                     intra_chunk_threads);
+                     intra_chunk_threads, float_output);
   } else if (cfg.mode == Mode::target_rmse) {
     out = encode_target_rmse(data, dims, cfg.rmse, arena, intra_chunk_threads);
   } else {

@@ -54,10 +54,16 @@ struct ChunkStream {
 /// lane-parallel mode (Config::intra_chunk_threads): the emitted streams
 /// are byte-identical at every setting, so it is purely a wall-clock knob
 /// for single-chunk (or few-chunk) requests. 1 = serial, 0 = auto.
+///
+/// `float_output` is for f32 containers, which may be decoded to floats:
+/// a value is then also an outlier when the reconstruction rounded to
+/// float misses it by more than `tolerance`, so that the bound holds for
+/// the floats the user gets back as well as for doubles.
 ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
                        double q_over_t,
                        std::vector<outlier::Outlier>* capture_outliers = nullptr,
-                       Arena* arena = nullptr, int intra_chunk_threads = 1);
+                       Arena* arena = nullptr, int intra_chunk_threads = 1,
+                       bool float_output = false);
 
 /// SPECK bit budget of one fixed-rate chunk: bpp * voxels rounded to the
 /// nearest bit, at least one byte. encode_chunk and truncate_fixed_rate both
@@ -83,10 +89,11 @@ ChunkStream encode_target_rmse(const double* data, Dims dims, double rmse_target
 /// invalid_argument with `out` untouched — non-finite samples would poison
 /// the transform and quantizer), record the chunk mean, and encode the chunk
 /// in cfg.mode: encode_pwe, encode_target_rmse, or encode_fixed_rate at
-/// fixed_rate_budget(cfg.bpp, dims).
+/// fixed_rate_budget(cfg.bpp, dims). `float_output` marks a chunk of an f32
+/// container (see encode_pwe).
 Status encode_chunk(const double* data, Dims dims, const Config& cfg,
                     ChunkStream& out, Arena* arena = nullptr,
-                    int intra_chunk_threads = 1);
+                    int intra_chunk_threads = 1, bool float_output = false);
 
 /// The one writer of v3 containers (sperr::compress, outofcore::compress_file
 /// and truncate_fixed_rate all assemble through it): the header for a `dims`

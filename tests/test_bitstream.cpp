@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace sperr {
@@ -158,6 +162,53 @@ TEST(BitReader, BitsReadAndLeft) {
   (void)br.get_bits(5);
   EXPECT_EQ(br.bits_read(), 5u);
   EXPECT_EQ(br.bits_left(), 11u);
+}
+
+TEST(BitReader, WordReadsMatchBitByBitReads) {
+  // word_at, peek_zero_run and get_bits load whole words: at every bit
+  // position (so every byte alignment and both buffer ends) they must agree
+  // with get(), read bits past nbits as zero even when the buffer holds
+  // more bytes, and never read past the buffer (ASan builds check that).
+  Rng rng(31);
+  for (const size_t nbytes : {size_t(0), size_t(1), size_t(7), size_t(9), size_t(40)}) {
+    std::vector<uint8_t> bytes(nbytes);
+    for (auto& b : bytes) b = uint8_t(rng.next() & rng.next());  // zero-rich
+    const size_t full = nbytes * 8;
+    for (const size_t nbits : {full, full - std::min<size_t>(full, 13)}) {
+      SCOPED_TRACE(std::to_string(nbytes) + " bytes, " + std::to_string(nbits) +
+                   " bits");
+      std::vector<bool> bits;
+      BitReader ref(bytes.data(), bytes.size(), nbits);
+      for (size_t i = 0; i < nbits; ++i) bits.push_back(ref.get());
+      for (size_t pos = 0; pos <= nbits + 3; ++pos) {
+        const BitReader at(bytes.data(), bytes.size(), nbits);
+        uint64_t want = 0;
+        for (size_t k = 0; k < 64 && pos + k < nbits; ++k)
+          want |= uint64_t(bits[pos + k]) << k;
+        ASSERT_EQ(at.word_at(pos), want) << "pos " << pos;
+
+        BitReader br(bytes.data(), bytes.size(), nbits);
+        br.skip(std::min(pos, nbits));
+        size_t run = 0;
+        while (pos + run < nbits && !bits[pos + run]) ++run;
+        for (const size_t limit : {size_t(0), size_t(5), size_t(70), size_t(1000)})
+          ASSERT_EQ(br.peek_zero_run(limit), std::min(run, limit)) << "pos " << pos;
+        const unsigned count = unsigned(1 + pos % 64);
+        const size_t got = std::min<size_t>(count, br.bits_left());
+        const uint64_t mask = got < 64 ? (uint64_t(1) << got) - 1 : ~uint64_t(0);
+        ASSERT_EQ(br.get_bits(count), want & mask);
+        EXPECT_EQ(br.exhausted(), got < count);
+      }
+    }
+  }
+}
+
+TEST(BitReader, BitCountBeyondTheBufferIsClamped) {
+  const std::vector<uint8_t> bytes = {0xff, 0x01};
+  BitReader br(bytes.data(), bytes.size(), 1000);
+  EXPECT_EQ(br.bits_left(), 16u);
+  EXPECT_EQ(br.get_bits(20), 0x1ffu);
+  EXPECT_TRUE(br.exhausted());
 }
 
 }  // namespace

@@ -130,8 +130,31 @@ TEST(OutOfCore, SinglePrecisionFiles) {
   double max_err = 0;
   for (size_t i = 0; i < field.size(); ++i)
     max_err = std::max(max_err, std::fabs(field[i] - recon[i]));
-  // f32 output rounding adds at most one float ulp on top of the bound.
-  EXPECT_LE(max_err, cfg.tolerance * (1.0 + 1e-5));
+  EXPECT_LE(max_err, cfg.tolerance);
+}
+
+TEST(OutOfCore, SinglePrecisionBoundHoldsBelowFloatSpacing) {
+  // At idx 24 the tolerance (~0.048) is below the float spacing of this
+  // field's larger values (0.0625), so the decoder's rounding to float can
+  // move a value that was within t past it. The compressor must locate
+  // outliers against what an f32 decode hands back.
+  const Dims dims{64, 64, 64};
+  const auto field64 = data::make_field("miranda_pressure", dims);
+  const std::vector<float> field32(field64.begin(), field64.end());
+  const std::vector<double> field(field32.begin(), field32.end());
+
+  TempFile raw(".raw"), packed(".sperr"), restored(".raw");
+  write_raw(raw.path(), field, 4);
+  Config cfg;
+  cfg.tolerance = tolerance_from_idx(field32.data(), field32.size(), 24);
+  ASSERT_EQ(compress_file(raw.path(), dims, 4, cfg, packed.path()), Status::ok);
+  ASSERT_EQ(decompress_file(packed.path(), restored.path(), 4), Status::ok);
+
+  const auto recon = read_raw(restored.path(), field.size(), 4);
+  size_t over = 0;
+  for (size_t i = 0; i < field.size(); ++i)
+    over += std::fabs(field[i] - recon[i]) > cfg.tolerance;
+  EXPECT_EQ(over, 0u) << "t = " << cfg.tolerance;
 }
 
 TEST(OutOfCore, FixedRateFiles) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/timer.h"
 #include "oracle/oracle.h"
 #include "speck/common.h"
 #include "speck/decoder.h"
@@ -466,6 +467,89 @@ TEST(SpeckFast, PrefixAtPlaneBoundaryEqualsCoarserQualityEncode) {
   }
   // The last boundary is the whole stream.
   ASSERT_EQ(prefix_bits, uint64_t(stats.payload_bits));
+}
+
+/// `stream` with the header's nbits lowered to `nbits` and every payload
+/// byte kept: the bits past the cut are still in the buffer, and the
+/// decoder must read them as absent.
+std::vector<uint8_t> cut_header_at(std::vector<uint8_t> stream, uint64_t nbits) {
+  for (int b = 0; b < 8; ++b) stream[14 + size_t(b)] = uint8_t(nbits >> (8 * b));
+  return stream;
+}
+
+TEST(SpeckFast, DecodesCutAtEveryPassBoundaryMatchReference) {
+  // Cuts at the sorting start (and one bit in), the refinement start, the
+  // middle of the refinement pass and one bit before its end, in every
+  // pass: the points where the integer decoder's export switches planes.
+  // Top plane 31 holds K in 32 bits, 32 and 33 in 64, and 60 puts a deep
+  // prefix (discoveries above plane 50) in front of the integer LSP. 32^3
+  // coefficients put the LSP past the parallel grain, so the 4-thread
+  // decodes run their refinement passes and export in lanes. Cuts
+  // alternate between lowering the header's nbits only and also dropping
+  // the payload bytes past the cut.
+  const Dims dims{32, 32, 32};
+  const double q = 0.5;
+  for (const int top : {31, 32, 33, 60}) {
+    SCOPED_TRACE("top plane " + std::to_string(top));
+    auto c = adversarial_coeffs(dims, 1300 + uint64_t(top), q,
+                                std::ldexp(1.0, top - 16));
+    c[c.size() / 2] = -1.5 * std::ldexp(q, top);
+    EncodeStats st;
+    const auto stream = encode(c.data(), dims, q, 0, &st);
+    ASSERT_EQ(st.passes.front().plane, top);
+
+    std::vector<uint64_t> cuts;
+    uint64_t pos = 0;
+    for (const auto& p : st.passes) {
+      cuts.insert(cuts.end(), {pos, pos + 1});
+      pos += p.sorting_bits;
+      cuts.insert(cuts.end(), {pos, pos + p.refinement_bits / 2,
+                               pos + p.refinement_bits - 1});
+      pos += p.refinement_bits;
+    }
+    std::vector<double> ref_out(dims.total()), out(dims.total());
+    for (size_t k = 0; k < cuts.size(); ++k) {
+      const uint64_t nbits = cuts[k];
+      if (nbits >= st.payload_bits) continue;
+      SCOPED_TRACE("cut at bit " + std::to_string(nbits));
+      const auto cut =
+          k % 2 ? truncate_to_bits(stream, nbits) : cut_header_at(stream, nbits);
+      DecodeStats ref_ds;
+      ASSERT_EQ(decode_reference(cut.data(), cut.size(), dims, ref_out.data(), &ref_ds),
+                Status::ok);
+      for (const int t : {1, 4}) {
+        DecodeStats ds;
+        ASSERT_EQ(decode(cut.data(), cut.size(), dims, out.data(), &ds, t), Status::ok);
+        expect_decode_stats_equal(ds, ref_ds);
+        for (size_t i = 0; i < out.size(); ++i)
+          ASSERT_EQ(out[i], ref_out[i]) << "threads " << t << " coefficient " << i;
+      }
+    }
+  }
+}
+
+TEST(SpeckFast, DecodeTimingsAccountForTheCall) {
+  // The decode counters are non-negative, their seconds fit inside the
+  // call's wall time, and a full stream reports every coded plane.
+  const Dims dims{40, 33, 11};
+  const auto coeffs = adversarial_coeffs(dims, 1400, 0.1);
+  EncodeStats st;
+  const auto stream = encode(coeffs.data(), dims, 0.1, 0, &st);
+  std::vector<double> out(dims.total());
+  for (const int t : kThreadWall) {
+    SCOPED_TRACE("threads " + std::to_string(t));
+    DecodeStats ds;
+    const Timer wall;
+    ASSERT_EQ(decode(stream.data(), stream.size(), dims, out.data(), &ds, t),
+              Status::ok);
+    const double wall_s = wall.seconds();
+    EXPECT_GE(ds.setup_s, 0.0);
+    EXPECT_GE(ds.sorting_s, 0.0);
+    EXPECT_GE(ds.refinement_s, 0.0);
+    EXPECT_GE(ds.finish_s, 0.0);
+    EXPECT_LE(ds.setup_s + ds.sorting_s + ds.refinement_s + ds.finish_s, wall_s);
+    EXPECT_EQ(ds.planes_decoded, st.planes_coded);
+  }
 }
 
 TEST(SpeckFast, PerPassBitCountsPartitionThePayload) {

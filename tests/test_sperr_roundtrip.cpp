@@ -104,8 +104,38 @@ TEST(SperrRoundTrip, FloatInputRoundTrips) {
   double max_err = 0;
   for (size_t i = 0; i < recon.size(); ++i)
     max_err = std::max(max_err, std::fabs(double(field32[i]) - double(recon[i])));
-  // Float conversion may add up to 1 ulp on top of the guarantee.
-  EXPECT_LE(max_err, cfg.tolerance * (1.0 + 1e-5));
+  EXPECT_LE(max_err, cfg.tolerance);
+}
+
+TEST(SperrRoundTrip, FloatBoundHoldsBelowFloatSpacing) {
+  // At idx 24 the tolerance (~0.048) is below the float spacing of this
+  // field's larger values (0.0625): rounding the decoded doubles to float
+  // would carry values that were within t past it, unless the compressor
+  // locates outliers against the float-rounded reconstruction.
+  const Dims dims{64, 64, 64};
+  const auto field64 = data::make_field("miranda_pressure", dims);
+  const std::vector<float> field32(field64.begin(), field64.end());
+
+  Config cfg;
+  cfg.tolerance = tolerance_from_idx(field32.data(), field32.size(), 24);
+  const auto blob = compress(field32.data(), dims, cfg);
+
+  std::vector<float> recon;
+  Dims out_dims;
+  ASSERT_EQ(decompress(blob.data(), blob.size(), recon, out_dims), Status::ok);
+  ASSERT_EQ(recon.size(), field32.size());
+  size_t over = 0;
+  for (size_t i = 0; i < recon.size(); ++i)
+    over += std::fabs(double(field32[i]) - double(recon[i])) > cfg.tolerance;
+  EXPECT_EQ(over, 0u) << "t = " << cfg.tolerance;
+
+  // The same container decoded to doubles keeps the bound too.
+  std::vector<double> recon64;
+  ASSERT_EQ(decompress(blob.data(), blob.size(), recon64, out_dims), Status::ok);
+  over = 0;
+  for (size_t i = 0; i < recon64.size(); ++i)
+    over += std::fabs(double(field32[i]) - recon64[i]) > cfg.tolerance;
+  EXPECT_EQ(over, 0u) << "f64 decode, t = " << cfg.tolerance;
 }
 
 TEST(SperrRoundTrip, FixedRateModeHonoursBudget) {

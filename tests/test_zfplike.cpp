@@ -6,6 +6,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 
@@ -168,6 +169,43 @@ TEST(ZfpLike, GarbageRejected) {
   std::vector<double> out;
   Dims od;
   EXPECT_NE(decompress(garbage.data(), garbage.size(), out, od), Status::ok);
+}
+
+TEST(ZfpLike, OutputBytesArePinned) {
+  // The lifting transform's integer arithmetic wraps modulo 2^64 with
+  // arithmetic right shifts; these hashes pin the bytes that produces for
+  // both modes, their decodes, and blocks decoded from random bits (where
+  // the inverse lift's sums overflow).
+  auto hash = [](const auto& v) {
+    return xxhash64(v.data(), v.size() * sizeof(v[0]));
+  };
+  const Dims dims{20, 20, 10};
+  const auto field = data::s3d_ch4(dims);
+  const auto acc = compress_accuracy(field.data(), dims, 1e-4);
+  const auto rate = compress_rate(field.data(), dims, 4.0);
+  std::vector<double> acc_out, rate_out;
+  Dims od;
+  ASSERT_EQ(decompress(acc.data(), acc.size(), acc_out, od), Status::ok);
+  ASSERT_EQ(decompress(rate.data(), rate.size(), rate_out, od), Status::ok);
+
+  Rng rng(4242);
+  std::vector<uint8_t> junk(4096);
+  for (auto& b : junk) b = uint8_t(rng.next());
+  BitReader br(junk.data(), junk.size());
+  std::vector<double> blocks;
+  for (int i = 0; i < 24; ++i) {
+    BlockParams params;
+    params.dims = 1 + i % 3;
+    double out[64];
+    decode_block(br, out, params);
+    blocks.insert(blocks.end(), out, out + block_points(params.dims));
+  }
+
+  EXPECT_EQ(hash(acc), 0x2e333fcf9fda824eull);
+  EXPECT_EQ(hash(rate), 0x3c1d67b9d009b16dull);
+  EXPECT_EQ(hash(acc_out), 0x2aee193867d0c589ull);
+  EXPECT_EQ(hash(rate_out), 0x9763c5ba32c88bd6ull);
+  EXPECT_EQ(hash(blocks), 0xeb278c44a1b58027ull);
 }
 
 }  // namespace

@@ -171,20 +171,16 @@ struct Args {
   }
 };
 
-std::vector<double> load_field(const std::string& path, const Args& args) {
+/// The raw field in the file's own precision, T = float for f32, double
+/// for f64.
+template <class T>
+std::vector<T> load_field(const std::string& path, const Args& args) {
   const auto bytes = read_file(path);
-  const size_t n = args.dims.total();
-  std::vector<double> field(n);
-  if (args.type == "f32") {
-    if (bytes.size() != n * 4) usage("file size does not match --dims for f32");
-    const float* p = reinterpret_cast<const float*>(bytes.data());
-    for (size_t i = 0; i < n; ++i) field[i] = double(p[i]);
-  } else if (args.type == "f64") {
-    if (bytes.size() != n * 8) usage("file size does not match --dims for f64");
-    std::memcpy(field.data(), bytes.data(), bytes.size());
-  } else {
-    usage("--type must be f32 or f64");
-  }
+  std::vector<T> field(args.dims.total());
+  if (bytes.size() != field.size() * sizeof(T))
+    usage(sizeof(T) == 4 ? "file size does not match --dims for f32"
+                         : "file size does not match --dims for f64");
+  std::memcpy(field.data(), bytes.data(), bytes.size());
   return field;
 }
 
@@ -220,9 +216,11 @@ void print_chunk_reports(const sperr::DecodeReport& rep) {
     std::printf("lossless block %zu: checksum BAD (payload zero-filled)\n", b);
 }
 
-int cmd_compress(const Args& args) {
-  if (args.positional.size() != 3 || !args.have_dims) usage("compress needs IN OUT --dims");
-  const auto field = load_field(args.positional[1], args);
+/// Compress a T field (float input gives an f32 container, whose bound
+/// holds for the floats a decode hands back); --verify decodes in T.
+template <class T>
+int compress_field(const Args& args) {
+  const auto field = load_field<T>(args.positional[1], args);
 
   sperr::Config cfg;
   cfg.q_over_t = args.q_over_t;
@@ -252,7 +250,7 @@ int cmd_compress(const Args& args) {
   const double secs = timer.seconds();
   write_file(args.positional[2], blob.data(), blob.size());
 
-  const size_t raw = field.size() * (args.type == "f32" ? 4 : 8);
+  const size_t raw = field.size() * sizeof(T);
   std::printf("%s: %zu -> %zu bytes (%.2fx, %.3f bits/pt) in %.2fs, %zu chunks, %zu outliers\n",
               args.positional[1].c_str(), raw, blob.size(),
               double(raw) / double(blob.size()),
@@ -260,7 +258,7 @@ int cmd_compress(const Args& args) {
               stats.num_chunks, stats.num_outliers);
 
   if (args.verify) {
-    std::vector<double> recon;
+    std::vector<T> recon;
     sperr::Dims od;
     if (sperr::decompress(blob.data(), blob.size(), recon, od) != sperr::Status::ok) {
       std::fprintf(stderr, "verify: decompression FAILED\n");
@@ -280,6 +278,13 @@ int cmd_compress(const Args& args) {
     std::printf("\n");
   }
   return kExitOk;
+}
+
+int cmd_compress(const Args& args) {
+  if (args.positional.size() != 3 || !args.have_dims) usage("compress needs IN OUT --dims");
+  if (args.type == "f32") return compress_field<float>(args);
+  if (args.type == "f64") return compress_field<double>(args);
+  usage("--type must be f32 or f64");
 }
 
 int cmd_decompress(const Args& args) {
@@ -328,8 +333,9 @@ int cmd_decompress(const Args& args) {
   } else {
     write_file(args.positional[2], field.data(), field.size() * 8);
   }
-  std::printf("%s: %s doubles -> %s\n", args.positional[1].c_str(),
-              dims.to_string().c_str(), args.positional[2].c_str());
+  std::printf("%s: %s %s -> %s\n", args.positional[1].c_str(),
+              dims.to_string().c_str(), args.type == "f32" ? "floats" : "doubles",
+              args.positional[2].c_str());
   return kExitOk;
 }
 
