@@ -12,9 +12,11 @@
 
 namespace sperr::speck {
 
-/// Exclusive upper bound on the coefficients one SPECK stream codes: the
-/// SetTree's node ids are uint32 and the decoder tags coefficient indices
-/// with a sign bit in bit 31. The container layer keeps chunks below it
+/// Exclusive upper bound on the coefficients one SPECK stream codes: both
+/// coders' worklist entries are uint32 whose bit 31 tells a single
+/// coefficient (its leaf ordinal or linear index in the low bits) from a
+/// set's node id, and the decoder tags coefficient indices with their sign
+/// in bit 31. The container layer keeps chunks below it
 /// (docs/FORMAT.md), speck::encode throws and speck::decode answers
 /// corrupt_stream above it.
 inline constexpr size_t kMaxCoefficients = size_t(1) << 31;
@@ -24,8 +26,8 @@ struct Box {
   uint32_t x = 0, y = 0, z = 0;     ///< origin
   uint32_t nx = 1, ny = 1, nz = 1;  ///< extents (>= 1)
 
-  [[nodiscard]] uint64_t count() const { return uint64_t(nx) * ny * nz; }
-  [[nodiscard]] bool is_single() const { return nx == 1 && ny == 1 && nz == 1; }
+  [[nodiscard]] constexpr uint64_t count() const { return uint64_t(nx) * ny * nz; }
+  [[nodiscard]] constexpr bool is_single() const { return nx == 1 && ny == 1 && nz == 1; }
 };
 
 /// Split a box in half along every axis with extent > 1 (up to 8 children).
@@ -33,7 +35,7 @@ struct Box {
 /// top-level split with the approximation|detail boundary of the
 /// de-interleaved wavelet layout. Children are emitted x-fastest so both
 /// encoder and decoder visit them in the same order. Returns child count.
-inline int split_box(const Box& b, Box out[8]) {
+constexpr int split_box(const Box& b, Box out[8]) {
   const uint32_t hx = (b.nx + 1) / 2, hy = (b.ny + 1) / 2, hz = (b.nz + 1) / 2;
   const int px = b.nx > 1 ? 2 : 1, py = b.ny > 1 ? 2 : 1, pz = b.nz > 1 ? 2 : 1;
   int n = 0;

@@ -1,9 +1,11 @@
-// SPECK decoder: flattened counterpart of encoder.cpp. The set hierarchy is
-// precomputed once into the SetTree (identical to the encoder's, since it
-// depends only on the extents), so the per-plane traversal walks packed
-// node ids instead of re-deriving box splits. Mirrors the traversal of the
-// recursive oracle decoder in oracle/ (including the deducible-significance
-// rule and truncated-stream semantics) bit for bit.
+// SPECK decoder: flattened counterpart of encoder.cpp. The set hierarchy
+// comes from the shared SetTree of the grid's extents (the encoder's, since
+// it depends only on the extents), so the per-plane traversal walks packed
+// node ids instead of re-deriving box splits; a single coefficient is
+// listed as kLeafTag | its linear index, read off its parent's record.
+// Mirrors the traversal of the recursive oracle decoder in oracle/
+// (including the deducible-significance rule and truncated-stream
+// semantics) bit for bit.
 //
 // Integer magnitudes in LSP order, the encoder's design read backwards:
 //   * a coefficient found significant at plane n appends its sign-tagged
@@ -91,10 +93,13 @@ class Decoder {
       : br_(br), dims_(dims), hdr_(hdr), threads_(resolve_thread_count(threads)) {}
 
   Status run(double* coeffs, DecodeStats* stats, const Timer& setup) {
+    double build_s = 0.0;
     if (hdr_.n_max >= 0) {
-      tree_.build(dims_);
+      SetTreeCache::Lease lease = SetTreeCache::shared().get(dims_);
+      tree_ = std::move(lease.tree);
+      build_s = lease.build_s;
       lis_.resize(max_depth(dims_) + 1);
-      lis_[0].push_back(0);  // root node id
+      lis_[0].push_back(tree_->root());
       // A significant coefficient costs at least its sign bit, so this
       // bounds the LSP without ever growing (and copying) it.
       const size_t cap = std::min<size_t>(dims_.total(), br_.bits_left());
@@ -138,6 +143,7 @@ class Decoder {
       stats->truncated = done_;
       stats->planes_decoded = planes;
       stats->setup_s = setup_s;
+      stats->tree_build_s = build_s;
       stats->sorting_s = sorting_s;
       stats->refinement_s = refinement_s;
       stats->finish_s = t.seconds();
@@ -149,8 +155,9 @@ class Decoder {
   static constexpr uint32_t kIdxMask = 0x7fffffffu;  ///< sign rides in bit 31
 
   struct Frame {
-    uint32_t node;
-    uint8_t next;
+    const SetTree::Node* node;
+    uint8_t next;  ///< child cursor
+    uint8_t sets;  ///< children before the cursor that are sets
     bool any_sig;
   };
 
@@ -220,21 +227,24 @@ class Decoder {
   void process_significant(uint32_t id, uint32_t depth, int32_t p) {
     bool sig;
     if (!get(sig)) return;
-    if (tree_.is_leaf(id)) {
-      found_significant(tree_.coeff_index(id), p);
+    if (id & kLeafTag) {
+      found_significant(id & ~kLeafTag, p);
       return;
     }
     frames_.clear();
-    frames_.push_back({id, 0, false});
+    frames_.push_back({&tree_->node(id), 0, 0, false});
     while (!frames_.empty()) {
       Frame& f = frames_.back();
-      const uint32_t nc = tree_.child_count(f.node);
-      if (f.next == nc) {
+      const SetTree::Node& nd = *f.node;
+      if (f.next == nd.nchild) {
         frames_.pop_back();
         continue;
       }
-      const uint32_t child = tree_.first_child(f.node) + f.next;
-      const bool last = ++f.next == nc;
+      const unsigned j = f.next;
+      const bool leaf = (nd.leaves >> j) & 1u;
+      const uint32_t child = leaf ? kLeafTag | tree_->leaf_index(nd, j)
+                                  : nd.first + f.sets++;
+      const bool last = ++f.next == nd.nchild;
       const bool deducible = last && !f.any_sig;
       bool csig = true;
       if (!deducible && !get(csig)) return;
@@ -243,12 +253,12 @@ class Decoder {
         lis_[depth + frames_.size()].push_back(child);
         continue;
       }
-      if (tree_.is_leaf(child)) {
-        found_significant(tree_.coeff_index(child), p);
+      if (leaf) {
+        found_significant(child & ~kLeafTag, p);
         if (done_) return;
         continue;
       }
-      frames_.push_back({child, 0, false});
+      frames_.push_back({&tree_->node(child), 0, 0, false});
     }
   }
 
@@ -328,8 +338,9 @@ class Decoder {
   bool done_ = false;
   double thrd_ = 0.0;  ///< 2^p of the plane being decoded
 
-  SetTree tree_;  ///< structure only (planes are the encoder's side)
-  std::vector<std::vector<uint32_t>> lis_;  ///< packed node ids, by depth
+  std::shared_ptr<const SetTree> tree_;  ///< shared, read-only
+  /// Node ids and kLeafTag | linear index, by depth.
+  std::vector<std::vector<uint32_t>> lis_;
   std::vector<Frame> frames_;
   std::vector<uint32_t> sidx_;  ///< sign<<31 | coefficient index, LSP order
   std::vector<Mag> mag_;        ///< K per LSP entry (deep prefix: unused)

@@ -28,10 +28,12 @@ struct DecodeStats {
   size_t planes_decoded = 0;
 
   /// Wall-clock seconds, summing to no more than the whole decode call:
-  /// setup is the header parse and the SetTree build; sorting and
-  /// refinement are summed over the planes; finish is the coefficient
-  /// export.
+  /// setup is the header parse and the set tree lookup in the shared
+  /// SetTreeCache (tree_build_s of it when this call built the tree);
+  /// sorting and refinement are summed over the planes; finish is the
+  /// coefficient export.
   double setup_s = 0.0;
+  double tree_build_s = 0.0;  ///< part of setup_s; 0 on a cache hit
   double sorting_s = 0.0;
   double refinement_s = 0.0;
   double finish_s = 0.0;

@@ -2,10 +2,13 @@
 // the paper's embedded stream bit for bit (tests/test_speck_fast.cpp holds
 // it to the recursive oracle coder in oracle/).
 //
-//   * The set hierarchy and every set's maximum significance plane are
-//     precomputed once into the contiguous SetTree (settree.h) — the
-//     per-plane significance test collapses from a lazy strided box scan
-//     plus a double compare to one int8 load and compare.
+//   * The set hierarchy is the shared, read-only SetTree of the grid's
+//     extents (settree.h, built once per shape), and every set's maximum
+//     significance plane is folded once per call into an array beside it —
+//     the per-plane significance test collapses from a lazy strided box
+//     scan plus a double compare to one int8 load and compare. A single
+//     coefficient has no tree record: it is listed as kLeafTag | its DFS
+//     leaf ordinal, and its plane is read off its value.
 //   * Worklists are stable SoA buckets: an entry's set id and its cached
 //     max plane are appended once and never copied again; a descended
 //     entry is tombstoned (kConsumed) in place. The per-plane sorting
@@ -18,7 +21,7 @@
 //     descent (the recursive coder's order, preserving the
 //     deducible-significance rule bit for bit).
 //   * Integer magnitudes in tree leaf order: setup stores every coefficient
-//     scaled by 1/q in the SetTree's DFS leaf order (number_leaves), so a
+//     scaled by 1/q in the SetTree's DFS leaf order (gather_leaves), so a
 //     discovery reads its neighbour's cache line instead of missing on a
 //     random linear index. A coefficient found at plane n <= 50 is
 //     quantized there, once, to K = ceil(|c|/q) - 1 (its refinement bits
@@ -80,7 +83,8 @@ constexpr int8_t kConsumed = -128;
 /// Bucket entries cache their set's max plane as one byte, saturated here.
 /// Sorting passes at planes up to this one test the cached byte (n - 1
 /// still fits the SSE2 signed-byte compare); passes above it — reached only
-/// by fields spanning more than 126 planes — read the tree's int16 planes.
+/// by fields spanning more than 126 planes — read the int16 planes
+/// (entry_plane).
 constexpr int32_t kCachedPlaneMax = 126;
 
 /// Deepest discovery plane whose coefficients take the integer closed form:
@@ -209,19 +213,10 @@ class Encoder {
       : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits),
         dead_sq_(scan.dead_sq), n_max_(scan.n_max) {
     if (n_max_ >= 0) {
-      const size_t n = dims.total();
-      tree_.build(dims);
-      // One gather in DFS leaf order: the scaled coefficients (sign and
-      // magnitude for discovery), the leaf planes, and — budgeted only —
-      // the way back from leaf ordinal to linear index.
-      leaf_val_.reset(new double[n]);
-      if (budget_) leaf_idx_.reset(new uint32_t[n]);
-      tree_.number_leaves([&](uint32_t ord, uint32_t idx) {
-        const double s = coeffs_[idx] / q_;
-        leaf_val_[ord] = s;
-        if (budget_) leaf_idx_[ord] = idx;
-        return plane_of(std::fabs(s));
-      });
+      SetTreeCache::Lease lease = SetTreeCache::shared().get(dims);
+      tree_ = std::move(lease.tree);
+      build_s_ = lease.build_s;
+      gather_leaves();
       lsp_.reserve(scan.significant);
     }
     // Budgeted mode tracks the global bit position of every sign bit
@@ -255,7 +250,8 @@ class Encoder {
 
     // The coder state is dead: free it before the export allocates the
     // recon, so the two never share the peak.
-    tree_ = SetTree();
+    tree_.reset();
+    planes_.reset();
     leaf_val_.reset();
     leaf_idx_.reset();
     lsp_ = {};
@@ -275,6 +271,7 @@ class Encoder {
       stats->passes = std::move(pass_times_);
       stats->threads_used = threads_;
       stats->setup_s = setup_s;
+      stats->tree_build_s = build_s_;
       stats->finish_s = finish.seconds();
     }
     return out;
@@ -296,11 +293,11 @@ class Encoder {
   };
 
   /// Descent frame: the node's children are scanned once at frame creation
-  /// into a significance mask and packed plane bytes (branchless — see
-  /// scan_children), so the walk emits sibling runs in batches instead of
-  /// testing one child per iteration.
+  /// into their worklist entries, a significance mask and packed plane
+  /// bytes (see make_frame), so the walk emits sibling runs in batches
+  /// instead of testing one child per iteration.
   struct SweepFrame {
-    uint32_t node;
+    uint32_t ids[8];  ///< child entries: node id or kLeafTag | ordinal
     uint8_t nc;
     uint8_t next;     ///< child cursor
     uint8_t mask;     ///< child significance bits at the current plane
@@ -329,6 +326,46 @@ class Encoder {
 
   [[nodiscard]] double mag(uint64_t idx) const {
     return std::fabs(coeffs_[idx]) / q_;
+  }
+
+  /// Max significance plane of a worklist entry's set.
+  [[nodiscard]] int16_t entry_plane(uint32_t e) const {
+    return e & kLeafTag ? plane_of(std::fabs(leaf_val_[e & ~kLeafTag]))
+                        : planes_[e];
+  }
+
+  /// One reverse sweep over the tree's sets, children before parents: each
+  /// leaf child's c / q lands at its DFS ordinal (the scaled coefficient
+  /// gives discovery its sign and magnitude), budgeted mode keeps the way
+  /// back from ordinal to linear index, and every set's max plane folds
+  /// from its children's.
+  void gather_leaves() {
+    const size_t n = dims_.total();
+    leaf_val_.reset(new double[n]);
+    if (budget_) leaf_idx_.reset(new uint32_t[n]);
+    const auto leaf = [this](uint32_t ord, uint32_t idx) {
+      const double s = coeffs_[idx] / q_;
+      leaf_val_[ord] = s;
+      if (budget_) leaf_idx_[ord] = idx;
+      return plane_of(std::fabs(s));
+    };
+    const SetTree& tree = *tree_;
+    if (tree.size() == 0) {
+      (void)leaf(0, 0);  // a one-coefficient grid: the root is a leaf
+      return;
+    }
+    planes_.reset(new int16_t[tree.size()]);
+    for (size_t i = tree.size(); i-- > 0;) {
+      const SetTree::Node& nd = tree.node(uint32_t(i));
+      int16_t mx = kDeadPlane;
+      uint32_t set = nd.first;
+      for (unsigned j = 0; j < nd.nchild; ++j)
+        mx = std::max(mx, (nd.leaves >> j) & 1u
+                              ? leaf(SetTree::leaf_ordinal(nd, j),
+                                     tree.leaf_index(nd, j))
+                              : planes_[set++]);
+      planes_[i] = mx;
+    }
   }
 
   /// Coefficient-domain RMSE of the quantization: never-coded coefficients
@@ -396,7 +433,7 @@ class Encoder {
 
   void run_sweeps() {
     buckets_.resize(max_depth(dims_) + 1);
-    buckets_[0].push(0, cached_plane(tree_.plane(0)));
+    buckets_[0].push(tree_->root(), cached_plane(entry_plane(tree_->root())));
     // Coefficients found above kClosedFormPlanes deposit their refinement
     // bits for plane b into ref_streams_[b] at discovery.
     if (n_max_ > kClosedFormPlanes) ref_streams_.resize(size_t(n_max_) + 1);
@@ -546,7 +583,7 @@ class Encoder {
       for (unsigned k = 0; i < lim; ++i, ++k) {
         const int8_t pl = p[i];
         const bool alive = pl != kConsumed;
-        const bool s = deep ? alive && tree_.plane(bk.ids[i]) >= n : pl >= n;
+        const bool s = deep ? alive && entry_plane(bk.ids[i]) >= n : pl >= n;
         sig |= uint64_t(s) << k;
         live |= uint64_t(alive) << k;
       }
@@ -590,28 +627,31 @@ class Encoder {
     if (zeros) lane.bw->put_zeros(zeros);
   }
 
-  /// One branchless pass over a node's children: pack their cached planes
-  /// into byte lanes of a uint64 and their significance tests at plane n
-  /// into a mask. Replaces the per-child lazy plane load + compare with
-  /// eight predictable iterations.
-  [[nodiscard]] std::pair<uint64_t, uint32_t> scan_children(uint32_t node,
-                                                            int32_t n) const {
-    const uint32_t first = tree_.first_child(node);
-    const uint32_t nc = tree_.child_count(node);
+  /// One pass over a node's children: their worklist entries (sets by id,
+  /// leaves by ordinal), their cached planes packed into byte lanes of a
+  /// uint64, and their significance tests at plane n as a mask. Replaces
+  /// the per-child lazy plane load + compare with eight predictable
+  /// iterations.
+  [[nodiscard]] SweepFrame make_frame(uint32_t node, int32_t n) const {
+    const SetTree::Node& nd = tree_->node(node);
+    SweepFrame f{};
     uint64_t planes = 0;
     uint32_t mask = 0;
-    for (uint32_t i = 0; i < nc; ++i) {
-      const int16_t p = tree_.plane(first + i);
-      planes |= uint64_t(uint8_t(cached_plane(p))) << (8 * i);
-      mask |= uint32_t(p >= n) << i;
+    uint32_t set = nd.first;
+    for (unsigned j = 0; j < nd.nchild; ++j) {
+      const bool leaf = (nd.leaves >> j) & 1u;
+      const uint32_t e = leaf ? kLeafTag | SetTree::leaf_ordinal(nd, j) : set++;
+      const int16_t p = entry_plane(e);
+      f.ids[j] = e;
+      planes |= uint64_t(uint8_t(cached_plane(p))) << (8 * j);
+      mask |= uint32_t(p >= n) << j;
     }
-    return {planes, mask};
-  }
-
-  [[nodiscard]] SweepFrame make_frame(uint32_t node, int32_t n) const {
-    const auto [planes, mask] = scan_children(node, n);
-    return {node, uint8_t(tree_.child_count(node)), 0, uint8_t(mask), false,
-            planes};
+    f.nc = nd.nchild;
+    f.next = 0;
+    f.mask = uint8_t(mask);
+    f.any_sig = false;
+    f.planes = planes;
+    return f;
   }
 
   /// The recursive coder's descent of a significant set, iteratively, in
@@ -623,8 +663,8 @@ class Encoder {
   /// Spilled-set order and the emitted bit sequence are unchanged: bits and
   /// bucket arrivals are separate channels, and each stays in child order.
   void sweep_descend(uint32_t id, uint32_t depth, int32_t n, Lane& lane) {
-    if (tree_.is_leaf(id)) {
-      sweep_found_significant(tree_.leaf_ordinal(id), n, lane);
+    if (id & kLeafTag) {
+      sweep_found_significant(id & ~kLeafTag, n, lane);
       return;
     }
     auto& frames = lane.frames;
@@ -632,7 +672,6 @@ class Encoder {
     frames.push_back(make_frame(id, n));
     while (!frames.empty()) {
       SweepFrame& f = frames.back();
-      const uint32_t first = tree_.first_child(f.node);
       const uint32_t rem = uint32_t(f.mask) >> f.next;
       if (rem == 0) {
         // Every remaining child is insignificant: one batched zero run,
@@ -645,7 +684,7 @@ class Encoder {
           // child's ancestors up to and including its parent).
           Bucket& dest = (*lane.spill)[depth + frames.size()];
           for (uint32_t i = f.next; i < f.nc; ++i)
-            dest.push(first + i, int8_t(f.planes >> (8 * i)));
+            dest.push(f.ids[i], int8_t(f.planes >> (8 * i)));
         }
         frames.pop_back();
         continue;
@@ -655,7 +694,7 @@ class Encoder {
       if (gap) {
         Bucket& dest = (*lane.spill)[depth + frames.size()];
         for (uint32_t i = f.next; i < j; ++i)
-          dest.push(first + i, int8_t(f.planes >> (8 * i)));
+          dest.push(f.ids[i], int8_t(f.planes >> (8 * i)));
       }
       if (j == uint32_t(f.nc) - 1 && !f.any_sig) {
         // Last child of a parent with no significant sibling must itself be
@@ -666,9 +705,9 @@ class Encoder {
       }
       f.any_sig = true;
       f.next = uint8_t(j + 1);
-      const uint32_t child = first + j;
-      if (tree_.is_leaf(child)) {
-        sweep_found_significant(tree_.leaf_ordinal(child), n, lane);
+      const uint32_t child = f.ids[j];
+      if (child & kLeafTag) {
+        sweep_found_significant(child & ~kLeafTag, n, lane);
         continue;
       }
       frames.push_back(make_frame(child, n));
@@ -782,7 +821,9 @@ class Encoder {
   int32_t n_max_ = -1;
   std::vector<PassTiming> pass_times_;
 
-  SetTree tree_;  ///< leaves numbered in DFS order (number_leaves)
+  std::shared_ptr<const SetTree> tree_;  ///< shared, read-only
+  double build_s_ = 0.0;  ///< seconds this call spent building tree_
+  std::unique_ptr<int16_t[]> planes_;   ///< max plane per tree node id
   std::unique_ptr<double[]> leaf_val_;  ///< c / q per leaf ordinal
   std::unique_ptr<uint32_t[]> leaf_idx_;  ///< budgeted: linear index per ordinal
 

@@ -1,29 +1,37 @@
 #pragma once
 
-// Flattened SPECK set-partition hierarchy. The reference coder materializes
-// sets lazily as 40-byte box entries and rediscovers each set's children
-// (split_box) and maximum magnitude (a strided box scan) on demand, every
-// plane. This tree precomputes both, once, into contiguous SoA arrays:
+// Flattened SPECK set-partition hierarchy, shared read-only by every coder
+// call on grids of the same extents. The reference coder materializes sets
+// lazily as 40-byte box entries and rediscovers each set's children
+// (split_box) on demand, every plane; this tree precomputes the structure
+// once:
 //
-//   * structure  — node 0 is the root (whole grid); an internal node's
-//     children occupy the contiguous id range [first(i), first(i)+nchild(i))
-//     in exactly the order split_box() emits them, so a traversal that walks
-//     child ids reproduces the reference traversal bit for bit;
-//   * magnitudes — per node, the maximum significance plane of the
-//     coefficients it covers, folded bottom-up in one reverse sweep.
+//   * only sets of two or more coefficients get a record; a single
+//     coefficient (a leaf) is implicit. A set with a leaf child has every
+//     extent <= 3 (a child extent is ceil(n/2) or floor(n/2), which is 1
+//     only for n <= 3), so its leaf children's DFS ordinals and linear
+//     indices follow from its origin, its first leaf ordinal and a 27-way
+//     extent code through two small tables;
+//   * node 0 is the root; a set's children that are sets themselves occupy
+//     the contiguous id range starting at first, in split_box() order, and
+//     ids are handed out by a depth-first walk, so every child follows its
+//     parent (a reverse sweep is a bottom-up fold);
+//   * leaf ordinals number the coefficients in depth-first order of the
+//     split_box() traversal, so a set covers one contiguous ordinal range
+//     starting at leaf0 — for a power-of-two cube that is Z-order.
 //
-// Ids are allocated by a depth-first walk (children always follow their
-// parent), which makes the bottom-up fold a reverse linear sweep and keeps a
-// subtree's nodes adjacent in memory — the generalized Morton layout: for a
-// power-of-two cube, leaves appear exactly in Z-order. A leaf stores its
-// coefficient's linear index instead of a child range; the encoder swaps it
-// for the leaf's ordinal in that order (number_leaves).
-//
-// The structure depends only on the grid extents, so encoder and decoder
-// build identical trees without communicating anything.
+// The structure depends only on the grid extents, never on the data, so
+// encoder and decoder use identical trees without communicating anything.
+// Data-dependent state (the encoder's max planes and leaf-order values)
+// lives in per-call arrays indexed by node id and leaf ordinal.
 
-#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <future>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/types.h"
@@ -54,62 +62,141 @@ inline int16_t plane_of(double m) {
   return int16_t(exact_pow2 ? e - 1 : e);
 }
 
-/// The flattened set-partition tree. Node ids are uint32: callers must
-/// ensure dims.total() < kMaxCoefficients (the speck::encode/decode entry
-/// points reject larger grids).
-///
-/// Storage is one interleaved 8-byte record per node: the sorting-pass
-/// descent reads a child's structure and max plane together, so each node
-/// visit touches one cache line instead of three parallel arrays.
-class SetTree {
- public:
-  /// Build the structure for `dims`. Deterministic and data-independent.
-  void build(Dims dims);
+/// Worklist entries are uint32: a set's node id, or kLeafTag | a handle
+/// for a single coefficient (the encoder's leaf ordinal, the decoder's
+/// linear index). Both stay below kMaxCoefficients = 2^31, so bit 31 is
+/// free for the tag.
+inline constexpr uint32_t kLeafTag = uint32_t(1) << 31;
 
-  /// Encoder setup, one reverse sweep after build(): every leaf's payload
-  /// becomes its ordinal in id order (the DFS leaf order, 0 .. leaves-1),
-  /// its plane becomes `leaf(ordinal, coeff_index)`, and the per-node max
-  /// planes fold bottom-up. The encoder stores its per-coefficient data in
-  /// this order, so a traversal reads it near-sequentially.
-  template <class Leaf>
-  void number_leaves(Leaf&& leaf) {
-    // DFS allocation puts every child after its parent, so one reverse
-    // sweep sees all children before their parent.
-    uint32_t ord = leaves_;
-    for (size_t i = nodes_.size(); i-- > 0;) {
-      Node& nd = nodes_[i];
-      if (nd.nchild == 0) {
-        nd.plane = leaf(--ord, nd.first);
-        nd.first = ord;
-        continue;
-      }
-      int16_t mx = nodes_[nd.first].plane;
-      for (uint32_t c = 1; c < nd.nchild; ++c)
-        mx = std::max(mx, nodes_[nd.first + c].plane);
-      nd.plane = mx;
+/// Children of a set whose extents are all <= 3, the only sets with single
+/// coefficients among their children, per extent code
+/// (nx-1) + 3(ny-1) + 9(nz-1): child j's DFS ordinal offset from the set's
+/// first leaf, and its (dx, dy, dz) offset from the set's origin.
+struct SmallSets {
+  uint8_t ordinal[27][8] = {};
+  uint8_t delta[27][8][3] = {};
+};
+
+constexpr SmallSets make_small_sets() {
+  SmallSets t;
+  for (uint32_t code = 1; code < 27; ++code) {
+    Box b;
+    b.nx = code % 3 + 1;
+    b.ny = code / 3 % 3 + 1;
+    b.nz = code / 9 + 1;
+    Box children[8];
+    const int nc = split_box(b, children);
+    uint32_t ord = 0;
+    for (int j = 0; j < nc; ++j) {
+      t.ordinal[code][j] = uint8_t(ord);
+      t.delta[code][j][0] = uint8_t(children[j].x);
+      t.delta[code][j][1] = uint8_t(children[j].y);
+      t.delta[code][j][2] = uint8_t(children[j].z);
+      ord += uint32_t(children[j].count());
     }
   }
+  return t;
+}
 
-  [[nodiscard]] size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] bool is_leaf(uint32_t id) const { return nodes_[id].nchild == 0; }
-  [[nodiscard]] uint32_t first_child(uint32_t id) const { return nodes_[id].first; }
-  [[nodiscard]] uint32_t child_count(uint32_t id) const { return nodes_[id].nchild; }
-  /// Linear coefficient index of a leaf node (before number_leaves).
-  [[nodiscard]] uint32_t coeff_index(uint32_t id) const { return nodes_[id].first; }
-  /// DFS ordinal of a leaf node (after number_leaves).
-  [[nodiscard]] uint32_t leaf_ordinal(uint32_t id) const { return nodes_[id].first; }
-  [[nodiscard]] int16_t plane(uint32_t id) const { return nodes_[id].plane; }
+inline constexpr SmallSets kSmallSets = make_small_sets();
+
+/// The set-partition tree of one grid shape. Immutable once built; callers
+/// must ensure dims.total() < kMaxCoefficients (speck::encode/decode reject
+/// larger grids before asking for a tree).
+class SetTree {
+ public:
+  /// One set of two or more coefficients: 16 bytes, so a descent reads a
+  /// set's whole record from one cache line.
+  struct Node {
+    uint32_t first;   ///< id of the first child that is a set (0: none is)
+    uint32_t leaf0;   ///< DFS ordinal of the first coefficient in the set
+    uint32_t origin;  ///< linear index of the set's origin
+    uint8_t nchild;   ///< 2..8 children, in split_box() order
+    uint8_t leaves;   ///< bit j: child j is a single coefficient
+    uint8_t shape;    ///< extent code (nx-1) + 3(ny-1) + 9(nz-1) when leaves != 0
+  };
+  static_assert(sizeof(Node) == 16);
+
+  /// Build the structure for `dims`. Deterministic and data-independent.
+  explicit SetTree(Dims dims);
+
+  [[nodiscard]] Dims dims() const { return dims_; }
+  /// Sets with a record (every set but the single coefficients). A grid of
+  /// one coefficient has none: its root is a leaf.
+  [[nodiscard]] size_t size() const { return nodes_.size(); }
+  /// Heap and object bytes the tree holds.
+  [[nodiscard]] size_t bytes() const {
+    return sizeof(*this) + nodes_.capacity() * sizeof(Node);
+  }
+  /// The root's worklist entry: node 0, or leaf 0 for a one-coefficient grid.
+  [[nodiscard]] uint32_t root() const { return nodes_.empty() ? kLeafTag : 0; }
+  [[nodiscard]] const Node& node(uint32_t id) const { return nodes_[id]; }
+
+  /// DFS ordinal and linear index of child j of `nd`, a leaf (bit j of
+  /// nd.leaves set).
+  [[nodiscard]] static uint32_t leaf_ordinal(const Node& nd, unsigned j) {
+    return nd.leaf0 + kSmallSets.ordinal[nd.shape][j];
+  }
+  [[nodiscard]] uint32_t leaf_index(const Node& nd, unsigned j) const {
+    return nd.origin + offset_[nd.shape][j];
+  }
 
  private:
-  struct Node {
-    uint32_t first;   ///< internal: first child id; leaf: coeff index or ordinal
-    uint16_t nchild;  ///< 0 for leaves, 2..8 otherwise
-    int16_t plane;    ///< max significance plane over the set (number_leaves)
-  };
-  static_assert(sizeof(Node) == 8);
-
+  Dims dims_;
   std::vector<Node> nodes_;
-  uint32_t leaves_ = 0;  ///< leaf count == coefficient count
+  /// kSmallSets' deltas as linear offsets in this grid.
+  uint32_t offset_[27][8] = {};
+};
+
+/// Trees by grid extents, shared across calls and threads. A lookup of a
+/// shape nobody holds builds it outside the lock, so different shapes build
+/// concurrently while callers of the same shape wait for the one build.
+/// Retention is capped: after a build, least recently used trees are
+/// dropped until the retained bytes fit, and a tree larger than the whole
+/// cap is handed out without being retained. A caller's lease keeps its
+/// tree alive after eviction.
+class SetTreeCache {
+ public:
+  /// Retention cap of the process-wide cache. The four chunk shapes of a
+  /// 384x384x256 field at the default 256^3 chunks hold 146 MiB of trees
+  /// (2,396,745 sets each: a 128-wide axis runs out first, and the sets
+  /// below that split in four, not eight), so a chunk loop over them keeps
+  /// every tree; LRU over fewer slots would miss on every lookup.
+  static constexpr size_t kSharedCapacityBytes = size_t(192) << 20;
+
+  explicit SetTreeCache(size_t capacity_bytes) : capacity_(capacity_bytes) {}
+
+  /// The cache speck::encode and speck::decode use.
+  static SetTreeCache& shared();
+
+  struct Lease {
+    std::shared_ptr<const SetTree> tree;
+    double build_s = 0.0;  ///< wall seconds of this call's build; 0 on a hit
+  };
+
+  /// The tree for `dims`, built on a miss.
+  Lease get(Dims dims);
+
+  [[nodiscard]] size_t capacity() const { return capacity_; }
+  [[nodiscard]] size_t retained_bytes() const;
+  [[nodiscard]] size_t builds() const;
+
+ private:
+  struct Entry {
+    std::shared_future<std::shared_ptr<const SetTree>> tree;
+    size_t bytes = 0;  ///< 0 while the build runs (never evicted then)
+    uint64_t last_use = 0;
+  };
+  using Key = std::array<size_t, 3>;
+
+  void evict_to_fit();
+
+  const size_t capacity_;
+  mutable std::mutex mu_;
+  std::map<Key, Entry> entries_;
+  size_t retained_ = 0;
+  size_t builds_ = 0;
+  uint64_t clock_ = 0;
 };
 
 }  // namespace sperr::speck

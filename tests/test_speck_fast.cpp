@@ -13,8 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -623,48 +627,256 @@ TEST(SpeckFast, RejectsGridsBeyondTheCoefficientLimit) {
   EXPECT_EQ(decode(stream.data(), stream.size(), big, nullptr), Status::corrupt_stream);
 }
 
-TEST(SpeckFast, SetTreeCoversGridExactly) {
-  // Structural invariants of the flattened tree: leaves partition the grid
-  // (every linear index exactly once), children are contiguous and ordered,
-  // and number_leaves propagates the max upward.
-  for (const Dims dims : {Dims{7, 5, 3}, Dims{1, 9, 2}, Dims{16, 16, 1}, Dims{4, 4, 4}}) {
-    SCOPED_TRACE(dims.to_string());
-    SetTree t;
-    t.build(dims);
-    std::vector<int> seen(dims.total(), 0);
-    size_t leaves = 0;
-    for (uint32_t id = 0; id < t.node_count(); ++id) {
-      if (!t.is_leaf(id)) {
-        ASSERT_GE(t.child_count(id), 2u);
-        ASSERT_GT(t.first_child(id), id);  // DFS ids: children after parent
-        continue;
-      }
-      ++leaves;
-      ASSERT_LT(t.coeff_index(id), dims.total());
-      ++seen[t.coeff_index(id)];
+/// Walks the flattened tree against split_box applied recursively — the
+/// reference partition — checking child order, that every set's record
+/// names its own box (origin, first leaf ordinal, which children are
+/// leaves), and that leaf ordinals count the coefficients in DFS order.
+/// Fills ord_to_index and marks every node id visited.
+void walk_against_split_box(const SetTree& t, uint32_t id, const Box& box,
+                            uint32_t& next_ord, std::vector<uint32_t>& ord_to_index,
+                            std::vector<int>& visited) {
+  const Dims dims = t.dims();
+  ASSERT_LT(id, t.size());
+  ++visited[id];
+  const SetTree::Node& nd = t.node(id);
+  EXPECT_EQ(nd.origin, dims.index(box.x, box.y, box.z));
+  EXPECT_EQ(nd.leaf0, next_ord);
+  Box children[8];
+  const int nc = split_box(box, children);
+  ASSERT_EQ(nd.nchild, nc);
+  uint32_t sets = 0;
+  for (int j = 0; j < nc; ++j) {
+    const Box& c = children[j];
+    if (c.is_single()) {
+      ASSERT_TRUE((nd.leaves >> j) & 1u) << "child " << j;
+      ASSERT_EQ(SetTree::leaf_ordinal(nd, unsigned(j)), next_ord);
+      EXPECT_EQ(t.leaf_index(nd, unsigned(j)), dims.index(c.x, c.y, c.z));
+      ord_to_index[next_ord++] = t.leaf_index(nd, unsigned(j));
+      continue;
     }
-    EXPECT_EQ(leaves, dims.total());
-    for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], 1) << "index " << i;
-
-    // number_leaves numbers the leaves 0, 1, 2, ... in id order, hands each
-    // its coefficient index, and folds the returned planes upward.
-    std::vector<uint32_t> leaf_index(dims.total());
-    t.number_leaves([&](uint32_t ord, uint32_t idx) {
-      leaf_index[ord] = idx;
-      return int16_t(idx % 7);
-    });
-    uint32_t next = 0;
-    for (uint32_t id = 0; id < t.node_count(); ++id) {
-      if (!t.is_leaf(id)) continue;
-      ASSERT_EQ(t.leaf_ordinal(id), next++);
-      EXPECT_EQ(t.plane(id), int16_t(leaf_index[t.leaf_ordinal(id)] % 7));
-    }
-    std::vector<int> indexed(dims.total(), 0);
-    for (const uint32_t idx : leaf_index) ++indexed[idx];
-    for (size_t i = 0; i < indexed.size(); ++i)
-      EXPECT_EQ(indexed[i], 1) << "index " << i;
-    EXPECT_EQ(t.plane(0), int16_t(std::min<size_t>(dims.total() - 1, 6)));
+    ASSERT_FALSE((nd.leaves >> j) & 1u) << "child " << j;
+    const uint32_t child = nd.first + sets++;
+    ASSERT_GT(child, id);  // DFS ids: children after their parent
+    walk_against_split_box(t, child, c, next_ord, ord_to_index, visited);
   }
+}
+
+TEST(SpeckFast, SetTreeMatchesRecursiveSplitBox) {
+  for (const Dims dims :
+       {Dims{1, 1, 1}, Dims{1, 1, 1000}, Dims{1, 9, 2}, Dims{3, 3, 3}, Dims{7, 5, 3},
+        Dims{48, 37, 1}, Dims{16, 16, 16}, Dims{31, 17, 9}}) {
+    SCOPED_TRACE(dims.to_string());
+    const SetTree t(dims);
+    std::vector<uint32_t> ord_to_index(dims.total(), UINT32_MAX);
+    uint32_t next_ord = 0;
+    if (dims.total() == 1) {
+      EXPECT_EQ(t.size(), 0u);
+      EXPECT_EQ(t.root(), kLeafTag);  // leaf ordinal 0, linear index 0
+      ord_to_index[next_ord++] = 0;
+    } else {
+      std::vector<int> visited(t.size(), 0);
+      Box root;
+      root.nx = uint32_t(dims.x);
+      root.ny = uint32_t(dims.y);
+      root.nz = uint32_t(dims.z);
+      ASSERT_EQ(t.root(), 0u);
+      walk_against_split_box(t, 0, root, next_ord, ord_to_index, visited);
+      for (size_t id = 0; id < visited.size(); ++id)
+        EXPECT_EQ(visited[id], 1) << "node " << id;
+    }
+    // Leaf ordinals are 0 .. n-1 and map onto the linear indices one to one.
+    ASSERT_EQ(next_ord, dims.total());
+    std::vector<int> seen(dims.total(), 0);
+    for (const uint32_t idx : ord_to_index) {
+      ASSERT_LT(idx, dims.total());
+      ++seen[idx];
+    }
+    for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], 1) << "index " << i;
+  }
+}
+
+TEST(SpeckFast, SetTreeFor256CubeFitsAThirdOfTheLeafRecordTree) {
+  // A power-of-two cube is a pure octree: (n - 1) / 7 sets. The tree that
+  // also kept one 8-byte record per leaf took 8 * (n + (n - 1) / 7) bytes.
+  const Dims dims{256, 256, 256};
+  const SetTree t(dims);
+  const size_t n = dims.total();
+  EXPECT_EQ(t.size(), (n - 1) / 7);
+  const size_t leaf_record_bytes = 8 * (n + (n - 1) / 7);  // 153,391,688
+  EXPECT_LE(t.bytes(), leaf_record_bytes / 3);
+}
+
+/// Structural equality of a tree with a freshly built one of its shape.
+void expect_same_tree(const SetTree& t, Dims dims) {
+  const SetTree fresh(dims);
+  ASSERT_EQ(t.dims(), dims);
+  ASSERT_EQ(t.size(), fresh.size());
+  for (uint32_t id = 0; id < t.size(); ++id) {
+    const SetTree::Node &a = t.node(id), &b = fresh.node(id);
+    ASSERT_EQ(a.first, b.first) << "node " << id;
+    ASSERT_EQ(a.leaf0, b.leaf0) << "node " << id;
+    ASSERT_EQ(a.origin, b.origin) << "node " << id;
+    ASSERT_EQ(a.nchild, b.nchild) << "node " << id;
+    ASSERT_EQ(a.leaves, b.leaves) << "node " << id;
+    ASSERT_EQ(a.shape, b.shape) << "node " << id;
+  }
+}
+
+TEST(SetTreeCache, EvictsLeastRecentlyUsedAndKeepsLeasedTreesAlive) {
+  const Dims a{24, 24, 24}, b{20, 30, 10}, c{12, 9, 11}, big{64, 64, 64};
+  const size_t ab = SetTree(a).bytes() + SetTree(b).bytes();
+  SetTreeCache cache(ab);
+  EXPECT_GT(cache.get(a).build_s, 0.0);
+  SetTreeCache::Lease held = cache.get(b);
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(cache.retained_bytes(), ab);
+
+  // A hit builds nothing and refreshes a's use, so c's build evicts b.
+  const SetTreeCache::Lease hit = cache.get(a);
+  EXPECT_EQ(hit.build_s, 0.0);
+  EXPECT_EQ(cache.builds(), 2u);
+  (void)cache.get(c);
+  EXPECT_EQ(cache.builds(), 3u);
+  EXPECT_LE(cache.retained_bytes(), cache.capacity());
+  EXPECT_EQ(cache.get(a).tree, hit.tree);
+  EXPECT_EQ(cache.builds(), 3u);
+
+  // b was evicted while leased: the lease still holds a whole tree, and the
+  // next caller gets a fresh build.
+  expect_same_tree(*held.tree, b);
+  const SetTreeCache::Lease rebuilt = cache.get(b);
+  EXPECT_EQ(cache.builds(), 4u);
+  EXPECT_NE(rebuilt.tree, held.tree);
+  EXPECT_LE(cache.retained_bytes(), cache.capacity());
+
+  // A tree larger than the whole cap is built, handed out and not kept.
+  const size_t before = cache.retained_bytes();
+  const SetTreeCache::Lease oversized = cache.get(big);
+  ASSERT_GT(oversized.tree->bytes(), cache.capacity());
+  expect_same_tree(*oversized.tree, big);
+  EXPECT_EQ(cache.retained_bytes(), before);
+  (void)cache.get(big);
+  EXPECT_EQ(cache.builds(), 6u);
+}
+
+TEST(SetTreeCache, ConcurrentCallersOfOneShapeShareOneBuild) {
+  SetTreeCache cache(size_t(64) << 20);
+  const Dims dims{96, 80, 64};
+  constexpr int kThreads = 6;
+  std::vector<std::shared_ptr<const SetTree>> trees(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> pool;
+  for (int i = 0; i < kThreads; ++i)
+    pool.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      trees[size_t(i)] = cache.get(dims).tree;
+    });
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(cache.builds(), 1u);
+  for (const auto& t : trees) EXPECT_EQ(t, trees[0]);
+  expect_same_tree(*trees[0], dims);
+}
+
+/// A deterministic field for the concurrency wall: 3-D shapes get
+/// adversarial coefficients; the long 1-D shapes, whose trees are the
+/// largest per coefficient (n - 1 sets), are sparse so they code fast.
+std::vector<double> concurrency_field(Dims dims, uint64_t seed) {
+  if (dims.rank() > 1) return adversarial_coeffs(dims, seed, 0.5);
+  Rng rng(seed);
+  std::vector<double> c(dims.total(), 0.0);
+  for (int i = 0; i < 400; ++i)
+    c[rng.below(c.size())] = rng.gaussian() * std::ldexp(1.0, int(rng.below(16)));
+  return c;
+}
+
+TEST(SpeckFast, ConcurrentCodersMatchSerialAcrossCacheEvictions) {
+  // Threads encode and decode a mix of shapes at once through the shared
+  // tree cache. The 1-D shapes' trees (16 bytes per coefficient) add up to
+  // more than the cache retains, so trees are evicted while other coders
+  // hold them. Every stream must equal the serial one byte for byte and
+  // every decode the serial decode bit for bit, and the cache must never
+  // retain more than its cap.
+  SetTreeCache& cache = SetTreeCache::shared();
+  std::vector<Dims> shapes = {Dims{17, 9, 5}, Dims{32, 32, 32}, Dims{40, 3, 21},
+                              Dims{1, 1, 1}, Dims{64, 48, 1}};
+  size_t long_bytes = 0;
+  for (size_t k = 0; long_bytes <= cache.capacity() + (size_t(16) << 20); ++k) {
+    const size_t len = 1'150'000 + 1'000 * k;
+    shapes.push_back(k % 3 == 0 ? Dims{len, 1, 1}
+                                : (k % 3 == 1 ? Dims{1, len, 1} : Dims{1, 1, len}));
+    long_bytes += 16 * (len - 1);
+  }
+
+  struct Serial {
+    std::vector<uint8_t> stream;
+    std::vector<double> decoded;
+  };
+  std::vector<Serial> serial(shapes.size());
+  for (size_t s = 0; s < shapes.size(); ++s) {
+    const auto field = concurrency_field(shapes[s], 7100 + s);
+    serial[s].stream = encode(field.data(), shapes[s], 0.5);
+    serial[s].decoded.resize(field.size());
+    ASSERT_EQ(decode(serial[s].stream.data(), serial[s].stream.size(), shapes[s],
+                     serial[s].decoded.data()),
+              Status::ok);
+  }
+
+  const size_t serial_builds = cache.builds();
+  std::atomic<bool> done{false};
+  std::atomic<size_t> over_cap{0};
+  std::thread monitor([&] {
+    while (!done.load()) {
+      if (cache.retained_bytes() > cache.capacity()) over_cap.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  constexpr int kThreads = 3;
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> coders;
+  for (int t = 0; t < kThreads; ++t)
+    coders.emplace_back([&, t] {
+      for (size_t i = 0; i < shapes.size(); ++i) {
+        // Each thread walks the shapes from a different start.
+        const size_t s = (i + size_t(t) * 3) % shapes.size();
+        const Dims dims = shapes[s];
+        const auto field = concurrency_field(dims, 7100 + s);
+        const auto stream = encode(field.data(), dims, 0.5);
+        std::vector<double> out(field.size());
+        const Status st = decode(stream.data(), stream.size(), dims, out.data());
+        if (stream != serial[s].stream)
+          failures[size_t(t)] += " stream " + dims.to_string();
+        else if (st != Status::ok ||
+                 std::memcmp(out.data(), serial[s].decoded.data(),
+                             out.size() * sizeof(double)) != 0)
+          failures[size_t(t)] += " decode " + dims.to_string();
+      }
+    });
+  for (auto& th : coders) th.join();
+  done.store(true);
+  monitor.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[size_t(t)], "") << "thread " << t;
+  EXPECT_EQ(over_cap.load(), 0u);
+  EXPECT_LE(cache.retained_bytes(), cache.capacity());
+  // The serial walk left the first long shapes evicted: the threads rebuilt.
+  EXPECT_GT(cache.builds(), serial_builds);
+}
+
+TEST(SpeckFast, TreeBuildTimeIsZeroOnACacheHit) {
+  // A shape no other test uses: the first call builds the tree (and counts
+  // that inside setup_s), every later call of either coder finds it.
+  const Dims dims{23, 41, 13};
+  const auto coeffs = adversarial_coeffs(dims, 1700, 0.1);
+  EncodeStats first, again;
+  const auto stream = encode(coeffs.data(), dims, 0.1, 0, &first);
+  EXPECT_GT(first.tree_build_s, 0.0);
+  EXPECT_LE(first.tree_build_s, first.setup_s);
+  (void)encode(coeffs.data(), dims, 0.1, 0, &again);
+  EXPECT_EQ(again.tree_build_s, 0.0);
+  std::vector<double> out(dims.total());
+  DecodeStats ds;
+  ASSERT_EQ(decode(stream.data(), stream.size(), dims, out.data(), &ds), Status::ok);
+  EXPECT_EQ(ds.tree_build_s, 0.0);
 }
 
 }  // namespace
