@@ -14,9 +14,9 @@
 // Two layers:
 //
 //   ResourceLimits — per-call ceilings (max output bytes, max transient
-//     working-set bytes, max chunk/block count, max lossless expansion
-//     ratio). Passing nullptr anywhere a `const ResourceLimits*` is
-//     accepted means ResourceLimits::defaults(): finite, generous caps
+//     working-set bytes, max chunk count, max lossless expansion ratio).
+//     Passing nullptr anywhere a `const ResourceLimits*` is accepted
+//     means ResourceLimits::defaults(): finite, generous caps
 //     that every legitimate workload fits under while multi-terabyte
 //     declarations are rejected outright. Unlimited decoding is opt-in
 //     (ResourceLimits::unlimited()), never the default.
@@ -86,9 +86,11 @@ struct ResourceLimits {
   /// scratch buffers, the unwrapped inner container, a widening copy).
   uint64_t max_working_bytes = uint64_t(1) << 36;
 
-  /// Cap on the chunk count a container directory may declare (and on the
-  /// block count of a lossless stream). Directories are 32 bytes/entry, so
-  /// this also bounds header-parse work for truncated bombs.
+  /// Cap on the chunk count a container directory may declare. Directories
+  /// are 32 bytes/entry, so this also bounds header-parse work for truncated
+  /// bombs. A lossless stream's block count is not capped here: the codec
+  /// rejects a count its 12-byte directory entries would not fit in the
+  /// stream's own bytes.
   uint64_t max_chunks = uint64_t(1) << 20;
 
   /// Cap on the lossless codec's total expansion: a stream of `in` bytes

@@ -28,12 +28,8 @@ namespace {
 constexpr uint8_t kFmtBlocked = 2;
 constexpr uint8_t kFmtBlockedTagged = 3;
 
-constexpr size_t kMinBlockSize = size_t(1) << 12;
-// Format 3 packs the entropy tag into the top 2 bits of the directory's
-// compressed-size field, so compressed sizes (<= block size) must fit in 30
-// bits; 256 MiB blocks keep a safe margin. Format-2 streams written before
-// this limit (up to 1 GiB) still decode.
-constexpr size_t kMaxBlockSize = size_t(1) << 28;
+// Format-2 streams written before kMaxBlockSize (up to 1 GiB blocks) still
+// decode.
 constexpr size_t kMaxBlockSizeLegacy = size_t(1) << 30;
 
 // fmt + reserved + block_size(u32) + raw_size(u64) + nblocks(u32).
@@ -86,16 +82,6 @@ const CodeLut& code_lut() {
 
 inline uint32_t fast_distance_code(const CodeLut& lut, uint32_t dist) {
   return dist <= 256 ? lut.dist_small[dist] : lut.dist_large[(dist - 1) >> 7];
-}
-
-std::vector<uint8_t> unpack_lengths(ByteReader& br, size_t count) {
-  std::vector<uint8_t> lengths(count, 0);
-  for (size_t i = 0; i < count; i += 2) {
-    const uint8_t b = br.u8();
-    lengths[i] = b & 0x0f;
-    if (i + 1 < count) lengths[i + 1] = b >> 4;
-  }
-  return lengths;
 }
 
 void unpack_lengths_raw(const uint8_t* p, uint8_t* lengths, size_t count) {
@@ -440,14 +426,20 @@ Status decode_huffman_body(const uint8_t* p, size_t comp, uint8_t* dst, size_t r
   if (dist_bits < 0) return Status::corrupt_stream;
 
   BitsIn in(p + kLitLenBytes + kDistLenBytes, comp - kLitLenBytes - kDistLenBytes);
+  // Bits past the end read as zeros, so a failure after them is a cut
+  // stream, not a corrupt one. (Legacy streams return this status as is;
+  // the blocked framings fold it into corrupt_block.)
+  const auto fail = [&in] {
+    return in.overrun() ? Status::truncated_stream : Status::corrupt_stream;
+  };
   size_t produced = 0;
   while (true) {
     const uint16_t e = ds.lit_table[in.peek(unsigned(lit_bits))];
-    if (e == 0) return Status::corrupt_stream;
+    if (e == 0) return fail();
     in.consume(e & 0xfu);
     const uint32_t sym = e >> 4;
     if (sym < 256) {
-      if (produced == raw) return Status::corrupt_stream;
+      if (produced == raw) return fail();
       dst[produced++] = uint8_t(sym);
       continue;
     }
@@ -519,26 +511,6 @@ Status decode_arith_body(const uint8_t* p, size_t comp, uint8_t* dst, size_t raw
   if (in.overrun()) return Status::truncated_stream;
   if (produced != raw) return Status::corrupt_stream;
   return Status::ok;
-}
-
-/// Decode one block payload (entropy `tag`, body at `p`) into exactly `raw`
-/// bytes at `dst`. Any inconsistency — bad tag, invalid code tables,
-/// out-of-range match, wrong decoded size — fails the block without
-/// touching its neighbours.
-Status decode_block(uint8_t tag, const uint8_t* p, size_t comp, uint8_t* dst,
-                    size_t raw, DecScratch& ds) {
-  switch (tag) {
-    case kEntropyRaw:
-      if (comp != raw) return Status::corrupt_stream;
-      std::memcpy(dst, p, raw);
-      return Status::ok;
-    case kEntropyHuffman:
-      return decode_huffman_body(p, comp, dst, raw, ds);
-    case kEntropyArith:
-      return decode_arith_body(p, comp, dst, raw, ds);
-    default:
-      return Status::corrupt_stream;
-  }
 }
 
 /// Parse + validate the blocked framing and directory (formats 2 and 3).
@@ -618,18 +590,100 @@ Status parse_blocked(const uint8_t* data, size_t size, StreamInfo& info,
   return Status::ok;
 }
 
-/// Decode one parsed block into `dst`; shared by strict and tolerant paths.
-Status decode_parsed_block(const uint8_t* data, const StreamInfo& info,
-                           const BlockInfo& bi, uint8_t* dst, DecScratch& ds) {
+/// Decode one parsed block (payload within the input) into exactly its raw
+/// size at `dst`. Any inconsistency — bad tag, invalid code tables,
+/// out-of-range match, wrong decoded size — fails the block without
+/// touching its neighbours.
+Status decode_block(const uint8_t* data, const StreamInfo& info, const BlockInfo& bi,
+                    uint8_t* dst, DecScratch& ds) {
+  const uint8_t* p = data + bi.offset;
+  size_t comp = bi.comp_size;
   const size_t raw = size_t(bi.raw_size);
-  if (info.tagged)
-    return decode_block(bi.mode, data + bi.offset, bi.comp_size, dst, raw, ds);
-  // Format 2: the mode byte leads the payload and only raw/Huffman exist.
-  if (bi.comp_size < 1) return Status::truncated_stream;
-  const uint8_t mode = data[bi.offset];
-  if (mode != kModeRaw && mode != kModeLz) return Status::corrupt_stream;
-  return decode_block(mode == kModeRaw ? kEntropyRaw : kEntropyHuffman,
-                      data + bi.offset + 1, bi.comp_size - 1, dst, raw, ds);
+  if (!info.tagged) {
+    // Format 2: the mode byte (bi.mode) leads the payload; only raw and
+    // Huffman exist.
+    if (comp == 0) return Status::truncated_stream;
+    if (bi.mode == kEntropyArith) return Status::corrupt_stream;
+    ++p;
+    --comp;
+  }
+  switch (bi.mode) {
+    case kEntropyRaw:
+      if (comp != raw) return Status::corrupt_stream;
+      std::memcpy(dst, p, raw);
+      return Status::ok;
+    case kEntropyHuffman:
+      return decode_huffman_body(p, comp, dst, raw, ds);
+    case kEntropyArith:
+      return decode_arith_body(p, comp, dst, raw, ds);
+    default:
+      return Status::corrupt_stream;
+  }
+}
+
+/// Admit a stream's declared raw size against `limits`, then size `out` to
+/// it. The raw size is attacker-controlled, so this gate runs before any
+/// allocation is sized from it.
+Status size_output(size_t stream_bytes, uint64_t raw_size, const ResourceLimits* limits,
+                   std::vector<uint8_t>& out) {
+  const ResourceLimits& rl = effective_limits(limits);
+  if (!rl.admits_output(raw_size) || !rl.admits_expansion(stream_bytes, raw_size))
+    return Status::resource_exhausted;
+  out.clear();
+  try {
+    out.resize(size_t(raw_size));
+  } catch (const std::bad_alloc&) {
+    return Status::resource_exhausted;
+  }
+  return Status::ok;
+}
+
+/// The one block loop behind decompress and decompress_tolerant. Parses the
+/// framing (`tolerant` as in parse_blocked), sizes `out`, then decodes every
+/// block in parallel: a block whose payload lies past the input or fails to
+/// decode is zero-filled, and a decoded block must match its XXH64.
+/// `bad_blocks` receives the sorted indices of the blocks that failed either
+/// way. Legacy single-block streams go to decode_reference (no blocks).
+/// Returns != ok only when the framing itself failed.
+Status decode_blocks(const uint8_t* data, size_t size, bool tolerant,
+                     std::vector<uint8_t>& out, std::vector<size_t>& bad_blocks,
+                     int num_threads, const ResourceLimits* limits) {
+  (void)num_threads;
+  bad_blocks.clear();
+  if (size == 0) return Status::truncated_stream;
+  const uint8_t fmt = data[0];
+  if (fmt == kModeRaw || fmt == kModeLz)
+    return decode_reference(data, size, out, limits);
+  if (fmt != kFmtBlocked && fmt != kFmtBlockedTagged) return Status::corrupt_stream;
+
+  StreamInfo info;
+  if (const Status s = parse_blocked(data, size, info, tolerant); s != Status::ok)
+    return s;
+  if (const Status s = size_output(size, info.raw_size, limits, out); s != Status::ok)
+    return s;
+  std::vector<Status> verdicts(info.blocks.size(), Status::ok);
+
+#ifdef SPERR_HAVE_OPENMP
+  const int nt = num_threads > 0 ? num_threads : omp_get_max_threads();
+#pragma omp parallel for schedule(dynamic) num_threads(nt)
+#endif
+  for (int64_t b = 0; b < int64_t(info.blocks.size()); ++b) {
+    const BlockInfo& bi = info.blocks[size_t(b)];
+    uint8_t* dst = out.data() + size_t(b) * info.block_size;
+    const size_t raw = size_t(bi.raw_size);
+    Status st = Status::truncated_stream;  // payload cut off under this block
+    if (bi.offset + bi.comp_size <= size) {
+      thread_local DecScratch scratch;
+      st = decode_block(data, info, bi, dst, scratch);
+    }
+    if (st != Status::ok) std::fill(dst, dst + raw, uint8_t(0));
+    if (st == Status::ok && xxhash64(dst, raw) != bi.checksum)
+      st = Status::corrupt_block;
+    verdicts[size_t(b)] = st;
+  }
+  for (size_t b = 0; b < verdicts.size(); ++b)
+    if (verdicts[b] != Status::ok) bad_blocks.push_back(b);
+  return Status::ok;
 }
 
 }  // namespace
@@ -639,7 +693,7 @@ Status decode_parsed_block(const uint8_t* data, const StreamInfo& info,
 // ---------------------------------------------------------------------------
 
 std::vector<uint8_t> compress(const uint8_t* data, size_t size, const EncodeOptions& opts) {
-  const size_t bs = std::clamp(opts.block_size, kMinBlockSize, kMaxBlockSize);
+  const size_t bs = clamp_block_size(opts.block_size);
   const size_t nblocks = size == 0 ? 0 : (size - 1) / bs + 1;
   std::vector<BlockOut> blocks(nblocks);
   std::vector<uint64_t> checksums(nblocks, 0);
@@ -677,113 +731,22 @@ std::vector<uint8_t> compress(const uint8_t* data, size_t size, const EncodeOpti
 Status decompress(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
                   size_t* corrupt_block, int num_threads,
                   const ResourceLimits* limits) {
-  (void)num_threads;
-  if (size == 0) return Status::truncated_stream;
-  const uint8_t fmt = data[0];
-  if (fmt == kModeRaw || fmt == kModeLz)
-    return decode_reference(data, size, out, limits);
-  if (fmt != kFmtBlocked && fmt != kFmtBlockedTagged) return Status::corrupt_stream;
-
-  StreamInfo info;
-  const Status parsed = parse_blocked(data, size, info);
-  if (parsed != Status::ok) return parsed;
-
-  // The header's raw size is the only thing allocation is based on, and it
-  // is attacker-controlled: admit it against the limits before sizing out.
-  const ResourceLimits& rl = effective_limits(limits);
-  if (!rl.admits_output(info.raw_size) || !rl.admits_expansion(size, info.raw_size))
-    return Status::resource_exhausted;
-
-  out.clear();
-  try {
-    out.resize(size_t(info.raw_size));
-  } catch (const std::bad_alloc&) {
-    return Status::resource_exhausted;
-  }
-  const size_t nb = info.blocks.size();
-  std::vector<Status> block_status(nb, Status::ok);
-
-#ifdef SPERR_HAVE_OPENMP
-  const int nt = num_threads > 0 ? num_threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
-#endif
-  for (int64_t b = 0; b < int64_t(nb); ++b) {
-    const BlockInfo& bi = info.blocks[size_t(b)];
-    const size_t start = size_t(b) * info.block_size;
-    thread_local DecScratch scratch;
-    Status st = decode_parsed_block(data, info, bi, out.data() + start, scratch);
-    if (st == Status::ok &&
-        xxhash64(out.data() + start, size_t(bi.raw_size)) != bi.checksum)
-      st = Status::corrupt_block;
-    block_status[size_t(b)] = st;
-  }
-
-  for (size_t b = 0; b < nb; ++b) {
-    if (block_status[b] != Status::ok) {
-      if (corrupt_block) *corrupt_block = b;
-      return Status::corrupt_block;
-    }
-  }
-  return Status::ok;
+  std::vector<size_t> bad;
+  const Status s =
+      decode_blocks(data, size, /*tolerant=*/false, out, bad, num_threads, limits);
+  if (s != Status::ok || bad.empty()) return s;
+  // The lowest bad index wins, whichever worker saw its failure first.
+  if (corrupt_block) *corrupt_block = bad.front();
+  return Status::corrupt_block;
 }
 
 Status decompress_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
                            std::vector<size_t>& bad_blocks, int num_threads,
                            const ResourceLimits* limits) {
-  (void)num_threads;
-  bad_blocks.clear();
-  out.clear();
-  if (size == 0) return Status::truncated_stream;
-  const uint8_t fmt = data[0];
-  // Reference framing carries no block structure: all-or-nothing.
-  if (fmt == kModeRaw || fmt == kModeLz) {
-    const Status s = decode_reference(data, size, out, limits);
-    if (s != Status::ok) out.clear();
-    return s;
-  }
-  if (fmt != kFmtBlocked && fmt != kFmtBlockedTagged) return Status::corrupt_stream;
-
-  StreamInfo info;
-  const Status parsed = parse_blocked(data, size, info, /*tolerant=*/true);
-  if (parsed != Status::ok) return parsed;
-
-  const ResourceLimits& rl = effective_limits(limits);
-  if (!rl.admits_output(info.raw_size) || !rl.admits_expansion(size, info.raw_size))
-    return Status::resource_exhausted;
-
-  try {
-    out.resize(size_t(info.raw_size));
-  } catch (const std::bad_alloc&) {
-    out.clear();
-    return Status::resource_exhausted;
-  }
-  const size_t nb = info.blocks.size();
-  std::vector<Status> block_status(nb, Status::ok);
-
-#ifdef SPERR_HAVE_OPENMP
-  const int nt = num_threads > 0 ? num_threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
-#endif
-  for (int64_t b = 0; b < int64_t(nb); ++b) {
-    const BlockInfo& bi = info.blocks[size_t(b)];
-    const size_t start = size_t(b) * info.block_size;
-    uint8_t* dst = out.data() + start;
-    Status st = Status::ok;
-    if (bi.offset + bi.comp_size > size) {
-      st = Status::truncated_stream;  // payload cut off under this block
-    } else {
-      thread_local DecScratch scratch;
-      st = decode_parsed_block(data, info, bi, dst, scratch);
-    }
-    if (st != Status::ok) std::fill(dst, dst + size_t(bi.raw_size), uint8_t(0));
-    if (st == Status::ok && xxhash64(dst, size_t(bi.raw_size)) != bi.checksum)
-      st = Status::corrupt_block;
-    block_status[size_t(b)] = st;
-  }
-
-  for (size_t b = 0; b < nb; ++b)
-    if (block_status[b] != Status::ok) bad_blocks.push_back(b);
-  return bad_blocks.empty() ? Status::ok : Status::corrupt_block;
+  const Status s = decode_blocks(data, size, /*tolerant=*/true, out, bad_blocks,
+                                 num_threads, limits);
+  if (s != Status::ok) out.clear();
+  return s == Status::ok && !bad_blocks.empty() ? Status::corrupt_block : s;
 }
 
 Status inspect(const uint8_t* data, size_t size, StreamInfo& info) {
@@ -812,55 +775,21 @@ Status decode_reference(const uint8_t* data, size_t size, std::vector<uint8_t>& 
   const uint8_t mode = hdr.u8();
   const uint64_t raw_size = hdr.u64();
   if (!hdr.ok()) return Status::corrupt_stream;
-
-  const ResourceLimits& rl = effective_limits(limits);
-  if (!rl.admits_output(raw_size) || !rl.admits_expansion(size, raw_size))
-    return Status::resource_exhausted;
+  if (const Status s = size_output(size, raw_size, limits, out); s != Status::ok)
+    return s;
 
   if (mode == kModeRaw) {
     const uint8_t* p = hdr.raw(raw_size);
     if (!p) return Status::truncated_stream;
-    out.assign(p, p + raw_size);
+    std::copy(p, p + raw_size, out.begin());
     return Status::ok;
   }
   if (mode != kModeLz) return Status::corrupt_stream;
-
-  const auto lit_lengths = unpack_lengths(hdr, kLitAlphabet);
-  const auto dist_lengths = unpack_lengths(hdr, kNumDistCodes);
-  if (!hdr.ok()) return Status::truncated_stream;
-
-  const HuffmanDecoder lit_dec(lit_lengths);
-  const HuffmanDecoder dist_dec(dist_lengths);
-  if (!lit_dec.valid()) return Status::corrupt_stream;
-
-  BitReader br(data + hdr.pos(), size - hdr.pos());
-  out.clear();
-  // raw_size is untrusted: cap the speculative reserve, and bail out if the
-  // token stream tries to grow past the promised size (corrupt stream).
-  out.reserve(size_t(std::min<uint64_t>(raw_size, uint64_t(1) << 24)));
-  while (true) {
-    if (out.size() > raw_size) return Status::corrupt_stream;
-    const int32_t sym = lit_dec.decode(br);
-    if (sym < 0) return Status::truncated_stream;
-    if (sym == int32_t(kEob)) break;
-    if (sym < 256) {
-      out.push_back(uint8_t(sym));
-      continue;
-    }
-    const int lc = sym - 257;
-    if (lc >= kNumLenCodes) return Status::corrupt_stream;
-    const uint32_t len = kLenBase[lc] + uint32_t(br.get_bits(kLenExtra[lc]));
-    const int32_t dc = dist_dec.decode(br);
-    if (dc < 0 || dc >= kNumDistCodes) return Status::corrupt_stream;
-    const uint32_t dist = kDistBase[dc] + uint32_t(br.get_bits(kDistExtra[dc]));
-    if (br.exhausted()) return Status::truncated_stream;
-    if (dist == 0 || dist > out.size()) return Status::corrupt_stream;
-    if (out.size() + len > raw_size) return Status::corrupt_stream;
-    const size_t start = out.size() - dist;
-    for (uint32_t i = 0; i < len; ++i) out.push_back(out[start + i]);
-  }
-  if (out.size() != raw_size) return Status::corrupt_stream;
-  return Status::ok;
+  // The legacy encoder wrote the layout of a blocked Huffman body after its
+  // 9-byte header: packed code lengths, then the LSB-first token stream.
+  DecScratch ds;
+  return decode_huffman_body(data + hdr.pos(), size - hdr.pos(), out.data(),
+                             size_t(raw_size), ds);
 }
 
 }  // namespace sperr::lossless

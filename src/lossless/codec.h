@@ -19,14 +19,18 @@
 //
 // The single-shot whole-input format that preceded the block framing
 // (formats 0-1) is still decoded: decompress() dispatches on the leading
-// format byte, and decode_reference is its decoder. Its encoder lives in the
-// test oracle (oracle/oracle.h), where it is the serial baseline in
-// bench_micro --lossless_json.
+// format byte to decode_reference, which reads the 9-byte header and hands
+// the rest to the token decoder of a blocked Huffman block (the legacy body
+// has that layout). Strict and tolerant decoding of the blocked formats share
+// one block loop. The legacy encoder lives in the test oracle
+// (oracle/oracle.h), where it is the serial baseline in bench_micro
+// --lossless_json.
 //
 // Either path always decodes to exactly the original bytes; when entropy
 // coding would expand a block (typical for SPECK's near-random bitplanes)
-// that block is stored raw with one byte of overhead.
+// that block is stored raw, at no cost beyond its directory entry.
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -43,9 +47,20 @@ inline constexpr uint8_t kEntropyRaw = 0;
 inline constexpr uint8_t kEntropyHuffman = 1;
 inline constexpr uint8_t kEntropyArith = 2;
 
+/// Block sizes the encoder writes. Format 3 packs the entropy tag into the
+/// top 2 bits of the directory's compressed-size field, so compressed sizes
+/// (<= block size) must fit in 30 bits; 256 MiB blocks keep a safe margin.
+inline constexpr size_t kMinBlockSize = size_t(1) << 12;
+inline constexpr size_t kMaxBlockSize = size_t(1) << 28;
+
+/// The block size compress() uses for a requested EncodeOptions::block_size.
+constexpr size_t clamp_block_size(size_t requested) {
+  return std::clamp(requested, kMinBlockSize, kMaxBlockSize);
+}
+
 /// Knobs for the block-parallel encoder.
 struct EncodeOptions {
-  /// Block granularity in bytes; clamped to [4 KiB, 256 MiB]. Smaller blocks
+  /// Block granularity in bytes; see clamp_block_size. Smaller blocks
   /// parallelize and localize corruption better, larger blocks give the
   /// matcher more context (the window is 32 KiB, so gains flatten quickly).
   size_t block_size = size_t(1) << 20;
@@ -101,7 +116,9 @@ Status decompress_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t
 
 /// Decoder of the single-block legacy format (formats 0-1: one serial
 /// LZ77+Huffman pass over the whole input, no directory, no checksums).
-/// decompress() dispatches such streams here.
+/// decompress() dispatches such streams here. The raw size is admitted
+/// against `limits` before `out` is sized; the body decodes through the
+/// blocked format's Huffman token decoder.
 Status decode_reference(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
                         const ResourceLimits* limits = nullptr);
 

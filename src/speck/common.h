@@ -80,6 +80,15 @@ struct Header {
     put_u64(out, nbits);
   }
 
+  /// Serialize, then append the payload's first `nbits` bits as whole bytes
+  /// with the bits past `nbits` zeroed — the one stream layout, so a stream
+  /// cut to a budget equals one encoded straight to it.
+  void write(std::vector<uint8_t>& out, const uint8_t* payload) const {
+    serialize(out);
+    out.insert(out.end(), payload, payload + (nbits + 7) / 8);
+    if (nbits % 8) out.back() &= uint8_t((1u << (nbits % 8)) - 1u);
+  }
+
   [[nodiscard]] Status deserialize(ByteReader& br) {
     if (br.u16() != kMagic) return Status::corrupt_stream;
     q = br.f64();

@@ -240,13 +240,9 @@ class Encoder {
     hdr.q = q_;
     hdr.n_max = n_max_;
     hdr.nbits = nbits;
-    const size_t nbytes = (nbits + 7) / 8;
     std::vector<uint8_t> out;
-    out.reserve(Header::kBytes + nbytes);
-    hdr.serialize(out);
-    const auto& payload = wbw_.finish();
-    out.insert(out.end(), payload.begin(), payload.begin() + ptrdiff_t(nbytes));
-    if (nbits % 8) out.back() &= uint8_t((1u << (nbits % 8)) - 1u);
+    out.reserve(Header::kBytes + (nbits + 7) / 8);
+    hdr.write(out, wbw_.finish().data());
 
     // The coder state is dead: free it before the export allocates the
     // recon, so the two never share the peak.

@@ -69,7 +69,7 @@ std::vector<uint8_t> write_container(const std::vector<ChunkStream>& streams,
     stats->compressed_bytes = out.size();
     stats->num_chunks = streams.size();
     if (cfg.lossless_pass) {
-      const size_t bs = std::clamp(cfg.lossless_block_size, size_t(1) << 12, size_t(1) << 30);
+      const size_t bs = lossless::clamp_block_size(cfg.lossless_block_size);
       stats->lossless_blocks = inner_bytes == 0 ? 0 : (inner_bytes - 1) / bs + 1;
       stats->timing.lossless_s = lossless_s;
     }

@@ -61,11 +61,11 @@ struct Config {
   bool lossless_pass = true;
 
   /// Block granularity of the lossless pass in bytes (clamped to
-  /// [4 KiB, 1 GiB] by the codec). Blocks are coded independently and in
-  /// parallel, each carrying its own checksum; smaller blocks localize
-  /// corruption and parallelize better, larger ones compress slightly
-  /// tighter. The value is recorded in the stream, so any setting decodes
-  /// everywhere.
+  /// [4 KiB, 256 MiB] by lossless::clamp_block_size). Blocks are coded
+  /// independently and in parallel, each carrying its own checksum;
+  /// smaller blocks localize corruption and parallelize better, larger
+  /// ones compress slightly tighter. The value is recorded in the stream,
+  /// so any setting decodes everywhere.
   size_t lossless_block_size = size_t(1) << 20;
 };
 

@@ -1,5 +1,7 @@
 #include "sperr/header.h"
 
+#include <algorithm>
+
 #include "common/byteio.h"
 #include "common/checksum.h"
 #include "lossless/codec.h"
@@ -103,7 +105,7 @@ std::vector<uint8_t> wrap_container(std::vector<uint8_t> inner, bool lossless,
 
 Status unwrap_container(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,
                         size_t* corrupt_block, uint8_t* version,
-                        const ResourceLimits* limits) {
+                        const ResourceLimits* limits, std::vector<size_t>* bad_blocks) {
   ByteReader br(data, size);
   if (br.u32() != ContainerHeader::kOuterMagic) return Status::corrupt_stream;
   const uint8_t ver = br.u8();
@@ -113,14 +115,22 @@ Status unwrap_container(const uint8_t* data, size_t size, std::vector<uint8_t>& 
   const uint8_t lossless_flag = br.u8();
   const uint64_t len = br.u64();
   if (!br.ok()) return Status::truncated_stream;
-  const uint8_t* payload = br.raw(len);
-  if (!payload) return Status::truncated_stream;
+  if (len > br.remaining() && !bad_blocks) return Status::truncated_stream;
+  const size_t avail = std::min<uint64_t>(len, br.remaining());
+  const uint8_t* payload = br.base() + br.pos();
 
-  if (lossless_flag)
-    return lossless::decompress(payload, len, inner, corrupt_block,
+  if (!lossless_flag) {
+    inner.assign(payload, payload + avail);
+    return Status::ok;
+  }
+  if (!bad_blocks)
+    return lossless::decompress(payload, avail, inner, corrupt_block,
                                 /*num_threads=*/0, limits);
-  inner.assign(payload, payload + len);
-  return Status::ok;
+  const Status s = lossless::decompress_tolerant(payload, avail, inner, *bad_blocks,
+                                                 /*num_threads=*/0, limits);
+  // corrupt_block means the framing held and the good blocks decoded —
+  // recoverable. Anything else destroyed the lossless framing itself.
+  return s == Status::corrupt_block ? Status::ok : s;
 }
 
 Status open_container(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,

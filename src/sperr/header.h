@@ -78,16 +78,23 @@ struct ContainerHeader {
 std::vector<uint8_t> wrap_container(std::vector<uint8_t> inner, bool lossless,
                                     const lossless::EncodeOptions& opts = {});
 
-/// Undo wrap_container; `inner` receives the decoded container bytes. When
-/// the lossless payload fails a per-block checksum the return is
-/// Status::corrupt_block and `*corrupt_block` (if non-null) names the block.
+/// Undo wrap_container; `inner` receives the decoded container bytes.
 /// `*version` (if non-null) receives the outer wrapper's version byte.
 /// The lossless payload's declared raw size is admitted against `limits`
 /// (nullptr = ResourceLimits::defaults()) before the inner buffer is sized;
 /// a violation returns Status::resource_exhausted.
+///
+/// Without `bad_blocks` the read is strict: a payload shorter than its
+/// declared length is truncated_stream, and a lossless block that fails
+/// its checksum returns Status::corrupt_block with `*corrupt_block` (if
+/// non-null) naming the lowest such block. With `bad_blocks` the read is
+/// tolerant (lossless::decompress_tolerant): a short payload yields its
+/// prefix, corrupt blocks are zero-filled and listed in `*bad_blocks`, and
+/// the return is ok unless the wrapper or the lossless framing is destroyed.
 Status unwrap_container(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,
                         size_t* corrupt_block = nullptr, uint8_t* version = nullptr,
-                        const ResourceLimits* limits = nullptr);
+                        const ResourceLimits* limits = nullptr,
+                        std::vector<size_t>* bad_blocks = nullptr);
 
 /// unwrap_container + ContainerHeader::deserialize in one step (the common
 /// prologue of every decoder). On success `inner` holds the container bytes,

@@ -28,55 +28,21 @@ namespace sperr {
 
 namespace detail {
 
-namespace {
-
-/// Tolerant counterpart of unwrap_container: recover as many inner bytes as
-/// possible. Corrupt lossless blocks are zero-filled (recorded in
-/// `bad_blocks`); a payload shorter than advertised yields its prefix.
-Status unwrap_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,
-                       std::vector<size_t>& bad_blocks, uint8_t* version,
-                       const ResourceLimits* limits) {
-  ByteReader br(data, size);
-  if (br.u32() != ContainerHeader::kOuterMagic) return Status::corrupt_stream;
-  const uint8_t ver = br.u8();
-  if (ver < ContainerHeader::kMinVersion || ver > ContainerHeader::kVersion)
-    return Status::corrupt_stream;
-  if (version) *version = ver;
-  const uint8_t lossless_flag = br.u8();
-  const uint64_t len = br.u64();
-  if (!br.ok()) return Status::truncated_stream;
-  const size_t avail = std::min<uint64_t>(len, br.remaining());
-  const uint8_t* payload = br.base() + br.pos();
-
-  if (lossless_flag) {
-    const Status s = lossless::decompress_tolerant(payload, avail, inner, bad_blocks,
-                                                   /*num_threads=*/0, limits);
-    // corrupt_block means the framing held and the good blocks decoded —
-    // recoverable. Anything else destroyed the lossless framing itself.
-    return s == Status::corrupt_block ? Status::ok : s;
-  }
-  inner.assign(payload, payload + avail);
-  return Status::ok;
-}
-
-}  // namespace
-
 Status open_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
                      OpenedContainer& oc, DecodeReport* report,
                      const ResourceLimits* limits) {
   uint8_t version = ContainerHeader::kVersion;
-  Status s;
-  if (policy == Recovery::fail_fast) {
-    size_t bad_block = 0;
-    s = unwrap_container(stream, nbytes, oc.inner, &bad_block, &version, limits);
-    if (s == Status::corrupt_block && report)
-      report->lossless_bad_blocks.push_back(bad_block);
-  } else {
-    std::vector<size_t> bad_blocks;
-    s = unwrap_tolerant(stream, nbytes, oc.inner, bad_blocks, &version, limits);
-    if (report) report->lossless_bad_blocks = std::move(bad_blocks);
+  size_t first_bad = 0;
+  std::vector<size_t> bad_blocks;
+  // fail_fast reads strictly; every other policy salvages what it can.
+  const Status s =
+      unwrap_container(stream, nbytes, oc.inner, &first_bad, &version, limits,
+                       policy == Recovery::fail_fast ? nullptr : &bad_blocks);
+  if (s == Status::corrupt_block) bad_blocks.push_back(first_bad);
+  if (report) {
+    report->version = version;
+    report->lossless_bad_blocks = std::move(bad_blocks);
   }
-  if (report) report->version = version;
   if (s != Status::ok) return s;
 
   ByteReader br(oc.inner.data(), oc.inner.size());

@@ -37,13 +37,15 @@ struct OpenedContainer {
   std::vector<ChunkSlice> slices;
 };
 
-/// Unwrap the outer wrapper + lossless layer and parse the header and chunk
-/// directory. With a fill policy the unwrap is tolerant: corrupt lossless
-/// blocks are zero-filled and recorded, and a truncated payload yields its
+/// Unwrap the outer wrapper + lossless layer (one unwrap_container call) and
+/// parse the header and chunk directory. fail_fast unwraps strictly; a fill
+/// policy passes unwrap_container a bad-block list, so corrupt lossless
+/// blocks are zero-filled and recorded and a truncated payload yields its
 /// available prefix. Fills the container-level fields of `report` (header_ok,
 /// version, lossless_bad_blocks) when non-null. Returns != ok only when
 /// nothing is salvageable (wrapper, header, or directory destroyed — or, in
-/// fail_fast mode, any lossless-block corruption). `limits` (nullptr =
+/// fail_fast mode, any lossless-block corruption, whose lowest block index
+/// is then the one entry of lossless_bad_blocks). `limits` (nullptr =
 /// ResourceLimits::defaults()) gates the lossless raw size and the declared
 /// chunk count before either sizes an allocation (resource_exhausted).
 Status open_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,

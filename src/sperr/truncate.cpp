@@ -47,14 +47,11 @@ Status truncate_fixed_rate(const uint8_t* stream, size_t nbytes, double new_bpp,
     ByteReader shr(sp, sl.speck_avail);
     speck::Header shdr;
     if (const Status s = shdr.deserialize(shr); s != Status::ok) return s;
+    // The clip never reaches past the payload bytes actually present.
     shdr.nbits = std::min<uint64_t>(
-        shdr.nbits, pipeline::fixed_rate_budget(new_bpp, oc.chunks[i].dims));
-    const size_t payload_bytes =
-        std::min<size_t>((shdr.nbits + 7) / 8, sl.speck_avail - shr.pos());
-
-    std::vector<uint8_t>& cut = cuts[i].speck;
-    shdr.serialize(cut);
-    cut.insert(cut.end(), sp + shr.pos(), sp + shr.pos() + payload_bytes);
+        {shdr.nbits, pipeline::fixed_rate_budget(new_bpp, oc.chunks[i].dims),
+         8 * uint64_t(sl.speck_avail - shr.pos())});
+    shdr.write(cuts[i].speck, sp + shr.pos());
     // The chunk mean carries over (truncation does not change what the
     // data was).
     cuts[i].mean = oc.hdr.entries[i].mean;

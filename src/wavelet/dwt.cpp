@@ -122,6 +122,25 @@ void blocked_pass_xy(double* data, Dims dims, Dims box, bool do_x, bool do_y,
   }
 }
 
+// The one synthesis loop: undo the levels >= keep_levels, coarsest first,
+// each level's axes in the reverse order of analysis.
+void synthesize(double* data, Dims dims, size_t keep_levels, Kernel kernel,
+                Arena* arena) {
+  Arena& a = arena ? *arena : tls_arena();
+  const LevelPlan plan = plan_levels(dims);
+  const auto boxes = lowpass_boxes(dims);
+  const auto synthesis = [kernel](double* tile, size_t n, size_t nb, double* s) {
+    return batch_synthesis(kernel, tile, n, nb, s);
+  };
+  for (size_t l = boxes.size(); l-- > keep_levels;) {
+    const Dims box = boxes[l];
+    if (l < plan.lz) blocked_pass(data, pass_z(dims, box), a, synthesis);
+    const bool dx = l < plan.lx, dy = l < plan.ly;
+    if (dx || dy)
+      blocked_pass_xy(data, dims, box, dx, dy, /*x_first=*/false, a, synthesis);
+  }
+}
+
 }  // namespace
 
 size_t LevelPlan::max() const {
@@ -162,39 +181,12 @@ void forward_dwt(double* data, Dims dims, Kernel kernel, Arena* arena) {
 }
 
 void inverse_dwt(double* data, Dims dims, Kernel kernel, Arena* arena) {
-  if (kernel == Kernel::cdf97) {
-    inverse_dwt_partial(data, dims, 0, arena);
-    return;
-  }
-  Arena& a = arena ? *arena : tls_arena();
-  const LevelPlan plan = plan_levels(dims);
-  const auto boxes = lowpass_boxes(dims);
-  const auto synthesis = [kernel](double* tile, size_t n, size_t nb, double* s) {
-    return batch_synthesis(kernel, tile, n, nb, s);
-  };
-  for (size_t l = boxes.size(); l-- > 0;) {
-    const Dims box = boxes[l];
-    if (l < plan.lz) blocked_pass(data, pass_z(dims, box), a, synthesis);
-    const bool dx = l < plan.lx, dy = l < plan.ly;
-    if (dx || dy)
-      blocked_pass_xy(data, dims, box, dx, dy, /*x_first=*/false, a, synthesis);
-  }
+  synthesize(data, dims, 0, kernel, arena);
 }
 
 void inverse_dwt_partial(double* data, Dims dims, size_t keep_levels,
                          Arena* arena) {
-  Arena& a = arena ? *arena : tls_arena();
-  const LevelPlan plan = plan_levels(dims);
-  const auto boxes = lowpass_boxes(dims);
-  for (size_t l = boxes.size(); l-- > keep_levels;) {
-    const Dims box = boxes[l];
-    // Synthesis undoes axes in the reverse order of analysis.
-    if (l < plan.lz) blocked_pass(data, pass_z(dims, box), a, cdf97_synthesis_batch);
-    const bool dx = l < plan.lx, dy = l < plan.ly;
-    if (dx || dy)
-      blocked_pass_xy(data, dims, box, dx, dy, /*x_first=*/false, a,
-                      cdf97_synthesis_batch);
-  }
+  synthesize(data, dims, keep_levels, Kernel::cdf97, arena);
 }
 
 Dims lowpass_box_at(Dims dims, size_t levels) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/checksum.h"
@@ -220,6 +222,121 @@ TEST(CodecBlocked, BlockSizeIsClampedToTheSupportedRange) {
   std::vector<uint8_t> out;
   ASSERT_EQ(decompress(packed, out), Status::ok);
   EXPECT_EQ(out, input);
+}
+
+TEST(CodecBlocked, BlockSizeClampIsTheOneTheStreamRecords) {
+  EXPECT_EQ(clamp_block_size(1), kMinBlockSize);
+  EXPECT_EQ(clamp_block_size(size_t(1) << 20), size_t(1) << 20);
+  EXPECT_EQ(clamp_block_size(size_t(1) << 31), size_t(1) << 28);
+  const auto packed = compress(compressible_blob(100, 14), {size_t(1) << 31, 0});
+  StreamInfo info;
+  ASSERT_EQ(inspect(packed.data(), packed.size(), info), Status::ok);
+  EXPECT_EQ(info.block_size, clamp_block_size(size_t(1) << 31));
+}
+
+// --- strict and tolerant decoding agree --------------------------------------
+
+/// The lossless payload of a golden v2 container: format 2, past the 14-byte
+/// outer wrapper (magic, version, lossless flag, payload length).
+std::vector<uint8_t> golden_v2_payload(const std::string& name) {
+  std::ifstream in(std::string(GOLDEN_DIR) + "/" + name, std::ios::binary);
+  const std::vector<uint8_t> file(std::istreambuf_iterator<char>(in), {});
+  if (file.size() < 14) return {};
+  return {file.begin() + 14, file.end()};
+}
+
+/// Decode `stream` both ways and require one verdict: the same status (the
+/// tolerant path maps any block failure to corrupt_block too), strict's
+/// corrupt block is tolerant's first bad block, and a clean stream decodes
+/// to the same bytes.
+void expect_strict_tolerant_agree(const std::vector<uint8_t>& stream,
+                                  const std::string& what) {
+  std::vector<uint8_t> strict_out, tolerant_out;
+  size_t bad = SIZE_MAX;
+  std::vector<size_t> bad_blocks;
+  const Status strict = decompress(stream.data(), stream.size(), strict_out, &bad);
+  const Status tolerant =
+      decompress_tolerant(stream.data(), stream.size(), tolerant_out, bad_blocks);
+  EXPECT_EQ(strict, tolerant) << what;
+  if (strict == Status::ok) {
+    EXPECT_EQ(strict_out, tolerant_out) << what;
+  } else if (strict == Status::corrupt_block) {
+    ASSERT_FALSE(bad_blocks.empty()) << what;
+    EXPECT_EQ(bad, bad_blocks.front()) << what;
+  } else {
+    EXPECT_TRUE(bad_blocks.empty()) << what;
+  }
+}
+
+/// Flip bits across every block payload of a blocked stream; each flip must
+/// be pinned on its own block, identically by both decoders.
+void flip_block_payloads(const std::vector<uint8_t>& stream, const std::string& what) {
+  StreamInfo info;
+  ASSERT_EQ(inspect(stream.data(), stream.size(), info), Status::ok) << what;
+  ASSERT_TRUE(info.blocked) << what;
+  expect_strict_tolerant_agree(stream, what + " clean");
+  for (size_t b = 0; b < info.blocks.size(); ++b) {
+    const BlockInfo& bi = info.blocks[b];
+    for (size_t k = 0; k < 8; ++k) {
+      auto bad = stream;
+      const size_t at = size_t(bi.offset) + k * bi.comp_size / 8;
+      bad[at] ^= uint8_t(1u << k);
+      const std::string where = what + " block " + std::to_string(b) + " byte " +
+                                std::to_string(at);
+      std::vector<uint8_t> out;
+      size_t victim = SIZE_MAX;
+      EXPECT_EQ(decompress(bad.data(), bad.size(), out, &victim), Status::corrupt_block)
+          << where;
+      EXPECT_EQ(victim, b) << where;
+      expect_strict_tolerant_agree(bad, where);
+    }
+  }
+}
+
+TEST(CodecBlocked, StrictAndTolerantAgreeOnFormat2) {
+  for (const char* name : {"pwe_3d_v2.sperr", "pwe_2d_v2.sperr", "rate_3d_v2.sperr"}) {
+    const auto payload = golden_v2_payload(name);
+    ASSERT_FALSE(payload.empty()) << name;
+    ASSERT_EQ(payload[0], 2) << name;  // format 2: mode byte leads each payload
+    flip_block_payloads(payload, name);
+  }
+}
+
+TEST(CodecBlocked, StrictAndTolerantAgreeOnFormat3) {
+  std::vector<uint8_t> mixed = compressible_blob(3 * kSmallBlock, 15);
+  const auto noise = random_blob(kSmallBlock, 16);  // a raw-tagged block
+  mixed.insert(mixed.begin() + long(kSmallBlock), noise.begin(), noise.end());
+  flip_block_payloads(compress(mixed, {kSmallBlock, 0}), "format 3");
+}
+
+TEST(CodecBlocked, StrictAndTolerantAgreeOnTheLegacyFormat) {
+  const auto reference = encode_reference(compressible_blob(3 * kSmallBlock, 17));
+  ASSERT_EQ(reference[0], 1);  // kModeLz: the token body, not a raw copy
+  expect_strict_tolerant_agree(reference, "legacy clean");
+  for (size_t at = 9; at < reference.size(); at += reference.size() / 64 + 1) {
+    auto bad = reference;
+    bad[at] ^= 0x04;
+    expect_strict_tolerant_agree(bad, "legacy byte " + std::to_string(at));
+  }
+}
+
+TEST(CodecBlocked, TruncatedLegacyStreamsAreRejected) {
+  // Each cut lives in an exactly sized buffer, so a sanitizer build flags
+  // any read past the input.
+  for (const auto& input :
+       {compressible_blob(2 * kSmallBlock, 18), random_blob(300, 19)}) {
+    const auto reference = encode_reference(input);
+    for (size_t keep = 0; keep < reference.size(); keep += reference.size() / 97 + 1) {
+      const std::vector<uint8_t> cut(reference.begin(), reference.begin() + long(keep));
+      std::vector<uint8_t> out;
+      const Status s = decode_reference(cut.data(), cut.size(), out);
+      // Shorter than the 9-byte header is unreadable; past it, a cut anywhere
+      // (code lengths, token stream, raw bytes) reads as truncation.
+      EXPECT_EQ(s, keep < 9 ? Status::corrupt_stream : Status::truncated_stream)
+          << "mode " << int(reference[0]) << " keep " << keep;
+      expect_strict_tolerant_agree(cut, "legacy cut " + std::to_string(keep));
+    }
+  }
 }
 
 TEST(CodecBlocked, ExplicitThreadCountsAgreeByteForByte) {

@@ -67,6 +67,21 @@ TEST(Truncate, MatchesDirectEncodingAtTheSameRate) {
   EXPECT_NEAR(r1, r2, 0.05 * std::max(r1, r2) + 1e-12);
 }
 
+TEST(Truncate, CutEqualsDirectEncodingByteForByte) {
+  // A cut keeps the first nbits payload bits and zeroes the rest of the last
+  // byte, exactly as the encoder does at that budget — so the cut container
+  // is the direct one, also when a budget is not a whole number of bytes.
+  const Dims dims{33, 17, 9};
+  for (const auto& field : {data::miranda_pressure(dims), data::nyx_velocity_x(dims)}) {
+    const auto full = fixed_rate_blob(field, dims, 8.0);
+    for (const double bpp : {0.3, 1.0, 2.0, 3.3}) {
+      std::vector<uint8_t> cut;
+      ASSERT_EQ(truncate_fixed_rate(full.data(), full.size(), bpp, cut), Status::ok);
+      EXPECT_EQ(cut, fixed_rate_blob(field, dims, bpp)) << "bpp " << bpp;
+    }
+  }
+}
+
 TEST(Truncate, MultiChunkContainersSupported) {
   const Dims dims{64, 64, 64};
   const auto field = data::miranda_density(dims);

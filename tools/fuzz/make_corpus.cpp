@@ -1,13 +1,15 @@
 // Regenerates the committed fuzz seed corpus (tools/fuzz/corpus/). Seeds are
 // small, deterministic, and split per target:
 //
-//   container/  valid containers (lossless / not), a truncation, and the
-//               bomb corpus: tiny headers declaring terabytes of output,
-//               a chunk-grid explosion, and a max-expansion lossless
-//               payload — each must be answered resource_exhausted, never
-//               allocated.
-//   lossless/   valid blocked + reference streams, a truncation, and a
-//               reference header declaring a 2 TiB raw size.
+//   container/  valid containers (lossless / not, current and v2), a
+//               truncation, and the bomb corpus: tiny headers declaring
+//               terabytes of output, a chunk-grid explosion, and a
+//               max-expansion lossless payload — each must be answered
+//               resource_exhausted, never allocated.
+//   lossless/   one stream per framing the block loop and the legacy
+//               decoder serve: format 3 (and a truncation), format 2 (a
+//               golden v2 container's payload), legacy format 1 (and a
+//               truncation), and a legacy header declaring a 2 TiB raw size.
 //   wire/       frame headers (valid / wrong magic) and STATS bodies at
 //               every documented growth point (168 / 216 / 224 bytes).
 //   server/     end-to-end request seeds for fuzz_server: selector byte +
@@ -24,6 +26,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -121,6 +124,18 @@ std::vector<uint8_t> bomb_lossless_container() {
   return out;
 }
 
+/// A committed golden fixture (tests/golden/), read whole.
+std::vector<uint8_t> golden(const char* name) {
+  const fs::path path = fs::path(SPERR_GOLDEN_DIR) / name;
+  std::ifstream in(path, std::ios::binary);
+  std::vector<uint8_t> bytes(std::istreambuf_iterator<char>(in), {});
+  if (bytes.empty()) {
+    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
+    std::exit(1);
+  }
+  return bytes;
+}
+
 std::vector<uint8_t> truncate(std::vector<uint8_t> v, double keep) {
   v.resize(size_t(double(v.size()) * keep));
   return v;
@@ -163,6 +178,8 @@ int main(int argc, char** argv) {
   write_file(root / "container" / "bomb_dims.sperr", bomb_dims);
   write_file(root / "container" / "bomb_chunks.sperr", bomb_chunks);
   write_file(root / "container" / "bomb_lossless.sperr", bomb_lossless);
+  const auto v2 = golden("rate_3d_v2.sperr");
+  write_file(root / "container" / "seed_v2.sperr", v2);
 
   // --- lossless -------------------------------------------------------------
   std::vector<uint8_t> bytes(64 * 1024);
@@ -173,6 +190,10 @@ int main(int argc, char** argv) {
   write_file(root / "lossless" / "seed_blocked.lz", blocked);
   write_file(root / "lossless" / "seed_reference.lz", reference);
   write_file(root / "lossless" / "seed_truncated.lz", truncate(blocked, 0.5));
+  // Past the 14-byte outer wrapper: a format-2 lossless stream.
+  write_file(root / "lossless" / "seed_v2.lz", {v2.begin() + 14, v2.end()});
+  write_file(root / "lossless" / "seed_reference_truncated.lz",
+             truncate(reference, 0.5));
   write_file(root / "lossless" / "bomb_rawsize.lz",
              bomb_reference_stream(uint64_t(1) << 41));
 
