@@ -123,9 +123,11 @@ void ablation_linearization() {
   const auto data = bench::load_field(field);
   const Dims dims = field.dims;
   const double t = sperr::tolerance_from_idx(data.data(), data.size(), 20);
+  sperr::Config cfg;
+  cfg.tolerance = t;
 
   std::vector<sperr::outlier::Outlier> outliers;
-  (void)sperr::pipeline::encode_pwe(data.data(), dims, t, 1.5, &outliers);
+  (void)bench::encode_field(data, dims, cfg, &outliers);
   std::printf("field %s, %zu outliers (%.2f%%)\n\n", field.label.c_str(),
               outliers.size(), 100.0 * double(outliers.size()) / double(data.size()));
 

@@ -34,8 +34,9 @@ int main() {
 
     // Intercept the pipeline to get the outlier list (paper's methodology).
     std::vector<sperr::outlier::Outlier> outliers;
-    const auto cs = sperr::pipeline::encode_pwe(data.data(), field.dims, t, 1.5,
-                                                &outliers);
+    sperr::Config cfg;
+    cfg.tolerance = t;
+    const auto cs = bench::encode_field(data, field.dims, cfg, &outliers);
     if (outliers.empty()) {
       std::printf("%-10s %12s\n", c.abbrev.c_str(), "none");
       continue;

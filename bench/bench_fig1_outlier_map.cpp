@@ -86,11 +86,13 @@ int main() {
   const auto img = sperr::data::lighthouse_2d(dims);
   // Tolerance around 1/2^9 of the 0..255 range gives the paper's few-percent
   // outlier regime.
-  const double t = 0.5;
+  sperr::Config cfg;
+  cfg.tolerance = 0.5;
 
   for (const double q_over_t : {1.3, 1.5, 1.7}) {
     std::vector<sperr::outlier::Outlier> outliers;
-    (void)sperr::pipeline::encode_pwe(img.data(), dims, t, q_over_t, &outliers);
+    cfg.q_over_t = q_over_t;
+    (void)bench::encode_field(img, dims, cfg, &outliers);
     const double pct = 100.0 * double(outliers.size()) / double(dims.total());
     const double r = clark_evans_ratio(outliers, dims);
     std::printf("\nq = %.1ft: %zu outliers (%.2f%%), Clark-Evans R = %.2f %s\n",

@@ -27,8 +27,11 @@ int main() {
 
   double best_total = 1e300;
   double best_q = 0;
+  sperr::Config cfg;
+  cfg.tolerance = t;
   for (double q = 1.0; q <= 3.001; q += 0.2) {
-    const auto cs = sperr::pipeline::encode_pwe(data.data(), field.dims, t, q);
+    cfg.q_over_t = q;
+    const auto cs = bench::encode_field(data, field.dims, cfg);
     const double coeff_bpp = double(cs.speck.size()) * 8.0 / n;
     const double outl_bpp = double(cs.outlier.size()) * 8.0 / n;
     const double total = coeff_bpp + outl_bpp;

@@ -47,9 +47,12 @@ int main() {
     for (const int idx : p.idx_levels) {
       const double t = sperr::tolerance_from_idx(data.data(), data.size(), idx);
       std::vector<Sample> samples;
+      sperr::Config cfg;
+      cfg.tolerance = t;
       for (const double q : q_steps) {
         std::vector<uint8_t> blob;
-        const auto cs = sperr::pipeline::encode_pwe(data.data(), field.dims, t, q);
+        cfg.q_over_t = q;
+        const auto cs = bench::encode_field(data, field.dims, cfg);
         std::vector<double> recon(field.dims.total());
         (void)sperr::pipeline::decode(cs.speck, cs.outlier, field.dims,
                                       recon.data());

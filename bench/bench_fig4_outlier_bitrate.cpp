@@ -26,9 +26,11 @@ int main() {
   for (const auto& c : cases) {
     const auto& field = bench::field_by_label(c.label);
     const auto data = bench::load_field(field);
-    const double t = sperr::tolerance_from_idx(data.data(), data.size(), c.idx);
+    sperr::Config cfg;
+    cfg.tolerance = sperr::tolerance_from_idx(data.data(), data.size(), c.idx);
     for (double q = 1.0; q <= 3.001; q += 0.25) {
-      const auto cs = sperr::pipeline::encode_pwe(data.data(), field.dims, t, q);
+      cfg.q_over_t = q;
+      const auto cs = bench::encode_field(data, field.dims, cfg);
       const double pct = 100.0 * double(cs.num_outliers) / double(data.size());
       const double bits = cs.num_outliers
                               ? double(cs.outlier_payload_bits) / double(cs.num_outliers)

@@ -24,12 +24,13 @@ int main() {
   bench::print_rule();
 
   for (const int idx : {10, 20, 30, 40, 50}) {
-    const double t = sperr::tolerance_from_idx(data.data(), data.size(), idx);
+    sperr::Config cfg;
+    cfg.tolerance = sperr::tolerance_from_idx(data.data(), data.size(), idx);
     // Median of 3 runs to stabilize the wall-clock numbers.
     sperr::pipeline::ChunkStream best;
     double best_total = 1e300;
     for (int rep = 0; rep < 3; ++rep) {
-      auto cs = sperr::pipeline::encode_pwe(data.data(), field.dims, t, 1.5);
+      auto cs = bench::encode_field(data, field.dims, cfg);
       if (cs.timing.total() < best_total) {
         best_total = cs.timing.total();
         best = std::move(cs);

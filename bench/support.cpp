@@ -60,6 +60,16 @@ sperr::Config sperr_config_for(const Field& f) {
   return cfg;
 }
 
+sperr::pipeline::ChunkStream encode_field(const std::vector<double>& data, Dims dims,
+                                          const sperr::Config& cfg,
+                                          std::vector<sperr::outlier::Outlier>* outliers) {
+  sperr::pipeline::ChunkStream cs;
+  if (sperr::pipeline::encode_chunk(data.data(), dims, sperr::Chunk{{0, 0, 0}, dims}, cfg,
+                                    cs, nullptr, 1, false, outliers) != sperr::Status::ok)
+    throw std::invalid_argument("encode_field: input contains NaN or Inf");
+  return cs;
+}
+
 const std::vector<Case>& table2_cases() {
   static const std::vector<Case> cases = {
       {"CH4-20", "CH4", 20},     {"CH4-40", "CH4", 40},

@@ -16,7 +16,9 @@
 
 #include "common/types.h"
 #include "metrics/metrics.h"
+#include "outlier/coder.h"
 #include "sperr/config.h"
+#include "sperr/pipeline.h"
 
 namespace bench {
 
@@ -45,6 +47,14 @@ std::vector<double> load_field(const Field& f);
 
 /// A default SPERR config honouring the field's preferred chunking.
 sperr::Config sperr_config_for(const Field& f);
+
+/// Encode a whole field as one chunk in cfg's mode through
+/// pipeline::encode_chunk, the per-chunk step sperr::compress runs.
+/// `outliers`, when non-null, receives the located outliers (PWE mode).
+/// Throws on a field holding NaN or Inf.
+sperr::pipeline::ChunkStream encode_field(
+    const std::vector<double>& data, Dims dims, const sperr::Config& cfg,
+    std::vector<sperr::outlier::Outlier>* outliers = nullptr);
 
 /// A (field, tolerance-idx) pair from Table II, e.g. "Press-20".
 struct Case {

@@ -127,16 +127,13 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
 #pragma omp parallel for schedule(dynamic) num_threads(nt) reduction(|| : nonfinite)
 #endif
   for (size_t i = 0; i < chunks.size(); ++i) {
-    const Chunk& c = chunks[i];
-    // All large per-chunk scratch (gather buffer, coefficient copy, wavelet
-    // tiles) comes from this worker's arena: after the first chunk of a
-    // given size the loop performs no heap allocation for these buffers.
+    // The large per-chunk scratch (coefficients, wavelet tiles) comes from
+    // this worker's arena: after the first chunk of a given size the loop
+    // performs no heap allocation for these buffers.
     Arena& arena = tls_arena();
     arena.reset();
-    double* buf = arena.alloc<double>(c.dims.total());
-    gather_chunk(data, dims, c, buf);
-    if (pipeline::encode_chunk(buf, c.dims, cfg, streams[i], &arena, intra_threads,
-                               precision == 4) != Status::ok)
+    if (pipeline::encode_chunk(data, dims, chunks[i], cfg, streams[i], &arena,
+                               intra_threads, precision == 4) != Status::ok)
       nonfinite = true;
   }
   // The reference SPERR has the same requirement; name the first offender.

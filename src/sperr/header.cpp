@@ -94,7 +94,7 @@ std::vector<uint8_t> wrap_container(std::vector<uint8_t> inner, bool lossless,
       lossless ? lossless::compress(inner, opts) : std::move(inner);
 
   std::vector<uint8_t> out;
-  out.reserve(payload.size() + 14);
+  out.reserve(ContainerHeader::kOuterBytes + payload.size());
   put_u32(out, ContainerHeader::kOuterMagic);
   put_u8(out, ContainerHeader::kVersion);
   put_u8(out, lossless ? 1 : 0);

@@ -46,6 +46,8 @@ struct ChunkEntry {
 
 struct ContainerHeader {
   static constexpr uint32_t kOuterMagic = 0x5a525053;  // "SPRZ"
+  /// Size of the outer wrapper: magic, version, lossless flag, inner_len.
+  static constexpr size_t kOuterBytes = 14;
   static constexpr uint32_t kInnerMagic = 0x43525053;  // "SPRC"
   // Version history: 1 = single-block lossless pass; 2 = block-parallel
   // lossless framing with per-block checksums; 3 = per-chunk XXH64 + chunk

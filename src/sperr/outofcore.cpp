@@ -170,7 +170,8 @@ Status compress_file(const std::string& in_path, Dims dims, int precision,
   for (size_t i = 0; i < chunks.size(); ++i) {
     if (!read_chunk(in, dims, precision, chunks[i], buf))
       return Status::truncated_stream;
-    if (const Status s = pipeline::encode_chunk(buf.data(), chunks[i].dims, cfg,
+    const Dims cd = chunks[i].dims;  // the buffer is a one-chunk volume
+    if (const Status s = pipeline::encode_chunk(buf.data(), cd, Chunk{{0, 0, 0}, cd}, cfg,
                                                 streams[i], nullptr, 1, precision == 4);
         s != Status::ok)
       return s;
@@ -239,7 +240,7 @@ Status decompress_file(const std::string& in_path, const std::string& out_path,
     std::vector<double> buf;
     Arena& arena = tls_arena();
     for (size_t i = 0; i < oc.chunks.size(); ++i) {
-      buf.assign(oc.chunks[i].dims.total(), 0.0);
+      buf.resize(oc.chunks[i].dims.total());
       arena.reset();
       rep.chunks[i] = sperr::detail::decode_chunk(oc, i, policy, buf.data(), &arena);
       if (rep.chunks[i].damaged()) {

@@ -22,52 +22,107 @@ const char* config_error(Dims dims, const Config& cfg) {
   if (cfg.mode == Mode::target_rmse && !(cfg.rmse > 0.0))
     return "target-rmse mode requires rmse > 0";
   if (cfg.mode == Mode::pwe && !(cfg.q_over_t > 0.0)) return "q_over_t must be > 0";
+  if (cfg.mode == Mode::pwe && !(cfg.q_over_t * cfg.tolerance > 0.0))
+    return "q_over_t * tolerance underflows to 0";
   if (largest_chunk(dims, cfg.chunk_dims).total() >= speck::kMaxCoefficients)
     return "chunk of 2^31 voxels or more (reduce chunk_dims)";
   return nullptr;
 }
 
-ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
-                       double q_over_t,
-                       std::vector<outlier::Outlier>* capture_outliers,
-                       Arena* arena, int intra_chunk_threads, bool float_output) {
-  ChunkStream result;
+size_t fixed_rate_budget(double bpp, Dims chunk_dims) {
+  const auto budget = size_t(std::llround(bpp * double(chunk_dims.total())));
+  return std::max<size_t>(budget, 8);
+}
+
+Status encode_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
+                    const Config& cfg, ChunkStream& out, Arena* arena,
+                    int intra_chunk_threads, bool float_output,
+                    std::vector<outlier::Outlier>* capture_outliers) {
+  const Dims dims = chunk.dims;
   const size_t n = dims.total();
-  const double q = q_over_t * tolerance;
   Arena& a = arena ? *arena : tls_arena();
   Arena::Scope scope(a);
-  result.timing.bytes = uint64_t(n) * sizeof(double);
 
-  // Stage 1: forward wavelet transform.
+  // Stage 1: gather the chunk into the coefficient buffer, which the
+  // forward wavelet transform then overwrites in place.
   Timer timer;
   double* coeffs = a.alloc<double>(n);
-  std::copy(data, data + n, coeffs);
-  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a);
-  result.timing.transform_s = timer.seconds();
+  gather_chunk(volume, vol_dims, chunk, coeffs);
+  double transform_s = timer.seconds();
 
-  // Stage 2: SPECK-code all bitplanes down to the quantization step q. The
-  // encoder also hands back the decoder-equivalent coefficient
+  // A finite sum proves every sample finite, so the scan for a NaN or Inf
+  // runs only when the sum is not (it may also just have overflowed).
+  double sum = 0.0;
+  for (size_t k = 0; k < n; ++k) sum += coeffs[k];
+  if (!std::isfinite(sum) &&
+      !std::all_of(coeffs, coeffs + n, [](double v) { return std::isfinite(v); }))
+    return Status::invalid_argument;
+
+  out = ChunkStream{};
+  out.mean = sum / double(n);
+  out.timing.bytes = uint64_t(n) * sizeof(double);
+  timer.reset();
+  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a);
+  out.timing.transform_s = transform_s + timer.seconds();
+
+  // The mode sets the quantization step q and the bit budget (0 = none).
+  const bool pwe = cfg.mode == Mode::pwe;
+  double q = 0.0;
+  size_t budget = 0;
+  if (pwe) {
+    q = cfg.q_over_t * cfg.tolerance;
+  } else if (cfg.mode == Mode::target_rmse) {
+    // Unit-norm near-orthogonal basis: coefficient-domain RMSE ~ output RMSE
+    // (paper §III-A / §VII). Mid-riser quantization with step q injects
+    // q/sqrt(12) RMSE per coded coefficient; dead-zone zeros add a little
+    // more, so take a 2x safety margin.
+    q = cfg.rmse * std::sqrt(12.0) * 0.5;
+  } else {
+    // Pick q far below the coefficient scale so the bit budget, not the
+    // quantization floor, terminates coding (~50 bitplanes available). The
+    // clamp keeps q > 0, as the SPECK header requires, when the largest
+    // coefficient is subnormal.
+    double max_mag = 0.0;
+    for (size_t i = 0; i < n; ++i) max_mag = std::max(max_mag, std::fabs(coeffs[i]));
+    q = max_mag > 0.0 ? std::max(std::ldexp(max_mag, -50),
+                                 std::numeric_limits<double>::denorm_min())
+                      : 1.0;
+    budget = fixed_rate_budget(cfg.bpp, dims);
+  }
+
+  // Stage 2: SPECK-code all bitplanes down to q, or up to the budget. In
+  // PWE mode the encoder also hands back the decoder-equivalent coefficient
   // reconstruction so stage 3 need not decode the stream it just built.
   timer.reset();
   std::vector<double> recon;
-  result.speck = speck::encode(coeffs, dims, q, 0, &result.speck_stats, &recon,
-                               intra_chunk_threads);
-  result.timing.speck_s = timer.seconds();
+  out.speck = speck::encode(coeffs, dims, q, budget, &out.speck_stats,
+                            pwe ? &recon : nullptr, intra_chunk_threads);
+  out.timing.speck_s = timer.seconds();
+  if (!pwe) return Status::ok;
 
   // Stage 3: locate outliers — inverse transform plus a comparison with the
-  // original input (paper §V-C stage 3). An f32 container may be decoded to
+  // original input (paper §V-C stage 3), read row by row from the caller's
+  // volume; positions are chunk-linear. An f32 container may be decoded to
   // doubles or to floats, so there the reconstruction rounded to float must
   // be within t too.
+  const double tolerance = cfg.tolerance;
   timer.reset();
   wavelet::inverse_dwt(recon.data(), dims, wavelet::Kernel::cdf97, &a);
   std::vector<outlier::Outlier> outliers;
-  for (size_t i = 0; i < n; ++i) {
-    const double err = data[i] - recon[i];
-    if (std::fabs(err) > tolerance ||
-        (float_output && std::fabs(data[i] - double(float(recon[i]))) > tolerance))
-      outliers.push_back({i, err});
-  }
-  result.timing.locate_s = timer.seconds();
+  for (size_t z = 0; z < dims.z; ++z)
+    for (size_t y = 0; y < dims.y; ++y) {
+      const double* in = volume + vol_dims.index(chunk.origin.x, chunk.origin.y + y,
+                                                 chunk.origin.z + z);
+      const size_t row = dims.index(0, y, z);
+      const double* rec = recon.data() + row;
+      for (size_t x = 0; x < dims.x; ++x) {
+        const double err = in[x] - rec[x];
+        if (std::fabs(err) > tolerance ||
+            (float_output && std::fabs(in[x] - double(float(rec[x]))) > tolerance))
+          outliers.push_back({row + x, err});
+      }
+    }
+  out.timing.locate_s = timer.seconds();
   if (capture_outliers) *capture_outliers = outliers;
 
   // Stage 4: code the outliers so they can be corrected to within t: the
@@ -84,93 +139,10 @@ ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
     if (smallest <= tolerance) step = tolerance / 2;
   }
   outlier::EncodeStats ostats;
-  result.outlier = outlier::encode(std::move(outliers), n, step, &ostats);
-  result.num_outliers = ostats.num_outliers;
-  result.outlier_payload_bits = ostats.payload_bits;
-  result.timing.outlier_s = timer.seconds();
-
-  return result;
-}
-
-size_t fixed_rate_budget(double bpp, Dims chunk_dims) {
-  const auto budget = size_t(std::llround(bpp * double(chunk_dims.total())));
-  return std::max<size_t>(budget, 8);
-}
-
-ChunkStream encode_fixed_rate(const double* data, Dims dims, size_t budget_bits,
-                              Arena* arena) {
-  ChunkStream result;
-  const size_t n = dims.total();
-  Arena& a = arena ? *arena : tls_arena();
-  Arena::Scope scope(a);
-  result.timing.bytes = uint64_t(n) * sizeof(double);
-
-  Timer timer;
-  double* coeffs = a.alloc<double>(n);
-  std::copy(data, data + n, coeffs);
-  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a);
-  result.timing.transform_s = timer.seconds();
-
-  // Pick q far below the coefficient scale so the bit budget, not the
-  // quantization floor, terminates coding (~50 bitplanes available).
-  double max_mag = 0.0;
-  for (size_t i = 0; i < n; ++i) max_mag = std::max(max_mag, std::fabs(coeffs[i]));
-  const double q = max_mag > 0.0 ? std::ldexp(max_mag, -50) : 1.0;
-
-  timer.reset();
-  result.speck = speck::encode(coeffs, dims, q, budget_bits, &result.speck_stats);
-  result.timing.speck_s = timer.seconds();
-  return result;
-}
-
-ChunkStream encode_target_rmse(const double* data, Dims dims, double rmse_target,
-                               Arena* arena, int intra_chunk_threads) {
-  ChunkStream result;
-  const size_t n = dims.total();
-  Arena& a = arena ? *arena : tls_arena();
-  Arena::Scope scope(a);
-  result.timing.bytes = uint64_t(n) * sizeof(double);
-
-  Timer timer;
-  double* coeffs = a.alloc<double>(n);
-  std::copy(data, data + n, coeffs);
-  wavelet::forward_dwt(coeffs, dims, wavelet::Kernel::cdf97, &a);
-  result.timing.transform_s = timer.seconds();
-
-  // Unit-norm near-orthogonal basis: coefficient-domain RMSE ~ output RMSE
-  // (paper §III-A / §VII). Mid-riser quantization with step q injects
-  // q/sqrt(12) RMSE per coded coefficient; dead-zone zeros add a little
-  // more, so take a 2x safety margin.
-  const double q = rmse_target * std::sqrt(12.0) * 0.5;
-
-  timer.reset();
-  result.speck = speck::encode(coeffs, dims, q, 0, &result.speck_stats, nullptr,
-                               intra_chunk_threads);
-  result.timing.speck_s = timer.seconds();
-  return result;
-}
-
-Status encode_chunk(const double* data, Dims dims, const Config& cfg,
-                    ChunkStream& out, Arena* arena, int intra_chunk_threads,
-                    bool float_output) {
-  // A finite sum proves every sample finite, so the scan for a NaN or Inf
-  // runs only when the sum is not (it may also just have overflowed).
-  const size_t n = dims.total();
-  double sum = 0.0;
-  for (size_t k = 0; k < n; ++k) sum += data[k];
-  if (!std::isfinite(sum) &&
-      !std::all_of(data, data + n, [](double v) { return std::isfinite(v); }))
-    return Status::invalid_argument;
-
-  if (cfg.mode == Mode::pwe) {
-    out = encode_pwe(data, dims, cfg.tolerance, cfg.q_over_t, nullptr, arena,
-                     intra_chunk_threads, float_output);
-  } else if (cfg.mode == Mode::target_rmse) {
-    out = encode_target_rmse(data, dims, cfg.rmse, arena, intra_chunk_threads);
-  } else {
-    out = encode_fixed_rate(data, dims, fixed_rate_budget(cfg.bpp, dims), arena);
-  }
-  out.mean = sum / double(n);
+  out.outlier = outlier::encode(std::move(outliers), n, step, &ostats);
+  out.num_outliers = ostats.num_outliers;
+  out.outlier_payload_bits = ostats.payload_bits;
+  out.timing.outlier_s = timer.seconds();
   return Status::ok;
 }
 
@@ -199,13 +171,6 @@ Status decode_lowres(const uint8_t* speck_stream, size_t speck_len, Dims dims,
       for (size_t x = 0; x < coarse_dims.x; ++x)
         out[coarse_dims.index(x, y, z)] = full[dims.index(x, y, z)] * scale;
   return Status::ok;
-}
-
-Status decode_lowres(const std::vector<uint8_t>& speck_stream, Dims dims,
-                     size_t drop_levels, std::vector<double>& out,
-                     Dims& coarse_dims) {
-  return decode_lowres(speck_stream.data(), speck_stream.size(), dims, drop_levels,
-                       out, coarse_dims);
 }
 
 Status decode(const uint8_t* speck_stream, size_t speck_len,

@@ -1,12 +1,13 @@
 #pragma once
 
-// The four-stage SPERR pipeline on one contiguous chunk (paper §V-C):
+// The four-stage SPERR pipeline on one chunk (paper §V-C), behind one entry
+// point for every mode, encode_chunk:
 //   1. forward wavelet transform,
 //   2. SPECK coding of the coefficients,
 //   3. outlier location (inverse transform + comparison with the input),
-//   4. outlier coding.
-// Exposed separately from the chunked driver so benchmarks can instrument
-// the stage costs and the coefficient/outlier storage balance (Figs. 2-4, 6).
+//   4. outlier coding (stages 3 and 4 in PWE mode only).
+// The compressors and the figure benches (Figs. 2-4, 6) run this same step;
+// its ChunkStream carries the per-stage times and the stream sizes.
 
 #include <cstdint>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "common/types.h"
 #include "outlier/coder.h"
 #include "speck/encoder.h"
+#include "sperr/chunker.h"
 #include "sperr/config.h"
 
 namespace sperr::pipeline {
@@ -37,63 +39,43 @@ struct ChunkStream {
   double mean = 0.0;  ///< input mean: the directory's DC fallback for coarse_fill recovery
 };
 
-/// PWE-bounded encode of one chunk: guarantees every reconstructed value is
-/// within `tolerance` of the input. `q = q_over_t * tolerance` sets the
-/// coefficient/outlier balance. `capture_outliers`, when non-null, receives
-/// the located outlier list (positions in linearized order) — used by the
-/// Fig. 1 / Fig. 11 analyses.
-///
-/// All encode/decode entry points take an optional scratch `arena` for
-/// their large transient buffers (coefficient copy, wavelet tiles). The
-/// chunked drivers pass each OpenMP worker's tls_arena() so steady-state
-/// chunk iterations allocate nothing; standalone callers may pass nullptr
-/// (the calling thread's arena is used). The arena is rewound, not reset:
-/// allocations the caller made before the call survive.
-///
-/// `intra_chunk_threads` is forwarded to the SPECK coder's deterministic
-/// lane-parallel mode (Config::intra_chunk_threads): the emitted streams
-/// are byte-identical at every setting, so it is purely a wall-clock knob
-/// for single-chunk (or few-chunk) requests. 1 = serial, 0 = auto.
-///
-/// `float_output` is for f32 containers, which may be decoded to floats:
-/// a value is then also an outlier when the reconstruction rounded to
-/// float misses it by more than `tolerance`, so that the bound holds for
-/// the floats the user gets back as well as for doubles.
-ChunkStream encode_pwe(const double* data, Dims dims, double tolerance,
-                       double q_over_t,
-                       std::vector<outlier::Outlier>* capture_outliers = nullptr,
-                       Arena* arena = nullptr, int intra_chunk_threads = 1,
-                       bool float_output = false);
-
 /// SPECK bit budget of one fixed-rate chunk: bpp * voxels rounded to the
 /// nearest bit, at least one byte. encode_chunk and truncate_fixed_rate both
 /// take it from here, so a cut lands on the budget a direct encode at the
 /// same rate would use.
 size_t fixed_rate_budget(double bpp, Dims chunk_dims);
 
-/// Size-bounded encode: the SPECK stream is truncated at `budget_bits`.
-/// No outlier correction (no error bound), matching classic SPECK / the
-/// paper's fixed-size mode. (The budgeted coder tracks the global position
-/// of every emitted bit and runs serial, so it takes no thread knob.)
-ChunkStream encode_fixed_rate(const double* data, Dims dims, size_t budget_bits,
-                              Arena* arena = nullptr);
-
-/// Average-error-targeted encode (paper §VII): pick the quantization step
-/// from the RMSE target via the unit-norm wavelet's error equivalence; all
-/// bitplanes down to that step are coded, no outlier pass.
-ChunkStream encode_target_rmse(const double* data, Dims dims, double rmse_target,
-                               Arena* arena = nullptr, int intra_chunk_threads = 1);
-
-/// The per-chunk step of both compressors (sperr::compress and
-/// outofcore::compress_file): reject a chunk holding NaN or Inf (returns
-/// invalid_argument with `out` untouched — non-finite samples would poison
-/// the transform and quantizer), record the chunk mean, and encode the chunk
-/// in cfg.mode: encode_pwe, encode_target_rmse, or encode_fixed_rate at
-/// fixed_rate_budget(cfg.bpp, dims). `float_output` marks a chunk of an f32
-/// container (see encode_pwe).
-Status encode_chunk(const double* data, Dims dims, const Config& cfg,
-                    ChunkStream& out, Arena* arena = nullptr,
-                    int intra_chunk_threads = 1, bool float_output = false);
+/// The one per-chunk encoder (sperr::compress, outofcore::compress_file and
+/// the figure benches). Gathers `chunk` of the `vol_dims` field `volume` into
+/// the coefficient buffer, its only copy of the input; a whole field is
+/// Chunk{{0, 0, 0}, vol_dims}. Rejects a chunk holding NaN or Inf (returns
+/// invalid_argument with `out` untouched: non-finite samples would poison
+/// the transform and quantizer), records the chunk mean and codes the chunk
+/// in cfg.mode. pwe codes every bitplane down to q = q_over_t * tolerance,
+/// then codes as outliers (at chunk-linear positions) the values the
+/// reconstruction misses by more than the tolerance, so every decoded value
+/// is within it. target_rmse codes down to a q derived from cfg.rmse through
+/// the unit-norm wavelet's error equivalence (paper §VII). fixed_rate cuts
+/// the stream at fixed_rate_budget(cfg.bpp, dims) bits, with no error bound.
+///
+/// `arena` (nullptr = the calling thread's tls_arena()) holds the large
+/// transient buffers (coefficients, wavelet tiles); the chunk loops pass
+/// each worker's warm arena, so steady-state chunks allocate nothing there.
+/// It is rewound, not reset: allocations the caller made before survive.
+///
+/// `intra_chunk_threads` feeds the SPECK coder's deterministic lanes
+/// (Config::intra_chunk_threads; 1 = serial, 0 = auto): the bytes are the
+/// same at every setting. The budgeted fixed-rate coder always runs serial.
+///
+/// `float_output` marks an f32 container, which may be decoded to floats: a
+/// value is then also an outlier when the reconstruction rounded to float
+/// misses it by more than the tolerance, so the bound holds for the floats
+/// the user gets back too. `capture_outliers`, when non-null, receives the
+/// located outliers (the Fig. 1 / Fig. 11 analyses).
+Status encode_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
+                    const Config& cfg, ChunkStream& out, Arena* arena,
+                    int intra_chunk_threads, bool float_output,
+                    std::vector<outlier::Outlier>* capture_outliers = nullptr);
 
 /// The one writer of v3 containers (sperr::compress, outofcore::compress_file
 /// and truncate_fixed_rate all assemble through it): the header for a `dims`
@@ -116,13 +98,11 @@ std::vector<uint8_t> write_container(const std::vector<ChunkStream>& streams,
 Status decode_lowres(const uint8_t* speck_stream, size_t speck_len, Dims dims,
                      size_t drop_levels, std::vector<double>& out,
                      Dims& coarse_dims);
-Status decode_lowres(const std::vector<uint8_t>& speck_stream, Dims dims,
-                     size_t drop_levels, std::vector<double>& out,
-                     Dims& coarse_dims);
 
-/// Decode one chunk (either mode) into `out` (dims.total() doubles). The
+/// Decode one chunk (any mode) into `out` (dims.total() doubles). The
 /// stream views are borrowed, not copied — they only need to stay alive for
-/// the duration of the call.
+/// the duration of the call. `arena` and `intra_chunk_threads` are as for
+/// encode_chunk.
 Status decode(const uint8_t* speck_stream, size_t speck_len,
               const uint8_t* outlier_stream, size_t outlier_len, Dims dims,
               double* out, Arena* arena = nullptr, int intra_chunk_threads = 1);

@@ -144,7 +144,6 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
         // corrections are skipped — they are not trustworthy here and their
         // energy is within the tolerance anyway. If even the SPECK header is
         // gone, fall back to the directory's chunk-mean DC value.
-        std::fill(buf, buf + n, 0.0);
         bool coarse_ok = false;
         if (sl.speck_avail > 0 &&
             pipeline::decode(sp, sl.speck_avail, nullptr, 0, cdims, buf, arena,
@@ -225,9 +224,7 @@ Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
   for (size_t i = 0; i < oc.chunks.size(); ++i) {
     Arena& arena = tls_arena();
     arena.reset();
-    const size_t n = oc.chunks[i].dims.total();
-    double* buf = arena.alloc<double>(n);
-    std::fill(buf, buf + n, 0.0);
+    double* buf = arena.alloc<double>(oc.chunks[i].dims.total());
     rep.chunks[i] = decode_chunk(oc, i, policy, buf, &arena, intra_threads);
     if constexpr (std::is_same_v<T, float>)
       scatter_chunk_narrow(buf, oc.chunks[i], out.data(), dims);

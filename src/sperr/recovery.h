@@ -53,7 +53,8 @@ Status open_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
                      const ResourceLimits* limits = nullptr);
 
 /// Verify + decode chunk `i` of `oc` into `buf` (chunks[i].dims.total()
-/// doubles, caller-zeroed), honoring `policy` for damaged chunks. Pure
+/// doubles), honoring `policy` for damaged chunks. Every path writes every
+/// value of `buf`, so it needs no initialization. Pure
 /// function of the container bytes — safe to call concurrently for distinct
 /// chunks. Returns the chunk's report entry. `intra_threads` feeds the
 /// SPECK decoder's lane-parallel mode (output identical at every setting;

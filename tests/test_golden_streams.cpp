@@ -158,6 +158,57 @@ TEST(GoldenStreams, TargetRmseF32MultiChunk) {
   EXPECT_LE(std::sqrt(sq / double(recon64.size())), cfg.rmse);
 }
 
+TEST(GoldenStreams, PweF32MultiChunk) {
+  // Outliers located in chunks at non-zero origins, against the
+  // reconstruction both as doubles and rounded to float: the tolerance is
+  // below the float spacing of the field's larger values, so some chunk
+  // finds float-only outliers and codes its corrections at step t/2.
+  const Dims dims{40, 26, 18};  // 16^3 chunks: a 3 x 2 x 1 grid of unequal chunks
+  const auto wide = data::miranda_pressure(dims, 9);
+  const std::vector<float> field(wide.begin(), wide.end());
+  Config cfg;
+  cfg.mode = Mode::pwe;
+  cfg.tolerance = 0.05;
+  cfg.chunk_dims = Dims{16, 16, 16};
+  Stats stats;
+  const auto golden = check_bytes("pwe_f32_multichunk.sperr",
+                                  compress(field.data(), dims, cfg, &stats));
+  ASSERT_FALSE(HasFailure());
+  EXPECT_GT(stats.num_outliers, 0u);
+
+  std::vector<uint8_t> inner;
+  ContainerHeader hdr;
+  size_t pos = 0;
+  ASSERT_EQ(open_container(golden.data(), golden.size(), inner, hdr, &pos), Status::ok);
+  EXPECT_EQ(hdr.precision, 4u);
+  EXPECT_EQ(hdr.quality, cfg.tolerance);
+  ASSERT_EQ(hdr.entries.size(), 6u);
+  size_t halved = 0;  // chunks whose outlier stream carries step t/2
+  for (const ChunkEntry& e : hdr.entries) {
+    pos += size_t(e.speck_len);
+    if (e.outlier_len != 0) {
+      ByteReader br(inner.data() + pos + 2, size_t(e.outlier_len) - 2);  // past the magic
+      halved += br.f64() == cfg.tolerance / 2;
+    }
+    pos += size_t(e.outlier_len);
+  }
+  EXPECT_GT(halved, 0u);
+
+  std::vector<float> recon32;
+  std::vector<double> recon64;
+  Dims d32, d64;
+  ASSERT_EQ(decompress(golden.data(), golden.size(), recon32, d32), Status::ok);
+  ASSERT_EQ(decompress(golden.data(), golden.size(), recon64, d64), Status::ok);
+  ASSERT_EQ(d32, dims);
+  ASSERT_EQ(d64, dims);
+  for (size_t i = 0; i < field.size(); ++i) {
+    ASSERT_LE(std::fabs(double(field[i]) - double(recon32[i])), cfg.tolerance)
+        << "f32 decode, index " << i;
+    ASSERT_LE(std::fabs(double(field[i]) - recon64[i]), cfg.tolerance)
+        << "f64 decode, index " << i;
+  }
+}
+
 TEST(GoldenStreams, TruncatedFixedRateMultiChunk) {
   const Dims dims{36, 30, 20};  // 16^3 chunks: a 2 x 2 x 1 grid of unequal chunks
   const auto field = data::nyx_dark_matter_density(dims, 5);

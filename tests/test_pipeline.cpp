@@ -17,11 +17,28 @@
 namespace sperr::pipeline {
 namespace {
 
+Config pwe_config(double tolerance, double q_over_t = 1.5) {
+  Config cfg;
+  cfg.tolerance = tolerance;
+  cfg.q_over_t = q_over_t;
+  return cfg;
+}
+
+/// encode_chunk over a whole field.
+ChunkStream encode_field(const std::vector<double>& field, Dims dims, const Config& cfg,
+                         std::vector<outlier::Outlier>* outliers = nullptr) {
+  ChunkStream cs;
+  EXPECT_EQ(encode_chunk(field.data(), dims, Chunk{{0, 0, 0}, dims}, cfg, cs, nullptr, 1,
+                         false, outliers),
+            Status::ok);
+  return cs;
+}
+
 TEST(Pipeline, PweEncodeDecodeBoundsEveryPoint) {
   const Dims dims{40, 40, 20};
   const auto field = data::miranda_pressure(dims);
   const double t = tolerance_from_idx(field.data(), field.size(), 18);
-  const auto cs = encode_pwe(field.data(), dims, t, 1.5);
+  const auto cs = encode_field(field, dims, pwe_config(t));
   std::vector<double> recon(dims.total());
   ASSERT_EQ(decode(cs.speck, cs.outlier, dims, recon.data()), Status::ok);
   for (size_t i = 0; i < field.size(); ++i)
@@ -34,7 +51,7 @@ TEST(Pipeline, CapturedOutliersAreExactlyTheViolators) {
   const double t = tolerance_from_idx(field.data(), field.size(), 12);
 
   std::vector<outlier::Outlier> outliers;
-  const auto cs = encode_pwe(field.data(), dims, t, 2.5, &outliers);
+  const auto cs = encode_field(field, dims, pwe_config(t, 2.5), &outliers);
   EXPECT_EQ(outliers.size(), cs.num_outliers);
 
   // Reproduce the wavelet-only reconstruction and check the captured list
@@ -63,8 +80,12 @@ TEST(Pipeline, CapturedOutliersAreExactlyTheViolators) {
 TEST(Pipeline, FixedRateRespectsBudget) {
   const Dims dims{32, 32, 32};
   const auto field = data::s3d_velocity_x(dims);
+  Config cfg;
+  cfg.mode = Mode::fixed_rate;
   for (const size_t budget : {1000u, 10000u, 100000u}) {
-    const auto cs = encode_fixed_rate(field.data(), dims, budget);
+    cfg.bpp = double(budget) / double(dims.total());
+    ASSERT_EQ(fixed_rate_budget(cfg.bpp, dims), budget);
+    const auto cs = encode_field(field, dims, cfg);
     EXPECT_TRUE(cs.outlier.empty());
     EXPECT_LE(cs.speck.size(), budget / 8 + 64);
     std::vector<double> recon(dims.total());
@@ -75,7 +96,10 @@ TEST(Pipeline, FixedRateRespectsBudget) {
 TEST(Pipeline, TargetRmseNoOutlierStream) {
   const Dims dims{32, 32, 8};
   const auto field = data::miranda_viscosity(dims);
-  const auto cs = encode_target_rmse(field.data(), dims, 1e-5);
+  Config cfg;
+  cfg.mode = Mode::target_rmse;
+  cfg.rmse = 1e-5;
+  const auto cs = encode_field(field, dims, cfg);
   EXPECT_TRUE(cs.outlier.empty());
   EXPECT_EQ(cs.num_outliers, 0u);
   std::vector<double> recon(dims.total());
@@ -88,16 +112,62 @@ TEST(Pipeline, TargetRmseNoOutlierStream) {
   EXPECT_LE(std::sqrt(sq / double(field.size())), 1e-5);
 }
 
+TEST(Pipeline, SubBoxEncodesAsItsCopy) {
+  // encode_chunk reads a chunk in place: gathered into the coefficient
+  // buffer, and compared row by row with the caller's field to locate
+  // outliers. A chunk at a non-zero origin on every axis must code exactly
+  // as the same box copied out into a one-chunk volume.
+  const Dims vol{37, 29, 23};
+  const auto field = data::miranda_pressure(vol, 3);
+  const Chunk chunk{{5, 7, 3}, {20, 15, 12}};
+  std::vector<double> box(chunk.dims.total());
+  for (size_t z = 0; z < chunk.dims.z; ++z)
+    for (size_t y = 0; y < chunk.dims.y; ++y)
+      for (size_t x = 0; x < chunk.dims.x; ++x)
+        box[chunk.dims.index(x, y, z)] = field[vol.index(
+            chunk.origin.x + x, chunk.origin.y + y, chunk.origin.z + z)];
+
+  for (const Mode mode : {Mode::pwe, Mode::fixed_rate, Mode::target_rmse})
+    for (const bool float_output : {false, true}) {
+      Config cfg;
+      cfg.mode = mode;
+      cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 16);
+      cfg.bpp = 3.0;
+      cfg.rmse = cfg.tolerance;
+      ChunkStream in_place, copied;
+      std::vector<outlier::Outlier> in_place_outliers, copied_outliers;
+      ASSERT_EQ(encode_chunk(field.data(), vol, chunk, cfg, in_place, nullptr, 1,
+                             float_output, &in_place_outliers),
+                Status::ok);
+      ASSERT_EQ(encode_chunk(box.data(), chunk.dims, Chunk{{0, 0, 0}, chunk.dims}, cfg,
+                             copied, nullptr, 1, float_output, &copied_outliers),
+                Status::ok);
+      const auto where = ::testing::Message()
+                         << "mode " << int(mode) << " float_output " << float_output;
+      EXPECT_EQ(in_place.speck, copied.speck) << where;
+      EXPECT_EQ(in_place.outlier, copied.outlier) << where;
+      EXPECT_EQ(in_place.num_outliers, copied.num_outliers) << where;
+      EXPECT_EQ(in_place.mean, copied.mean) << where;
+      EXPECT_EQ(in_place_outliers, copied_outliers) << where;
+      if (mode == Mode::pwe) {
+        EXPECT_GT(in_place.num_outliers, 0u) << where;
+        EXPECT_EQ(in_place_outliers.size(), in_place.num_outliers) << where;
+      } else {
+        EXPECT_TRUE(in_place.outlier.empty()) << where;
+      }
+    }
+}
+
 TEST(Pipeline, LowresDropZeroIsFullInverse) {
   const Dims dims{32, 32, 32};
   const auto field = data::s3d_temperature(dims);
-  const auto cs = encode_pwe(field.data(), dims, 0.5, 1.5);
+  const auto cs = encode_field(field, dims, pwe_config(0.5));
   std::vector<double> full(dims.total());
   ASSERT_EQ(decode(cs.speck, {}, dims, full.data()), Status::ok);
 
   std::vector<double> lowres;
   Dims cd;
-  ASSERT_EQ(decode_lowres(cs.speck, dims, 0, lowres, cd), Status::ok);
+  ASSERT_EQ(decode_lowres(cs.speck.data(), cs.speck.size(), dims, 0, lowres, cd), Status::ok);
   EXPECT_EQ(cd, dims);
   for (size_t i = 0; i < full.size(); ++i) ASSERT_DOUBLE_EQ(lowres[i], full[i]);
 }

@@ -41,6 +41,16 @@ std::vector<double> mixed_field(Dims dims, uint64_t seed) {
   return f;
 }
 
+/// pipeline::encode_chunk over a whole field.
+pipeline::ChunkStream encode_field(const std::vector<double>& field, Dims dims,
+                                   const Config& cfg) {
+  pipeline::ChunkStream cs;
+  EXPECT_EQ(pipeline::encode_chunk(field.data(), dims, Chunk{{0, 0, 0}, dims}, cfg, cs,
+                                   nullptr, 1, false),
+            Status::ok);
+  return cs;
+}
+
 class PweProperty
     : public ::testing::TestWithParam<std::tuple<int, int>> {};  // (shape, idx)
 
@@ -144,7 +154,10 @@ TEST(PipelineProperty, OutlierCountDropsAsQShrinks) {
   const double t = 0.05;
   size_t prev_outliers = SIZE_MAX;
   for (double q_over_t : {3.0, 2.0, 1.5, 1.0}) {
-    const auto cs = pipeline::encode_pwe(field.data(), dims, t, q_over_t);
+    Config cfg;
+    cfg.tolerance = t;
+    cfg.q_over_t = q_over_t;
+    const auto cs = encode_field(field, dims, cfg);
     EXPECT_LE(cs.num_outliers, prev_outliers) << "q/t = " << q_over_t;
     prev_outliers = cs.num_outliers;
   }
@@ -153,7 +166,9 @@ TEST(PipelineProperty, OutlierCountDropsAsQShrinks) {
 TEST(PipelineProperty, StageTimingsArePopulated) {
   const Dims dims{32, 32, 32};
   const auto field = mixed_field(dims, 77);
-  const auto cs = pipeline::encode_pwe(field.data(), dims, 0.01, 1.5);
+  Config pwe;
+  pwe.tolerance = 0.01;
+  const auto cs = encode_field(field, dims, pwe);
   EXPECT_GT(cs.timing.transform_s, 0.0);
   EXPECT_GT(cs.timing.speck_s, 0.0);
   EXPECT_GT(cs.timing.locate_s, 0.0);
@@ -168,7 +183,9 @@ TEST(PipelineProperty, SpeckSetupAndFinishFitInsideTheStage) {
   // summed over chunks in Stats.
   const Dims dims{40, 40, 20};
   const auto field = mixed_field(dims, 31);
-  const auto cs = pipeline::encode_pwe(field.data(), dims, 0.01, 1.5);
+  Config pwe;
+  pwe.tolerance = 0.01;
+  const auto cs = encode_field(field, dims, pwe);
   const auto& st = cs.speck_stats;
   EXPECT_GT(st.setup_s, 0.0);
   EXPECT_GT(st.finish_s, 0.0);
@@ -191,7 +208,9 @@ TEST(PipelineProperty, SpeckSetupAndFinishFitInsideTheStage) {
 TEST(PipelineProperty, SpeckStatsThreadThroughChunkStreamAndStats) {
   const Dims dims{40, 40, 20};
   const auto field = mixed_field(dims, 31);
-  const auto cs = pipeline::encode_pwe(field.data(), dims, 0.01, 1.5);
+  Config pwe;
+  pwe.tolerance = 0.01;
+  const auto cs = encode_field(field, dims, pwe);
   EXPECT_GT(cs.speck_stats.payload_bits, 0u);
   EXPECT_GT(cs.speck_stats.planes_coded, 0u);
   EXPECT_GT(cs.speck_stats.significant_count, 0u);

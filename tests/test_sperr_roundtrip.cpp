@@ -217,6 +217,46 @@ TEST(SperrRoundTrip, InvalidConfigThrows) {
   EXPECT_THROW((void)compress(field.data(), dims, bad_rate), std::invalid_argument);
 }
 
+TEST(SperrRoundTrip, SubnormalFieldRoundTripsInEveryMode) {
+  // Every coefficient of this field is subnormal, so a quantization step
+  // derived from the largest one can underflow to 0, which the SPECK
+  // header (and so the decoder) rejects.
+  const Dims dims{16, 16, 16};
+  std::vector<double> field(dims.total());
+  for (size_t i = 0; i < field.size(); ++i) field[i] = (i * 7 % 3 == 0 ? -1e-310 : 1e-310);
+
+  for (const Mode mode : {Mode::pwe, Mode::fixed_rate, Mode::target_rmse}) {
+    Config cfg;
+    cfg.mode = mode;
+    cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 20);
+    cfg.bpp = 4.0;
+    cfg.rmse = 1e-311;
+    const auto blob = compress(field.data(), dims, cfg);
+    std::vector<double> recon;
+    Dims out_dims;
+    ASSERT_EQ(decompress(blob.data(), blob.size(), recon, out_dims), Status::ok)
+        << "mode " << int(mode);
+    ASSERT_EQ(out_dims, dims);
+    for (const double v : recon) {
+      ASSERT_TRUE(std::isfinite(v)) << "mode " << int(mode);
+    }
+    if (mode == Mode::pwe) {
+      EXPECT_LE(max_abs_err(field, recon), cfg.tolerance);
+    }
+  }
+}
+
+TEST(SperrRoundTrip, PweStepThatUnderflowsIsRejected) {
+  const Dims dims{8, 8, 8};
+  std::vector<double> field(dims.total(), 0.0);
+  Config cfg;
+  cfg.tolerance = std::numeric_limits<double>::denorm_min();
+  cfg.q_over_t = 0.4;  // q = 0.4 * denorm_min rounds to 0
+  EXPECT_THROW((void)compress(field.data(), dims, cfg), std::invalid_argument);
+  cfg.q_over_t = 1.0;
+  EXPECT_NO_THROW((void)compress(field.data(), dims, cfg));
+}
+
 TEST(SperrRoundTrip, ChunkBeyondSpeckLimitRejectedBeforeInputIsRead) {
   // 2048 x 1024 x 1024 = 2^31 voxels in one chunk is past the SPECK coder's
   // limit. Validation runs first, so a null input is never dereferenced.

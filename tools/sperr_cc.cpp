@@ -345,35 +345,23 @@ int cmd_info(const Args& args) {
 
   const sperr::ResourceLimits rl = args.limits();
   std::vector<uint8_t> inner;
+  sperr::ContainerHeader hdr;
   size_t bad_block = 0;
-  const sperr::Status us = sperr::unwrap_container(blob.data(), blob.size(), inner,
-                                                   &bad_block, nullptr, &rl);
-  if (us == sperr::Status::resource_exhausted) {
+  const sperr::Status os = sperr::open_container(blob.data(), blob.size(), inner, hdr,
+                                                 nullptr, &bad_block, &rl);
+  if (os == sperr::Status::resource_exhausted) {
     std::fprintf(stderr,
                  "error: container declares more data than the resource limits "
                  "admit (decompression bomb?)\n");
     return kExitResource;
   }
-  if (us == sperr::Status::corrupt_block) {
+  if (os == sperr::Status::corrupt_block) {
     std::fprintf(stderr, "error: lossless block %zu failed its checksum\n", bad_block);
     return kExitCorrupt;
   }
-  if (us != sperr::Status::ok) {
-    std::fprintf(stderr, "error: not a SPERR container (%s)\n", to_string(us));
-    return kExitCorrupt;
-  }
-  sperr::ContainerHeader hdr;
-  size_t payload_pos = 0;
-  const sperr::Status os = sperr::open_container(blob.data(), blob.size(), inner,
-                                                 hdr, &payload_pos, nullptr, &rl);
-  if (os == sperr::Status::resource_exhausted) {
-    std::fprintf(stderr,
-                 "error: container directory exceeds the resource limits "
-                 "(decompression bomb?)\n");
-    return kExitResource;
-  }
   if (os != sperr::Status::ok) {
-    std::fprintf(stderr, "error: corrupt container header\n");
+    std::fprintf(stderr, "error: not a SPERR container or corrupt header (%s)\n",
+                 to_string(os));
     return kExitCorrupt;
   }
   const char* mode = hdr.mode == sperr::Mode::pwe ? "pwe"
@@ -397,10 +385,10 @@ int cmd_info(const Args& args) {
   std::printf("container:   %zu bytes (%.3f bits/pt)\n", blob.size(),
               double(blob.size()) * 8 / double(hdr.dims.total()));
 
-  // The outer wrapper is magic(4) + version(1) + lossless(1) + len(8); the
-  // lossless payload (when present) starts right after it.
-  constexpr size_t kOuterBytes = 14;
-  if (blob.size() > kOuterBytes && blob[4 + 1] == 1) {
+  // Byte 5 of the outer wrapper is the lossless flag; the lossless payload
+  // (when present) starts right after the wrapper.
+  constexpr size_t kOuterBytes = sperr::ContainerHeader::kOuterBytes;
+  if (blob[5] == 1) {
     sperr::lossless::StreamInfo li;
     if (sperr::lossless::inspect(blob.data() + kOuterBytes, blob.size() - kOuterBytes,
                                  li) == sperr::Status::ok &&

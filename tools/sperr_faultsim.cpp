@@ -42,7 +42,7 @@ namespace {
 
 using namespace sperr;
 
-constexpr size_t kOuterBytes = 14;  // magic + version + lossless flag + length
+constexpr size_t kOuterBytes = ContainerHeader::kOuterBytes;
 
 struct Baseline {
   std::vector<uint8_t> blob;
