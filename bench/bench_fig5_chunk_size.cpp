@@ -4,13 +4,84 @@
 // higher accuracy gain with diminishing returns, and the penalty of small
 // chunks grows as tolerances tighten. We use a 128^3 stand-in with chunks
 // 16^3..128^3 (the same 3-octave span below the full volume).
+//
+// A second table prices the library's default chunk size: 128^3 against the
+// paper's 256^3 on 256^3 fields (and 128^2 against 256^2 on a 2-D image),
+// with container bytes and 1- and 4-thread compress/decompress seconds.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
+#include "common/timer.h"
 #include "data/synthetic.h"
 #include "sperr/sperr.h"
 #include "support.h"
+
+namespace {
+
+struct Run {
+  size_t bytes = 0;
+  double compress_s[2] = {};    // 1 thread, 4 threads
+  double decompress_s[2] = {};  // 1 thread, 4 threads
+};
+
+/// Compress and decompress at 1 and 4 threads; the bytes must not depend on
+/// the thread count (returns bytes = 0 if they do, or if a decode fails).
+/// decompress takes no thread count, so the OpenMP default is set around it.
+Run time_chunking(const std::vector<double>& data, sperr::Dims dims, int idx,
+                  size_t side) {
+  Run r;
+  sperr::Config cfg;
+  cfg.tolerance = sperr::tolerance_from_idx(data.data(), data.size(), idx);
+  cfg.chunk_dims = sperr::Dims{side, side, side};  // clamped to a 2-D field
+  std::vector<uint8_t> first;
+  for (const int t : {0, 1}) {
+    cfg.num_threads = t == 0 ? 1 : 4;
+    sperr::Timer timer;
+    const auto blob = sperr::compress(data.data(), dims, cfg);
+    r.compress_s[t] = timer.seconds();
+    if (t == 0) first = blob;
+    std::vector<double> recon;
+    sperr::Dims od;
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(cfg.num_threads);
+#endif
+    timer.reset();
+    const auto st = sperr::decompress(blob.data(), blob.size(), recon, od);
+    r.decompress_s[t] = timer.seconds();
+#ifdef _OPENMP
+    omp_set_num_threads(saved);
+#endif
+    if (st != sperr::Status::ok || blob != first) return Run{};
+  }
+  r.bytes = first.size();
+  return r;
+}
+
+/// 128 vs 256 chunks at idx 10/20/40: bytes and their cost, then seconds.
+void price_default_chunk(const std::string& name, const std::vector<double>& data,
+                         sperr::Dims dims) {
+  for (const int idx : {10, 20, 40}) {
+    const Run small = time_chunking(data, dims, idx, 128);
+    const Run big = time_chunking(data, dims, idx, 256);
+    const double cost =
+        big.bytes ? 100.0 * (double(small.bytes) / double(big.bytes) - 1.0) : 0.0;
+    std::printf("%-24s %3d  %10zu %10zu %+6.2f%%", name.c_str(), idx, big.bytes,
+                small.bytes, cost);
+    for (const Run* r : {&big, &small})
+      std::printf("  %5.2f %5.2f %5.2f %5.2f", r->compress_s[0], r->compress_s[1],
+                  r->decompress_s[0], r->decompress_s[1]);
+    std::printf("%s\n", small.bytes && big.bytes ? "" : "  FAILED");
+  }
+}
+
+}  // namespace
 
 int main() {
   bench::print_title("Fig. 5: accuracy gain vs chunk size (Miranda-like density)");
@@ -60,5 +131,21 @@ int main() {
       "Paper expectation: gain increases with chunk size with diminishing\n"
       "returns; the small-chunk penalty grows at tighter tolerances (larger\n"
       "idx). SPERR defaults to 256^3 as the efficiency/parallelism balance.\n");
+
+  bench::print_title("Default chunk size: 128^3 vs the paper's 256^3");
+  std::printf("%-24s %3s  %10s %10s %7s  %-23s  %-23s\n", "field", "idx",
+              "bytes@256", "bytes@128", "cost", "256: c1 c4 d1 d4 (s)",
+              "128: c1 c4 d1 d4 (s)");
+  bench::print_rule(120);
+  const sperr::Dims cube{256, 256, 256};
+  for (const char* f : {"miranda_pressure", "s3d_temperature", "nyx_dark_matter_density"})
+    price_default_chunk(f, sperr::data::make_field(f, cube), cube);
+  const sperr::Dims image{1024, 768, 1};
+  price_default_chunk("lighthouse (1024x768)", sperr::data::lighthouse_2d(image), image);
+  bench::print_rule(120);
+  std::printf(
+      "c1/c4, d1/d4: library compress/decompress wall seconds at 1 and 4\n"
+      "threads; the bytes are identical at both. A 256^3 field is one 256^3\n"
+      "chunk or eight 128^3 chunks; the 2-D image gets 128^2 or 256^2 tiles.\n");
   return 0;
 }

@@ -115,7 +115,7 @@ FrameHeader parse_frame_header(const uint8_t* bytes);
 /// of little-endian samples (x fastest):
 ///   u8 mode | u8 precision (4|8) | u8 flags | u8 reserved |
 ///   f64 quality | f64 q_over_t (<= 0 -> default 1.5) |
-///   3 x u64 dims | 3 x u64 chunk dims (all zero -> default 256^3)
+///   3 x u64 dims | 3 x u64 chunk dims (all zero -> Config's default, 128^3)
 inline constexpr size_t kCompressBodyHeaderBytes = 68;
 inline constexpr uint8_t kCompressFlagVerify = 0x01;      ///< self-verify after encoding
 inline constexpr uint8_t kCompressFlagNoLossless = 0x02;  ///< skip the final lossless pass

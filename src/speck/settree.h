@@ -158,7 +158,7 @@ class SetTree {
 class SetTreeCache {
  public:
   /// Retention cap of the process-wide cache. The four chunk shapes of a
-  /// 384x384x256 field at the default 256^3 chunks hold 146 MiB of trees
+  /// 384x384x256 field at 256^3 chunks hold 146 MiB of trees
   /// (2,396,745 sets each: a 128-wide axis runs out first, and the sets
   /// below that split in four, not eight), so a chunk loop over them keeps
   /// every tree; LRU over fewer slots would miss on every lookup.

@@ -1,6 +1,6 @@
 // Fault-isolated chunk decoding (the recovery layer behind
 // sperr::decompress_tolerant and sperr::verify_container). The paper's
-// chunked design makes each 256^3 chunk an independent stream; container v3
+// chunked design makes each chunk an independent stream; container v3
 // adds a per-chunk XXH64 and a header self-checksum, so this layer can (1)
 // attribute damage to exact chunk indices, (2) decode every intact chunk
 // bit-identically to a clean decode, and (3) patch damaged chunks per the

@@ -15,9 +15,10 @@
 //   sperr::Dims dims;
 //   sperr::decompress(blob.data(), blob.size(), recon, dims);
 //
-// Large volumes are cut into chunks (cfg.chunk_dims, default 256^3) that are
-// compressed independently in parallel with OpenMP (paper §III-D). The final
-// container is passed through a built-in lossless codec (paper §V).
+// Large volumes are cut into chunks (cfg.chunk_dims, default 128^3; the paper
+// uses 256^3) that are compressed independently in parallel with OpenMP
+// (paper §III-D). The final container is passed through a built-in lossless
+// codec (paper §V).
 
 #include <cstdint>
 #include <vector>
@@ -91,9 +92,13 @@ Status verify_container(const uint8_t* stream, size_t nbytes,
 /// `drop_levels` early — each dropped level roughly halves every
 /// transformed axis. Requires a single-chunk container (per-chunk coarse
 /// grids would not tile a coarse volume); multi-chunk streams return
-/// invalid_argument. drop_levels == 0 yields full resolution (outlier
-/// corrections are not applied — they live on the fine grid and are within
-/// the tolerance by construction).
+/// invalid_argument, which is the only source of that status here. With
+/// the default 128^3 chunk_dims, a field of 192 or more on any axis is
+/// multi-chunk (a remainder under 64 joins the last chunk): compress with
+/// chunk_dims >= the field dims to keep multi-resolution decoding
+/// available. drop_levels == 0 yields full resolution (outlier corrections
+/// are not applied — they live on the fine grid and are within the
+/// tolerance by construction).
 Status decompress_lowres(const uint8_t* stream, size_t nbytes, size_t drop_levels,
                          std::vector<double>& out, Dims& coarse_dims,
                          const ResourceLimits* limits = nullptr);

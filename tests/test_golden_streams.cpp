@@ -83,6 +83,7 @@ TEST(GoldenStreams, Pwe3dOddDims) {
   Config cfg;
   cfg.mode = Mode::pwe;
   cfg.tolerance = 0.02;
+  cfg.chunk_dims = Dims{256, 256, 256};  // the header records the preferred extents
   std::vector<double> recon;
   check_golden("pwe_3d.sperr", field, dims, cfg, recon);
   for (size_t i = 0; i < recon.size(); ++i)
@@ -95,6 +96,7 @@ TEST(GoldenStreams, FixedRate3d) {
   Config cfg;
   cfg.mode = Mode::fixed_rate;
   cfg.bpp = 2.0;
+  cfg.chunk_dims = Dims{256, 256, 256};
   std::vector<double> recon;
   check_golden("rate_3d.sperr", field, dims, cfg, recon);
   // No point-wise bound in this mode; the budget bound is the contract.
@@ -108,6 +110,7 @@ TEST(GoldenStreams, Pwe2dSlice) {
   Config cfg;
   cfg.mode = Mode::pwe;
   cfg.tolerance = 0.005;
+  cfg.chunk_dims = Dims{256, 256, 256};
   std::vector<double> recon;
   check_golden("pwe_2d.sperr", field, dims, cfg, recon);
   for (size_t i = 0; i < recon.size(); ++i)

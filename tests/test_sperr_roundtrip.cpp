@@ -56,6 +56,34 @@ TEST(SperrRoundTrip, PweGuaranteeWithChunking) {
   EXPECT_LE(max_abs_err(field, recon), cfg.tolerance);
 }
 
+TEST(SperrRoundTrip, DefaultChunkIs128Cubed) {
+  EXPECT_EQ(Config{}.chunk_dims, (Dims{128, 128, 128}));
+}
+
+TEST(SperrRoundTrip, DefaultConfigBytesDoNotDependOnThreadCount) {
+  // Two default chunks along x and z (make_chunks folds a remainder under
+  // 64 into the last chunk, so an axis splits from 192 up): a 2 x 1 x 2
+  // grid of unequal chunks. No default may tie the chunking to num_threads.
+  const Dims dims{200, 72, 200};
+  const auto field = data::miranda_pressure(dims);
+  Config cfg;
+  cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 20);
+
+  cfg.num_threads = 1;
+  Stats stats;
+  const auto serial = compress(field.data(), dims, cfg, &stats);
+  EXPECT_EQ(stats.num_chunks, 4u);
+  cfg.num_threads = 4;
+  const auto parallel = compress(field.data(), dims, cfg);
+  EXPECT_TRUE(serial == parallel) << "bytes changed with num_threads";
+
+  std::vector<double> recon;
+  Dims out_dims;
+  ASSERT_EQ(decompress(parallel.data(), parallel.size(), recon, out_dims), Status::ok);
+  EXPECT_EQ(out_dims, dims);
+  EXPECT_LE(max_abs_err(field, recon), cfg.tolerance);
+}
+
 TEST(SperrRoundTrip, TwoDimensionalSlice) {
   const Dims dims{128, 96, 1};
   const auto field = data::lighthouse_2d(dims);

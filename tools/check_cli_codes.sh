@@ -54,6 +54,13 @@ expect 2 "--drop with --recover" -- "$SPERR_CC" d "$WORK/a.sperr" "$WORK/a.raw" 
   --drop 1 --recover zero
 expect 2 "bad --recover value" -- "$SPERR_CC" d "$WORK/a.sperr" "$WORK/a.raw" \
   --recover sideways
+# a.sperr holds four 32^3-grid chunks; --drop decodes single-chunk containers only.
+expect 2 "--drop on a multi-chunk container" -- "$SPERR_CC" d "$WORK/a.sperr" \
+  "$WORK/a.raw" --drop 1
+grep -q 'single-chunk container' "$WORK/err.txt" || {
+  echo "FAIL: --drop on a multi-chunk container did not name the single-chunk rule" >&2
+  fails=$((fails + 1))
+}
 
 # --- exit 1: I/O errors ------------------------------------------------------
 expect 1 "missing input file" -- "$SPERR_CC" d "$WORK/nonexistent.sperr" "$WORK/x.raw"

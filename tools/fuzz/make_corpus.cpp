@@ -69,6 +69,7 @@ std::vector<uint8_t> valid_container(bool lossless) {
   sperr::Config cfg;
   cfg.mode = sperr::Mode::pwe;
   cfg.tolerance = 1e-3;
+  cfg.chunk_dims = sperr::Dims{256, 256, 256};  // recorded in the header
   cfg.lossless_pass = lossless;
   return sperr::compress(field.data(), dims, cfg);
 }
@@ -238,6 +239,7 @@ int main(int argc, char** argv) {
     sperr::Config cfg;
     cfg.mode = sperr::Mode::pwe;
     cfg.tolerance = 1e-3;
+    cfg.chunk_dims = sperr::Dims{256, 256, 256};  // the request carries it
     write_file(root / "server" / "compress_small.bin",
                server_input(0, build_compress_body(cfg, dims, field.data())));
   }

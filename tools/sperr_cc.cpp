@@ -3,10 +3,11 @@
 //
 //   compress:    sperr_cc c  IN.raw OUT.sperr --dims NX [NY [NZ]] --type f32|f64
 //                          ( --pwe T | --idx K | --bpp R | --rmse E )
-//                          [ --q-over-t Q ] [ --chunk CX CY CZ ]
+//                          [ --q-over-t Q ] [ --chunk CX CY CZ ]  (default 128^3)
 //                          [ --threads N ] [ --intra-threads N ]
 //                          [ --no-lossless ] [ --verify ]
 //   decompress:  sperr_cc d  IN.sperr OUT.raw [--type f32|f64] [--drop L]
+//                          (--drop: single-chunk containers only)
 //                          [ --recover fail-fast|zero|coarse ]
 //                          [ --max-output-mb M ]
 //   inspect:     sperr_cc info IN.sperr [--verify] [--max-output-mb M]
@@ -54,7 +55,12 @@ constexpr int kExitResource = 5;
                "           [--intra-threads N] [--no-lossless] [--verify]\n"
                "  sperr_cc d IN.sperr OUT.raw [--type f32|f64] [--drop L]\n"
                "           [--recover fail-fast|zero|coarse] [--max-output-mb M]\n"
-               "  sperr_cc info IN.sperr [--verify] [--max-output-mb M]\n");
+               "  sperr_cc info IN.sperr [--verify] [--max-output-mb M]\n"
+               "\n"
+               "  --chunk defaults to the library's %s.\n"
+               "  --drop L decodes a single-chunk container only: compress\n"
+               "  with --chunk at least --dims to keep that option.\n",
+               sperr::Config{}.chunk_dims.to_string().c_str());
   std::exit(kExitUsage);
 }
 
@@ -82,7 +88,7 @@ struct Args {
   std::string type = "f64";
   double pwe = 0, bpp = 0, rmse = 0, q_over_t = 1.5;
   int idx = -1;
-  sperr::Dims chunk{256, 256, 256};
+  sperr::Dims chunk = sperr::Config{}.chunk_dims;
   int threads = 0;
   int intra_threads = 1;  ///< SPECK lanes per chunk (byte-identical output)
   bool lossless = true;
@@ -301,6 +307,10 @@ int cmd_decompress(const Args& args) {
   if (args.drop) {
     s = sperr::decompress_lowres(blob.data(), blob.size(), args.drop, field, dims,
                                  &rl);
+    // A multi-chunk container is the one invalid_argument: its per-chunk
+    // coarse grids would not tile a coarse volume.
+    if (s == sperr::Status::invalid_argument)
+      usage("--drop needs a single-chunk container (compress with --chunk >= --dims)");
   } else {
     s = sperr::decompress_tolerant(blob.data(), blob.size(), args.recover, field,
                                    dims, &rep, &rl);
