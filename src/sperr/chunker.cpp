@@ -1,7 +1,6 @@
 #include "sperr/chunker.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace sperr {
 
@@ -54,40 +53,6 @@ Dims largest_chunk(Dims volume, Dims preferred) {
   };
   return {longest(volume.x, preferred.x), longest(volume.y, preferred.y),
           longest(volume.z, preferred.z)};
-}
-
-void gather_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
-                  double* out) {
-  const Dims& d = chunk.dims;
-  for (size_t z = 0; z < d.z; ++z)
-    for (size_t y = 0; y < d.y; ++y) {
-      const size_t src =
-          vol_dims.index(chunk.origin.x, chunk.origin.y + y, chunk.origin.z + z);
-      std::memcpy(out + d.index(0, y, z), volume + src, d.x * sizeof(double));
-    }
-}
-
-void scatter_chunk(const double* chunk_data, const Chunk& chunk, double* volume,
-                   Dims vol_dims) {
-  const Dims& d = chunk.dims;
-  for (size_t z = 0; z < d.z; ++z)
-    for (size_t y = 0; y < d.y; ++y) {
-      const size_t dst =
-          vol_dims.index(chunk.origin.x, chunk.origin.y + y, chunk.origin.z + z);
-      std::memcpy(volume + dst, chunk_data + d.index(0, y, z), d.x * sizeof(double));
-    }
-}
-
-void scatter_chunk_narrow(const double* chunk_data, const Chunk& chunk,
-                          float* volume, Dims vol_dims) {
-  const Dims& d = chunk.dims;
-  for (size_t z = 0; z < d.z; ++z)
-    for (size_t y = 0; y < d.y; ++y) {
-      const size_t dst =
-          vol_dims.index(chunk.origin.x, chunk.origin.y + y, chunk.origin.z + z);
-      const double* src = chunk_data + d.index(0, y, z);
-      for (size_t x = 0; x < d.x; ++x) volume[dst + x] = float(src[x]);
-    }
 }
 
 }  // namespace sperr

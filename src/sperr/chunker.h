@@ -39,17 +39,34 @@ inline size_t chunk_count_bound(Dims volume, Dims preferred) {
 /// be checked before anything is allocated).
 Dims largest_chunk(Dims volume, Dims preferred);
 
-/// Copy one chunk out of a volume into a contiguous buffer.
-void gather_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
-                  double* out);
+/// Copy one chunk out of a volume into a contiguous buffer of doubles,
+/// widening a float volume (so the f32 compress path needs no whole-field
+/// double copy).
+template <typename T>
+void gather_chunk(const T* volume, Dims vol_dims, const Chunk& chunk, double* out) {
+  const Dims& d = chunk.dims;
+  for (size_t z = 0; z < d.z; ++z)
+    for (size_t y = 0; y < d.y; ++y) {
+      const T* src =
+          volume + vol_dims.index(chunk.origin.x, chunk.origin.y + y, chunk.origin.z + z);
+      std::copy(src, src + d.x, out + d.index(0, y, z));
+    }
+}
 
-/// Write a contiguous chunk buffer back into its place in the volume.
-void scatter_chunk(const double* chunk_data, const Chunk& chunk,
-                   double* volume, Dims vol_dims);
-
-/// scatter_chunk narrowing to float on the way out, for the f32 decode path
-/// (no intermediate full-volume double field).
-void scatter_chunk_narrow(const double* chunk_data, const Chunk& chunk,
-                          float* volume, Dims vol_dims);
+/// Write a contiguous chunk buffer back into its place in the volume,
+/// narrowing into a float volume (so the f32 decode path needs no
+/// intermediate full-volume double field).
+template <typename T>
+void scatter_chunk(const double* chunk_data, const Chunk& chunk, T* volume,
+                   Dims vol_dims) {
+  const Dims& d = chunk.dims;
+  for (size_t z = 0; z < d.z; ++z)
+    for (size_t y = 0; y < d.y; ++y) {
+      const double* src = chunk_data + d.index(0, y, z);
+      std::copy(src, src + d.x,
+                volume + vol_dims.index(chunk.origin.x, chunk.origin.y + y,
+                                        chunk.origin.z + z));
+    }
+}
 
 }  // namespace sperr

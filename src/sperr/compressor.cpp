@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -99,19 +100,12 @@ std::vector<uint8_t> write_container(const std::vector<ChunkStream>& streams,
   return out;
 }
 
-}  // namespace pipeline
-
-namespace {
-
-void require_valid(Dims dims, const Config& cfg) {
-  if (const char* why = pipeline::config_error(dims, cfg))
-    throw std::invalid_argument(std::string("sperr: ") + why);
-}
-
-std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& cfg,
-                                   uint8_t precision, Stats* stats) {
+Status compress_chunks(Dims dims, const Config& cfg, uint8_t precision,
+                       const ChunkSource& source, std::vector<uint8_t>& out,
+                       Stats* stats) {
   const auto chunks = make_chunks(dims, cfg.chunk_dims);
-  std::vector<pipeline::ChunkStream> streams(chunks.size());
+  std::vector<ChunkStream> streams(chunks.size());
+  std::vector<Status> status(chunks.size(), Status::ok);
 
   // Intra-chunk SPECK lanes (byte-identical output at any setting). An
   // explicit count is honored as-is; auto (0) only expands on single-chunk
@@ -121,44 +115,76 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, const Config& 
       cfg.intra_chunk_threads == 0 && chunks.size() > 1 ? 1
                                                         : cfg.intra_chunk_threads;
 
-  bool nonfinite = false;
 #ifdef SPERR_HAVE_OPENMP
-  const int nt = cfg.num_threads > 0 ? cfg.num_threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(nt) reduction(|| : nonfinite)
+  // At most one thread per chunk, as decode_chunks: a spare thread would
+  // only let a lone chunk land on a different, cold arena from call to call.
+  const int nt = std::min<int>(cfg.num_threads > 0 ? cfg.num_threads : omp_get_max_threads(),
+                               int(chunks.size()));
+#pragma omp parallel for schedule(dynamic) num_threads(nt)
 #endif
   for (size_t i = 0; i < chunks.size(); ++i) {
-    // The large per-chunk scratch (coefficients, wavelet tiles) comes from
-    // this worker's arena: after the first chunk of a given size the loop
-    // performs no heap allocation for these buffers.
+    // The large per-chunk scratch (the source's copy, coefficients, wavelet
+    // tiles) comes from this worker's arena: after the first chunk of a
+    // given size the loop performs no heap allocation for these buffers.
     Arena& arena = tls_arena();
-    arena.reset();
-    if (pipeline::encode_chunk(data, dims, chunks[i], cfg, streams[i], &arena,
-                               intra_threads, precision == 4) != Status::ok)
-      nonfinite = true;
+    try {
+      arena.reset();  // may coalesce its blocks into a new one
+      const ChunkView v = source(chunks[i], arena);
+      status[i] = v.volume ? encode_chunk(v.volume, v.vol_dims, v.chunk, cfg, streams[i],
+                                          &arena, intra_threads, precision == 4)
+                           : Status::truncated_stream;
+    } catch (const std::bad_alloc&) {
+      status[i] = Status::resource_exhausted;
+    }
   }
-  // The reference SPERR has the same requirement; name the first offender.
-  if (nonfinite) {
-    const double* bad = std::find_if_not(data, data + dims.total(),
-                                         [](double v) { return std::isfinite(v); });
+  for (const Status s : status)
+    if (s != Status::ok) return s;
+  out = write_container(streams, dims, precision, cfg, stats);
+  return Status::ok;
+}
+
+}  // namespace pipeline
+
+namespace {
+
+/// Both compress overloads: validate, run the chunk loop over `source`, and
+/// turn its failures into exceptions.
+template <typename T>
+std::vector<uint8_t> compress_field(const T* data, Dims dims, const Config& cfg,
+                                    Stats* stats, const pipeline::ChunkSource& source) {
+  if (const char* why = pipeline::config_error(dims, cfg))
+    throw std::invalid_argument(std::string("sperr: ") + why);
+  std::vector<uint8_t> out;
+  const Status s =
+      pipeline::compress_chunks(dims, cfg, uint8_t(sizeof(T)), source, out, stats);
+  if (s == Status::resource_exhausted) throw std::bad_alloc();
+  if (s != Status::ok) {
+    // The reference SPERR has the same requirement; name the first offender.
+    const T* bad = std::find_if_not(data, data + dims.total(),
+                                    [](T v) { return std::isfinite(v); });
     throw std::invalid_argument("sperr: input contains NaN or Inf at index " +
                                 std::to_string(bad - data));
   }
-  return pipeline::write_container(streams, dims, precision, cfg, stats);
+  return out;
 }
 
 }  // namespace
 
 std::vector<uint8_t> compress(const double* data, Dims dims, const Config& cfg,
                               Stats* stats) {
-  require_valid(dims, cfg);
-  return compress_impl(data, dims, cfg, 8, stats);
+  return compress_field(data, dims, cfg, stats, [&](const Chunk& c, Arena&) {
+    return pipeline::ChunkView{data, dims, c};
+  });
 }
 
 std::vector<uint8_t> compress(const float* data, Dims dims, const Config& cfg,
                               Stats* stats) {
-  require_valid(dims, cfg);
-  std::vector<double> wide(data, data + dims.total());
-  return compress_impl(wide.data(), dims, cfg, 4, stats);
+  // Each worker widens only the chunk it codes: no whole-field copy.
+  return compress_field(data, dims, cfg, stats, [&](const Chunk& c, Arena& arena) {
+    double* buf = arena.alloc<double>(c.dims.total());
+    gather_chunk(data, dims, c, buf);
+    return pipeline::ChunkView{buf, c.dims, Chunk{{0, 0, 0}, c.dims}};
+  });
 }
 
 double tolerance_from_idx(const double* data, size_t n, int idx) {

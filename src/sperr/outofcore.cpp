@@ -1,11 +1,12 @@
 #include "sperr/outofcore.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
-#include <fstream>
 #include <new>
 #include <vector>
 
@@ -30,21 +31,50 @@ void crash_point(const char* stage) {
   if (detail::g_crash_hook) detail::g_crash_hook(stage);
 }
 
-/// EINTR-safe full write of `n` bytes at file offset `offset`.
-bool write_at(int fd, const void* data, size_t n, uint64_t offset) {
-  const auto* p = static_cast<const uint8_t*>(data);
+/// EINTR-safe full pread or pwrite (`io`) of `n` bytes at file offset `offset`.
+template <typename Io, typename Byte>
+bool full_io(Io io, int fd, Byte* p, size_t n, uint64_t offset) {
   while (n > 0) {
-    const ssize_t put = ::pwrite(fd, p, n, off_t(offset));
-    if (put > 0) {
-      p += put;
-      n -= size_t(put);
-      offset += uint64_t(put);
-    } else if (put < 0 && errno != EINTR) {
-      return false;
+    const ssize_t done = io(fd, p, n, off_t(offset));
+    if (done > 0) {
+      p += done;
+      n -= size_t(done);
+      offset += uint64_t(done);
+    } else if (done == 0 || errno != EINTR) {
+      return false;  // end of file, or an I/O error
     }
   }
   return true;
 }
+
+/// pread or pwrite (`io`) the rows of chunk `c` of a raw `vol` field of
+/// `precision`-byte samples, from or to `raw`, which holds the chunk's
+/// samples at that precision, x-fastest.
+template <typename Io, typename Byte>
+bool chunk_rows(Io io, int fd, Dims vol, int precision, const Chunk& c, Byte* raw) {
+  const size_t p = size_t(precision);
+  for (size_t z = 0; z < c.dims.z; ++z)
+    for (size_t y = 0; y < c.dims.y; ++y)
+      if (!full_io(io, fd, raw + c.dims.index(0, y, z) * p, c.dims.x * p,
+                   vol.index(c.origin.x, c.origin.y + y, c.origin.z + z) * p))
+        return false;
+  return true;
+}
+
+/// A file opened read-only and its size, closed on scope exit; fd < 0 when
+/// the open failed.
+struct InputFile {
+  const int fd;
+  uint64_t size = 0;
+  explicit InputFile(const std::string& path) : fd(::open(path.c_str(), O_RDONLY)) {
+    struct stat st{};
+    if (fd >= 0 && ::fstat(fd, &st) == 0) size = uint64_t(st.st_size);
+  }
+  InputFile(const InputFile&) = delete;
+  ~InputFile() {
+    if (fd >= 0) ::close(fd);
+  }
+};
 
 /// fsync the directory containing `path` so the rename itself is durable
 /// (a crashed kernel may otherwise forget the directory entry while
@@ -98,99 +128,46 @@ Status write_staged(const std::string& out_path, Fill&& fill) {
   return Status::ok;
 }
 
-/// Read one chunk from a raw field file into `out` (doubles), row by row.
-bool read_chunk(std::ifstream& in, Dims vol, int precision, const Chunk& c,
-                std::vector<double>& out) {
-  out.resize(c.dims.total());
-  const size_t row_elems = c.dims.x;
-  std::vector<char> row(row_elems * size_t(precision));
-  for (size_t z = 0; z < c.dims.z; ++z)
-    for (size_t y = 0; y < c.dims.y; ++y) {
-      const uint64_t offset =
-          vol.index(c.origin.x, c.origin.y + y, c.origin.z + z) *
-          uint64_t(precision);
-      in.seekg(std::streamoff(offset));
-      if (!in.read(row.data(), std::streamsize(row.size()))) return false;
-      double* dst = out.data() + c.dims.index(0, y, z);
-      if (precision == 4) {
-        const float* p = reinterpret_cast<const float*>(row.data());
-        for (size_t x = 0; x < row_elems; ++x) dst[x] = double(p[x]);
-      } else {
-        const double* p = reinterpret_cast<const double*>(row.data());
-        for (size_t x = 0; x < row_elems; ++x) dst[x] = p[x];
-      }
-    }
-  return true;
-}
-
-/// Write one decoded chunk into a raw field file, row by row.
-bool write_chunk(int fd, Dims vol, int precision, const Chunk& c,
-                 const std::vector<double>& data) {
-  const size_t row_elems = c.dims.x;
-  std::vector<char> row(row_elems * size_t(precision));
-  for (size_t z = 0; z < c.dims.z; ++z)
-    for (size_t y = 0; y < c.dims.y; ++y) {
-      const double* src = data.data() + c.dims.index(0, y, z);
-      if (precision == 4) {
-        float* p = reinterpret_cast<float*>(row.data());
-        for (size_t x = 0; x < row_elems; ++x) p[x] = float(src[x]);
-      } else {
-        double* p = reinterpret_cast<double*>(row.data());
-        for (size_t x = 0; x < row_elems; ++x) p[x] = src[x];
-      }
-      const uint64_t offset =
-          vol.index(c.origin.x, c.origin.y + y, c.origin.z + z) *
-          uint64_t(precision);
-      if (!write_at(fd, row.data(), row.size(), offset)) return false;
-    }
-  return true;
-}
-
 }  // namespace
 
 Status compress_file(const std::string& in_path, Dims dims, int precision,
                      const Config& cfg, const std::string& out_path,
-                     Stats* stats) {
+                     Stats* stats) try {
   if ((precision != 4 && precision != 8) || pipeline::config_error(dims, cfg))
     return Status::invalid_argument;
-
-  std::ifstream in(in_path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::invalid_argument;
-  const uint64_t file_size = uint64_t(in.tellg());
-  if (file_size != dims.total() * uint64_t(precision))
+  const InputFile in(in_path);
+  if (in.fd < 0 || in.size != dims.total() * uint64_t(precision))
     return Status::invalid_argument;
 
-  const auto chunks = make_chunks(dims, cfg.chunk_dims);
-  std::vector<pipeline::ChunkStream> streams(chunks.size());
-
-  // One chunk resident at a time: this loop is deliberately serial over
-  // chunks (the input file is the bottleneck); in-memory compression keeps
-  // the chunk-parallel OpenMP path.
-  std::vector<double> buf;
-  for (size_t i = 0; i < chunks.size(); ++i) {
-    if (!read_chunk(in, dims, precision, chunks[i], buf))
-      return Status::truncated_stream;
-    const Dims cd = chunks[i].dims;  // the buffer is a one-chunk volume
-    if (const Status s = pipeline::encode_chunk(buf.data(), cd, Chunk{{0, 0, 0}, cd}, cfg,
-                                                streams[i], nullptr, 1, precision == 4);
-        s != Status::ok)
-      return s;
-  }
-  const auto blob = pipeline::write_container(streams, dims, uint8_t(precision), cfg, stats);
+  // The in-memory chunk loop, with each worker reading its chunk into its
+  // own arena: f64 rows land in the coded buffer, f32 rows are widened.
+  std::vector<uint8_t> blob;
+  if (const Status s = pipeline::compress_chunks(
+          dims, cfg, uint8_t(precision),
+          [&](const Chunk& c, Arena& arena) {
+            const Chunk box{{0, 0, 0}, c.dims};
+            double* buf = arena.alloc<double>(c.dims.total());
+            float* f32 = precision == 4 ? arena.alloc<float>(c.dims.total()) : nullptr;
+            void* raw = f32 ? static_cast<void*>(f32) : buf;
+            if (!chunk_rows(::pread, in.fd, dims, precision, c, static_cast<uint8_t*>(raw)))
+              return pipeline::ChunkView{};
+            if (f32) gather_chunk(f32, c.dims, box, buf);
+            return pipeline::ChunkView{buf, c.dims, box};
+          },
+          blob, stats);
+      s != Status::ok)
+    return s;
 
   return write_staged(out_path, [&](int fd) {
     const size_t half = blob.size() / 2;
-    if (!write_at(fd, blob.data(), half, 0)) return Status::invalid_argument;
+    if (!full_io(::pwrite, fd, blob.data(), half, 0)) return Status::invalid_argument;
     crash_point("tmp_partial");
-    return write_at(fd, blob.data() + half, blob.size() - half, half)
+    return full_io(::pwrite, fd, blob.data() + half, blob.size() - half, half)
                ? Status::ok
                : Status::invalid_argument;
   });
-}
-
-Status decompress_file(const std::string& in_path, const std::string& out_path,
-                       int precision) {
-  return decompress_file(in_path, out_path, precision, Recovery::fail_fast);
+} catch (const std::bad_alloc&) {
+  return Status::resource_exhausted;
 }
 
 Status decompress_file(const std::string& in_path, const std::string& out_path,
@@ -200,68 +177,63 @@ Status decompress_file(const std::string& in_path, const std::string& out_path,
   DecodeReport& rep = report ? *report : local;
   rep = DecodeReport{};
   rep.policy = policy;
-  if (precision != 4 && precision != 8) return Status::invalid_argument;
+  if (precision != 4 && precision != 8) return rep.status = Status::invalid_argument;
 
-  std::ifstream in(in_path, std::ios::binary);
-  if (!in) return Status::invalid_argument;
-  const std::vector<uint8_t> blob{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
-
-  // Same fault-isolated core as the in-memory decoder; only the chunk loop
-  // differs (serial, one decoded chunk resident, streamed to disk).
+  // Read the container in one sized read, open it, and drop the raw bytes:
+  // the opened container keeps its own unwrapped copy.
   sperr::detail::OpenedContainer oc;
-  if (const Status s = sperr::detail::open_tolerant(blob.data(), blob.size(),
-                                                    policy, oc, &rep, limits);
-      s != Status::ok) {
-    rep.status = s;
-    return s;
+  {
+    const InputFile in(in_path);
+    if (in.fd < 0) return rep.status = Status::invalid_argument;
+    std::vector<uint8_t> blob(in.size);
+    if (!full_io(::pread, in.fd, blob.data(), blob.size(), 0))
+      return rep.status = Status::invalid_argument;
+    if (const Status s = sperr::detail::open_tolerant(blob.data(), blob.size(), policy,
+                                                      oc, &rep, limits);
+        s != Status::ok)
+      return rep.status = s;
   }
 
   // The header extents size the pre-allocated temp file below (a disk
-  // bomb) and the per-chunk decode buffer (a memory bomb): admit both
-  // before touching either. One chunk of doubles is the working set.
+  // bomb) and the chunks in flight, one largest chunk per chunk-loop worker
+  // as doubles, plus its f32 narrowing (a memory bomb): admit both before
+  // touching either.
   const ResourceLimits& rl = effective_limits(limits);
   const uint64_t out_bytes = uint64_t(oc.hdr.dims.total()) * uint64_t(precision);
-  const uint64_t chunk_bytes =
-      uint64_t(largest_chunk(oc.hdr.dims, oc.hdr.chunk_dims).total()) * sizeof(double);
+  const uint64_t working_bytes =
+      uint64_t(largest_chunk(oc.hdr.dims, oc.hdr.chunk_dims).total()) *
+      (sizeof(double) + (precision == 4 ? sizeof(float) : 0)) *
+      sperr::detail::decode_workers(oc);
   Reservation budget_hold;
-  if (!rl.admits_output(out_bytes) || !rl.admits_working(chunk_bytes) ||
-      !budget_hold.acquire(rl.budget, chunk_bytes)) {
-    rep.status = Status::resource_exhausted;
-    return rep.status;
-  }
+  if (!rl.admits_output(out_bytes) || !rl.admits_working(working_bytes) ||
+      !budget_hold.acquire(rl.budget, working_bytes))
+    return rep.status = Status::resource_exhausted;
 
-  // Fill the staged file chunk by chunk; it only replaces the destination
-  // once every chunk landed — a crash mid-decode (or a fail_fast abort)
-  // never leaves a torn raw field at out_path.
+  // The in-memory chunk loop, with each worker writing its chunk's rows at
+  // their offsets in the staged file. The file only replaces the
+  // destination once every chunk landed, so a crash mid-decode (or a
+  // fail_fast verdict) never leaves a torn raw field at out_path.
+  std::atomic<bool> write_failed{false};
   const Status ws = write_staged(out_path, [&](int fd) {
     if (::ftruncate(fd, off_t(out_bytes)) != 0) return Status::invalid_argument;
-    rep.chunks.resize(oc.chunks.size());
-    std::vector<double> buf;
-    Arena& arena = tls_arena();
-    for (size_t i = 0; i < oc.chunks.size(); ++i) {
-      buf.resize(oc.chunks[i].dims.total());
-      arena.reset();
-      rep.chunks[i] = sperr::detail::decode_chunk(oc, i, policy, buf.data(), &arena);
-      if (rep.chunks[i].damaged()) {
-        ++rep.damaged;
-        if (rep.chunks[i].action != ChunkAction::none) ++rep.recovered;
-        if (policy == Recovery::fail_fast) {
-          // Serial and in order, so this is the lowest damaged index.
-          rep.chunks.resize(i + 1);
-          rep.status = rep.chunks[i].status;
-          return rep.status;
-        }
-      }
-      if (!write_chunk(fd, oc.hdr.dims, precision, oc.chunks[i], buf))
-        return Status::invalid_argument;
-      if (i == 0) crash_point("tmp_partial");
-    }
-    return Status::ok;
+    const Status ds = sperr::detail::decode_chunks(
+        oc, policy, rep, [&](size_t i, const double* buf) {
+          const Chunk& c = oc.chunks[i];
+          const void* raw = buf;
+          if (precision == 4) {
+            float* narrow = tls_arena().alloc<float>(c.dims.total());
+            scatter_chunk(buf, Chunk{{0, 0, 0}, c.dims}, narrow, c.dims);
+            raw = narrow;
+          }
+          if (!chunk_rows(::pwrite, fd, oc.hdr.dims, precision, c,
+                          static_cast<const uint8_t*>(raw)))
+            write_failed = true;
+          if (i == 0) crash_point("tmp_partial");
+        });
+    return ds != Status::ok ? ds : write_failed ? Status::invalid_argument : Status::ok;
   });
-  rep.status = ws;
   rep.field_valid = ws == Status::ok;
-  return ws;
+  return rep.status = ws;
 } catch (const std::bad_alloc&) {
   if (report) report->status = Status::resource_exhausted;
   return Status::resource_exhausted;

@@ -10,6 +10,7 @@
 // its ChunkStream carries the per-stage times and the stream sizes.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/arena.h"
@@ -45,8 +46,9 @@ struct ChunkStream {
 /// same rate would use.
 size_t fixed_rate_budget(double bpp, Dims chunk_dims);
 
-/// The one per-chunk encoder (sperr::compress, outofcore::compress_file and
-/// the figure benches). Gathers `chunk` of the `vol_dims` field `volume` into
+/// The one per-chunk encoder: compress_chunks runs it for sperr::compress
+/// and outofcore::compress_file, and the figure benches call it directly.
+/// Gathers `chunk` of the `vol_dims` field `volume` into
 /// the coefficient buffer, its only copy of the input; a whole field is
 /// Chunk{{0, 0, 0}, vol_dims}. Rejects a chunk holding NaN or Inf (returns
 /// invalid_argument with `out` untouched: non-finite samples would poison
@@ -77,9 +79,31 @@ Status encode_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
                     int intra_chunk_threads, bool float_output,
                     std::vector<outlier::Outlier>* capture_outliers = nullptr);
 
-/// The one writer of v3 containers (sperr::compress, outofcore::compress_file
-/// and truncate_fixed_rate all assemble through it): the header for a `dims`
-/// volume of `precision`-byte input with cfg's mode, chunk extents and
+/// Where a chunk's samples are, as doubles: in the caller's f64 field, or
+/// in a one-chunk copy (`chunk` at the origin). Null `volume`: unreadable.
+struct ChunkView {
+  const double* volume = nullptr;
+  Dims vol_dims;
+  Chunk chunk;
+};
+
+/// Says where chunk `c` is; a copy goes in `arena`, the worker's arena.
+using ChunkSource = std::function<ChunkView(const Chunk& c, Arena& arena)>;
+
+/// The one encode chunk loop (sperr::compress, outofcore::compress_file):
+/// codes every chunk `source` yields with encode_chunk on cfg.num_threads
+/// OpenMP threads (0 = the OpenMP default) and writes the container of
+/// `precision`-byte input into `out`. Else returns the lowest failing
+/// chunk's status: invalid_argument (NaN or Inf), truncated_stream
+/// (unreadable) or resource_exhausted (each chunk catches its own
+/// std::bad_alloc: an exception may not leave an OpenMP region).
+Status compress_chunks(Dims dims, const Config& cfg, uint8_t precision,
+                       const ChunkSource& source, std::vector<uint8_t>& out,
+                       Stats* stats);
+
+/// The one writer of v3 containers (compress_chunks and truncate_fixed_rate
+/// both assemble through it): the header for a `dims` volume of
+/// `precision`-byte input with cfg's mode, chunk extents and
 /// quality; the chunk directory (stream lengths, XXH64 over each chunk's
 /// speck‖outlier bytes, mean); the concatenated streams; and wrap_container
 /// with cfg's lossless settings. `streams` are in make_chunks order.

@@ -171,6 +171,57 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
   return r;
 }
 
+size_t decode_workers(const OpenedContainer& oc) {
+#ifdef SPERR_HAVE_OPENMP
+  return std::max<size_t>(std::min<size_t>(omp_get_max_threads(), oc.chunks.size()), 1);
+#else
+  (void)oc;
+  return 1;
+#endif
+}
+
+Status decode_chunks(const OpenedContainer& oc, Recovery policy,
+                     DecodeReport& rep, const ChunkSink& sink) {
+  rep.chunks.resize(oc.chunks.size());
+
+  // Single-chunk containers cannot use the chunk-parallel loop below, so
+  // let the SPECK decoder's intra-chunk lanes (0 = auto) use the machine
+  // instead. The decode is identical at every lane count, so this is a
+  // pure wall-clock decision.
+  const int intra_threads = oc.chunks.size() == 1 ? 0 : 1;
+
+#ifdef SPERR_HAVE_OPENMP
+#pragma omp parallel for schedule(dynamic) num_threads(int(decode_workers(oc)))
+#endif
+  for (size_t i = 0; i < oc.chunks.size(); ++i) {
+    Arena& arena = tls_arena();
+    try {
+      arena.reset();  // may coalesce its blocks into a new one
+      double* buf = arena.alloc<double>(oc.chunks[i].dims.total());
+      rep.chunks[i] = decode_chunk(oc, i, policy, buf, &arena, intra_threads);
+      sink(i, buf);
+    } catch (const std::bad_alloc&) {
+      rep.chunks[i] = audit_chunk(oc, i);
+      rep.chunks[i].status = Status::resource_exhausted;
+    }
+  }
+
+  bool exhausted = false;
+  for (const ChunkReport& c : rep.chunks) {
+    if (!c.damaged()) continue;
+    ++rep.damaged;
+    if (c.action != ChunkAction::none) ++rep.recovered;
+    exhausted = exhausted || c.status == Status::resource_exhausted;
+  }
+  // Deterministic attribution: under fail_fast the lowest damaged chunk
+  // index wins, no matter which OpenMP worker saw its failure first.
+  rep.field_valid = rep.damaged == 0 || (policy != Recovery::fail_fast && !exhausted);
+  rep.status = rep.field_valid                 ? Status::ok
+               : policy == Recovery::fail_fast ? rep.chunks[rep.first_damaged()].status
+                                               : Status::resource_exhausted;
+  return rep.status;
+}
+
 template <typename T>
 Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
                     std::vector<T>& out, Dims& dims, DecodeReport& rep,
@@ -192,15 +243,15 @@ Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
   // The header parsed, but its extents size the output field — admit them
   // (and carve them from the shared budget, when one is attached) before
   // the assign below commits the allocation. A double field also bounds the
-  // per-chunk scratch; a float field holds one chunk of doubles on top, as
-  // each chunk decodes into arena scratch and is narrowed straight into it.
+  // per-chunk scratch; a float field holds one chunk of doubles per worker on
+  // top, as each chunk decodes into arena scratch and is narrowed into it.
   const ResourceLimits& rl = effective_limits(limits);
   const uint64_t field_bytes = uint64_t(oc.hdr.dims.total()) * sizeof(T);
   uint64_t working_bytes = field_bytes;
   uint64_t held_bytes = field_bytes;
   if constexpr (std::is_same_v<T, float>) {
-    working_bytes =
-        uint64_t(largest_chunk(oc.hdr.dims, oc.hdr.chunk_dims).total()) * sizeof(double);
+    working_bytes = uint64_t(largest_chunk(oc.hdr.dims, oc.hdr.chunk_dims).total()) *
+                    sizeof(double) * decode_workers(oc);
     held_bytes += working_bytes;
   }
   Reservation budget_hold;
@@ -210,40 +261,12 @@ Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
 
   dims = oc.hdr.dims;
   out.assign(dims.total(), T(0));
-  rep.chunks.resize(oc.chunks.size());
-
-  // Single-chunk containers cannot use the chunk-parallel loop below, so
-  // let the SPECK decoder's intra-chunk lanes (0 = auto) use the machine
-  // instead. The decode is identical at every lane count, so this is a
-  // pure wall-clock decision.
-  const int intra_threads = oc.chunks.size() == 1 ? 0 : 1;
-
-#ifdef SPERR_HAVE_OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-  for (size_t i = 0; i < oc.chunks.size(); ++i) {
-    Arena& arena = tls_arena();
-    arena.reset();
-    double* buf = arena.alloc<double>(oc.chunks[i].dims.total());
-    rep.chunks[i] = decode_chunk(oc, i, policy, buf, &arena, intra_threads);
-    if constexpr (std::is_same_v<T, float>)
-      scatter_chunk_narrow(buf, oc.chunks[i], out.data(), dims);
-    else
-      scatter_chunk(buf, oc.chunks[i], out.data(), dims);
-  }
-
-  for (const ChunkReport& c : rep.chunks) {
-    if (!c.damaged()) continue;
-    ++rep.damaged;
-    if (c.action != ChunkAction::none) ++rep.recovered;
-  }
-  // Deterministic attribution: under fail_fast the lowest damaged chunk
-  // index wins, no matter which OpenMP worker saw its failure first.
-  rep.field_valid = policy != Recovery::fail_fast || rep.damaged == 0;
-  return finish(rep.field_valid ? Status::ok
-                                : rep.chunks[rep.first_damaged()].status);
+  return finish(decode_chunks(oc, policy, rep, [&](size_t i, const double* buf) {
+    scatter_chunk(buf, oc.chunks[i], out.data(), dims);
+  }));
 } catch (const std::bad_alloc&) {
-  // Belt and braces: the limits above should have rejected anything this
+  // Allocations outside the chunk loop (the unwrapped container, the output
+  // field) land here; the limits above should have rejected anything this
   // large, but a genuinely out-of-memory machine still gets an answer.
   rep.status = Status::resource_exhausted;
   return Status::resource_exhausted;

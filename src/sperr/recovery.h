@@ -1,14 +1,15 @@
 #pragma once
 
 // Internal fault-isolated decode core. open_tolerant and audit_chunk serve
-// every reader: the in-memory decode loop decode_field (behind
-// sperr::decompress_tolerant and both sperr::decompress overloads), the
-// out-of-core reader (sperr::outofcore::decompress_file), the integrity
-// audit (sperr::verify_container), sperr::decompress_lowres and
+// every reader: the one decode chunk loop decode_chunks (behind
+// sperr::decompress_tolerant, both sperr::decompress overloads and
+// sperr::outofcore::decompress_file), the integrity audit
+// (sperr::verify_container), sperr::decompress_lowres and
 // sperr::truncate_fixed_rate. Not part of the public API — include
 // sperr/sperr.h instead.
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/arena.h"
@@ -66,11 +67,24 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
 /// Checksum/extent audit of chunk `i` without decoding (verify_container).
 ChunkReport audit_chunk(const OpenedContainer& oc, size_t i);
 
-/// The one in-memory decode loop, for double (decompress_tolerant) and
-/// float (the f32 decompress) output: open, admit the output field against
-/// `limits`, decode every chunk in parallel, scatter it into `out` — or
-/// narrow it, for float — and fold the per-chunk verdicts into `report`.
-/// Returns report.status.
+/// Threads decode_chunks runs on: the OpenMP team, at most one per chunk.
+size_t decode_workers(const OpenedContainer& oc);
+
+/// Takes chunk `i`'s decoded doubles, on the worker that decoded them.
+using ChunkSink = std::function<void(size_t i, const double* buf)>;
+
+/// The one decode chunk loop (decode_field, outofcore::decompress_file):
+/// decodes every chunk on decode_workers(oc) threads, hands it to `sink`
+/// and fills `report`. fail_fast fails on any damage with the lowest
+/// damaged chunk's status; a failed allocation (caught per chunk: an
+/// exception may not leave an OpenMP region) marks its chunk
+/// resource_exhausted and fails every policy. Returns report.status.
+Status decode_chunks(const OpenedContainer& oc, Recovery policy,
+                     DecodeReport& report, const ChunkSink& sink);
+
+/// The in-memory decode (decompress_tolerant, the f32 decompress): open,
+/// admit the output field against `limits`, and decode_chunks into `out`,
+/// narrowing for float. Returns report.status.
 template <typename T>
 Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
                     std::vector<T>& out, Dims& dims, DecodeReport& report,

@@ -35,8 +35,8 @@ namespace sperr {
 std::vector<uint8_t> compress(const double* data, Dims dims, const Config& cfg,
                               Stats* stats = nullptr);
 
-/// Single-precision overload (processed internally in double; the container
-/// records the input precision for round-tripping). In PWE mode the bound
+/// Single-precision overload (each chunk is widened to double as it is coded,
+/// with no whole-field copy; the container records the input precision). In PWE mode the bound
 /// holds for a single-precision decompress() as well as a double one.
 std::vector<uint8_t> compress(const float* data, Dims dims, const Config& cfg,
                               Stats* stats = nullptr);

@@ -16,6 +16,10 @@
 #include "data/synthetic.h"
 #include "sperr/sperr.h"
 
+#ifdef SPERR_HAVE_OPENMP
+#include <omp.h>
+#endif
+
 namespace sperr::outofcore {
 namespace {
 
@@ -60,6 +64,31 @@ std::vector<double> read_raw(const std::string& path, size_t n, int precision) {
   }
   EXPECT_TRUE(bool(in));
   return out;
+}
+
+std::vector<uint8_t> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+bool file_exists(const std::string& path) {
+  struct stat st{};
+  return ::stat(path.c_str(), &st) == 0;
+}
+
+/// Decoders run on the OpenMP team: return `fn()` run with it at `n` threads.
+template <typename Fn>
+auto with_omp_threads(int n, Fn&& fn) {
+#ifdef SPERR_HAVE_OPENMP
+  const int before = omp_get_max_threads();
+  omp_set_num_threads(n);
+  auto result = fn();
+  omp_set_num_threads(before);
+  return result;
+#else
+  (void)n;
+  return fn();
+#endif
 }
 
 TEST(OutOfCore, PweRoundTripMatchesInMemoryPath) {
@@ -205,6 +234,114 @@ TEST(OutOfCore, FixedRateBudgetMatchesInMemoryPath) {
   }
 }
 
+TEST(OutOfCore, CompressFileBytesMatchCompressAtOneAndFourThreads) {
+  // compress_file runs compress's chunk loop, reading each chunk from the
+  // file: the same container at any thread count, from f64 and f32 files.
+  const Dims dims{40, 36, 28};
+  const auto field = data::make_field("miranda_pressure", dims);
+  const std::vector<float> field32(field.begin(), field.end());
+  Config cfg;
+  cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 18);
+  cfg.chunk_dims = Dims{16, 16, 16};
+  TempFile raw(".raw"), packed(".sperr");
+  for (const int precision : {8, 4}) {
+    write_raw(raw.path(), field, precision);
+    const auto expected = precision == 8 ? compress(field.data(), dims, cfg)
+                                         : compress(field32.data(), dims, cfg);
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("f" + std::to_string(precision * 8) + ", threads " +
+                   std::to_string(threads));
+      cfg.num_threads = threads;
+      ASSERT_EQ(compress_file(raw.path(), dims, precision, cfg, packed.path()),
+                Status::ok);
+      EXPECT_EQ(slurp(packed.path()), expected);
+    }
+  }
+}
+
+TEST(OutOfCore, DecompressFileMatchesDecompressAtOneAndFourThreads) {
+  // decompress_file runs decompress's chunk loop, writing each chunk's rows
+  // into the file: the same values at any team size, in f64 and in f32.
+  const Dims dims{40, 36, 28};
+  const auto field = data::make_field("miranda_pressure", dims);
+  Config cfg;
+  cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 18);
+  cfg.chunk_dims = Dims{16, 16, 16};
+  const auto blob = compress(field.data(), dims, cfg);
+  std::vector<double> mem64;
+  std::vector<float> mem32;
+  Dims od;
+  ASSERT_EQ(decompress(blob.data(), blob.size(), mem64, od), Status::ok);
+  ASSERT_EQ(decompress(blob.data(), blob.size(), mem32, od), Status::ok);
+
+  TempFile packed(".sperr"), restored(".raw");
+  {
+    std::ofstream out(packed.path(), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(blob.data()), std::streamsize(blob.size()));
+  }
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ASSERT_EQ(with_omp_threads(threads, [&] {
+                return decompress_file(packed.path(), restored.path(), 8);
+              }),
+              Status::ok);
+    EXPECT_EQ(read_raw(restored.path(), field.size(), 8), mem64);
+    ASSERT_EQ(with_omp_threads(threads, [&] {
+                return decompress_file(packed.path(), restored.path(), 4);
+              }),
+              Status::ok);
+    EXPECT_EQ(read_raw(restored.path(), field.size(), 4),
+              std::vector<double>(mem32.begin(), mem32.end()));
+  }
+}
+
+TEST(OutOfCore, AllocationFailureInChunkLoopIsResourceExhausted) {
+  // An exception that leaves an OpenMP region calls std::terminate, so each
+  // chunk loop catches std::bad_alloc per chunk: every entry point answers
+  // resource_exhausted (compress rethrows std::bad_alloc) instead of
+  // aborting. The helper refuses every allocation of one chunk of doubles
+  // or more (oom_child.cpp), so each chunk's buffer fails inside the loop.
+  const Dims dims{64, 64, 64};
+  const auto field = data::make_field("miranda_pressure", dims);
+  Config cfg;
+  cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 8);
+  cfg.chunk_dims = Dims{32, 32, 32};
+  cfg.lossless_pass = false;  // nothing outside the loop reaches the limit
+  const size_t limit = 32 * 32 * 32 * sizeof(double);
+  const auto blob = compress(field.data(), dims, cfg);
+  ASSERT_LT(blob.size(), limit);
+
+  TempFile raw(".raw"), packed(".sperr"), dest(".out");
+  write_raw(raw.path(), field, 8);
+  {
+    std::ofstream out(packed.path(), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(blob.data()), std::streamsize(blob.size()));
+  }
+  char tol[32];
+  std::snprintf(tol, sizeof tol, "%a", cfg.tolerance);
+  const std::string cmd = std::string(SPERR_OOM_CHILD) + " " + std::to_string(limit) +
+                          " " + packed.path() + " " + raw.path() + " " + dest.path() +
+                          " 64 64 64 32 " + tol;
+  FILE* child = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(child, nullptr);
+  std::string output;
+  char line[256];
+  while (std::fgets(line, sizeof line, child)) output += line;
+  const int wstatus = ::pclose(child);
+  ASSERT_TRUE(WIFEXITED(wstatus) && WEXITSTATUS(wstatus) == 0)
+      << "oom_child did not exit cleanly (wait status " << wstatus << ")";
+  EXPECT_EQ(output,
+            "compress bad_alloc\n"
+            "compress_file resource_exhausted\n"
+            "decompress<double> resource_exhausted\n"
+            "decompress<float> resource_exhausted\n"
+            "decompress_tolerant resource_exhausted 8 of 8\n"
+            "decompress_file resource_exhausted 8 of 8\n"
+            "decompress_file resource_exhausted 8 of 8\n");
+  EXPECT_FALSE(file_exists(dest.path()));
+  EXPECT_FALSE(file_exists(dest.path() + ".tmp"));
+}
+
 TEST(OutOfCore, NonFiniteInputRejected) {
   // A NaN or Inf sample fails the file compressor the way it fails the
   // in-memory one: nothing is written, not even the staged temp file.
@@ -252,16 +389,6 @@ TEST(OutOfCore, SizeMismatchRejected) {
 // this process would not do: the clean runs below start libgomp's thread
 // pool, and a forked child's first OpenMP region waits on pool threads that
 // do not exist in it.
-
-std::vector<uint8_t> slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-bool file_exists(const std::string& path) {
-  struct stat st{};
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 constexpr const char* kCrashStages[] = {"tmp_open",   "tmp_partial", "tmp_written",
                                         "tmp_synced", "renamed",     "dir_synced"};

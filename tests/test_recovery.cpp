@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include "common/faultinject.h"
@@ -411,7 +413,7 @@ TEST(Recovery, OutOfCoreTolerantMatchesInMemory) {
     ASSERT_TRUE(f.good());
   }
 
-  // fail_fast (the 3-arg legacy entry point) refuses.
+  // fail_fast (the default policy) refuses.
   ASSERT_EQ(outofcore::decompress_file(bad_path, out_path, 8),
             Status::corrupt_chunk);
 
@@ -435,6 +437,56 @@ TEST(Recovery, OutOfCoreTolerantMatchesInMemory) {
                      std::streamsize(disk.size() * 8)));
   for (size_t i = 0; i < mem.size(); ++i)
     ASSERT_EQ(mem[i], disk[i]) << "index " << i;
+}
+
+TEST(Recovery, OutOfCoreFailFastKeepsDestinationAndMatchesInMemoryVerdicts) {
+  // fail_fast out of core runs the in-memory loop: every chunk is decoded,
+  // the lowest damaged chunk's status is returned, the per-chunk verdicts
+  // equal decompress_tolerant's, and the staged file is dropped, leaving an
+  // existing destination as it was.
+  const auto blob = make_multichunk_blob();
+  const auto ranges = chunk_ranges(blob);
+  ASSERT_EQ(ranges.size(), 8u);
+  auto bad = blob;
+  bad[ranges[1].offset + 5] ^= 0x80;
+  bad[ranges[3].offset + ranges[3].length / 2] ^= 0x40;
+
+  const std::string dir = ::testing::TempDir();
+  const std::string bad_path = dir + "/recovery_ff_bad.sperr";
+  const std::string out_path = dir + "/recovery_ff_out.raw";
+  const std::string old_content = "previous destination";
+  std::ofstream(bad_path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bad.data()), std::streamsize(bad.size()));
+  std::ofstream(out_path, std::ios::binary) << old_content;
+
+  DecodeReport frep;
+  EXPECT_EQ(outofcore::decompress_file(bad_path, out_path, 8, Recovery::fail_fast, &frep),
+            Status::corrupt_chunk);
+  std::ifstream kept(out_path, std::ios::binary);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(kept), {}), old_content);
+  EXPECT_FALSE(std::ifstream(out_path + ".tmp").good());
+
+  DecodeReport mrep;
+  std::vector<double> mem;
+  Dims dims;
+  EXPECT_EQ(decompress_tolerant(bad.data(), bad.size(), Recovery::fail_fast, mem, dims,
+                                &mrep),
+            Status::corrupt_chunk);
+  EXPECT_EQ(frep.status, mrep.status);
+  EXPECT_FALSE(frep.field_valid);
+  EXPECT_EQ(frep.damaged, 2u);
+  EXPECT_EQ(frep.first_damaged(), 1u);
+  ASSERT_EQ(frep.chunks.size(), mrep.chunks.size());
+  for (size_t i = 0; i < frep.chunks.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(frep.chunks[i].index, i);
+    EXPECT_EQ(frep.chunks[i].status, mrep.chunks[i].status);
+    EXPECT_EQ(frep.chunks[i].checksum_ok, mrep.chunks[i].checksum_ok);
+    EXPECT_EQ(frep.chunks[i].offset, mrep.chunks[i].offset);
+    EXPECT_EQ(frep.chunks[i].action, mrep.chunks[i].action);
+  }
+  std::remove(bad_path.c_str());
+  std::remove(out_path.c_str());
 }
 
 // ---- archive wrappers ---------------------------------------------------------
