@@ -20,7 +20,6 @@
 #include "common/arena.h"
 #include "common/byteio.h"
 #include "common/resource.h"
-#include "common/threadpool.h"
 #include "common/timer.h"
 #include "metrics/metrics.h"
 #include "server/queue.h"
@@ -93,8 +92,7 @@ struct Server::Impl {
   int listen_fd = -1;
   int wake_pipe[2] = {-1, -1};  // self-pipe: portable accept-loop wakeup
   std::thread acceptor;
-  std::thread pool_driver;
-  std::unique_ptr<TaskPool> pool;
+  std::vector<std::thread> worker_threads;
 
   // Reader-thread bookkeeping. Readers run detached from the acceptor's
   // point of view but stay joinable: a reader exiting moves its own
@@ -304,29 +302,29 @@ struct Server::Impl {
     }
     if (index >= oc.chunks.size()) return r;  // bad_request: no such chunk
     const Chunk& chunk = oc.chunks[index];
-    // One decoded chunk plus its reply copy is the working set here; gate it
-    // (and reserve it from the shared pool) before sizing the buffer.
+    // The reply holds one decoded chunk; admit it with the one worker's
+    // decode scratch.
     const uint64_t chunk_bytes = uint64_t(chunk.dims.total()) * sizeof(double);
     Reservation budget_hold;
-    if (!rl.admits_output(chunk_bytes) || !rl.admits_working(chunk_bytes) ||
-        !budget_hold.acquire(rl.budget, chunk_bytes)) {
+    if (detail::admit_decode(oc, chunk_bytes, chunk_bytes, /*workers=*/1, &rl,
+                             budget_hold) != Status::ok) {
       r.status = WireStatus::resource_exhausted;
       return r;
     }
-    std::vector<double> buf(chunk.dims.total(), 0.0);
+    const std::unique_ptr<double[]> buf(new double[chunk.dims.total()]);  // all written
     const ChunkReport crep = detail::decode_chunk(oc, index, Recovery::fail_fast,
-                                                  buf.data(), &tls_arena(),
+                                                  buf.get(), &tls_arena(),
                                                   cfg.intra_chunk_threads);
     if (crep.damaged()) {
       r.status = WireStatus::corrupt;
       return r;
     }
     r.status = WireStatus::ok;
-    r.body.reserve(48 + buf.size() * 8);
+    r.body.reserve(48 + chunk_bytes);
     append_dims(r.body, chunk.origin);
     append_dims(r.body, chunk.dims);
-    const auto* p = reinterpret_cast<const uint8_t*>(buf.data());
-    r.body.insert(r.body.end(), p, p + buf.size() * 8);
+    const auto* p = reinterpret_cast<const uint8_t*>(buf.get());
+    r.body.insert(r.body.end(), p, p + chunk_bytes);
     return r;
   }
 
@@ -356,7 +354,7 @@ struct Server::Impl {
     return s;
   }
 
-  // --- worker pool ----------------------------------------------------------
+  // --- worker threads -------------------------------------------------------
 
   void worker_loop() {
     Job job;
@@ -366,7 +364,7 @@ struct Server::Impl {
       Reply reply;
       if (job.abandoned && job.abandoned->load()) {
         // The reader already answered DEADLINE_EXCEEDED; skip the work.
-        // The lane counts the request (as an error, in its opcode slot) —
+        // The worker counts the request (as an error, in its opcode slot) —
         // the reader only counted timeouts_request, so nothing is counted
         // twice.
         metrics.count_request(job.opcode, /*error=*/true, /*bytes_out=*/0,
@@ -500,7 +498,7 @@ struct Server::Impl {
               std::future_status::timeout) {
         // Abandon the job: if a worker has not dequeued it yet it will be
         // skipped; if one is mid-compute the result is discarded. Either
-        // way this connection answers now instead of pinning the lane's
+        // way this connection answers now instead of pinning the worker's
         // reply slot.
         abandoned->store(true);
         metrics.count_timeout_request();
@@ -632,9 +630,8 @@ Status Server::start() {
     return Status::invalid_argument;
   }
   im.started.reset();
-  im.pool = std::make_unique<TaskPool>(im.workers);
-  im.pool_driver = std::thread(
-      [this] { impl_->pool->run([this](int) { impl_->worker_loop(); }); });
+  for (int w = 0; w < im.workers; ++w)
+    im.worker_threads.emplace_back([this] { impl_->worker_loop(); });
   im.acceptor = std::thread([this] { impl_->accept_loop(); });
   return Status::ok;
 }
@@ -680,8 +677,7 @@ void Server::stop() {
       job.promise->set_value(std::move(r));
     });
   }
-  im.pool_driver.join();
-  im.pool.reset();
+  for (std::thread& t : im.worker_threads) t.join();
   // 3. Unblock readers waiting for the next request frame, then wait for
   //    every reader to park its handle and join the parked handles. The
   //    wait is bounded: reads return immediately after shutdown() and

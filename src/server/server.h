@@ -12,15 +12,15 @@
 //        │                    BoundedQueue<Job> (reject-with-BUSY when full)
 //        │                              │
 //        ▼                              ▼
-//   worker pool: a TaskPool (common/threadpool.h) whose lanes loop over the
-//   queue. Each lane is a long-lived thread, so its tls_arena() (the
-//   per-thread scratch Arena the chunked codec paths allocate from) stays
-//   warm across requests — steady-state request processing performs no
-//   system allocations inside the pipeline. Chunk-granular work inside one
-//   request runs on the library's chunk loop (ServerConfig::
-//   threads_per_request OpenMP threads) and the SPECK coders' deterministic
-//   intra-chunk lanes (ServerConfig::intra_chunk_threads, also TaskPool-
-//   backed), so a single large request can still use the whole machine.
+//   worker threads (plain std::threads) that loop over the queue. Each is
+//   long-lived, so its tls_arena() (the per-thread scratch Arena the
+//   chunked codec paths allocate from) stays warm across requests —
+//   steady-state request processing performs no system allocations inside
+//   the pipeline. Chunk-granular work inside one request runs on the
+//   library's chunk loops (the encode on ServerConfig::threads_per_request
+//   OpenMP threads) and the SPECK coders' deterministic intra-chunk lanes
+//   (ServerConfig::intra_chunk_threads), so a single large request can
+//   still use the whole machine.
 //
 // Connections are handled strictly request-reply: the reader dispatches one
 // frame, blocks for the worker's reply, writes it, then reads the next
@@ -57,7 +57,7 @@ struct ServerConfig {
   /// back with Server::port()).
   uint16_t port = 0;
 
-  /// Worker-pool lanes processing requests concurrently (>= 1).
+  /// Worker threads processing requests concurrently (>= 1).
   int workers = 2;
 
   /// Bounded request queue high-water mark: requests arriving when this
@@ -114,7 +114,7 @@ struct ServerConfig {
   /// to run the server unbounded). `sperr_serve --max-output-mb`.
   uint64_t max_output_bytes = 0;
 
-  /// Global decode memory pool shared by every worker lane. Each request
+  /// Global decode memory pool shared by every worker thread. Each request
   /// reserves its header-declared working set from this pool for the
   /// duration of its decode; when concurrent requests would overdraw it,
   /// the latecomer is answered RESOURCE_EXHAUSTED instead of sinking the
@@ -136,7 +136,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, and spawn the acceptor + worker pool. Returns
+  /// Bind, listen, and spawn the acceptor + worker threads. Returns
   /// invalid_argument when the port cannot be bound.
   Status start();
 

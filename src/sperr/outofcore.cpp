@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <vector>
 
@@ -195,18 +196,13 @@ Status decompress_file(const std::string& in_path, const std::string& out_path,
   }
 
   // The header extents size the pre-allocated temp file below (a disk
-  // bomb) and the chunks in flight, one largest chunk per chunk-loop worker
-  // as doubles, plus its f32 narrowing (a memory bomb): admit both before
+  // bomb) and the chunks in flight (a memory bomb): admit both before
   // touching either.
-  const ResourceLimits& rl = effective_limits(limits);
   const uint64_t out_bytes = uint64_t(oc.hdr.dims.total()) * uint64_t(precision);
-  const uint64_t working_bytes =
-      uint64_t(largest_chunk(oc.hdr.dims, oc.hdr.chunk_dims).total()) *
-      (sizeof(double) + (precision == 4 ? sizeof(float) : 0)) *
-      sperr::detail::decode_workers(oc);
   Reservation budget_hold;
-  if (!rl.admits_output(out_bytes) || !rl.admits_working(working_bytes) ||
-      !budget_hold.acquire(rl.budget, working_bytes))
+  if (sperr::detail::admit_decode(oc, out_bytes, /*held_bytes=*/0,
+                                  sperr::detail::decode_workers(oc), limits,
+                                  budget_hold) != Status::ok)
     return rep.status = Status::resource_exhausted;
 
   // The in-memory chunk loop, with each worker writing its chunk's rows at
@@ -217,16 +213,16 @@ Status decompress_file(const std::string& in_path, const std::string& out_path,
   const Status ws = write_staged(out_path, [&](int fd) {
     if (::ftruncate(fd, off_t(out_bytes)) != 0) return Status::invalid_argument;
     const Status ds = sperr::detail::decode_chunks(
-        oc, policy, rep, [&](size_t i, const double* buf) {
+        oc, policy, rep, [&](size_t i, double* buf) {
           const Chunk& c = oc.chunks[i];
-          const void* raw = buf;
-          if (precision == 4) {
-            float* narrow = tls_arena().alloc<float>(c.dims.total());
-            scatter_chunk(buf, Chunk{{0, 0, 0}, c.dims}, narrow, c.dims);
-            raw = narrow;
-          }
-          if (!chunk_rows(::pwrite, fd, oc.hdr.dims, precision, c,
-                          static_cast<const uint8_t*>(raw)))
+          auto* raw = reinterpret_cast<uint8_t*>(buf);
+          // Narrow in place: float k lands in double k/2, already read.
+          if (precision == 4)
+            for (size_t k = 0; k < c.dims.total(); ++k) {
+              const float f = float(buf[k]);
+              std::memcpy(raw + k * sizeof(float), &f, sizeof(float));
+            }
+          if (!chunk_rows(::pwrite, fd, oc.hdr.dims, precision, c, raw))
             write_failed = true;
           if (i == 0) crash_point("tmp_partial");
         });

@@ -146,43 +146,34 @@ Status encode_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
   return Status::ok;
 }
 
-Status decode_lowres(const uint8_t* speck_stream, size_t speck_len, Dims dims,
-                     size_t drop_levels, std::vector<double>& out,
-                     Dims& coarse_dims) {
-  const size_t max_levels = wavelet::plan_levels(dims).max();
-  const size_t keep = std::min(drop_levels, max_levels);
-
-  std::vector<double> full(dims.total());
-  const Status s = speck::decode(speck_stream, speck_len, dims, full.data());
-  if (s != Status::ok) return s;
-  wavelet::inverse_dwt_partial(full.data(), dims, keep);
-
-  // Extract the low-pass box and divide out the per-pass DC gain so the
-  // coarse field sits on the data's own scale.
-  coarse_dims = wavelet::lowpass_box_at(dims, keep);
-  const wavelet::LevelPlan plan = wavelet::plan_levels(dims);
-  const size_t passes = std::min(keep, plan.lx) + std::min(keep, plan.ly) +
-                        std::min(keep, plan.lz);
-  const double scale = 1.0 / std::pow(wavelet::lowpass_dc_gain(), double(passes));
-
-  out.resize(coarse_dims.total());
-  for (size_t z = 0; z < coarse_dims.z; ++z)
-    for (size_t y = 0; y < coarse_dims.y; ++y)
-      for (size_t x = 0; x < coarse_dims.x; ++x)
-        out[coarse_dims.index(x, y, z)] = full[dims.index(x, y, z)] * scale;
-  return Status::ok;
-}
-
 Status decode(const uint8_t* speck_stream, size_t speck_len,
               const uint8_t* outlier_stream, size_t outlier_len, Dims dims,
-              double* out, Arena* arena, int intra_chunk_threads) {
+              double* out, Arena* arena, int intra_chunk_threads, size_t drop_levels) {
   Arena& a = arena ? *arena : tls_arena();
   Arena::Scope scope(a);
   const Status s =
       speck::decode(speck_stream, speck_len, dims, out, nullptr, intra_chunk_threads);
   if (s != Status::ok) return s;
-  wavelet::inverse_dwt(out, dims, wavelet::Kernel::cdf97, &a);
 
+  if (drop_levels > 0) {
+    const wavelet::LevelPlan plan = wavelet::plan_levels(dims);
+    const size_t keep = std::min(drop_levels, plan.max());
+    wavelet::inverse_dwt_partial(out, dims, keep, &a);
+    // Pack the low-pass box into the front of `out`, dividing out the
+    // per-pass DC gain. A box sample never lands past where it is read, so
+    // the forward walk reads every sample before anything overwrites it.
+    const Dims box = wavelet::lowpass_box_at(dims, keep);
+    const size_t passes = std::min(keep, plan.lx) + std::min(keep, plan.ly) +
+                          std::min(keep, plan.lz);
+    const double scale = 1.0 / std::pow(wavelet::lowpass_dc_gain(), double(passes));
+    for (size_t z = 0; z < box.z; ++z)
+      for (size_t y = 0; y < box.y; ++y)
+        for (size_t x = 0; x < box.x; ++x)
+          out[box.index(x, y, z)] = out[dims.index(x, y, z)] * scale;
+    return Status::ok;
+  }
+
+  wavelet::inverse_dwt(out, dims, wavelet::Kernel::cdf97, &a);
   if (outlier_len != 0) {
     std::vector<outlier::Outlier> outliers;
     const Status so = outlier::decode(outlier_stream, outlier_len, dims.total(), outliers);

@@ -113,23 +113,16 @@ std::vector<uint8_t> write_container(const std::vector<ChunkStream>& streams,
                                      Dims dims, uint8_t precision,
                                      const Config& cfg, Stats* stats = nullptr);
 
-/// Multi-level decode (paper §VII): reconstruct the chunk at a coarsened
-/// resolution by stopping the inverse wavelet recursion `drop_levels` early
-/// and extracting the low-pass box. drop_levels == 0 is full resolution.
-/// `coarse_dims` receives the extents of the returned field. The coarse
-/// field approximates a box-filtered downsampling of the data (low-pass
-/// scaling is divided out).
-Status decode_lowres(const uint8_t* speck_stream, size_t speck_len, Dims dims,
-                     size_t drop_levels, std::vector<double>& out,
-                     Dims& coarse_dims);
-
 /// Decode one chunk (any mode) into `out` (dims.total() doubles). The
 /// stream views are borrowed, not copied — they only need to stay alive for
 /// the duration of the call. `arena` and `intra_chunk_threads` are as for
-/// encode_chunk.
+/// encode_chunk. `drop_levels` >= 1 (paper §VII) stops the inverse that many
+/// levels early and packs the low-pass box, lowpass_box_at(dims, drop_levels),
+/// into the front of `out` with its DC gain divided out; outliers are skipped.
 Status decode(const uint8_t* speck_stream, size_t speck_len,
               const uint8_t* outlier_stream, size_t outlier_len, Dims dims,
-              double* out, Arena* arena = nullptr, int intra_chunk_threads = 1);
+              double* out, Arena* arena = nullptr, int intra_chunk_threads = 1,
+              size_t drop_levels = 0);
 
 /// Convenience overload over owned streams.
 Status decode(const std::vector<uint8_t>& speck_stream,

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <type_traits>
 
 #include "common/arena.h"
 #include "common/byteio.h"
@@ -19,6 +18,7 @@
 #include "sperr/pipeline.h"
 #include "sperr/recovery.h"
 #include "sperr/sperr.h"
+#include "wavelet/dwt.h"
 
 #ifdef SPERR_HAVE_OPENMP
 #include <omp.h>
@@ -111,7 +111,8 @@ ChunkReport audit_chunk(const OpenedContainer& oc, size_t i) {
 }
 
 ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
-                         double* buf, Arena* arena, int intra_threads) {
+                         double* buf, Arena* arena, int intra_threads,
+                         size_t drop_levels) {
   Timer timer;
   ChunkReport r = audit_chunk(oc, i);
   const ChunkEntry& e = oc.hdr.entries[i];
@@ -125,7 +126,7 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
     // An intact slice has avail == advertised; decode from the clamped avail
     // extents regardless so no directory value can size a read.
     const Status cs = pipeline::decode(sp, sl.speck_avail, op, sl.outlier_avail,
-                                       cdims, buf, arena, intra_threads);
+                                       cdims, buf, arena, intra_threads, drop_levels);
     if (cs != Status::ok) r.status = cs;  // possible on v1/v2 (no checksums)
   }
 
@@ -147,7 +148,7 @@ ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
         bool coarse_ok = false;
         if (sl.speck_avail > 0 &&
             pipeline::decode(sp, sl.speck_avail, nullptr, 0, cdims, buf, arena,
-                             intra_threads) == Status::ok) {
+                             intra_threads, drop_levels) == Status::ok) {
           coarse_ok = true;
           for (size_t k = 0; k < n; ++k)
             if (!std::isfinite(buf[k])) {
@@ -180,8 +181,21 @@ size_t decode_workers(const OpenedContainer& oc) {
 #endif
 }
 
+Status admit_decode(const OpenedContainer& oc, uint64_t field_bytes,
+                    uint64_t held_bytes, size_t workers,
+                    const ResourceLimits* limits, Reservation& hold) {
+  const ResourceLimits& rl = effective_limits(limits);
+  const uint64_t working_bytes =
+      uint64_t(largest_chunk(oc.hdr.dims, oc.hdr.chunk_dims).total()) *
+      sizeof(double) * workers;
+  return rl.admits_output(field_bytes) && rl.admits_working(working_bytes) &&
+                 hold.acquire(rl.budget, held_bytes + working_bytes)
+             ? Status::ok
+             : Status::resource_exhausted;
+}
+
 Status decode_chunks(const OpenedContainer& oc, Recovery policy,
-                     DecodeReport& rep, const ChunkSink& sink) {
+                     DecodeReport& rep, const ChunkSink& sink, size_t drop_levels) {
   rep.chunks.resize(oc.chunks.size());
 
   // Single-chunk containers cannot use the chunk-parallel loop below, so
@@ -198,7 +212,8 @@ Status decode_chunks(const OpenedContainer& oc, Recovery policy,
     try {
       arena.reset();  // may coalesce its blocks into a new one
       double* buf = arena.alloc<double>(oc.chunks[i].dims.total());
-      rep.chunks[i] = decode_chunk(oc, i, policy, buf, &arena, intra_threads);
+      rep.chunks[i] =
+          decode_chunk(oc, i, policy, buf, &arena, intra_threads, drop_levels);
       sink(i, buf);
     } catch (const std::bad_alloc&) {
       rep.chunks[i] = audit_chunk(oc, i);
@@ -225,7 +240,7 @@ Status decode_chunks(const OpenedContainer& oc, Recovery policy,
 template <typename T>
 Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
                     std::vector<T>& out, Dims& dims, DecodeReport& rep,
-                    const ResourceLimits* limits) try {
+                    const ResourceLimits* limits, size_t drop_levels) try {
   rep = DecodeReport{};
   rep.policy = policy;
   Timer timer;
@@ -240,30 +255,42 @@ Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
       s != Status::ok)
     return finish(s);
 
-  // The header parsed, but its extents size the output field — admit them
-  // (and carve them from the shared budget, when one is attached) before
-  // the assign below commits the allocation. A double field also bounds the
-  // per-chunk scratch; a float field holds one chunk of doubles per worker on
-  // top, as each chunk decodes into arena scratch and is narrowed into it.
-  const ResourceLimits& rl = effective_limits(limits);
-  const uint64_t field_bytes = uint64_t(oc.hdr.dims.total()) * sizeof(T);
-  uint64_t working_bytes = field_bytes;
-  uint64_t held_bytes = field_bytes;
-  if constexpr (std::is_same_v<T, float>) {
-    working_bytes = uint64_t(largest_chunk(oc.hdr.dims, oc.hdr.chunk_dims).total()) *
-                    sizeof(double) * decode_workers(oc);
-    held_bytes += working_bytes;
-  }
+  // Along an axis every chunk but the last has the first one's extent. So
+  // those two bound the drop at which every chunk halves each axis the same
+  // number of times, which tiles their coarse boxes, and chunk i's box lands
+  // at the sum of the first chunk's coarse extents before it.
+  const Dims first = oc.chunks.front().dims;
+  const wavelet::LevelPlan a = wavelet::plan_levels(first);
+  const wavelet::LevelPlan b = wavelet::plan_levels(oc.chunks.back().dims);
+  size_t drop = drop_levels;
+  for (const auto& [la, lb] : {std::pair{a.lx, b.lx}, std::pair{a.ly, b.ly},
+                               std::pair{a.lz, b.lz}})
+    if (la != lb) drop = std::min({drop, la, lb});
+  const Dims box = wavelet::lowpass_box_at(first, drop);
+  const auto coarse = [&](const Chunk& c) {
+    return Chunk{{c.origin.x / first.x * box.x, c.origin.y / first.y * box.y,
+                  c.origin.z / first.z * box.z},
+                 wavelet::lowpass_box_at(c.dims, drop)};
+  };
+  const Chunk last = coarse(oc.chunks.back());
+  const Dims out_dims{last.origin.x + last.dims.x, last.origin.y + last.dims.y,
+                      last.origin.z + last.dims.z};
+
+  // The header extents size the decoded field and the output: admit both
+  // before the assign. Every chunk decodes at full resolution whatever the
+  // drop, so the full field bounds the work even when the output is coarse.
   Reservation budget_hold;
-  if (!rl.admits_output(field_bytes) || !rl.admits_working(working_bytes) ||
-      !budget_hold.acquire(rl.budget, held_bytes))
+  if (admit_decode(oc, uint64_t(oc.hdr.dims.total()) * sizeof(T),
+                   uint64_t(out_dims.total()) * sizeof(T), decode_workers(oc), limits,
+                   budget_hold) != Status::ok)
     return finish(Status::resource_exhausted);
 
-  dims = oc.hdr.dims;
+  dims = out_dims;
   out.assign(dims.total(), T(0));
-  return finish(decode_chunks(oc, policy, rep, [&](size_t i, const double* buf) {
-    scatter_chunk(buf, oc.chunks[i], out.data(), dims);
-  }));
+  const auto sink = [&](size_t i, double* buf) {
+    scatter_chunk(buf, coarse(oc.chunks[i]), out.data(), dims);
+  };
+  return finish(decode_chunks(oc, policy, rep, sink, drop));
 } catch (const std::bad_alloc&) {
   // Allocations outside the chunk loop (the unwrapped container, the output
   // field) land here; the limits above should have rejected anything this
@@ -273,9 +300,9 @@ Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
 }
 
 template Status decode_field(const uint8_t*, size_t, Recovery, std::vector<double>&,
-                             Dims&, DecodeReport&, const ResourceLimits*);
+                             Dims&, DecodeReport&, const ResourceLimits*, size_t);
 template Status decode_field(const uint8_t*, size_t, Recovery, std::vector<float>&,
-                             Dims&, DecodeReport&, const ResourceLimits*);
+                             Dims&, DecodeReport&, const ResourceLimits*, size_t);
 
 }  // namespace detail
 

@@ -2,11 +2,10 @@
 
 // Internal fault-isolated decode core. open_tolerant and audit_chunk serve
 // every reader: the one decode chunk loop decode_chunks (behind
-// sperr::decompress_tolerant, both sperr::decompress overloads and
-// sperr::outofcore::decompress_file), the integrity audit
-// (sperr::verify_container), sperr::decompress_lowres and
-// sperr::truncate_fixed_rate. Not part of the public API — include
-// sperr/sperr.h instead.
+// sperr::decompress_tolerant, both sperr::decompress overloads,
+// sperr::decompress_lowres and sperr::outofcore::decompress_file), the
+// integrity audit (sperr::verify_container) and sperr::truncate_fixed_rate.
+// Not part of the public API — include sperr/sperr.h instead.
 
 #include <cstdint>
 #include <functional>
@@ -60,9 +59,11 @@ Status open_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
 /// chunks. Returns the chunk's report entry. `intra_threads` feeds the
 /// SPECK decoder's lane-parallel mode (output identical at every setting;
 /// 1 = serial, 0 = auto) — raise it only when chunks are not already
-/// decoding concurrently.
+/// decoding concurrently. `drop_levels` >= 1 leaves the chunk's coarse box
+/// at the front of `buf`, as pipeline::decode does.
 ChunkReport decode_chunk(const OpenedContainer& oc, size_t i, Recovery policy,
-                         double* buf, Arena* arena, int intra_threads = 1);
+                         double* buf, Arena* arena, int intra_threads = 1,
+                         size_t drop_levels = 0);
 
 /// Checksum/extent audit of chunk `i` without decoding (verify_container).
 ChunkReport audit_chunk(const OpenedContainer& oc, size_t i);
@@ -70,8 +71,19 @@ ChunkReport audit_chunk(const OpenedContainer& oc, size_t i);
 /// Threads decode_chunks runs on: the OpenMP team, at most one per chunk.
 size_t decode_workers(const OpenedContainer& oc);
 
-/// Takes chunk `i`'s decoded doubles, on the worker that decoded them.
-using ChunkSink = std::function<void(size_t i, const double* buf)>;
+/// The one decode admission. `field_bytes` is the full-resolution field the
+/// chunks decode, in output values, whatever the drop: it bounds the
+/// declared work. `held_bytes` of output stay in memory (0 when it is a
+/// file), and each of `workers` decode threads holds one largest chunk of
+/// doubles. Admits them against `limits` and reserves the held output and
+/// the scratch from its budget in `hold`; else resource_exhausted.
+Status admit_decode(const OpenedContainer& oc, uint64_t field_bytes,
+                    uint64_t held_bytes, size_t workers,
+                    const ResourceLimits* limits, Reservation& hold);
+
+/// Takes chunk `i`'s decoded doubles, on the worker that decoded them; the
+/// buffer is that worker's scratch, so the sink may overwrite it.
+using ChunkSink = std::function<void(size_t i, double* buf)>;
 
 /// The one decode chunk loop (decode_field, outofcore::decompress_file):
 /// decodes every chunk on decode_workers(oc) threads, hands it to `sink`
@@ -80,14 +92,16 @@ using ChunkSink = std::function<void(size_t i, const double* buf)>;
 /// exception may not leave an OpenMP region) marks its chunk
 /// resource_exhausted and fails every policy. Returns report.status.
 Status decode_chunks(const OpenedContainer& oc, Recovery policy,
-                     DecodeReport& report, const ChunkSink& sink);
+                     DecodeReport& report, const ChunkSink& sink,
+                     size_t drop_levels = 0);
 
-/// The in-memory decode (decompress_tolerant, the f32 decompress): open,
-/// admit the output field against `limits`, and decode_chunks into `out`,
-/// narrowing for float. Returns report.status.
+/// The in-memory decode (decompress_tolerant, the f32 decompress,
+/// decompress_lowres): open, admit_decode, and decode_chunks into `out`,
+/// narrowing for float; at `drop_levels` >= 1 it tiles the chunks' coarse
+/// boxes, and `dims` receives their extents. Returns report.status.
 template <typename T>
 Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
                     std::vector<T>& out, Dims& dims, DecodeReport& report,
-                    const ResourceLimits* limits);
+                    const ResourceLimits* limits, size_t drop_levels = 0);
 
 }  // namespace sperr::detail

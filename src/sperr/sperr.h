@@ -88,17 +88,15 @@ Status verify_container(const uint8_t* stream, size_t nbytes,
                         const ResourceLimits* limits = nullptr);
 
 /// Multi-resolution decompression (paper §VII): reconstruct the field at a
-/// coarsened resolution by stopping the inverse wavelet recursion
+/// coarsened resolution by stopping each chunk's inverse wavelet recursion
 /// `drop_levels` early — each dropped level roughly halves every
-/// transformed axis. Requires a single-chunk container (per-chunk coarse
-/// grids would not tile a coarse volume); multi-chunk streams return
-/// invalid_argument, which is the only source of that status here. With
-/// the default 128^3 chunk_dims, a field of 192 or more on any axis is
-/// multi-chunk (a remainder under 64 joins the last chunk): compress with
-/// chunk_dims >= the field dims to keep multi-resolution decoding
-/// available. drop_levels == 0 yields full resolution (outlier corrections
-/// are not applied — they live on the fine grid and are within the
-/// tolerance by construction).
+/// transformed axis — and tiling the chunks' coarse boxes into a field of
+/// `coarse_dims`. The drop is clamped to the deepest at which every chunk
+/// halves each axis equally (a 200-wide axis cut 128 + 72 allows 4, not 5).
+/// Coarse values skip the outlier corrections, which live on the fine grid;
+/// drop_levels == 0 is decompress(), corrections and PWE bound included.
+/// Every chunk still decodes at full resolution, so `limits` admits the
+/// full field's bytes whatever the drop.
 Status decompress_lowres(const uint8_t* stream, size_t nbytes, size_t drop_levels,
                          std::vector<double>& out, Dims& coarse_dims,
                          const ResourceLimits* limits = nullptr);

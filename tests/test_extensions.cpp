@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "common/stats.h"
 #include "data/synthetic.h"
 #include "metrics/metrics.h"
+#include "sperr/chunker.h"
 #include "sperr/pipeline.h"
 #include "sperr/sperr.h"
 #include "wavelet/dwt.h"
@@ -112,34 +116,117 @@ TEST(LowRes, CoarseFieldApproximatesDownsampledData) {
   EXPECT_LT(std::sqrt(sq / ref_sq), 0.2);
 }
 
-TEST(LowRes, ZeroDropEqualsFullResolutionModuloOutliers) {
+TEST(LowRes, ZeroDropEqualsDecompress) {
+  // Drop 0 is the full decode, outlier corrections included, so the PWE
+  // bound holds there too: one chunk and four.
   const Dims dims{48, 48, 16};
   const auto field = data::s3d_ch4(dims);
   Config cfg;
   cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 20);
-  const auto blob = compress(field.data(), dims, cfg);
-
-  std::vector<double> lowres;
-  Dims cd;
-  ASSERT_EQ(decompress_lowres(blob.data(), blob.size(), 0, lowres, cd), Status::ok);
-  EXPECT_EQ(cd, dims);
-  // Without outlier corrections the error may exceed t, but only by the
-  // outliers' (bounded) overshoot — which is small on this smooth field.
-  const auto q = metrics::compare(field.data(), lowres.data(), field.size());
-  EXPECT_LT(q.rmse, cfg.tolerance);
+  for (const Dims chunk : {Dims{48, 48, 16}, Dims{24, 24, 16}}) {
+    cfg.chunk_dims = chunk;
+    const auto blob = compress(field.data(), dims, cfg);
+    std::vector<double> full, lowres;
+    Dims fd, cd;
+    ASSERT_EQ(decompress(blob.data(), blob.size(), full, fd), Status::ok);
+    ASSERT_EQ(decompress_lowres(blob.data(), blob.size(), 0, lowres, cd), Status::ok);
+    EXPECT_EQ(cd, dims);
+    EXPECT_EQ(lowres, full);
+    EXPECT_LE(metrics::compare(field.data(), lowres.data(), field.size()).max_pwe,
+              cfg.tolerance);
+  }
 }
 
-TEST(LowRes, MultiChunkContainerRejected) {
+/// decompress_lowres of a `dims` field cut into cfg.chunk_dims chunks must
+/// equal the tiling of each chunk compressed and decoded on its own, at
+/// `levels`: the requested `drop` clamped to what every chunk shares. Chunk
+/// i's coarse box lands at the sum of the coarse extents before it on each
+/// axis, and together the boxes cover `coarse_dims`.
+template <typename T>
+void expect_coarse_tiling(const std::vector<T>& field, Dims dims, const Config& cfg,
+                          size_t drop, size_t levels, Dims coarse_dims) {
+  SCOPED_TRACE("drop " + std::to_string(drop));
+  const auto blob = compress(field.data(), dims, cfg);
+  std::vector<double> coarse;
+  Dims cd;
+  ASSERT_EQ(decompress_lowres(blob.data(), blob.size(), drop, coarse, cd), Status::ok);
+  ASSERT_EQ(cd, coarse_dims);
+
+  const auto chunks = make_chunks(dims, cfg.chunk_dims);
+  ASSERT_GT(chunks.size(), 1u);
+  std::map<size_t, size_t> at[3];  // per axis: fine origin -> coarse origin
+  for (const Chunk& c : chunks) {
+    const Dims box = wavelet::lowpass_box_at(c.dims, levels);
+    at[0][c.origin.x] = box.x;
+    at[1][c.origin.y] = box.y;
+    at[2][c.origin.z] = box.z;
+  }
+  for (auto& axis : at) {
+    size_t sum = 0;
+    for (auto& [origin, extent] : axis) sum += std::exchange(extent, sum);
+  }
+
+  size_t covered = 0;
+  for (const Chunk& c : chunks) {
+    std::vector<double> wide(c.dims.total());
+    gather_chunk(field.data(), dims, c, wide.data());
+    const std::vector<T> part(wide.begin(), wide.end());
+    Config one = cfg;
+    one.chunk_dims = c.dims;
+    const auto part_blob = compress(part.data(), c.dims, one);
+    std::vector<double> box;
+    Dims bd;
+    ASSERT_EQ(decompress_lowres(part_blob.data(), part_blob.size(), levels, box, bd),
+              Status::ok);
+    const Dims o{at[0][c.origin.x], at[1][c.origin.y], at[2][c.origin.z]};
+    for (size_t z = 0; z < bd.z; ++z)
+      for (size_t y = 0; y < bd.y; ++y)
+        for (size_t x = 0; x < bd.x; ++x)
+          ASSERT_EQ(coarse[cd.index(o.x + x, o.y + y, o.z + z)], box[bd.index(x, y, z)])
+              << "chunk at " << c.origin.to_string() << ", sample " << x << "," << y
+              << "," << z;
+    covered += box.size();
+  }
+  EXPECT_EQ(covered, cd.total());
+}
+
+TEST(LowRes, MultiChunkCoarseFieldTilesChunkDecodes) {
   const Dims dims{64, 64, 64};
   const auto field = data::miranda_density(dims);
   Config cfg;
   cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 10);
   cfg.chunk_dims = Dims{32, 32, 32};
-  const auto blob = compress(field.data(), dims, cfg);
-  std::vector<double> coarse;
-  Dims cd;
-  EXPECT_EQ(decompress_lowres(blob.data(), blob.size(), 1, coarse, cd),
-            Status::invalid_argument);
+  expect_coarse_tiling(field, dims, cfg, 1, 1, Dims{32, 32, 32});
+  expect_coarse_tiling(field, dims, cfg, 2, 2, Dims{16, 16, 16});
+  // A 32-wide chunk has 3 levels: the final corners, 4^3 each, tile.
+  expect_coarse_tiling(field, dims, cfg, 99, 3, Dims{8, 8, 8});
+
+  const std::vector<float> f32(field.begin(), field.end());
+  expect_coarse_tiling(f32, dims, cfg, 1, 1, Dims{32, 32, 32});
+}
+
+TEST(LowRes, UnequalChunksClampDropToSharedLevels) {
+  // 16^3 chunks over 40 x 26 x 18 cut x into 16 + 16 + 8 and y into
+  // 16 + 10: the 8- and 10-wide chunks have one level where the 16-wide
+  // ones have two, so a drop of 2 clamps to 1.
+  const Dims dims{40, 26, 18};
+  const auto wide = data::s3d_temperature(dims, 4);
+  const std::vector<float> field(wide.begin(), wide.end());
+  Config cfg;
+  cfg.mode = Mode::target_rmse;
+  cfg.rmse = 2e-3;
+  cfg.chunk_dims = Dims{16, 16, 16};
+  expect_coarse_tiling(field, dims, cfg, 2, 1, Dims{8 + 8 + 4, 8 + 5, 9});
+}
+
+TEST(LowRes, DefaultChunkingClampsDropToSharedLevels) {
+  // Default 128^3 chunks cut a 200-wide axis 128 + 72: five levels against
+  // four, so a drop of 5 clamps to 4 (128 -> 8 and 72 -> 5 per axis).
+  const Dims dims{200, 72, 200};
+  const auto field = data::miranda_pressure(dims);
+  Config cfg;
+  cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 10);
+  expect_coarse_tiling(field, dims, cfg, 5, 4, Dims{8 + 5, 5, 8 + 5});
 }
 
 TEST(PartialInverseDwt, KeepAllLevelsIsIdentity) {

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/byteio.h"
+#include "common/checksum.h"
 #include "data/synthetic.h"
 #include "sperr/header.h"
 #include "sperr/sperr.h"
@@ -337,6 +338,48 @@ TEST(GoldenStreams, SynthesizedV1StillDecodes) {
   ASSERT_EQ(recon.size(), dims.total());
   for (size_t i = 0; i < recon.size(); ++i)
     ASSERT_LE(std::fabs(field[i] - recon[i]), cfg.tolerance) << "index " << i;
+}
+
+// ---- Multi-resolution reads of the single-chunk fixtures -------------------
+// decompress_lowres of a one-chunk container is pinned bit for bit: XXH64
+// over the coarse extents and the coarse doubles, at drops 1, 2 and 99 (a
+// drop past the level plan clamps to the final corner).
+
+TEST(GoldenStreams, LowresSingleChunkPinned) {
+  struct Pin {
+    const char* name;
+    size_t drop;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"pwe_3d.sperr", 1, 0x73806cd19aa25408},
+      {"pwe_3d.sperr", 2, 0x003ddc87166de8d9},
+      {"pwe_3d.sperr", 99, 0x4c9cc7aff4aca0f8},
+      {"rate_3d.sperr", 1, 0x4f080ac0d8cac8b2},
+      {"rate_3d.sperr", 2, 0xeeeab0b315084170},
+      {"rate_3d.sperr", 99, 0xbcf1899f18562d3c},
+      {"pwe_2d.sperr", 1, 0xc8555619fe409f02},
+      {"pwe_2d.sperr", 2, 0x937148f00083a6d7},
+      {"pwe_2d.sperr", 99, 0x286de61b43e10888},
+      // A v2 container of the same field decodes to the same coarse values.
+      {"pwe_3d_v2.sperr", 1, 0x73806cd19aa25408},
+      {"rate_3d_v2.sperr", 2, 0xeeeab0b315084170},
+      {"pwe_2d_v2.sperr", 99, 0x286de61b43e10888},
+  };
+  for (const Pin& p : pins) {
+    const auto golden = read_file(golden_path(p.name));
+    ASSERT_FALSE(golden.empty()) << p.name;
+    std::vector<double> coarse;
+    Dims cd;
+    ASSERT_EQ(decompress_lowres(golden.data(), golden.size(), p.drop, coarse, cd),
+              Status::ok)
+        << p.name << " drop " << p.drop;
+    ASSERT_EQ(coarse.size(), cd.total());
+    const uint64_t extents[3] = {cd.x, cd.y, cd.z};
+    const uint64_t h = xxhash64(coarse.data(), coarse.size() * sizeof(double),
+                                xxhash64(extents, sizeof(extents)));
+    EXPECT_EQ(h, p.hash) << p.name << " drop " << p.drop;
+  }
 }
 
 }  // namespace

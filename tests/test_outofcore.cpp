@@ -295,6 +295,51 @@ TEST(OutOfCore, DecompressFileMatchesDecompressAtOneAndFourThreads) {
   }
 }
 
+TEST(OutOfCore, DecodeAdmissionCountsEveryWorkersChunk) {
+  // Each decode worker holds one chunk of doubles beside the output, so a
+  // budget that covers the field and one chunk admits a decode on one
+  // thread but not on four; out of core, the output is a file and the
+  // budget needs to cover the chunks only.
+#ifndef SPERR_HAVE_OPENMP
+  GTEST_SKIP() << "without OpenMP every decode runs on one thread";
+#endif
+  const Dims dims{64, 64, 64};
+  const auto field = data::make_field("miranda_pressure", dims);
+  Config cfg;
+  cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 14);
+  cfg.chunk_dims = Dims{32, 32, 32};
+  const auto blob = compress(field.data(), dims, cfg);
+  TempFile packed(".sperr"), restored(".raw");
+  {
+    std::ofstream out(packed.path(), std::ios::binary);
+    out.write(reinterpret_cast<const char*>(blob.data()), std::streamsize(blob.size()));
+  }
+  const uint64_t field_bytes = dims.total() * sizeof(double);
+  const uint64_t chunk_bytes = uint64_t(32 * 32 * 32) * sizeof(double);
+  MemoryBudget in_memory(field_bytes + chunk_bytes), on_disk(chunk_bytes);
+  ResourceLimits mem_limits, disk_limits;
+  mem_limits.budget = &in_memory;
+  disk_limits.budget = &on_disk;
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const Status want = threads == 1 ? Status::ok : Status::resource_exhausted;
+    std::vector<double> out;
+    Dims od;
+    EXPECT_EQ(with_omp_threads(threads, [&] {
+                return decompress(blob.data(), blob.size(), out, od, &mem_limits);
+              }),
+              want);
+    EXPECT_EQ(with_omp_threads(threads, [&] {
+                return decompress_file(packed.path(), restored.path(), 8,
+                                       Recovery::fail_fast, nullptr, &disk_limits);
+              }),
+              want);
+  }
+  EXPECT_EQ(in_memory.used(), 0u);
+  EXPECT_EQ(on_disk.used(), 0u);
+}
+
 TEST(OutOfCore, AllocationFailureInChunkLoopIsResourceExhausted) {
   // An exception that leaves an OpenMP region calls std::terminate, so each
   // chunk loop catches std::bad_alloc per chunk: every entry point answers

@@ -158,18 +158,38 @@ TEST(Pipeline, SubBoxEncodesAsItsCopy) {
     }
 }
 
-TEST(Pipeline, LowresDropZeroIsFullInverse) {
-  const Dims dims{32, 32, 32};
+TEST(Pipeline, DecodeDropPacksScaledLowpassBox) {
+  // A drop stops the inverse early and packs the low-pass box, with the DC
+  // gain of its passes divided out, into the front of the output; the
+  // outlier stream is not applied. Drop 0 is the full decode.
+  const Dims dims{32, 32, 16};
   const auto field = data::s3d_temperature(dims);
-  const auto cs = encode_field(field, dims, pwe_config(0.5));
-  std::vector<double> full(dims.total());
-  ASSERT_EQ(decode(cs.speck, {}, dims, full.data()), Status::ok);
+  const auto cs = encode_field(field, dims, pwe_config(0.05));
+  ASSERT_FALSE(cs.outlier.empty());
+  std::vector<double> full(dims.total()), zero(dims.total());
+  ASSERT_EQ(decode(cs.speck, cs.outlier, dims, full.data()), Status::ok);
+  ASSERT_EQ(decode(cs.speck.data(), cs.speck.size(), cs.outlier.data(),
+                   cs.outlier.size(), dims, zero.data(), nullptr, 1, 0),
+            Status::ok);
+  EXPECT_EQ(zero, full);
 
-  std::vector<double> lowres;
-  Dims cd;
-  ASSERT_EQ(decode_lowres(cs.speck.data(), cs.speck.size(), dims, 0, lowres, cd), Status::ok);
-  EXPECT_EQ(cd, dims);
-  for (size_t i = 0; i < full.size(); ++i) ASSERT_DOUBLE_EQ(lowres[i], full[i]);
+  for (const size_t drop : {1u, 2u}) {
+    std::vector<double> ref(dims.total()), got(dims.total());
+    ASSERT_EQ(speck::decode(cs.speck.data(), cs.speck.size(), dims, ref.data()),
+              Status::ok);
+    wavelet::inverse_dwt_partial(ref.data(), dims, drop);
+    ASSERT_EQ(decode(cs.speck.data(), cs.speck.size(), cs.outlier.data(),
+                     cs.outlier.size(), dims, got.data(), nullptr, 1, drop),
+              Status::ok);
+    const Dims box = wavelet::lowpass_box_at(dims, drop);
+    ASSERT_EQ(box, (Dims{size_t(32) >> drop, size_t(32) >> drop, size_t(16) >> drop}));
+    const double scale = 1.0 / std::pow(wavelet::lowpass_dc_gain(), double(3 * drop));
+    for (size_t z = 0; z < box.z; ++z)
+      for (size_t y = 0; y < box.y; ++y)
+        for (size_t x = 0; x < box.x; ++x)
+          ASSERT_EQ(got[box.index(x, y, z)], ref[dims.index(x, y, z)] * scale)
+              << "drop " << drop << " at " << x << "," << y << "," << z;
+  }
 }
 
 TEST(Pipeline, SpeckEstimatedRmseTracksReality) {

@@ -273,8 +273,8 @@ TEST(Robustness, WrappingDirectoryLengthsAreRejected) {
   EXPECT_EQ(decompress(blob.data(), blob.size(), out, od),
             Status::truncated_stream);
 
-  // decompress_lowres takes a separate bounds-check path: the old additive
-  // form `payload_pos + speck_len > inner.size()` wrapped and passed here.
+  // decompress_lowres runs the same chunk loop: the wrapping lengths fail it
+  // the same way.
   std::vector<double> low;
   Dims cd;
   EXPECT_EQ(decompress_lowres(blob.data(), blob.size(), 1, low, cd),
@@ -620,9 +620,10 @@ TEST(Robustness, BaselineDecodersSurviveFuzz) {
 // from the header alone — quickly, and without sizing a single allocation
 // from the hostile declaration.
 
-/// Hand-crafted v2 container: outer wrapper + inner header + one zero-length
-/// chunk entry. The declared dims / chunk grid are the payload-free bomb.
-std::vector<uint8_t> bomb_container(Dims dims, Dims chunk_dims) {
+/// Hand-crafted v2 container: outer wrapper + inner header + `nchunks`
+/// zero-length chunk entries. The declared dims / chunk grid are the
+/// payload-free bomb.
+std::vector<uint8_t> bomb_container(Dims dims, Dims chunk_dims, uint32_t nchunks = 1) {
   std::vector<uint8_t> inner;
   put_u32(inner, 0x43525053);  // 'SPRC'
   put_u8(inner, 0);            // mode = pwe
@@ -634,9 +635,11 @@ std::vector<uint8_t> bomb_container(Dims dims, Dims chunk_dims) {
   put_u64(inner, chunk_dims.y);
   put_u64(inner, chunk_dims.z);
   put_f64(inner, 1e-6);  // quality
-  put_u32(inner, 1);     // nchunks
-  put_u64(inner, 0);     // entry 0: speck_len
-  put_u64(inner, 0);     // entry 0: outlier_len
+  put_u32(inner, nchunks);
+  for (uint32_t i = 0; i < nchunks; ++i) {
+    put_u64(inner, 0);  // speck_len
+    put_u64(inner, 0);  // outlier_len
+  }
 
   std::vector<uint8_t> out;
   put_u32(out, 0x5a525053);  // 'SPRZ'
@@ -746,7 +749,22 @@ TEST(Robustness, BombHugeDimsRejectedFastByEveryDecoder) {
     return decompress_lowres(bomb.data(), bomb.size(), 1, out, od);
   });
 
-  // None of the rejections may have touched the declared 32 TiB: peak RSS
+  // 2^16 x 2^16 x 256 doubles (8 TiB) at 256^3 chunks: 65536 chunks, under
+  // the chunk-count cap. Its coarse output at a deep drop is small, but
+  // every chunk would decode at full resolution, so the full field must be
+  // admitted whatever the drop.
+  const uint32_t nchunks = 256 * 256;
+  ASSERT_LE(uint64_t(nchunks), ResourceLimits::defaults().max_chunks);
+  const auto wide = bomb_container({size_t(1) << 16, size_t(1) << 16, 256},
+                                   {256, 256, 256}, nchunks);
+  for (const size_t drop : {size_t(1), size_t(99)})
+    expect_fast_rejection("decompress_lowres under the chunk cap", [&] {
+      std::vector<double> out;
+      Dims od;
+      return decompress_lowres(wide.data(), wide.size(), drop, out, od);
+    });
+
+  // None of the rejections may have touched the declared fields: peak RSS
   // must not have grown by more than scratch noise.
   EXPECT_LT(peak_rss_kb() - rss_before, 64 * 1024)
       << "bomb rejection grew peak RSS";

@@ -7,7 +7,6 @@
 //                          [ --threads N ] [ --intra-threads N ]
 //                          [ --no-lossless ] [ --verify ]
 //   decompress:  sperr_cc d  IN.sperr OUT.raw [--type f32|f64] [--drop L]
-//                          (--drop: single-chunk containers only)
 //                          [ --recover fail-fast|zero|coarse ]
 //                          [ --max-output-mb M ]
 //   inspect:     sperr_cc info IN.sperr [--verify] [--max-output-mb M]
@@ -58,8 +57,8 @@ constexpr int kExitResource = 5;
                "  sperr_cc info IN.sperr [--verify] [--max-output-mb M]\n"
                "\n"
                "  --chunk defaults to the library's %s.\n"
-               "  --drop L decodes a single-chunk container only: compress\n"
-               "  with --chunk at least --dims to keep that option.\n",
+               "  --drop L decodes a coarser field: each axis halves up to\n"
+               "  L times, as often as every chunk allows.\n",
                sperr::Config{}.chunk_dims.to_string().c_str());
   std::exit(kExitUsage);
 }
@@ -307,10 +306,6 @@ int cmd_decompress(const Args& args) {
   if (args.drop) {
     s = sperr::decompress_lowres(blob.data(), blob.size(), args.drop, field, dims,
                                  &rl);
-    // A multi-chunk container is the one invalid_argument: its per-chunk
-    // coarse grids would not tile a coarse volume.
-    if (s == sperr::Status::invalid_argument)
-      usage("--drop needs a single-chunk container (compress with --chunk >= --dims)");
   } else {
     s = sperr::decompress_tolerant(blob.data(), blob.size(), args.recover, field,
                                    dims, &rep, &rl);

@@ -41,7 +41,7 @@ namespace {
                "              [--quiet]\n"
                "\n"
                "  --port P             TCP port on 127.0.0.1 (default 0 = ephemeral)\n"
-               "  --workers N          request-processing lanes (default 0 = one per core)\n"
+               "  --workers N          request-processing threads (default 0 = one per core)\n"
                "  --queue-depth Q      bounded-queue high-water mark (default 64)\n"
                "  --request-threads N  OpenMP chunk threads inside one request (default 1)\n"
                "  --intra-threads N    deterministic SPECK lanes per chunk (default 1)\n"
