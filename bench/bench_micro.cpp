@@ -26,6 +26,10 @@
 #include <string>
 #include <vector>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "common/timer.h"
 #include "oracle/oracle.h"
 
@@ -537,6 +541,21 @@ struct LosslessRecord {
   bool round_trip_ok = false;
 };
 
+/// Blocked lossless decode on an OpenMP team of `threads` (0 = the
+/// default team): the decoder's block loop takes no thread count.
+sperr::Status lossless_decode_on(int threads, const std::vector<uint8_t>& stream,
+                                 std::vector<uint8_t>& out) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+  if (threads > 0) omp_set_num_threads(threads);
+#endif
+  const sperr::Status s = sperr::lossless::decompress(stream, out);
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+  return s;
+}
+
 LosslessRecord run_lossless_record(size_t n, int repeats, int threads) {
   namespace ll = sperr::lossless;
   LosslessRecord rec;
@@ -595,14 +614,12 @@ LosslessRecord run_lossless_record(size_t n, int repeats, int threads) {
     benchmark::DoNotOptimize(ref_out.data());
 
     timer.reset();
-    (void)ll::decompress(blocked_stream.data(), blocked_stream.size(),
-                         blocked_out, nullptr, 1);
+    (void)lossless_decode_on(1, blocked_stream, blocked_out);
     rec.serial_decode_s = std::min(rec.serial_decode_s, timer.seconds());
     benchmark::DoNotOptimize(blocked_out.data());
 
     timer.reset();
-    (void)ll::decompress(blocked_stream.data(), blocked_stream.size(),
-                         blocked_out, nullptr, threads);
+    (void)lossless_decode_on(threads, blocked_stream, blocked_out);
     rec.parallel_decode_s = std::min(rec.parallel_decode_s, timer.seconds());
     benchmark::DoNotOptimize(blocked_out.data());
   }

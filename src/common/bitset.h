@@ -56,25 +56,9 @@ class PackedBits {
   // 64-wide word access for batch consumers: bit i of the set lives at bit
   // (i & 63) of word i >> 6. Bits of the last word at or above size() are
   // not meaningful unless the producer wrote them zero.
-  [[nodiscard]] size_t word_count() const { return words_.size(); }
   [[nodiscard]] uint64_t word(size_t w) const { return words_[w]; }
   [[nodiscard]] uint64_t* word_data() { return words_.data(); }
   [[nodiscard]] const uint64_t* word_data() const { return words_.data(); }
-
-  /// Index of the first set bit at or after `from`, or size() when there is
-  /// none. Word-at-a-time (countr_zero), so scanning a sparse set costs
-  /// ~size()/64 loads — the zero-run primitive of SPECK's sorting sweeps.
-  [[nodiscard]] size_t find_next(size_t from) const {
-    if (from >= n_) return n_;
-    size_t w = from >> 6;
-    uint64_t bits = words_[w] & (~uint64_t(0) << (from & 63));
-    while (bits == 0) {
-      if (++w == words_.size()) return n_;
-      bits = words_[w];
-    }
-    const size_t i = (w << 6) + size_t(std::countr_zero(bits));
-    return i < n_ ? i : n_;
-  }
 
  private:
   std::vector<uint64_t> words_;

@@ -5,7 +5,7 @@
 // chunk count, lossless raw size) long before any of that memory is
 // touched, so a ~100-byte "bomb" can declare exabytes and drive a naive
 // decoder into std::bad_alloc — or the OOM killer. Every decode entry
-// point (open_container, decompress{,_tolerant,_lowres}, the blocked
+// point (detail::open_tolerant, decompress{,_tolerant,_lowres}, the blocked
 // lossless codec, outofcore, archive::Reader, and the sperr_serve
 // handlers) therefore consults a ResourceLimits *before* allocating:
 // required bytes are computed from header fields up front and a violation

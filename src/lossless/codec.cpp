@@ -647,8 +647,7 @@ Status size_output(size_t stream_bytes, uint64_t raw_size, const ResourceLimits*
 /// Returns != ok only when the framing itself failed.
 Status decode_blocks(const uint8_t* data, size_t size, bool tolerant,
                      std::vector<uint8_t>& out, std::vector<size_t>& bad_blocks,
-                     int num_threads, const ResourceLimits* limits) {
-  (void)num_threads;
+                     const ResourceLimits* limits) {
   bad_blocks.clear();
   if (size == 0) return Status::truncated_stream;
   const uint8_t fmt = data[0];
@@ -664,8 +663,7 @@ Status decode_blocks(const uint8_t* data, size_t size, bool tolerant,
   std::vector<Status> verdicts(info.blocks.size(), Status::ok);
 
 #ifdef SPERR_HAVE_OPENMP
-  const int nt = num_threads > 0 ? num_threads : omp_get_max_threads();
-#pragma omp parallel for schedule(dynamic) num_threads(nt)
+#pragma omp parallel for schedule(dynamic)
 #endif
   for (int64_t b = 0; b < int64_t(info.blocks.size()); ++b) {
     const BlockInfo& bi = info.blocks[size_t(b)];
@@ -729,11 +727,9 @@ std::vector<uint8_t> compress(const uint8_t* data, size_t size, const EncodeOpti
 }
 
 Status decompress(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
-                  size_t* corrupt_block, int num_threads,
-                  const ResourceLimits* limits) {
+                  size_t* corrupt_block, const ResourceLimits* limits) {
   std::vector<size_t> bad;
-  const Status s =
-      decode_blocks(data, size, /*tolerant=*/false, out, bad, num_threads, limits);
+  const Status s = decode_blocks(data, size, /*tolerant=*/false, out, bad, limits);
   if (s != Status::ok || bad.empty()) return s;
   // The lowest bad index wins, whichever worker saw its failure first.
   if (corrupt_block) *corrupt_block = bad.front();
@@ -741,10 +737,9 @@ Status decompress(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
 }
 
 Status decompress_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
-                           std::vector<size_t>& bad_blocks, int num_threads,
+                           std::vector<size_t>& bad_blocks,
                            const ResourceLimits* limits) {
-  const Status s = decode_blocks(data, size, /*tolerant=*/true, out, bad_blocks,
-                                 num_threads, limits);
+  const Status s = decode_blocks(data, size, /*tolerant=*/true, out, bad_blocks, limits);
   if (s != Status::ok) out.clear();
   return s == Status::ok && !bad_blocks.empty() ? Status::corrupt_block : s;
 }

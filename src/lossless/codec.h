@@ -89,13 +89,13 @@ inline std::vector<uint8_t> compress(const std::vector<uint8_t>& data,
 /// declaring an implausible raw size is answered resource_exhausted, not a
 /// multi-gigabyte allocation.
 Status decompress(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
-                  size_t* corrupt_block = nullptr, int num_threads = 0,
+                  size_t* corrupt_block = nullptr,
                   const ResourceLimits* limits = nullptr);
 
 inline Status decompress(const std::vector<uint8_t>& data, std::vector<uint8_t>& out,
-                         size_t* corrupt_block = nullptr, int num_threads = 0,
+                         size_t* corrupt_block = nullptr,
                          const ResourceLimits* limits = nullptr) {
-  return decompress(data.data(), data.size(), out, corrupt_block, num_threads, limits);
+  return decompress(data.data(), data.size(), out, corrupt_block, limits);
 }
 
 /// Like decompress(), but keep going past damaged blocks: every block is
@@ -111,7 +111,7 @@ inline Status decompress(const std::vector<uint8_t>& data, std::vector<uint8_t>&
 /// `out` cleared). Reference-framing streams carry no blocks: they decode
 /// all-or-nothing exactly as in decompress().
 Status decompress_tolerant(const uint8_t* data, size_t size, std::vector<uint8_t>& out,
-                           std::vector<size_t>& bad_blocks, int num_threads = 0,
+                           std::vector<size_t>& bad_blocks,
                            const ResourceLimits* limits = nullptr);
 
 /// Decoder of the single-block legacy format (formats 0-1: one serial

@@ -228,27 +228,30 @@ struct Server::Impl {
     const uint8_t* blob = body.data() + kDecompressBodyHeaderBytes;
     const size_t blob_len = body.size() - kDecompressBodyHeaderBytes;
     const ResourceLimits rl = request_limits();
-    std::vector<double> field;
+    // The library decodes at the requested precision, so the budget holds
+    // the output this reply is built from: 4 bytes per value for floats.
+    std::vector<double> f64;
+    std::vector<float> f32;
     Dims dims;
-    const Status s = sperr::decompress_tolerant(blob, blob_len, Recovery(policy),
-                                                field, dims, nullptr, &rl);
+    const Status s =
+        precision == 8
+            ? sperr::decompress_tolerant(blob, blob_len, Recovery(policy), f64, dims,
+                                         nullptr, &rl)
+            : sperr::decompress_tolerant(blob, blob_len, Recovery(policy), f32, dims,
+                                         nullptr, &rl);
     if (s != Status::ok) {
       r.status = decode_wire_status(s);
       return r;
     }
     // The reply body (dims + samples at the requested precision) is bounded
     // by the field the limits just admitted, so no separate gate is needed.
+    const auto* p = precision == 8 ? reinterpret_cast<const uint8_t*>(f64.data())
+                                   : reinterpret_cast<const uint8_t*>(f32.data());
+    const size_t bytes = dims.total() * precision;
     r.status = WireStatus::ok;
-    r.body.reserve(24 + field.size() * precision);
+    r.body.reserve(24 + bytes);
     append_dims(r.body, dims);
-    if (precision == 8) {
-      const auto* p = reinterpret_cast<const uint8_t*>(field.data());
-      r.body.insert(r.body.end(), p, p + field.size() * 8);
-    } else {
-      std::vector<float> out32(field.begin(), field.end());
-      const auto* p = reinterpret_cast<const uint8_t*>(out32.data());
-      r.body.insert(r.body.end(), p, p + out32.size() * 4);
-    }
+    r.body.insert(r.body.end(), p, p + bytes);
     return r;
   }
 

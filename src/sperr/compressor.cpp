@@ -107,19 +107,23 @@ Status compress_chunks(Dims dims, const Config& cfg, uint8_t precision,
   std::vector<ChunkStream> streams(chunks.size());
   std::vector<Status> status(chunks.size(), Status::ok);
 
+#ifdef SPERR_HAVE_OPENMP
+  const int budget = cfg.num_threads > 0 ? cfg.num_threads : omp_get_max_threads();
+#else
+  const int budget = 1;
+#endif
   // Intra-chunk SPECK lanes (byte-identical output at any setting). An
-  // explicit count is honored as-is; auto (0) only expands on single-chunk
-  // inputs, where the OpenMP chunk loop cannot use the machine — combining
-  // auto with a parallel chunk loop would oversubscribe every core.
-  const int intra_threads =
-      cfg.intra_chunk_threads == 0 && chunks.size() > 1 ? 1
-                                                        : cfg.intra_chunk_threads;
+  // explicit count is honored as-is; auto (0) gives a lone chunk the whole
+  // thread budget, which the chunk loop cannot use, and every chunk of a
+  // multi-chunk input one lane, as the chunk loop already fills the budget.
+  const int intra_threads = cfg.intra_chunk_threads != 0 ? cfg.intra_chunk_threads
+                            : chunks.size() == 1         ? budget
+                                                         : 1;
 
 #ifdef SPERR_HAVE_OPENMP
   // At most one thread per chunk, as decode_chunks: a spare thread would
   // only let a lone chunk land on a different, cold arena from call to call.
-  const int nt = std::min<int>(cfg.num_threads > 0 ? cfg.num_threads : omp_get_max_threads(),
-                               int(chunks.size()));
+  const int nt = std::min<int>(budget, int(chunks.size()));
 #pragma omp parallel for schedule(dynamic) num_threads(nt)
 #endif
   for (size_t i = 0; i < chunks.size(); ++i) {

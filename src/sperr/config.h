@@ -57,7 +57,8 @@ struct Config {
   /// Threads used *inside* each chunk's SPECK coder (deterministic lane
   /// parallelism: the stream is byte-identical at every setting). 1 =
   /// serial (default — chunk-level parallelism already saturates machines
-  /// on multi-chunk inputs), 0 = one lane per hardware thread. Raise it for
+  /// on multi-chunk inputs), 0 = auto: a single-chunk input gets one lane
+  /// per thread of num_threads (or the OpenMP team), others 1. Raise it for
   /// single-chunk (or few-chunk) requests, which otherwise leave cores
   /// idle.
   int intra_chunk_threads = 1;

@@ -14,13 +14,20 @@ Status decompress(const uint8_t* stream, size_t nbytes, std::vector<double>& out
 
 Status decompress(const uint8_t* stream, size_t nbytes, std::vector<float>& out,
                   Dims& dims, const ResourceLimits* limits) {
-  DecodeReport rep;
-  return detail::decode_field(stream, nbytes, Recovery::fail_fast, out, dims, rep,
-                              limits);
+  return decompress_tolerant(stream, nbytes, Recovery::fail_fast, out, dims,
+                             nullptr, limits);
 }
 
 Status decompress_lowres(const uint8_t* stream, size_t nbytes, size_t drop_levels,
                          std::vector<double>& out, Dims& coarse_dims,
+                         const ResourceLimits* limits) {
+  DecodeReport rep;
+  return detail::decode_field(stream, nbytes, Recovery::fail_fast, out, coarse_dims,
+                              rep, limits, drop_levels);
+}
+
+Status decompress_lowres(const uint8_t* stream, size_t nbytes, size_t drop_levels,
+                         std::vector<float>& out, Dims& coarse_dims,
                          const ResourceLimits* limits) {
   DecodeReport rep;
   return detail::decode_field(stream, nbytes, Recovery::fail_fast, out, coarse_dims,

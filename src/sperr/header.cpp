@@ -124,37 +124,12 @@ Status unwrap_container(const uint8_t* data, size_t size, std::vector<uint8_t>& 
     return Status::ok;
   }
   if (!bad_blocks)
-    return lossless::decompress(payload, avail, inner, corrupt_block,
-                                /*num_threads=*/0, limits);
-  const Status s = lossless::decompress_tolerant(payload, avail, inner, *bad_blocks,
-                                                 /*num_threads=*/0, limits);
+    return lossless::decompress(payload, avail, inner, corrupt_block, limits);
+  const Status s =
+      lossless::decompress_tolerant(payload, avail, inner, *bad_blocks, limits);
   // corrupt_block means the framing held and the good blocks decoded —
   // recoverable. Anything else destroyed the lossless framing itself.
   return s == Status::corrupt_block ? Status::ok : s;
-}
-
-Status open_container(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,
-                      ContainerHeader& hdr, size_t* payload_pos,
-                      size_t* corrupt_block, const ResourceLimits* limits) {
-  uint8_t version = ContainerHeader::kVersion;
-  if (const Status s =
-          unwrap_container(data, size, inner, corrupt_block, &version, limits);
-      s != Status::ok)
-    return s;
-  ByteReader br(inner.data(), inner.size());
-  if (const Status s = hdr.deserialize(br, version); s != Status::ok) return s;
-  // The directory parsed, so the chunk count is real — but decoding admits
-  // one buffer per chunk, so an absurd count is rejected before any of that.
-  if (!effective_limits(limits).admits_chunks(hdr.entries.size()))
-    return Status::resource_exhausted;
-  // The declared extents size every downstream buffer; admit them here so
-  // even header-only consumers (sperr_cc info) refuse a bomb. deserialize
-  // capped dims at kMaxVolumeElements, so the product cannot overflow.
-  const uint64_t declared = uint64_t(hdr.dims.total()) * hdr.precision;
-  if (!effective_limits(limits).admits_output(declared))
-    return Status::resource_exhausted;
-  if (payload_pos) *payload_pos = br.pos();
-  return Status::ok;
 }
 
 }  // namespace sperr

@@ -98,15 +98,4 @@ Status unwrap_container(const uint8_t* data, size_t size, std::vector<uint8_t>& 
                         const ResourceLimits* limits = nullptr,
                         std::vector<size_t>* bad_blocks = nullptr);
 
-/// unwrap_container + ContainerHeader::deserialize in one step (the common
-/// prologue of every decoder). On success `inner` holds the container bytes,
-/// `hdr` the parsed header (hdr.version set from the wrapper), and
-/// `*payload_pos` (if non-null) the offset of the first chunk stream within
-/// `inner`. Consults `limits` before any header-sized allocation: the
-/// lossless raw size and the declared chunk count are both admitted first.
-Status open_container(const uint8_t* data, size_t size, std::vector<uint8_t>& inner,
-                      ContainerHeader& hdr, size_t* payload_pos = nullptr,
-                      size_t* corrupt_block = nullptr,
-                      const ResourceLimits* limits = nullptr);
-
 }  // namespace sperr

@@ -181,6 +181,15 @@ size_t decode_workers(const OpenedContainer& oc) {
 #endif
 }
 
+int decode_lanes(const OpenedContainer& oc) {
+#ifdef SPERR_HAVE_OPENMP
+  return oc.chunks.size() == 1 ? omp_get_max_threads() : 1;
+#else
+  (void)oc;
+  return 1;
+#endif
+}
+
 Status admit_decode(const OpenedContainer& oc, uint64_t field_bytes,
                     uint64_t held_bytes, size_t workers,
                     const ResourceLimits* limits, Reservation& hold) {
@@ -197,12 +206,8 @@ Status admit_decode(const OpenedContainer& oc, uint64_t field_bytes,
 Status decode_chunks(const OpenedContainer& oc, Recovery policy,
                      DecodeReport& rep, const ChunkSink& sink, size_t drop_levels) {
   rep.chunks.resize(oc.chunks.size());
-
-  // Single-chunk containers cannot use the chunk-parallel loop below, so
-  // let the SPECK decoder's intra-chunk lanes (0 = auto) use the machine
-  // instead. The decode is identical at every lane count, so this is a
-  // pure wall-clock decision.
-  const int intra_threads = oc.chunks.size() == 1 ? 0 : 1;
+  // The decode is identical at every lane count: a pure wall-clock choice.
+  const int intra_threads = decode_lanes(oc);
 
 #ifdef SPERR_HAVE_OPENMP
 #pragma omp parallel for schedule(dynamic) num_threads(int(decode_workers(oc)))
@@ -308,6 +313,14 @@ template Status decode_field(const uint8_t*, size_t, Recovery, std::vector<float
 
 Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
                            std::vector<double>& out, Dims& dims,
+                           DecodeReport* report, const ResourceLimits* limits) {
+  DecodeReport local;
+  return detail::decode_field(stream, nbytes, policy, out, dims,
+                              report ? *report : local, limits);
+}
+
+Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
+                           std::vector<float>& out, Dims& dims,
                            DecodeReport* report, const ResourceLimits* limits) {
   DecodeReport local;
   return detail::decode_field(stream, nbytes, policy, out, dims,

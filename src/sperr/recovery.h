@@ -71,6 +71,10 @@ ChunkReport audit_chunk(const OpenedContainer& oc, size_t i);
 /// Threads decode_chunks runs on: the OpenMP team, at most one per chunk.
 size_t decode_workers(const OpenedContainer& oc);
 
+/// SPECK lanes per chunk in decode_chunks: a lone chunk takes the whole
+/// OpenMP team as lanes (the chunk loop cannot use it), else 1.
+int decode_lanes(const OpenedContainer& oc);
+
 /// The one decode admission. `field_bytes` is the full-resolution field the
 /// chunks decode, in output values, whatever the drop: it bounds the
 /// declared work. `held_bytes` of output stay in memory (0 when it is a
@@ -95,10 +99,10 @@ Status decode_chunks(const OpenedContainer& oc, Recovery policy,
                      DecodeReport& report, const ChunkSink& sink,
                      size_t drop_levels = 0);
 
-/// The in-memory decode (decompress_tolerant, the f32 decompress,
-/// decompress_lowres): open, admit_decode, and decode_chunks into `out`,
-/// narrowing for float; at `drop_levels` >= 1 it tiles the chunks' coarse
-/// boxes, and `dims` receives their extents. Returns report.status.
+/// The in-memory decode (decompress, decompress_tolerant, decompress_lowres):
+/// open, admit_decode, and decode_chunks into `out`, each worker narrowing
+/// its own chunk for float; at `drop_levels` >= 1 it tiles the chunks'
+/// coarse boxes, and `dims` receives their extents. Returns report.status.
 template <typename T>
 Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
                     std::vector<T>& out, Dims& dims, DecodeReport& report,

@@ -44,6 +44,12 @@ std::vector<uint8_t> compress(const float* data, Dims dims, const Config& cfg,
 /// Decompress a container produced by compress(). `out` is resized; `dims`
 /// receives the original extents.
 ///
+/// Every decoder below has a double and a float overload, whatever the
+/// container's precision. A float decode is the double decode rounded to
+/// float bit for bit, but each worker narrows its own chunk, so no double
+/// field is ever held: the output costs 4 bytes per value. In PWE mode the
+/// bound holds for the floats of an f32 container.
+///
 /// Every decode entry point below takes an optional `limits`
 /// (common/resource.h): header-declared resource needs — output bytes,
 /// lossless raw size, chunk counts — are admitted against it *before* any
@@ -76,6 +82,10 @@ Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy
                            std::vector<double>& out, Dims& dims,
                            DecodeReport* report = nullptr,
                            const ResourceLimits* limits = nullptr);
+Status decompress_tolerant(const uint8_t* stream, size_t nbytes, Recovery policy,
+                           std::vector<float>& out, Dims& dims,
+                           DecodeReport* report = nullptr,
+                           const ResourceLimits* limits = nullptr);
 
 /// Integrity audit without reconstruction: unwrap the lossless layer, check
 /// the header self-checksum, and verify every chunk's XXH64. Much cheaper
@@ -99,6 +109,9 @@ Status verify_container(const uint8_t* stream, size_t nbytes,
 /// full field's bytes whatever the drop.
 Status decompress_lowres(const uint8_t* stream, size_t nbytes, size_t drop_levels,
                          std::vector<double>& out, Dims& coarse_dims,
+                         const ResourceLimits* limits = nullptr);
+Status decompress_lowres(const uint8_t* stream, size_t nbytes, size_t drop_levels,
+                         std::vector<float>& out, Dims& coarse_dims,
                          const ResourceLimits* limits = nullptr);
 
 /// Truncate a fixed-rate container to a lower bitrate without recompressing

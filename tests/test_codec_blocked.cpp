@@ -345,7 +345,7 @@ TEST(CodecBlocked, ExplicitThreadCountsAgreeByteForByte) {
   const auto parallel = compress(input, {kSmallBlock, 8});
   EXPECT_EQ(serial, parallel);
   std::vector<uint8_t> out;
-  ASSERT_EQ(decompress(parallel.data(), parallel.size(), out, nullptr, 8), Status::ok);
+  ASSERT_EQ(decompress(parallel.data(), parallel.size(), out), Status::ok);
   EXPECT_EQ(out, input);
 }
 

@@ -21,6 +21,7 @@
 #include "common/checksum.h"
 #include "data/synthetic.h"
 #include "sperr/header.h"
+#include "sperr/recovery.h"
 #include "sperr/sperr.h"
 
 namespace sperr {
@@ -59,6 +60,13 @@ std::vector<uint8_t> check_bytes(const std::string& name,
   EXPECT_EQ(fresh.size(), golden.size()) << name << ": stream length changed";
   EXPECT_TRUE(fresh == golden) << name << ": stream bytes changed";
   return golden;
+}
+
+/// Open a container as a strict decode does, for checks of its header and
+/// chunk slices.
+Status open_strict(const std::vector<uint8_t>& blob, detail::OpenedContainer& oc) {
+  return detail::open_tolerant(blob.data(), blob.size(), Recovery::fail_fast, oc,
+                               nullptr);
 }
 
 /// Compress the field, check the bytes against the fixture, then decode the
@@ -137,9 +145,9 @@ TEST(GoldenStreams, TargetRmseF32MultiChunk) {
   ASSERT_FALSE(HasFailure());
   ASSERT_EQ(golden[4], ContainerHeader::kVersion);
 
-  std::vector<uint8_t> inner;
-  ContainerHeader hdr;
-  ASSERT_EQ(open_container(golden.data(), golden.size(), inner, hdr), Status::ok);
+  detail::OpenedContainer oc;
+  ASSERT_EQ(open_strict(golden, oc), Status::ok);
+  const ContainerHeader& hdr = oc.hdr;
   EXPECT_EQ(hdr.precision, 4u);
   EXPECT_EQ(hdr.quality, cfg.rmse);
   EXPECT_EQ(hdr.entries.size(), 6u);
@@ -180,21 +188,18 @@ TEST(GoldenStreams, PweF32MultiChunk) {
   ASSERT_FALSE(HasFailure());
   EXPECT_GT(stats.num_outliers, 0u);
 
-  std::vector<uint8_t> inner;
-  ContainerHeader hdr;
-  size_t pos = 0;
-  ASSERT_EQ(open_container(golden.data(), golden.size(), inner, hdr, &pos), Status::ok);
-  EXPECT_EQ(hdr.precision, 4u);
-  EXPECT_EQ(hdr.quality, cfg.tolerance);
-  ASSERT_EQ(hdr.entries.size(), 6u);
+  detail::OpenedContainer oc;
+  ASSERT_EQ(open_strict(golden, oc), Status::ok);
+  EXPECT_EQ(oc.hdr.precision, 4u);
+  EXPECT_EQ(oc.hdr.quality, cfg.tolerance);
+  ASSERT_EQ(oc.slices.size(), 6u);
   size_t halved = 0;  // chunks whose outlier stream carries step t/2
-  for (const ChunkEntry& e : hdr.entries) {
-    pos += size_t(e.speck_len);
-    if (e.outlier_len != 0) {
-      ByteReader br(inner.data() + pos + 2, size_t(e.outlier_len) - 2);  // past the magic
+  for (const detail::ChunkSlice& sl : oc.slices) {
+    if (sl.outlier_avail != 0) {
+      ByteReader br(oc.inner.data() + sl.offset + sl.speck_avail + 2,
+                    sl.outlier_avail - 2);  // past the magic
       halved += br.f64() == cfg.tolerance / 2;
     }
-    pos += size_t(e.outlier_len);
   }
   EXPECT_GT(halved, 0u);
 
@@ -226,11 +231,10 @@ TEST(GoldenStreams, TruncatedFixedRateMultiChunk) {
   const auto golden = check_bytes("rate_cut_multichunk.sperr", cut);
   ASSERT_FALSE(HasFailure());
 
-  std::vector<uint8_t> inner;
-  ContainerHeader hdr;
-  ASSERT_EQ(open_container(golden.data(), golden.size(), inner, hdr), Status::ok);
-  EXPECT_EQ(hdr.quality, 1.5);
-  EXPECT_EQ(hdr.entries.size(), 4u);
+  detail::OpenedContainer oc;
+  ASSERT_EQ(open_strict(golden, oc), Status::ok);
+  EXPECT_EQ(oc.hdr.quality, 1.5);
+  EXPECT_EQ(oc.hdr.entries.size(), 4u);
   EXPECT_LT(double(golden.size()) * 8.0 / double(dims.total()), 1.5 * 1.25);
 
   std::vector<double> recon;
@@ -300,11 +304,9 @@ TEST(GoldenStreams, SynthesizedV1StillDecodes) {
   cfg.lossless_pass = false;
   const auto blob = compress(field.data(), dims, cfg);
 
-  std::vector<uint8_t> inner;
-  ContainerHeader hdr;
-  size_t payload_pos = 0;
-  ASSERT_EQ(open_container(blob.data(), blob.size(), inner, hdr, &payload_pos),
-            Status::ok);
+  detail::OpenedContainer oc;
+  ASSERT_EQ(open_strict(blob, oc), Status::ok);
+  const ContainerHeader& hdr = oc.hdr;
 
   std::vector<uint8_t> v1_inner;
   put_u32(v1_inner, ContainerHeader::kInnerMagic);
@@ -322,8 +324,8 @@ TEST(GoldenStreams, SynthesizedV1StillDecodes) {
     put_u64(v1_inner, e.speck_len);
     put_u64(v1_inner, e.outlier_len);
   }
-  v1_inner.insert(v1_inner.end(), inner.begin() + ptrdiff_t(payload_pos),
-                  inner.end());
+  v1_inner.insert(v1_inner.end(), oc.inner.begin() + ptrdiff_t(oc.slices[0].offset),
+                  oc.inner.end());
 
   std::vector<uint8_t> v1_blob;
   put_u32(v1_blob, ContainerHeader::kOuterMagic);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "data/synthetic.h"
+#include "sperr/recovery.h"
 #include "sperr/sperr.h"
 
 #ifdef SPERR_HAVE_OPENMP
@@ -292,6 +293,40 @@ TEST(OutOfCore, DecompressFileMatchesDecompressAtOneAndFourThreads) {
               Status::ok);
     EXPECT_EQ(read_raw(restored.path(), field.size(), 4),
               std::vector<double>(mem32.begin(), mem32.end()));
+  }
+}
+
+TEST(OutOfCore, OneChunkDecodeLanesFollowTheOpenMpTeam) {
+  // Every decoder, in memory and out of core, runs detail::decode_chunks. A
+  // lone chunk gives the SPECK decoder the team as lanes; a chunk loop
+  // already fills the team, so each of its chunks decodes on one lane.
+#ifndef SPERR_HAVE_OPENMP
+  GTEST_SKIP() << "without OpenMP every decode runs on one thread";
+#endif
+  const Dims dims{40, 36, 28};
+  const auto field = data::make_field("miranda_pressure", dims);
+  Config cfg;
+  cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 18);
+  const auto one = compress(field.data(), dims, cfg);
+  cfg.chunk_dims = Dims{16, 16, 16};
+  const auto many = compress(field.data(), dims, cfg);
+  const auto opened = [](const std::vector<uint8_t>& blob) {
+    sperr::detail::OpenedContainer oc;
+    EXPECT_EQ(sperr::detail::open_tolerant(blob.data(), blob.size(),
+                                           Recovery::fail_fast, oc, nullptr),
+              Status::ok);
+    return oc;
+  };
+  const auto one_oc = opened(one), many_oc = opened(many);
+  ASSERT_EQ(one_oc.chunks.size(), 1u);
+
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const auto lanes = [&](const sperr::detail::OpenedContainer& oc) {
+      return with_omp_threads(threads, [&] { return sperr::detail::decode_lanes(oc); });
+    };
+    EXPECT_EQ(lanes(one_oc), threads);
+    EXPECT_EQ(lanes(many_oc), 1);
   }
 }
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -19,12 +20,13 @@
 #include "sperr/chunker.h"
 #include "sperr/header.h"
 #include "sperr/outofcore.h"
+#include "sperr/recovery.h"
 #include "sperr/sperr.h"
 
 namespace sperr {
 namespace {
 
-constexpr size_t kOuterBytes = 14;  // magic + version + lossless flag + length
+constexpr size_t kOuterBytes = ContainerHeader::kOuterBytes;
 
 /// An 8-chunk PWE archive (48^3 field, 24^3 chunks), lossless pass optional.
 std::vector<uint8_t> make_multichunk_blob(std::vector<double>* field_out = nullptr,
@@ -44,18 +46,14 @@ std::vector<uint8_t> make_multichunk_blob(std::vector<double>* field_out = nullp
 /// (inner bytes sit verbatim after the outer wrapper).
 std::vector<faultinject::ByteRange> chunk_ranges(const std::vector<uint8_t>& blob,
                                                  ContainerHeader* hdr_out = nullptr) {
-  std::vector<uint8_t> inner;
-  ContainerHeader hdr;
-  size_t payload_pos = 0;
-  EXPECT_EQ(open_container(blob.data(), blob.size(), inner, hdr, &payload_pos),
+  detail::OpenedContainer oc;
+  EXPECT_EQ(detail::open_tolerant(blob.data(), blob.size(), Recovery::fail_fast, oc,
+                                  nullptr),
             Status::ok);
   std::vector<faultinject::ByteRange> ranges;
-  size_t pos = kOuterBytes + payload_pos;
-  for (const ChunkEntry& e : hdr.entries) {
-    ranges.push_back({pos, size_t(e.total_len())});
-    pos += size_t(e.total_len());
-  }
-  if (hdr_out) *hdr_out = hdr;
+  for (const detail::ChunkSlice& sl : oc.slices)
+    ranges.push_back({kOuterBytes + sl.offset, sl.speck_avail + sl.outlier_avail});
+  if (hdr_out) *hdr_out = oc.hdr;
   return ranges;
 }
 
@@ -370,6 +368,87 @@ TEST(Recovery, LowresVerifiesChunkChecksum) {
   bad[ranges[0].offset + ranges[0].length / 2] ^= 0x08;
   EXPECT_EQ(decompress_lowres(bad.data(), bad.size(), 1, coarse, cd),
             Status::corrupt_chunk);
+}
+
+// ---- float output: every reader narrows per chunk ---------------------------
+
+/// `f32` is float() of `f64`, bit for bit.
+void expect_narrowed(const std::vector<double>& f64, const std::vector<float>& f32) {
+  ASSERT_EQ(f32.size(), f64.size());
+  for (size_t i = 0; i < f64.size(); ++i) {
+    const float want = float(f64[i]);
+    ASSERT_EQ(std::memcmp(&f32[i], &want, sizeof(float)), 0) << "index " << i;
+  }
+}
+
+TEST(Recovery, FloatOutputIsTheDoubleOutputNarrowed) {
+  const auto blob = make_multichunk_blob();
+  const auto ranges = chunk_ranges(blob);
+  auto bad = blob;
+  bad[ranges[3].offset + ranges[3].length / 2] ^= 0x40;
+
+  const auto check = [](const std::vector<uint8_t>& b, Recovery policy,
+                        size_t damaged) {
+    std::vector<double> f64;
+    std::vector<float> f32;
+    Dims d64, d32;
+    DecodeReport r64, r32;
+    ASSERT_EQ(decompress_tolerant(b.data(), b.size(), policy, f64, d64, &r64),
+              Status::ok);
+    ASSERT_EQ(decompress_tolerant(b.data(), b.size(), policy, f32, d32, &r32),
+              Status::ok);
+    EXPECT_EQ(d32, d64);
+    EXPECT_EQ(r64.damaged, damaged);
+    EXPECT_EQ(r32.damaged, damaged);
+    expect_narrowed(f64, f32);
+  };
+  check(blob, Recovery::fail_fast, 0);
+  check(bad, Recovery::zero_fill, 1);
+  check(bad, Recovery::coarse_fill, 1);
+
+  std::vector<float> f32;
+  Dims d32;
+  EXPECT_EQ(decompress_tolerant(bad.data(), bad.size(), Recovery::fail_fast, f32, d32),
+            Status::corrupt_chunk);
+
+  // Multi-resolution reads: a drop every chunk takes, and one clamped to
+  // the levels the chunks share.
+  for (const size_t drop : {size_t(1), size_t(99)}) {
+    std::vector<double> f64;
+    Dims d64;
+    ASSERT_EQ(decompress_lowres(blob.data(), blob.size(), drop, f64, d64), Status::ok);
+    ASSERT_EQ(decompress_lowres(blob.data(), blob.size(), drop, f32, d32), Status::ok);
+    EXPECT_EQ(d32, d64) << "drop " << drop;
+    EXPECT_LT(d64.total(), size_t(48) * 48 * 48) << "drop " << drop;
+    expect_narrowed(f64, f32);
+  }
+}
+
+TEST(Recovery, FloatReadsOfAnF32ContainerHoldThePweBound) {
+  // The tolerance is below the float spacing of the field's larger values,
+  // so the bound holds only because the encoder priced the float rounding.
+  const Dims dims{40, 26, 18};
+  const auto wide = data::miranda_pressure(dims, 9);
+  const std::vector<float> field(wide.begin(), wide.end());
+  Config cfg;
+  cfg.tolerance = 0.05;
+  cfg.chunk_dims = Dims{16, 16, 16};
+  const auto blob = compress(field.data(), dims, cfg);
+
+  std::vector<float> tolerant, lowres;
+  Dims dt, dl;
+  ASSERT_EQ(decompress_tolerant(blob.data(), blob.size(), Recovery::zero_fill,
+                                tolerant, dt),
+            Status::ok);
+  ASSERT_EQ(decompress_lowres(blob.data(), blob.size(), 0, lowres, dl), Status::ok);
+  ASSERT_EQ(dt, dims);
+  ASSERT_EQ(dl, dims);
+  for (size_t i = 0; i < field.size(); ++i) {
+    ASSERT_LE(std::fabs(double(field[i]) - double(tolerant[i])), cfg.tolerance)
+        << "tolerant, index " << i;
+    ASSERT_LE(std::fabs(double(field[i]) - double(lowres[i])), cfg.tolerance)
+        << "lowres drop 0, index " << i;
+  }
 }
 
 TEST(Recovery, TruncateRefusesDamagedChunk) {

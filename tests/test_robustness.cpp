@@ -34,6 +34,7 @@
 #include "sperr/chunker.h"
 #include "sperr/header.h"
 #include "sperr/outofcore.h"
+#include "sperr/recovery.h"
 #include "sperr/sperr.h"
 #include "wavelet/dwt.h"
 
@@ -178,23 +179,19 @@ TEST(Robustness, MultiChunkCorruptionLeavesOthersBitIdentical) {
   cfg.lossless_pass = false;
   const auto blob = compress(field.data(), dims, cfg);
 
-  std::vector<uint8_t> inner;
-  ContainerHeader hdr;
-  size_t payload_pos = 0;
-  ASSERT_EQ(open_container(blob.data(), blob.size(), inner, hdr, &payload_pos),
+  detail::OpenedContainer oc;
+  ASSERT_EQ(detail::open_tolerant(blob.data(), blob.size(), Recovery::fail_fast, oc,
+                                  nullptr),
             Status::ok);
-  constexpr size_t kOuterBytes = 14;
   std::vector<std::pair<size_t, size_t>> ranges;  // offset, length in blob
-  size_t pos = kOuterBytes + payload_pos;
-  for (const ChunkEntry& e : hdr.entries) {
-    ranges.emplace_back(pos, size_t(e.total_len()));
-    pos += size_t(e.total_len());
-  }
+  for (const detail::ChunkSlice& sl : oc.slices)
+    ranges.emplace_back(ContainerHeader::kOuterBytes + sl.offset,
+                        sl.speck_avail + sl.outlier_avail);
 
   std::vector<double> clean;
   Dims od;
   ASSERT_EQ(decompress(blob.data(), blob.size(), clean, od), Status::ok);
-  const auto chunks = make_chunks(hdr.dims, hdr.chunk_dims);
+  const auto& chunks = oc.chunks;
 
   Rng rng(1016);
   for (int round = 0; round < 12; ++round) {
@@ -219,8 +216,8 @@ TEST(Robustness, MultiChunkCorruptionLeavesOthersBitIdentical) {
         for (size_t z = 0; z < c.dims.z; ++z)
           for (size_t y = 0; y < c.dims.y; ++y)
             for (size_t x = 0; x < c.dims.x; ++x) {
-              const size_t vi = hdr.dims.index(c.origin.x + x, c.origin.y + y,
-                                               c.origin.z + z);
+              const size_t vi = oc.hdr.dims.index(c.origin.x + x, c.origin.y + y,
+                                                  c.origin.z + z);
               ASSERT_EQ(clean[vi], out[vi]) << "chunk " << i;
             }
       }
@@ -352,7 +349,7 @@ TEST(Robustness, FlippedLosslessPayloadBitIsBlockIndexed) {
   ASSERT_GT(blob.size(), 14u);
   ASSERT_EQ(blob[5], 1u) << "archive should carry a lossless payload";
 
-  constexpr size_t kOuterBytes = 14;  // magic + version + flag + length
+  constexpr size_t kOuterBytes = ContainerHeader::kOuterBytes;
   lossless::StreamInfo info;
   ASSERT_EQ(lossless::inspect(blob.data() + kOuterBytes, blob.size() - kOuterBytes,
                               info),

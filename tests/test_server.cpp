@@ -140,8 +140,44 @@ TEST(Server, DecompressMatchesDirectCall) {
       reply));
   ASSERT_EQ(h.code, uint8_t(WireStatus::ok));
   ASSERT_EQ(reply.size(), 24 + w.decoded.size() * 4);
-  const auto* f32 = reinterpret_cast<const float*>(reply.data() + 24);
-  EXPECT_EQ(f32[0], float(w.decoded[0]));
+  std::vector<float> direct32;
+  Dims od;
+  ASSERT_EQ(sperr::decompress(w.container.data(), w.container.size(), direct32, od),
+            sperr::Status::ok);
+  EXPECT_EQ(std::memcmp(reply.data() + 24, direct32.data(), direct32.size() * 4), 0);
+}
+
+TEST(Server, FloatDecompressReservesTheFloatOutput) {
+  // A one-chunk container: the decode holds its output and one chunk of
+  // double scratch. A pool that covers float output plus that scratch, but
+  // not a double field, admits a precision-4 request and refuses a
+  // precision-8 one.
+  const Dims dims{24, 20, 16};
+  const auto field = sperr::data::miranda_pressure(dims);
+  sperr::Config cfg;
+  cfg.tolerance = sperr::tolerance_from_idx(field.data(), field.size(), 16);
+  const auto blob = sperr::compress(field.data(), dims, cfg);
+  const size_t n = dims.total();
+
+  ServerConfig sc;
+  sc.workers = 1;
+  sc.queue_capacity = 4;
+  sc.max_memory_bytes = n * (sizeof(float) + sizeof(double)) + n;
+  Server srv(sc);
+  ASSERT_EQ(srv.start(), sperr::Status::ok);
+  Client c(srv.port());
+  ASSERT_GE(c.fd, 0);
+  FrameHeader h;
+  std::vector<uint8_t> reply;
+  ASSERT_TRUE(roundtrip(c.fd, Opcode::decompress, 1,
+                        build_decompress_body(0, 4, blob.data(), blob.size()), h,
+                        reply));
+  ASSERT_EQ(h.code, uint8_t(WireStatus::ok));
+  EXPECT_EQ(reply.size(), 24 + n * 4);
+  ASSERT_TRUE(roundtrip(c.fd, Opcode::decompress, 2,
+                        build_decompress_body(0, 8, blob.data(), blob.size()), h,
+                        reply));
+  EXPECT_EQ(h.code, uint8_t(WireStatus::resource_exhausted));
 }
 
 TEST(Server, VerifyCleanAndDamagedContainers) {

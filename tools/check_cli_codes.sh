@@ -2,8 +2,9 @@
 # Asserts the sperr_cc exit-code contract (documented at the top of
 # tools/sperr_cc.cpp): 0 success, 1 I/O error, 2 usage error, 3 corrupt
 # input, 5 resource limit exceeded (decompression bomb or --max-output-mb).
-# Also checks that `info --verify` prints one verdict line per chunk
-# and that `--recover` survives a damaged archive. Run as a ctest:
+# Also checks that `info --verify` prints one verdict line per chunk,
+# that `--recover` survives a damaged archive, and that `--type f32`
+# writes 4 bytes per value. Run as a ctest:
 #
 #   check_cli_codes.sh SPERR_CC MAKE_FIELD WORKDIR
 set -u
@@ -21,6 +22,14 @@ expect() { # expect CODE DESC -- cmd...
   if [ "$got" -ne "$want" ]; then
     echo "FAIL: $desc — expected exit $want, got $got" >&2
     sed 's/^/  stderr: /' "$WORK/err.txt" >&2
+    fails=$((fails + 1))
+  fi
+}
+expect_size() { # expect_size FILE BYTES DESC
+  local got
+  got=$(wc -c < "$1")
+  if [ "$got" -ne "$2" ]; then
+    echo "FAIL: $3 output is $got bytes, want $2" >&2
     fails=$((fails + 1))
   fi
 }
@@ -94,6 +103,10 @@ else
   expect 5 "decompress bomb container" -- "$SPERR_CC" d "$BOMB" "$WORK/bomb.raw"
   expect 5 "info bomb container" -- "$SPERR_CC" info "$BOMB"
 fi
+# A 2^32-chunk grid: info opens a container as the decoders do, so it
+# refuses the grid before enumerating it.
+expect 5 "info chunk-grid bomb" -- "$SPERR_CC" info \
+  "$(dirname "$0")/fuzz/corpus/container/bomb_chunks.sperr"
 
 # --max-output-mb binds on honest archives too: a 64^3 f64 field decodes to
 # 2 MiB, so a 1 MiB ceiling refuses it and a 16 MiB ceiling admits it.
@@ -113,12 +126,15 @@ grep -q 'chunk(s) damaged' "$WORK/out.txt" || {
   echo "FAIL: --recover zero did not report the damaged chunk" >&2
   fails=$((fails + 1))
 }
-want=$((48 * 48 * 24 * 8))
-got=$(wc -c < "$WORK/recovered.raw")
-if [ "$got" -ne "$want" ]; then
-  echo "FAIL: recovered output is $got bytes, want $want" >&2
-  fails=$((fails + 1))
-fi
+expect_size "$WORK/recovered.raw" $((48 * 48 * 24 * 8)) "--recover zero"
+
+# --- f32 output: 4 bytes per value from every decode mode --------------------
+expect 0 "decompress --type f32 --drop 1" -- "$SPERR_CC" d "$WORK/a.sperr" \
+  "$WORK/coarse32.raw" --type f32 --drop 1
+expect_size "$WORK/coarse32.raw" $((24 * 24 * 12 * 4)) "--type f32 --drop 1"
+expect 0 "decompress --type f32 --recover zero" -- "$SPERR_CC" d "$WORK/bad.sperr" \
+  "$WORK/recovered32.raw" --type f32 --recover zero
+expect_size "$WORK/recovered32.raw" $((48 * 48 * 24 * 4)) "--type f32 --recover zero"
 
 if [ "$fails" -ne 0 ]; then
   echo "check_cli_codes: $fails assertion(s) failed" >&2

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "common/resource.h"
-#include "sperr/header.h"
+#include "sperr/recovery.h"
 #include "sperr/sperr.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -20,23 +20,31 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   rl.max_working_bytes = uint64_t(1) << 24;
   rl.max_chunks = uint64_t(1) << 12;
 
-  // Header + directory parse alone (the sperr_cc info path).
+  // Open and admission alone (the sperr_cc info path).
   {
-    std::vector<uint8_t> inner;
-    sperr::ContainerHeader hdr;
-    size_t payload_pos = 0, bad_block = 0;
-    (void)sperr::open_container(data, size, inner, hdr, &payload_pos, &bad_block,
-                                &rl);
+    sperr::detail::OpenedContainer oc;
+    sperr::Reservation hold;
+    if (sperr::detail::open_tolerant(data, size, sperr::Recovery::fail_fast, oc,
+                                     nullptr, &rl) == sperr::Status::ok)
+      (void)sperr::detail::admit_decode(oc, oc.hdr.dims.total() * oc.hdr.precision,
+                                        0, 1, &rl, hold);
   }
   // Full tolerant decode under each recovery policy (fail_fast is a strict
   // subset of the zero_fill control flow; coarse_fill exercises the SPECK
-  // prefix decoder on damaged chunks).
-  for (const auto policy :
-       {sperr::Recovery::zero_fill, sperr::Recovery::coarse_fill}) {
+  // prefix decoder on damaged chunks), the second to floats.
+  {
     std::vector<double> field;
     sperr::Dims dims;
     sperr::DecodeReport rep;
-    (void)sperr::decompress_tolerant(data, size, policy, field, dims, &rep, &rl);
+    (void)sperr::decompress_tolerant(data, size, sperr::Recovery::zero_fill, field,
+                                     dims, &rep, &rl);
+  }
+  {
+    std::vector<float> field;
+    sperr::Dims dims;
+    sperr::DecodeReport rep;
+    (void)sperr::decompress_tolerant(data, size, sperr::Recovery::coarse_fill, field,
+                                     dims, &rep, &rl);
   }
   // Integrity audit (no payload decode) and the multi-resolution path.
   {

@@ -13,22 +13,27 @@
 #include "common/resource.h"
 #include "lossless/codec.h"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   sperr::ResourceLimits rl = sperr::ResourceLimits::defaults();
   rl.max_output_bytes = uint64_t(1) << 24;  // 16 MiB
   rl.max_working_bytes = uint64_t(1) << 24;
+#ifdef _OPENMP
+  omp_set_num_threads(1);  // serial block loop: a sanitizer report has one thread
+#endif
 
   {
     std::vector<uint8_t> out;
     size_t corrupt_block = 0;
-    (void)sperr::lossless::decompress(data, size, out, &corrupt_block,
-                                      /*num_threads=*/1, &rl);
+    (void)sperr::lossless::decompress(data, size, out, &corrupt_block, &rl);
   }
   {
     std::vector<uint8_t> out;
     std::vector<size_t> bad_blocks;
-    (void)sperr::lossless::decompress_tolerant(data, size, out, bad_blocks,
-                                               /*num_threads=*/1, &rl);
+    (void)sperr::lossless::decompress_tolerant(data, size, out, bad_blocks, &rl);
   }
   {
     std::vector<uint8_t> out;

@@ -30,7 +30,7 @@
 #include "common/stats.h"
 #include "common/timer.h"
 #include "metrics/metrics.h"
-#include "sperr/header.h"
+#include "sperr/recovery.h"
 #include "sperr/sperr.h"
 
 namespace {
@@ -292,14 +292,14 @@ int cmd_compress(const Args& args) {
   usage("--type must be f32 or f64");
 }
 
-int cmd_decompress(const Args& args) {
-  if (args.positional.size() != 3) usage("decompress needs IN OUT");
-  if (args.drop && args.have_recover)
-    usage("--drop and --recover cannot be combined");
+/// Decode to T (float for --type f32: each chunk is narrowed as it is
+/// decoded, so no double field is held) and write the raw values.
+template <class T>
+int decompress_field(const Args& args) {
   const auto blob = read_file(args.positional[1]);
 
   const sperr::ResourceLimits rl = args.limits();
-  std::vector<double> field;
+  std::vector<T> field;
   sperr::Dims dims;
   sperr::DecodeReport rep;
   sperr::Status s;
@@ -332,28 +332,38 @@ int cmd_decompress(const Args& args) {
     return kExitCorrupt;
   }
 
-  if (args.type == "f32") {
-    std::vector<float> out(field.begin(), field.end());
-    write_file(args.positional[2], out.data(), out.size() * 4);
-  } else {
-    write_file(args.positional[2], field.data(), field.size() * 8);
-  }
+  write_file(args.positional[2], field.data(), field.size() * sizeof(T));
   std::printf("%s: %s %s -> %s\n", args.positional[1].c_str(),
-              dims.to_string().c_str(), args.type == "f32" ? "floats" : "doubles",
+              dims.to_string().c_str(), sizeof(T) == 4 ? "floats" : "doubles",
               args.positional[2].c_str());
   return kExitOk;
+}
+
+int cmd_decompress(const Args& args) {
+  if (args.positional.size() != 3) usage("decompress needs IN OUT");
+  if (args.drop && args.have_recover)
+    usage("--drop and --recover cannot be combined");
+  if (args.type == "f32") return decompress_field<float>(args);
+  if (args.type == "f64") return decompress_field<double>(args);
+  usage("--type must be f32 or f64");
 }
 
 int cmd_info(const Args& args) {
   if (args.positional.size() != 2) usage("info needs IN");
   const auto blob = read_file(args.positional[1]);
 
+  // Open as a strict decode does, and admit a decode of the field at the
+  // container's precision through the decoders' own admission.
   const sperr::ResourceLimits rl = args.limits();
-  std::vector<uint8_t> inner;
-  sperr::ContainerHeader hdr;
-  size_t bad_block = 0;
-  const sperr::Status os = sperr::open_container(blob.data(), blob.size(), inner, hdr,
-                                                 nullptr, &bad_block, &rl);
+  sperr::detail::OpenedContainer oc;
+  sperr::DecodeReport open_rep;
+  sperr::Reservation hold;
+  sperr::Status os = sperr::detail::open_tolerant(
+      blob.data(), blob.size(), sperr::Recovery::fail_fast, oc, &open_rep, &rl);
+  if (os == sperr::Status::ok)
+    os = sperr::detail::admit_decode(
+        oc, uint64_t(oc.hdr.dims.total()) * oc.hdr.precision, 0,
+        sperr::detail::decode_workers(oc), &rl, hold);
   if (os == sperr::Status::resource_exhausted) {
     std::fprintf(stderr,
                  "error: container declares more data than the resource limits "
@@ -361,7 +371,8 @@ int cmd_info(const Args& args) {
     return kExitResource;
   }
   if (os == sperr::Status::corrupt_block) {
-    std::fprintf(stderr, "error: lossless block %zu failed its checksum\n", bad_block);
+    std::fprintf(stderr, "error: lossless block %zu failed its checksum\n",
+                 open_rep.lossless_bad_blocks.front());
     return kExitCorrupt;
   }
   if (os != sperr::Status::ok) {
@@ -369,6 +380,7 @@ int cmd_info(const Args& args) {
                  to_string(os));
     return kExitCorrupt;
   }
+  const sperr::ContainerHeader& hdr = oc.hdr;
   const char* mode = hdr.mode == sperr::Mode::pwe ? "pwe"
                      : hdr.mode == sperr::Mode::fixed_rate ? "fixed-rate"
                                                            : "target-rmse";

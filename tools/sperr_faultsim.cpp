@@ -36,6 +36,7 @@
 #include "sperr/chunker.h"
 #include "sperr/header.h"
 #include "sperr/outofcore.h"
+#include "sperr/recovery.h"
 #include "sperr/sperr.h"
 
 namespace {
@@ -67,21 +68,16 @@ Baseline make_chunk_baseline() {
   cfg.lossless_pass = false;
   b.blob = compress(field.data(), b.dims, cfg);
 
-  std::vector<uint8_t> inner;
-  ContainerHeader hdr;
-  size_t payload_pos = 0;
-  if (open_container(b.blob.data(), b.blob.size(), inner, hdr, &payload_pos) !=
-      Status::ok) {
+  detail::OpenedContainer oc;
+  if (detail::open_tolerant(b.blob.data(), b.blob.size(), Recovery::fail_fast, oc,
+                            nullptr) != Status::ok) {
     std::fprintf(stderr, "faultsim: cannot parse own baseline\n");
     std::exit(1);
   }
-  size_t pos = kOuterBytes + payload_pos;
-  for (const ChunkEntry& e : hdr.entries) {
-    b.slices.push_back({pos, size_t(e.total_len())});
-    pos += size_t(e.total_len());
-  }
+  for (const detail::ChunkSlice& sl : oc.slices)
+    b.slices.push_back({kOuterBytes + sl.offset, sl.speck_avail + sl.outlier_avail});
   b.slices_are_chunks = true;
-  b.chunks = make_chunks(b.dims, b.chunk_dims);
+  b.chunks = std::move(oc.chunks);
 
   Dims od;
   if (decompress(b.blob.data(), b.blob.size(), b.clean, od) != Status::ok) {
