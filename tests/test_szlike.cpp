@@ -6,6 +6,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "common/checksum.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
 
@@ -93,6 +94,31 @@ TEST(QuantBins, GarbageRejected) {
   std::vector<uint8_t> garbage = {1, 2, 3};
   std::vector<int32_t> bins;
   EXPECT_NE(decode_quant_bins(garbage.data(), garbage.size(), bins), Status::ok);
+}
+
+TEST(QuantBins, StreamBytesArePinned) {
+  // Pins the quant-bin stream (Huffman codes up to 27 bits plus 32-bit
+  // escapes, then the lossless pass) and a whole SZ-like stream.
+  auto hash = [](const std::vector<uint8_t>& v) { return xxhash64(v.data(), v.size()); };
+  Rng rng(91);
+  std::vector<int32_t> bins(30000, 0);
+  for (auto& b : bins) {
+    const double u = rng.uniform();
+    if (u > 0.99) b = int32_t(rng.next());                       // escape
+    else if (u > 0.7) b = int32_t(rng.below(40000)) - 20000;     // wide tail
+    else if (u > 0.4) b = int32_t(rng.below(9)) - 4;
+  }
+  QuantBinStats stats;
+  const auto stream = encode_quant_bins(bins, &stats);
+  EXPECT_GT(stats.num_escapes, 0u);
+  EXPECT_EQ(stream.size(), 39148u);
+  EXPECT_EQ(hash(stream), 0xb6f13e70da672b18ull);
+
+  const Dims dims{33, 20, 9};
+  const auto field = data::s3d_temperature(dims);
+  const auto sz = compress(field.data(), dims, 0.05);
+  EXPECT_EQ(sz.size(), 6913u);
+  EXPECT_EQ(hash(sz), 0xb4ba3da1bbe0da78ull);
 }
 
 // --- full compressor ------------------------------------------------------
