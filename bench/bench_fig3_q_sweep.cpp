@@ -54,8 +54,9 @@ int main() {
         cfg.q_over_t = q;
         const auto cs = bench::encode_field(data, field.dims, cfg);
         std::vector<double> recon(field.dims.total());
-        (void)sperr::pipeline::decode(cs.speck, cs.outlier, field.dims,
-                                      recon.data());
+        (void)sperr::pipeline::decode(cs.speck.data(), cs.speck.size(),
+                                      cs.outlier.data(), cs.outlier.size(),
+                                      field.dims, recon.data());
         const auto qual =
             sperr::metrics::compare(data.data(), recon.data(), data.size());
         samples.push_back(

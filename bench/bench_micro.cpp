@@ -203,7 +203,7 @@ void BM_ZfpBlockEncode(benchmark::State& state) {
   params.dims = 3;
   params.minexp = -20;
   for (auto _ : state) {
-    sperr::BitWriter bw;
+    sperr::WordBitWriter bw;
     sperr::zfplike::encode_block(bw, block, params);
     benchmark::DoNotOptimize(bw.byte_count());
   }

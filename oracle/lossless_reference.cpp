@@ -83,7 +83,7 @@ std::vector<uint8_t> encode_reference(const uint8_t* data, size_t size) {
   pack_lengths(out, lit_lengths);
   pack_lengths(out, dist_lengths);
 
-  BitWriter bw;
+  WordBitWriter bw;
   for (const Token& t : tokens) {
     if (t.length == 0) {
       lit_enc.encode(bw, t.literal);
@@ -98,7 +98,7 @@ std::vector<uint8_t> encode_reference(const uint8_t* data, size_t size) {
   }
   lit_enc.encode(bw, kEob);
 
-  const auto& payload = bw.bytes();
+  const auto& payload = bw.finish();
   if (out.size() + payload.size() >= size + 9) {
     // Entropy coding did not pay off; store raw.
     std::vector<uint8_t> raw;

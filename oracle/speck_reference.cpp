@@ -128,7 +128,7 @@ class RefEncoder {
   };
 
   void put(bool bit) {
-    bw_.put(bit);
+    bw_.put_bits(bit, 1);
     if (budget_ && bw_.bit_count() >= budget_) budget_hit_ = true;
   }
 
@@ -221,7 +221,7 @@ class RefEncoder {
   std::vector<std::vector<SetEntry>> lis_;
   std::vector<SigEntry> lsp_;
   std::vector<SigEntry> lnsp_;
-  BitWriter bw_;
+  WordBitWriter bw_;
 };
 
 struct DecSetEntry {

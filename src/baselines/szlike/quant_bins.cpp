@@ -51,7 +51,7 @@ std::vector<uint8_t> encode_quant_bins(const std::vector<int32_t>& bins,
       put_u8(raw, lengths[s]);
     }
 
-  BitWriter bw;
+  WordBitWriter bw;
   for (const int32_t b : bins) {
     if (b > -kCapacity && b < kCapacity) {
       enc.encode(bw, symbol_of(b));

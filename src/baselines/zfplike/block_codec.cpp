@@ -107,13 +107,13 @@ const std::array<int, 64>& permutation(int dims) {
 
 /// A bit budget wrapper so fixed-rate blocks never exceed maxbits.
 struct BudgetWriter {
-  BitWriter& bw;
+  WordBitWriter& bw;
   size_t left;
 
   bool put(bool bit) {
     if (left == 0) return false;
     --left;
-    bw.put(bit);
+    bw.put_bits(bit, 1);
     return true;
   }
 };
@@ -140,7 +140,7 @@ int max_precision(int emax, int minexp, int dims) {
 
 }  // namespace
 
-void encode_block(BitWriter& bw, const double* block, const BlockParams& params) {
+void encode_block(WordBitWriter& bw, const double* block, const BlockParams& params) {
   const int n = block_points(params.dims);
   BudgetWriter out{bw, params.maxbits};
 
@@ -201,8 +201,8 @@ void encode_block(BitWriter& bw, const double* block, const BlockParams& params)
   }
 }
 
-void pad_block(BitWriter& bw, size_t written, size_t target) {
-  for (size_t i = written; i < target; ++i) bw.put(false);
+void pad_block(WordBitWriter& bw, size_t written, size_t target) {
+  if (target > written) bw.put_zeros(target - written);
 }
 
 void decode_block(BitReader& br, double* block, const BlockParams& params) {

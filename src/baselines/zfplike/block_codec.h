@@ -28,11 +28,11 @@ struct BlockParams {
 /// Encode one block of 4^dims doubles (x fastest). Writes at most
 /// params.maxbits bits; in fixed-rate use the caller pads to exactly maxbits
 /// via pad_block().
-void encode_block(BitWriter& bw, const double* block, const BlockParams& params);
+void encode_block(WordBitWriter& bw, const double* block, const BlockParams& params);
 
 /// Pad the stream with zero bits so the block occupies exactly `target`
 /// bits; `written` is the bit count the block actually used.
-void pad_block(BitWriter& bw, size_t written, size_t target);
+void pad_block(WordBitWriter& bw, size_t written, size_t target);
 
 /// Decode one block (4^dims doubles) encoded by encode_block. Reads at most
 /// params.maxbits bits; fixed-rate callers must advance the reader to the

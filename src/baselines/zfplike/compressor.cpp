@@ -77,7 +77,7 @@ std::vector<uint8_t> compress_impl(const double* data, Dims dims, uint8_t mode,
     params.maxbits = rate_bits;
   }
 
-  BitWriter bw;
+  WordBitWriter bw;
   double block[64];
   for_each_block(dims, d, [&](size_t x, size_t y, size_t z) {
     gather(data, dims, x, y, z, d, block);

@@ -4,29 +4,6 @@
 
 namespace sperr {
 
-void BitWriter::put_bits(uint64_t value, unsigned count) {
-  if (count == 0) return;
-  if (count < 64) value &= (uint64_t(1) << count) - 1;
-  const unsigned used = unsigned(nbit_ % 8);
-  nbit_ += count;
-  if (used != 0) {
-    // Top up the partially filled last byte first.
-    bytes_.back() |= uint8_t(value << used);
-    const unsigned space = 8 - used;
-    if (count <= space) return;
-    value >>= space;
-    count -= space;
-  }
-  // Byte-aligned from here: emit whole bytes, then the masked remainder
-  // (so trailing bits of the last byte stay zero, as put() guarantees).
-  while (count >= 8) {
-    bytes_.push_back(uint8_t(value));
-    value >>= 8;
-    count -= 8;
-  }
-  if (count != 0) bytes_.push_back(uint8_t(value));
-}
-
 const std::vector<uint8_t>& WordBitWriter::finish() {
   // Spill the (< 64) pending bits a byte at a time, then trim the buffer to
   // exactly ceil(nbit_ / 8) so trailing garbage from a previous, longer use

@@ -1,9 +1,10 @@
 #pragma once
 
-// Bit-level serialization used by every entropy-coding stage (SPECK, the
-// outlier coder, Huffman). Bits are packed LSB-first into bytes so that a
-// stream can be truncated at any byte boundary and remain a decodable prefix
-// (the property SPECK's embedded coding relies on).
+// Bit-level serialization for every entropy-coding stage (SPECK, the
+// outlier coder, Huffman, the lossless codec and the baselines): one writer,
+// WordBitWriter, and one reader, BitReader. Bits are packed LSB-first into
+// bytes so that a stream can be truncated at any byte boundary and remain a
+// decodable prefix (the property SPECK's embedded coding relies on).
 
 #include <algorithm>
 #include <bit>
@@ -14,47 +15,10 @@
 
 namespace sperr {
 
-/// Append-only bit writer. Bits are packed LSB-first within each byte.
-class BitWriter {
- public:
-  BitWriter() = default;
-
-  void put(bool bit) {
-    if (nbit_ % 8 == 0) bytes_.push_back(0);
-    if (bit) bytes_.back() |= uint8_t(1u << (nbit_ % 8));
-    ++nbit_;
-  }
-
-  /// Append `count` (<= 64) bits of `value`, least-significant bit first.
-  /// Bits of `value` above `count` are ignored. Byte-at-a-time internally,
-  /// so batching emission through this path (e.g. SPECK's refinement pass)
-  /// costs ~1/8 of the equivalent put() loop.
-  void put_bits(uint64_t value, unsigned count);
-
-  /// Append a full 64-bit word, least-significant bit first.
-  void put_word(uint64_t value) { put_bits(value, 64); }
-
-  [[nodiscard]] size_t bit_count() const { return nbit_; }
-  [[nodiscard]] size_t byte_count() const { return bytes_.size(); }
-
-  /// Steal the packed bytes (trailing bits of the last byte are zero).
-  [[nodiscard]] std::vector<uint8_t> take() { nbit_ = 0; return std::move(bytes_); }
-  [[nodiscard]] const std::vector<uint8_t>& bytes() const { return bytes_; }
-
-  void clear() { bytes_.clear(); nbit_ = 0; }
-
- private:
-  std::vector<uint8_t> bytes_;
-  size_t nbit_ = 0;
-};
-
-/// Word-batched append-only bit writer with the same LSB-first packing as
-/// BitWriter, built for entropy-coder hot loops: bits accumulate in a 64-bit
-/// register and every call spills the completed whole bytes with one
-/// unaligned 8-byte store into a geometrically grown buffer, so a
-/// put_bits() call is a shift/or plus a store instead of BitWriter's
-/// byte-at-a-time push_back loop. Producing the identical byte sequence as
-/// BitWriter for the same put_bits sequence is a tested invariant.
+/// The library's one bit writer; every encoder packs its bits through it.
+/// Bits accumulate in a 64-bit register and every call spills the completed
+/// whole bytes with one unaligned 8-byte store into a geometrically grown
+/// buffer, so a put_bits() call is a shift/or plus a store.
 class WordBitWriter {
  public:
   WordBitWriter() = default;
@@ -66,21 +30,25 @@ class WordBitWriter {
   /// every call keeps the pending count <= 7 between calls, so 7 + 56
   /// never overflows the register.
   void put_bits(uint64_t value, unsigned count) {
-    acc_ |= value << cnt_;
-    cnt_ += count;
+    // Work on locals: the byte stores below may alias the members, so the
+    // compiler would otherwise reload them after the spill.
+    uint64_t acc = acc_ | (value << cnt_);
+    unsigned cnt = cnt_ + count;
     nbit_ += count;
-    const unsigned nbytes = cnt_ >> 3;  // <= 7 given the invariant above
+    const unsigned nbytes = cnt >> 3;  // <= 7 given the invariant above
     if (nbytes != 0) {
       if (pos_ + 8 > bytes_.size()) grow();
       // Byte-wise spill compiles to one unaligned store on little-endian
       // targets and stays format-correct on big-endian ones. The store is
       // always 8 bytes wide; only `nbytes` of them are finalized.
       uint8_t* p = bytes_.data() + pos_;
-      for (unsigned i = 0; i < 8; ++i) p[i] = uint8_t(acc_ >> (8 * i));
+      for (unsigned i = 0; i < 8; ++i) p[i] = uint8_t(acc >> (8 * i));
       pos_ += nbytes;
-      acc_ >>= 8 * nbytes;
-      cnt_ &= 7;
+      acc >>= 8 * nbytes;
+      cnt &= 7;
     }
+    acc_ = acc;
+    cnt_ = cnt;
   }
 
   /// Append `count` zero bits (any count), batched through put_bits. The
@@ -122,6 +90,15 @@ class WordBitWriter {
   /// ceil(bit_count / 8), trailing bits of the last byte zero). The writer
   /// stays reusable after clear().
   const std::vector<uint8_t>& finish();
+
+  /// finish(), then move the packed bytes out and leave the writer empty.
+  [[nodiscard]] std::vector<uint8_t> take() {
+    finish();
+    std::vector<uint8_t> out = std::move(bytes_);
+    bytes_ = {};
+    clear();
+    return out;
+  }
 
   void clear() {
     pos_ = 0;

@@ -37,10 +37,11 @@ class HuffmanEncoder {
  public:
   explicit HuffmanEncoder(std::vector<uint8_t> lengths);
 
-  void encode(BitWriter& bw, uint32_t symbol) const {
+  /// Emit the code MSB-first, one bit per put_bits call.
+  void encode(WordBitWriter& bw, uint32_t symbol) const {
     const unsigned len = lengths_[symbol];
     const uint32_t code = codes_[symbol];
-    for (unsigned i = len; i-- > 0;) bw.put((code >> i) & 1u);
+    for (unsigned i = len; i-- > 0;) bw.put_bits((code >> i) & 1u, 1);
   }
 
   [[nodiscard]] const std::vector<uint8_t>& lengths() const { return lengths_; }

@@ -80,12 +80,13 @@ class Encoder {
     put_u16(out, kMagic);
     put_f64(out, t_);
     put_u32(out, uint32_t(n_max_));
-    put_u64(out, bw_.bit_count());
+    const size_t nbits = bw_.bit_count();
+    put_u64(out, nbits);
     const auto payload = bw_.take();
     out.insert(out.end(), payload.begin(), payload.end());
 
     if (stats) {
-      stats->payload_bits = bit_count_;
+      stats->payload_bits = nbits;
       stats->num_outliers = outliers_.size();
     }
     return out;
@@ -106,10 +107,7 @@ class Encoder {
     double residual;
   };
 
-  void put(bool bit) {
-    bw_.put(bit);
-    ++bit_count_;
-  }
+  void put(bool bit) { bw_.put_bits(bit, 1); }
 
   void sorting_pass(double thrd) {
     // Listing 2 line 1: sets in increasing order of size (deepest bucket
@@ -185,12 +183,11 @@ class Encoder {
   std::vector<double> mags_;
   std::vector<uint8_t> negs_;
   int32_t n_max_ = -1;
-  size_t bit_count_ = 0;
 
   std::vector<std::vector<SetEntry>> lis_;
   std::vector<SigEntry> lsp_;
   std::vector<SigEntry> lnsp_;
-  BitWriter bw_;
+  WordBitWriter bw_;
 };
 
 // ---------------------------------------------------------------------------

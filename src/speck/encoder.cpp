@@ -265,7 +265,6 @@ class Encoder {
       stats->significant_count = significant;
       stats->estimated_coeff_rmse = estimated_rmse();
       stats->passes = std::move(pass_times_);
-      stats->threads_used = threads_;
       stats->setup_s = setup_s;
       stats->tree_build_s = build_s_;
       stats->finish_s = finish.seconds();

@@ -50,10 +50,6 @@ struct EncodeStats {
   /// `bench_micro --speck_json`.
   std::vector<PassTiming> passes;
 
-  /// Intra-chunk threads the encoder actually used (after resolving 0=auto;
-  /// size-bounded mode always runs serial).
-  int threads_used = 1;
-
   /// Wall-clock seconds outside the per-plane passes, so that
   /// setup_s + sum(passes) + finish_s accounts for the whole encode call:
   /// setup is the coefficient scan, the set tree lookup in the shared

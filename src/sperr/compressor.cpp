@@ -88,7 +88,6 @@ std::vector<uint8_t> write_container(const std::vector<ChunkStream>& streams,
       stats->speck_significant += s.speck_stats.significant_count;
       for (const auto& p : s.speck_stats.passes) {
         stats->speck_sorting_s += p.sorting_s;
-        stats->speck_significance_s += p.significance_s;
         stats->speck_refinement_s += p.refinement_s;
       }
       stats->speck_setup_s += s.speck_stats.setup_s;

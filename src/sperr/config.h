@@ -195,7 +195,6 @@ struct Stats {
   /// (floating-point addition is not associative; a worker-completion-order
   /// sum would differ between runs even on identical inputs).
   double speck_sorting_s = 0.0;
-  double speck_significance_s = 0.0;
   double speck_refinement_s = 0.0;
   /// SPECK time outside the passes (speck::EncodeStats::setup_s/finish_s),
   /// summed the same way: setup + sorting + refinement + finish accounts

@@ -183,10 +183,4 @@ Status decode(const uint8_t* speck_stream, size_t speck_len,
   return Status::ok;
 }
 
-Status decode(const std::vector<uint8_t>& speck_stream,
-              const std::vector<uint8_t>& outlier_stream, Dims dims, double* out) {
-  return decode(speck_stream.data(), speck_stream.size(), outlier_stream.data(),
-                outlier_stream.size(), dims, out);
-}
-
 }  // namespace sperr::pipeline

@@ -124,8 +124,4 @@ Status decode(const uint8_t* speck_stream, size_t speck_len,
               double* out, Arena* arena = nullptr, int intra_chunk_threads = 1,
               size_t drop_levels = 0);
 
-/// Convenience overload over owned streams.
-Status decode(const std::vector<uint8_t>& speck_stream,
-              const std::vector<uint8_t>& outlier_stream, Dims dims, double* out);
-
 }  // namespace sperr::pipeline

@@ -282,7 +282,7 @@ Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
                       last.origin.z + last.dims.z};
 
   // The header extents size the decoded field and the output: admit both
-  // before the assign. Every chunk decodes at full resolution whatever the
+  // before the resize. Every chunk decodes at full resolution whatever the
   // drop, so the full field bounds the work even when the output is coarse.
   Reservation budget_hold;
   if (admit_decode(oc, uint64_t(oc.hdr.dims.total()) * sizeof(T),
@@ -290,8 +290,10 @@ Status decode_field(const uint8_t* stream, size_t nbytes, Recovery policy,
                    budget_hold) != Status::ok)
     return finish(Status::resource_exhausted);
 
+  // No fill: the chunks' boxes tile the field and every decode_chunk path
+  // writes its whole box, so a reused vector keeps no stale value.
   dims = out_dims;
-  out.assign(dims.total(), T(0));
+  out.resize(dims.total());
   const auto sink = [&](size_t i, double* buf) {
     scatter_chunk(buf, coarse(oc.chunks[i]), out.data(), dims);
   };

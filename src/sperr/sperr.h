@@ -42,7 +42,8 @@ std::vector<uint8_t> compress(const float* data, Dims dims, const Config& cfg,
                               Stats* stats = nullptr);
 
 /// Decompress a container produced by compress(). `out` is resized; `dims`
-/// receives the original extents.
+/// receives the original extents. Every decoder below writes each value of
+/// `out` on success and leaves its contents unspecified on a non-ok return.
 ///
 /// Every decoder below has a double and a float overload, whatever the
 /// container's precision. A float decode is the double decode rounded to

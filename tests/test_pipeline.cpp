@@ -40,7 +40,8 @@ TEST(Pipeline, PweEncodeDecodeBoundsEveryPoint) {
   const double t = tolerance_from_idx(field.data(), field.size(), 18);
   const auto cs = encode_field(field, dims, pwe_config(t));
   std::vector<double> recon(dims.total());
-  ASSERT_EQ(decode(cs.speck, cs.outlier, dims, recon.data()), Status::ok);
+  ASSERT_EQ(decode(cs.speck.data(), cs.speck.size(), cs.outlier.data(),
+                   cs.outlier.size(), dims, recon.data()), Status::ok);
   for (size_t i = 0; i < field.size(); ++i)
     ASSERT_LE(std::fabs(field[i] - recon[i]), t) << "point " << i;
 }
@@ -89,7 +90,8 @@ TEST(Pipeline, FixedRateRespectsBudget) {
     EXPECT_TRUE(cs.outlier.empty());
     EXPECT_LE(cs.speck.size(), budget / 8 + 64);
     std::vector<double> recon(dims.total());
-    EXPECT_EQ(decode(cs.speck, cs.outlier, dims, recon.data()), Status::ok);
+    EXPECT_EQ(decode(cs.speck.data(), cs.speck.size(), cs.outlier.data(),
+                     cs.outlier.size(), dims, recon.data()), Status::ok);
   }
 }
 
@@ -103,7 +105,8 @@ TEST(Pipeline, TargetRmseNoOutlierStream) {
   EXPECT_TRUE(cs.outlier.empty());
   EXPECT_EQ(cs.num_outliers, 0u);
   std::vector<double> recon(dims.total());
-  ASSERT_EQ(decode(cs.speck, cs.outlier, dims, recon.data()), Status::ok);
+  ASSERT_EQ(decode(cs.speck.data(), cs.speck.size(), cs.outlier.data(),
+                   cs.outlier.size(), dims, recon.data()), Status::ok);
   double sq = 0;
   for (size_t i = 0; i < field.size(); ++i) {
     const double e = field[i] - recon[i];
@@ -167,7 +170,8 @@ TEST(Pipeline, DecodeDropPacksScaledLowpassBox) {
   const auto cs = encode_field(field, dims, pwe_config(0.05));
   ASSERT_FALSE(cs.outlier.empty());
   std::vector<double> full(dims.total()), zero(dims.total());
-  ASSERT_EQ(decode(cs.speck, cs.outlier, dims, full.data()), Status::ok);
+  ASSERT_EQ(decode(cs.speck.data(), cs.speck.size(), cs.outlier.data(),
+                   cs.outlier.size(), dims, full.data()), Status::ok);
   ASSERT_EQ(decode(cs.speck.data(), cs.speck.size(), cs.outlier.data(),
                    cs.outlier.size(), dims, zero.data(), nullptr, 1, 0),
             Status::ok);

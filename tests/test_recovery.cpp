@@ -12,6 +12,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "common/faultinject.h"
@@ -422,6 +423,55 @@ TEST(Recovery, FloatOutputIsTheDoubleOutputNarrowed) {
     EXPECT_LT(d64.total(), size_t(48) * 48 * 48) << "drop " << drop;
     expect_narrowed(f64, f32);
   }
+}
+
+/// Decode into a fresh vector, then into a right-sized one pre-filled with
+/// NaN: the two must agree bit for bit, since the decoders size `out`
+/// without refilling it and every value must come from the decode.
+template <typename T, typename Decode>
+void expect_reused_vector_overwritten(const std::string& what, const Decode& decode) {
+  SCOPED_TRACE(what);
+  std::vector<T> fresh, reused;
+  Dims d_fresh, d_reused;
+  ASSERT_EQ(decode(fresh, d_fresh), Status::ok);
+  reused.assign(fresh.size(), std::numeric_limits<T>::quiet_NaN());
+  ASSERT_EQ(decode(reused, d_reused), Status::ok);
+  EXPECT_EQ(d_reused, d_fresh);
+  ASSERT_EQ(reused.size(), fresh.size());
+  EXPECT_EQ(std::memcmp(reused.data(), fresh.data(), fresh.size() * sizeof(T)), 0);
+}
+
+TEST(Recovery, ReusedOutputVectorIsOverwrittenEverywhere) {
+  // Covers the patched chunk of a damaged archive under both fill policies
+  // and the coarse boxes of a multi-resolution read.
+  const auto blob = make_multichunk_blob();
+  const auto ranges = chunk_ranges(blob);
+  auto bad = blob;
+  bad[ranges[3].offset + ranges[3].length / 2] ^= 0x40;
+
+  const auto plain = [&](auto& out, Dims& d) {
+    return decompress(blob.data(), blob.size(), out, d);
+  };
+  expect_reused_vector_overwritten<double>("decompress f64", plain);
+  expect_reused_vector_overwritten<float>("decompress f32", plain);
+  for (const Recovery policy : {Recovery::zero_fill, Recovery::coarse_fill}) {
+    const auto tolerant = [&](auto& out, Dims& d) {
+      DecodeReport rep;
+      const Status s =
+          decompress_tolerant(bad.data(), bad.size(), policy, out, d, &rep);
+      EXPECT_EQ(rep.damaged, 1u);
+      return s;
+    };
+    const std::string name =
+        policy == Recovery::zero_fill ? "zero_fill" : "coarse_fill";
+    expect_reused_vector_overwritten<double>(name + " f64", tolerant);
+    expect_reused_vector_overwritten<float>(name + " f32", tolerant);
+  }
+  const auto lowres = [&](auto& out, Dims& d) {
+    return decompress_lowres(blob.data(), blob.size(), 1, out, d);
+  };
+  expect_reused_vector_overwritten<double>("lowres drop 1 f64", lowres);
+  expect_reused_vector_overwritten<float>("lowres drop 1 f32", lowres);
 }
 
 TEST(Recovery, FloatReadsOfAnF32ContainerHoldThePweBound) {

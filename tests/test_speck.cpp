@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -125,6 +126,29 @@ TEST(Speck, EmbeddedPrefixesDecodeWithMonotoneError) {
     EXPECT_LE(rmse, prev_rmse * 1.0001) << "prefix fraction " << frac;
     prev_rmse = rmse;
   }
+}
+
+TEST(Speck, SparseInputCostsUnderAFifthOfDenseBitplaneCoding) {
+  // What set partitioning buys (§III-B): a dense bitplane coder with the
+  // same quantization spends at least one bit per coefficient on every
+  // coded plane, n * planes / 8 bytes in all. On sparse coefficients (a few
+  // significant values in a sea of zeros) SPECK must stay under a fifth of
+  // that.
+  Rng rng(62);
+  const Dims dims{32, 32, 32};
+  const double q = 0.5;
+  std::vector<double> coeffs(dims.total(), 0.0);
+  for (int i = 0; i < 200; ++i)
+    coeffs[rng.below(coeffs.size())] = rng.gaussian() * 100.0;
+
+  double max_m = 0.0;
+  for (const double c : coeffs) max_m = std::max(max_m, std::fabs(c) / q);
+  int planes = 1;  // planes 2^n_max .. 2^0, n_max the largest n with 2^n < max_m
+  while (std::ldexp(1.0, planes) < max_m) ++planes;
+  const size_t dense_bytes = dims.total() * size_t(planes) / 8;
+
+  const auto stream = encode(coeffs.data(), dims, q);
+  EXPECT_LT(stream.size() * 5, dense_bytes);
 }
 
 TEST(Speck, BudgetedEncodeStopsAtBudget) {

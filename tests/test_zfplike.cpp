@@ -28,9 +28,9 @@ void expect_block_roundtrip(const double* block, int dims, double tol) {
   (void)std::frexp(tol, &e);
   params.minexp = e;
 
-  BitWriter bw;
+  WordBitWriter bw;
   encode_block(bw, block, params);
-  const auto bytes = bw.bytes();
+  const auto& bytes = bw.finish();
   BitReader br(bytes.data(), bytes.size(), bw.bit_count());
   double out[64];
   decode_block(br, out, params);
@@ -42,10 +42,11 @@ TEST(ZfpBlock, ZeroBlockIsOneBit) {
   double block[64] = {};
   BlockParams params;
   params.dims = 3;
-  BitWriter bw;
+  WordBitWriter bw;
   encode_block(bw, block, params);
   EXPECT_EQ(bw.bit_count(), 1u);
-  BitReader br(bw.bytes().data(), bw.bytes().size(), 1);
+  const auto& bytes = bw.finish();
+  BitReader br(bytes.data(), bytes.size(), 1);
   double out[64];
   decode_block(br, out, params);
   for (double v : out) EXPECT_EQ(v, 0.0);
@@ -89,10 +90,11 @@ TEST(ZfpBlock, BudgetTruncationDegradesGracefully) {
     BlockParams params;
     params.dims = 3;
     params.maxbits = budget;
-    BitWriter bw;
+    WordBitWriter bw;
     encode_block(bw, block, params);
     EXPECT_LE(bw.bit_count(), budget);
-    BitReader br(bw.bytes().data(), bw.bytes().size(), bw.bit_count());
+    const auto& bytes = bw.finish();
+    BitReader br(bytes.data(), bytes.size(), bw.bit_count());
     double out[64];
     decode_block(br, out, params);
     double err = 0;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Asserts the sperr_cc exit-code contract (documented at the top of
 # tools/sperr_cc.cpp): 0 success, 1 I/O error, 2 usage error, 3 corrupt
-# input, 5 resource limit exceeded (decompression bomb or --max-output-mb).
+# input (a damaged archive, or NaN in a field to compress), 5 resource limit
+# exceeded (decompression bomb or --max-output-mb).
 # Also checks that `info --verify` prints one verdict line per chunk,
 # that `--recover` survives a damaged archive, and that `--type f32`
 # writes 4 bytes per value. Run as a ctest:
@@ -70,6 +71,8 @@ expect 2 "--drop with --recover" -- "$SPERR_CC" d "$WORK/a.sperr" "$WORK/a.raw" 
   --drop 1 --recover zero
 expect 2 "bad --recover value" -- "$SPERR_CC" d "$WORK/a.sperr" "$WORK/a.raw" \
   --recover sideways
+expect 2 "non-positive --q-over-t" -- "$SPERR_CC" c "$WORK/field.raw" "$WORK/b.sperr" \
+  --dims 48 48 24 --type f64 --idx 18 --q-over-t -1
 
 # --- exit 1: I/O errors ------------------------------------------------------
 expect 1 "missing input file" -- "$SPERR_CC" d "$WORK/nonexistent.sperr" "$WORK/x.raw"
@@ -90,6 +93,21 @@ grep -q 'checksum BAD' "$WORK/out.txt" || {
   fails=$((fails + 1))
 }
 expect 3 "garbage input" -- "$SPERR_CC" d "$WORK/field.raw" "$WORK/x.raw"
+# A field to compress holding one NaN (at value 100 of a 16^3 f64 field) is
+# bad input too, whichever way the tolerance is given; stderr names the index.
+"$MAKE_FIELD" miranda_pressure 16 16 16 "$WORK/nan.raw" --type f64 >/dev/null \
+  || { echo "FAIL: make_field (16^3)" >&2; exit 1; }
+printf '\000\000\000\000\000\000\370\177' \
+  | dd of="$WORK/nan.raw" bs=1 seek=800 conv=notrunc 2>/dev/null
+for mode in "--pwe 1e-3" "--idx 20"; do
+  # shellcheck disable=SC2086  # $mode is two words on purpose
+  expect 3 "compress a field holding a NaN ($mode)" -- "$SPERR_CC" c "$WORK/nan.raw" \
+    "$WORK/nan.sperr" --dims 16 16 16 --type f64 $mode
+  grep -q 'index 100' "$WORK/err.txt" || {
+    echo "FAIL: compress with a NaN ($mode) did not name index 100" >&2
+    fails=$((fails + 1))
+  }
+done
 
 # --- exit 5: resource limits -------------------------------------------------
 # The committed bomb corpus: 96 bytes declaring a 32 TiB decode. Both the

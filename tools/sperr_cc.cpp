@@ -13,10 +13,12 @@
 //
 // Raw files are x-fastest little-endian arrays, the layout SDRBench uses.
 //
-// Exit codes: 0 success, 1 I/O error, 2 usage error, 3 corrupt input,
-// 4 verification/quality failure, 5 resource limit exceeded (the container
-// header declares more decoded output than the decoder's ResourceLimits
-// admit — the default 64 GiB ceiling, or --max-output-mb). Scripts can tell
+// Exit codes: 0 success, 1 I/O error, 2 usage error, 3 corrupt input (a
+// damaged container, or a field to compress holding NaN or Inf: the message
+// names the first such index), 4 verification/quality failure, 5 resource
+// limit exceeded (the container header declares more decoded output than
+// the decoder's ResourceLimits admit — the default 64 GiB ceiling, or
+// --max-output-mb — or the compressor ran out of memory). Scripts can tell
 // "the file is damaged" (3) apart from "I was called wrong" (2), "the disk
 // failed" (1), and "this is a decompression bomb" (5).
 
@@ -24,12 +26,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/timer.h"
 #include "metrics/metrics.h"
+#include "sperr/pipeline.h"
 #include "sperr/recovery.h"
 #include "sperr/sperr.h"
 
@@ -248,10 +253,23 @@ int compress_field(const Args& args) {
   } else {
     usage("pick a quality mode: --pwe, --idx, --bpp or --rmse");
   }
+  if (const char* why = sperr::pipeline::config_error(args.dims, cfg)) usage(why);
 
   sperr::Timer timer;
   sperr::Stats stats;
-  const auto blob = sperr::compress(field.data(), args.dims, cfg, &stats);
+  std::vector<uint8_t> blob;
+  try {
+    blob = sperr::compress(field.data(), args.dims, cfg, &stats);
+  } catch (const std::invalid_argument& e) {
+    // The options passed config_error, so the field holds a NaN or Inf;
+    // the library's message names its index.
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitCorrupt;
+  } catch (const std::bad_alloc&) {
+    std::fprintf(stderr, "error: out of memory compressing %s\n",
+                 args.positional[1].c_str());
+    return kExitResource;
+  }
   const double secs = timer.seconds();
   write_file(args.positional[2], blob.data(), blob.size());
 
