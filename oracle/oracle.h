@@ -26,8 +26,9 @@
 namespace sperr::speck {
 
 /// The recursive SPECK coder: same stream bytes, EncodeStats (minus the
-/// per-pass timings it does not record) and recon export as speck::encode,
-/// for every input, mode and size.
+/// per-pass records it does not keep) and recon export as speck::encode,
+/// for every input, mode and size. Like speck::encode, a budgeted encode
+/// clears `recon_out`.
 std::vector<uint8_t> encode_reference(const double* coeffs,
                                       Dims dims,
                                       double q,

@@ -39,7 +39,6 @@ class RefEncoder {
       neg_[i] = std::signbit(c);
       const double m = std::fabs(c) / q;
       mag_[i] = m;
-      if (!(m > 1.0)) dead_sq_ += m * m;  // dead zone, in index order
       if (m > max_m) max_m = m;
     }
     // Top bitplane: the largest n >= 0 with 2^n < max magnitude. If even the
@@ -49,28 +48,6 @@ class RefEncoder {
       n_max_ = 0;
       while (std::ldexp(1.0, n_max_ + 1) < max_m) ++n_max_;
     }
-  }
-
-  /// Coefficient-domain RMSE of the quantization, from encoder state only:
-  /// coded coefficients err by |mag - recon|, never-coded ones by their full
-  /// magnitude (they reconstruct to zero). Never-coded means the dead zone
-  /// (summed at construction) plus, when the budget stopped the coder,
-  /// significant coefficients it never reached (added here, index order).
-  [[nodiscard]] double estimated_rmse() const {
-    std::vector<uint8_t> coded(dims_.total(), 0);
-    double coded_sq = 0.0;
-    auto account = [&](const SigEntry& p) {
-      const double e = mag_[p.idx] - p.recon;
-      coded_sq += e * e;
-      coded[p.idx] = 1;
-    };
-    for (const auto& p : lsp_) account(p);
-    for (const auto& p : lnsp_) account(p);
-    double dead_sq = dead_sq_;
-    for (size_t i = 0; i < mag_.size(); ++i)
-      if (mag_[i] > 1.0 && !coded[i]) dead_sq += mag_[i] * mag_[i];
-    const size_t n = dims_.total();
-    return n ? q_ * std::sqrt((dead_sq + coded_sq) / double(n)) : 0.0;
   }
 
   /// Fill `out` with the reconstruction a decoder of the full stream
@@ -109,7 +86,6 @@ class RefEncoder {
       stats->payload_bits = bw_.bit_count();
       stats->planes_coded = planes_;
       stats->significant_count = lsp_.size() + lnsp_.size();
-      stats->estimated_coeff_rmse = estimated_rmse();
     }
 
     std::vector<uint8_t> out;
@@ -213,7 +189,6 @@ class RefEncoder {
   bool budget_hit_ = false;
 
   std::vector<double> mag_;  ///< |coeff| / q
-  double dead_sq_ = 0.0;     ///< sum of mag^2 over the dead zone
   std::vector<uint8_t> neg_;
   int32_t n_max_ = -1;
   size_t planes_ = 0;
@@ -352,7 +327,10 @@ std::vector<uint8_t> encode_reference(const double* coeffs,
                                       std::vector<double>* recon_out) {
   RefEncoder enc(coeffs, dims, q, budget_bits);
   auto stream = enc.run(stats);
-  if (recon_out) enc.export_recon(*recon_out);
+  if (recon_out && budget_bits)
+    recon_out->clear();
+  else if (recon_out)
+    enc.export_recon(*recon_out);
   return stream;
 }
 

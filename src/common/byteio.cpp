@@ -59,7 +59,8 @@ double ByteReader::f64() {
 }
 
 const uint8_t* ByteReader::raw(size_t n) {
-  if (pos_ + n > size_) { ok_ = false; return nullptr; }
+  // Written as a subtraction: pos_ + n wraps for a declared length near 2^64.
+  if (n > remaining()) { ok_ = false; return nullptr; }
   const uint8_t* p = data_ + pos_;
   pos_ += n;
   return p;

@@ -32,8 +32,8 @@
 //     the coefficients.
 //   * Deterministic intra-chunk parallelism (threads > 1): each bucket's
 //     entries are partitioned into fixed, word-aligned contiguous lanes;
-//     every lane sweeps its slice into private bit/arrival/LSP/error
-//     buffers, and the per-lane outputs merge in lane order. Lane
+//     every lane sweeps its slice into private bit/arrival/LSP buffers,
+//     and the per-lane outputs merge in lane order. Lane
 //     concatenation reproduces the serial entry order exactly, so the
 //     stream is byte-identical at every thread count. (Safe because a
 //     descent from bucket d only spawns entries for strictly deeper
@@ -41,8 +41,9 @@
 //   * Size-bounded mode is the same sweep, stopped after the first whole
 //     plane that reaches the bit budget; the payload is then cut at the
 //     budget bit (the stream is embedded, so the cut is a valid prefix) and
-//     the cut-time statistics are derived from each entry's bit positions
-//     (apply_cut).
+//     that plane's pass records are clipped to it. The encoder keeps no
+//     other books on a cut: its reconstruction is what speck::decode
+//     returns for the cut stream.
 //
 // Timing of each plane's sorting / significance-scan / refinement phases is
 // recorded into EncodeStats::passes for `bench_micro --speck_json`.
@@ -115,8 +116,7 @@ uint64_t magnitude_of(double m) {
 /// magnitude m found significant at plane n: the residual r = m - 2^n walks
 /// planes n-1 .. 0, each emitting `r > 2^b` (subtracting 2^b on a 1) and
 /// moving the recon, seeded at the interval center 1.5 * 2^n, by +/- 2^b/2.
-/// `visit(b, bit)` sees each bit before it takes effect and returns false to
-/// stop the walk there. Returns the recon after the last applied bit.
+/// `visit(b, bit)` sees each bit; returns the final recon.
 ///
 /// Up to plane kClosedFormPlanes the walk has a closed form. Every
 /// subtraction is exact (Sterbenz), so the bits are the binary digits of
@@ -133,7 +133,7 @@ double refine_walk(double m, int32_t n, Visit&& visit) {
   for (int32_t b = n - 1; b >= 0; --b) {
     const double thrd = std::ldexp(1.0, b);
     const bool bit = r > thrd;
-    if (!visit(b, bit)) break;
+    visit(b, bit);
     if (bit) r -= thrd;
     recon += bit ? thrd / 2.0 : -thrd / 2.0;
   }
@@ -179,7 +179,6 @@ void put_plane_bits(const Mag* k, size_t count, int32_t n, WordBitWriter& bw) {
 /// What the encoder learns from one linear pass over the coefficients,
 /// before any structure is built.
 struct Scan {
-  double dead_sq = 0.0;    ///< sum of m^2 over the dead zone, index order
   size_t significant = 0;  ///< coefficients outside the dead zone
   int32_t n_max = -1;      ///< top bitplane (kDeadPlane when none)
 };
@@ -187,13 +186,9 @@ struct Scan {
 Scan scan_coefficients(const double* coeffs, size_t n, double q) {
   Scan s;
   double top = 0.0;
-  // Branch-free: adding +0.0 leaves the sum bit-identical, and NaN lands
-  // in the dead-zone sum as in the oracle.
   for (size_t i = 0; i < n; ++i) {
     const double m = std::fabs(coeffs[i]) / q;
-    const bool sig = m > 1.0;
-    s.significant += sig;
-    s.dead_sq += sig ? 0.0 : m * m;
+    s.significant += m > 1.0;
     top = m > top ? m : top;
   }
   // plane_of(max m) == max plane_of(m): the top plane is the largest n
@@ -211,7 +206,7 @@ class Encoder {
   Encoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
           int threads, const Scan& scan)
       : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits),
-        dead_sq_(scan.dead_sq), n_max_(scan.n_max) {
+        n_max_(scan.n_max) {
     if (n_max_ >= 0) {
       SetTreeCache::Lease lease = SetTreeCache::shared().get(dims);
       tree_ = std::move(lease.tree);
@@ -219,7 +214,7 @@ class Encoder {
       gather_leaves();
       lsp_.reserve(scan.significant);
     }
-    // Budgeted mode tracks the global bit position of every sign bit
+    // Budgeted mode reads the global bit position of every sign bit
     // (sweep_found_significant), so it sweeps serially.
     threads_ = budget_ ? 1 : resolve_thread_count(threads);
   }
@@ -231,8 +226,14 @@ class Encoder {
     size_t nbits = wbw_.bit_count();
     const bool cut = budget_ && nbits >= budget_;
     if (cut) {
+      // Only the last plane reaches the budget (run_sweeps stops there):
+      // clip its pass records so that they still sum to the payload.
+      PassTiming& last = pass_times_.back();
+      const uint64_t over = nbits - budget_;
+      const uint64_t ref_over = std::min<uint64_t>(over, last.refinement_bits);
+      last.refinement_bits -= ref_over;
+      last.sorting_bits -= over - ref_over;
       nbits = budget_;
-      apply_cut();
     }
     const size_t significant = cut ? kept_ : lsp_.size();
 
@@ -249,13 +250,12 @@ class Encoder {
     tree_.reset();
     planes_.reset();
     leaf_val_.reset();
-    leaf_idx_.reset();
     lsp_ = {};
     buckets_ = {};
     lanes_ = {};
     wbw_ = {};
-    if (recon_out && cut)
-      export_cut(*recon_out);
+    if (recon_out && budget_)
+      recon_out->clear();
     else if (recon_out)
       export_recon(*recon_out);
 
@@ -263,7 +263,6 @@ class Encoder {
       stats->payload_bits = nbits;
       stats->planes_coded = pass_times_.size();
       stats->significant_count = significant;
-      stats->estimated_coeff_rmse = estimated_rmse();
       stats->passes = std::move(pass_times_);
       stats->setup_s = setup_s;
       stats->tree_build_s = build_s_;
@@ -308,14 +307,11 @@ class Encoder {
     std::vector<Bucket>* spill = nullptr;  ///< per-depth arrival dest
     std::vector<Mag>* lsp = nullptr;       ///< K per discovery, LSP order
     std::vector<WordBitWriter>* ref = nullptr;  ///< deep-prefix bits per plane
-    std::vector<double>* errs = nullptr;  ///< squared coded errors (null:
-                                          ///< summed into coded_sq_ directly)
     std::vector<SweepFrame> frames;  ///< descent stack (always private)
     WordBitWriter local_bw;
     std::vector<Bucket> local_spill;
     std::vector<Mag> local_lsp;
     std::vector<WordBitWriter> local_ref;
-    std::vector<double> local_errs;
     double significance_s = 0.0;  ///< this bucket's packed-scan time
   };
 
@@ -331,17 +327,13 @@ class Encoder {
 
   /// One reverse sweep over the tree's sets, children before parents: each
   /// leaf child's c / q lands at its DFS ordinal (the scaled coefficient
-  /// gives discovery its sign and magnitude), budgeted mode keeps the way
-  /// back from ordinal to linear index, and every set's max plane folds
-  /// from its children's.
+  /// gives discovery its sign and magnitude), and every set's max plane
+  /// folds from its children's.
   void gather_leaves() {
-    const size_t n = dims_.total();
-    leaf_val_.reset(new double[n]);
-    if (budget_) leaf_idx_.reset(new uint32_t[n]);
+    leaf_val_.reset(new double[dims_.total()]);
     const auto leaf = [this](uint32_t ord, uint32_t idx) {
       const double s = coeffs_[idx] / q_;
       leaf_val_[ord] = s;
-      if (budget_) leaf_idx_[ord] = idx;
       return plane_of(std::fabs(s));
     };
     const SetTree& tree = *tree_;
@@ -361,15 +353,6 @@ class Encoder {
                               : planes_[set++]);
       planes_[i] = mx;
     }
-  }
-
-  /// Coefficient-domain RMSE of the quantization: never-coded coefficients
-  /// err by their full magnitude, coded ones by |m - recon|. The two sums
-  /// stay apart — folding them into one running total of m^2 minus the
-  /// coded m^2 cancels catastrophically when nearly everything is coded.
-  [[nodiscard]] double estimated_rmse() const {
-    const size_t n = dims_.total();
-    return n ? q_ * std::sqrt((dead_sq_ + coded_sq_) / double(n)) : 0.0;
   }
 
   /// Every significant coefficient was coded through plane 0, so its recon
@@ -410,20 +393,9 @@ class Encoder {
       for (size_t k = 0; k < n; ++k) {
         const double m = mag(k);
         if (!(m > kDeepMagnitude)) continue;
-        const double r =
-            refine_walk(m, plane_of(m), [](int32_t, bool) { return true; });
+        const double r = refine_walk(m, plane_of(m), [](int32_t, bool) {});
         o[k] = std::copysign(r, coeffs_[k]) * q_;
       }
-  }
-
-  /// A budget cut leaves the kept entries partially refined (apply_cut).
-  void export_cut(std::vector<double>& out) const {
-    out.assign(dims_.total(), 0.0);
-    for (size_t j = 0; j < lsp_idx_.size(); ++j) {
-      const uint32_t idx = lsp_idx_[j];
-      const double r = cut_recon_[j];
-      out[idx] = (std::signbit(coeffs_[idx]) ? -r : r) * q_;
-    }
   }
 
   void run_sweeps() {
@@ -446,7 +418,6 @@ class Encoder {
         ln.lsp = &ln.local_lsp;
         ln.local_ref.resize(ref_streams_.size());
         ln.ref = &ln.local_ref;
-        ln.errs = &ln.local_errs;
       }
     }
 
@@ -528,8 +499,6 @@ class Encoder {
     }
     lsp_.insert(lsp_.end(), ln.local_lsp.begin(), ln.local_lsp.end());
     ln.local_lsp.clear();
-    for (const double e2 : ln.local_errs) coded_sq_ += e2;
-    ln.local_errs.clear();
     for (size_t b = 0; b < ln.local_ref.size() && b < size_t(n); ++b) {
       WordBitWriter& src = ln.local_ref[b];
       if (src.bit_count()) {
@@ -710,41 +679,28 @@ class Encoder {
   }
 
   /// A coefficient turning significant at plane n has magnitude
-  /// m in (2^n, 2^(n+1)]; its refinement bits at planes n-1 .. 0 and its
-  /// final recon follow from m alone (refine_walk). Up to plane
-  /// kClosedFormPlanes both are read off K = magnitude_of(m), which joins
-  /// the LSP for the refinement passes to pull bits from; above it the walk
-  /// writes its bits into the per-plane deep-prefix streams at once and the
-  /// LSP slot is a placeholder. The squared coded error joins the running
-  /// sum in LSP order, as the oracle sums it.
+  /// m in (2^n, 2^(n+1)]; its refinement bits at planes n-1 .. 0 follow
+  /// from m alone (refine_walk). Up to plane kClosedFormPlanes they are read
+  /// off K = magnitude_of(m), which joins the LSP for the refinement passes
+  /// to pull bits from; above it the walk writes its bits into the
+  /// per-plane deep-prefix streams at once and the LSP slot is a
+  /// placeholder.
   void sweep_found_significant(uint32_t ord, int32_t n, Lane& lane) {
     const double s = leaf_val_[ord];
     lane.bw->put_bits(uint64_t(std::signbit(s)), 1);
     const double m = std::fabs(s);
-    double recon;
     if (n > kClosedFormPlanes) {
       auto& refs = *lane.ref;
-      recon = refine_walk(m, n, [&](int32_t b, bool bit) {
+      refine_walk(m, n, [&](int32_t b, bool bit) {
         refs[size_t(b)].put_bits(uint64_t(bit), 1);
-        return true;
       });
       lane.lsp->push_back(0);
     } else {
-      const uint64_t k = magnitude_of(m);
-      lane.lsp->push_back(Mag(k));
-      recon = double(k) + 0.5;
+      lane.lsp->push_back(Mag(magnitude_of(m)));
     }
-    const double e = m - recon;
-    if (lane.errs)
-      lane.errs->push_back(e * e);
-    else
-      coded_sq_ += e * e;
     // Budgeted mode is serial, so the lane writes the master stream and its
     // bit count is this sign bit's global position + 1.
-    if (budget_) {
-      lsp_idx_.push_back(leaf_idx_[ord]);
-      if (lane.bw->bit_count() < budget_) kept_ = lsp_idx_.size();
-    }
+    if (budget_ && lane.bw->bit_count() < budget_) kept_ = lsp_.size();
   }
 
   /// Emit plane n's refinement bits in LSP order: the deep prefix's bits,
@@ -762,57 +718,11 @@ class Encoder {
       put_plane_bits(lsp_.data() + deep_, refined - deep_, n, wbw_);
   }
 
-  /// Bring the encoder state to what a coder stopping on the budget bit
-  /// holds: that last bit's update is skipped, so only bits at positions
-  /// below budget_ - 1 take effect. A coefficient whose sign bit falls at or
-  /// past that point is dropped (its magnitude joins the dead-zone sum), a
-  /// kept one is refined by exactly the bits before it, and the pass
-  /// records are clipped to the payload. Plane b's refinement pass lists
-  /// the LSP in discovery order, so entry j's bit there sits at that pass's
-  /// start + j.
-  void apply_cut() {
-    const uint64_t limit = budget_ - 1;
-    std::vector<uint64_t> ref_start(size_t(n_max_) + 1, UINT64_MAX);
-    uint64_t pos = 0;
-    size_t passes = 0;
-    for (PassTiming& pt : pass_times_) {
-      if (pos >= budget_) break;
-      ref_start[size_t(pt.plane)] = pos + pt.sorting_bits;
-      pt.sorting_bits = std::min<uint64_t>(pt.sorting_bits, budget_ - pos);
-      pos += pt.sorting_bits;
-      pt.refinement_bits = std::min<uint64_t>(pt.refinement_bits, budget_ - pos);
-      pos += pt.refinement_bits;
-      ++passes;
-    }
-    pass_times_.resize(passes);
-
-    lsp_idx_.resize(kept_);
-    cut_recon_.resize(kept_);
-    coded_sq_ = 0.0;
-    PackedBits coded(dims_.total());
-    for (size_t j = 0; j < kept_; ++j) {
-      const double m = mag(lsp_idx_[j]);
-      // j < limit: every kept entry's sign bit, and j before it, precede it.
-      cut_recon_[j] = refine_walk(m, plane_of(m), [&](int32_t b, bool) {
-        return ref_start[size_t(b)] < limit - j;
-      });
-      const double e = m - cut_recon_[j];
-      coded_sq_ += e * e;
-      coded.set(lsp_idx_[j]);
-    }
-    for (size_t i = 0; i < dims_.total(); ++i) {
-      const double m = mag(i);
-      if (m > 1.0 && !coded.get(i)) dead_sq_ += m * m;
-    }
-  }
-
   const double* coeffs_;
   Dims dims_;
   double q_;
   size_t budget_;
 
-  double dead_sq_ = 0.0;   ///< sum of m^2 over never-coded coefficients
-  double coded_sq_ = 0.0;  ///< sum of (m - recon)^2 over the LSP, in order
   int32_t n_max_ = -1;
   std::vector<PassTiming> pass_times_;
 
@@ -820,7 +730,6 @@ class Encoder {
   double build_s_ = 0.0;  ///< seconds this call spent building tree_
   std::unique_ptr<int16_t[]> planes_;   ///< max plane per tree node id
   std::unique_ptr<double[]> leaf_val_;  ///< c / q per leaf ordinal
-  std::unique_ptr<uint32_t[]> leaf_idx_;  ///< budgeted: linear index per ordinal
 
   int threads_ = 1;
   std::unique_ptr<TaskPool> pool_;  ///< non-null only when threads_ > 1
@@ -834,9 +743,7 @@ class Encoder {
   size_t deep_ = 0;       ///< LSP prefix found above kClosedFormPlanes
   std::vector<WordBitWriter> ref_streams_;  ///< deep-prefix bits per plane
 
-  std::vector<uint32_t> lsp_idx_;   ///< budgeted: linear index, LSP order
-  std::vector<double> cut_recon_;   ///< budgeted cut: recon of kept entries
-  size_t kept_ = 0;  ///< budgeted: entries whose sign bit precedes the last bit
+  size_t kept_ = 0;  ///< budgeted: LSP entries whose sign bit precedes the last bit
   WordBitWriter wbw_;  ///< master stream
 };
 

@@ -36,13 +36,9 @@ struct PassTiming {
 struct EncodeStats {
   size_t payload_bits = 0;     ///< bits in the SPECK payload (excl. header)
   size_t planes_coded = 0;     ///< bitplanes fully or partially emitted
-  size_t significant_count = 0;  ///< coefficients outside the dead zone
-
-  /// RMSE of the quantized coefficients vs the input coefficients, computed
-  /// from encoder state alone. Because the CDF 9/7 basis is near-orthogonal
-  /// and ~unit-norm, this estimates the *reconstruction* RMSE without any
-  /// inverse transform (paper §III-A and the §VII average-error extension).
-  double estimated_coeff_rmse = 0.0;
+  /// Coefficients coded significant: outside the dead zone, or in
+  /// size-bounded mode those whose sign bit precedes the budget bit.
+  size_t significant_count = 0;
 
   /// Per-bitplane pass costs, top plane first, one per plane in
   /// planes_coded; in size-bounded mode the bit counts are clipped to the
@@ -71,8 +67,9 @@ struct EncodeStats {
 /// `recon_out`, when non-null, receives the encoder's coefficient
 /// reconstruction (resized to dims.total()), so the SPERR pipeline can
 /// locate outliers without decoding its own stream (paper §V-C stage 3 is
-/// just an inverse transform plus a comparison). Unbudgeted, it equals the
-/// decoder's output; a budgeted stream's last bit is not applied to it.
+/// just an inverse transform plus a comparison). It equals the decoder's
+/// output. A budgeted encode clears it: the reconstruction of a cut stream
+/// is what speck::decode returns for that stream.
 ///
 /// `threads` enables deterministic intra-chunk parallelism: each bitplane's
 /// worklists are partitioned into fixed contiguous lanes whose outputs merge

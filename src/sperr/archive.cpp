@@ -59,42 +59,43 @@ Status Reader::open(const uint8_t* data, size_t size, Reader& out) {
     const uint8_t* name = br.raw(name_len);
     const uint64_t blob_len = br.u64();
     if (!br.ok() || !name || name_len == 0) return Status::truncated_stream;
-    const uint8_t* blob = br.raw(blob_len);
+    if (blob_len > br.remaining()) return Status::truncated_stream;
+    const uint8_t* blob = br.raw(size_t(blob_len));
     if (!blob) return Status::truncated_stream;
     out.names_.emplace_back(reinterpret_cast<const char*>(name), name_len);
-    out.blobs_.emplace_back(blob, blob + blob_len);
+    out.blobs_.emplace_back(blob, size_t(blob_len));
   }
   return Status::ok;
 }
 
 Status Reader::extract(const std::string& name, std::vector<double>& out,
                        Dims& dims, const ResourceLimits* limits) const {
-  const auto* blob = container(name);
-  if (!blob) return Status::invalid_argument;
-  return decompress(blob->data(), blob->size(), out, dims, limits);
+  const auto blob = container(name);
+  if (!blob.data()) return Status::invalid_argument;
+  return decompress(blob.data(), blob.size(), out, dims, limits);
 }
 
 Status Reader::extract_tolerant(const std::string& name, Recovery policy,
                                 std::vector<double>& out, Dims& dims,
                                 DecodeReport* report,
                                 const ResourceLimits* limits) const {
-  const auto* blob = container(name);
-  if (!blob) return Status::invalid_argument;
-  return decompress_tolerant(blob->data(), blob->size(), policy, out, dims, report,
+  const auto blob = container(name);
+  if (!blob.data()) return Status::invalid_argument;
+  return decompress_tolerant(blob.data(), blob.size(), policy, out, dims, report,
                              limits);
 }
 
 Status Reader::verify(const std::string& name, DecodeReport* report,
                       const ResourceLimits* limits) const {
-  const auto* blob = container(name);
-  if (!blob) return Status::invalid_argument;
-  return verify_container(blob->data(), blob->size(), report, limits);
+  const auto blob = container(name);
+  if (!blob.data()) return Status::invalid_argument;
+  return verify_container(blob.data(), blob.size(), report, limits);
 }
 
-const std::vector<uint8_t>* Reader::container(const std::string& name) const {
+std::span<const uint8_t> Reader::container(const std::string& name) const {
   const auto it = std::find(names_.begin(), names_.end(), name);
-  if (it == names_.end()) return nullptr;
-  return &blobs_[size_t(it - names_.begin())];
+  if (it == names_.end()) return {};
+  return blobs_[size_t(it - names_.begin())];
 }
 
 }  // namespace sperr::archive

@@ -13,6 +13,7 @@
 // variables can be extracted and decompressed without touching the rest.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,8 +50,8 @@ class Writer {
 
 class Reader {
  public:
-  /// Parse an archive produced by Writer::finish. Entries reference the
-  /// caller's buffer — it must outlive the Reader.
+  /// Parse an archive produced by Writer::finish. Entries are views into
+  /// the caller's buffer, not copies — it must outlive the Reader.
   static Status open(const uint8_t* data, size_t size, Reader& out);
 
   [[nodiscard]] const std::vector<std::string>& names() const { return names_; }
@@ -75,12 +76,14 @@ class Reader {
   Status verify(const std::string& name, DecodeReport* report = nullptr,
                 const ResourceLimits* limits = nullptr) const;
 
-  /// Raw container bytes for one variable (for re-bundling / inspection).
-  [[nodiscard]] const std::vector<uint8_t>* container(const std::string& name) const;
+  /// Raw container bytes for one variable (for re-bundling / inspection):
+  /// a view into the buffer given to open(), whose data() is null when no
+  /// variable has that name.
+  [[nodiscard]] std::span<const uint8_t> container(const std::string& name) const;
 
  private:
   std::vector<std::string> names_;
-  std::vector<std::vector<uint8_t>> blobs_;
+  std::vector<std::span<const uint8_t>> blobs_;
 };
 
 }  // namespace sperr::archive

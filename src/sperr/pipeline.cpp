@@ -24,6 +24,8 @@ const char* config_error(Dims dims, const Config& cfg) {
   if (cfg.mode == Mode::pwe && !(cfg.q_over_t > 0.0)) return "q_over_t must be > 0";
   if (cfg.mode == Mode::pwe && !(cfg.q_over_t * cfg.tolerance > 0.0))
     return "q_over_t * tolerance underflows to 0";
+  if (cfg.chunk_dims.x == 0 || cfg.chunk_dims.y == 0 || cfg.chunk_dims.z == 0)
+    return "chunk_dims has a zero extent";
   if (largest_chunk(dims, cfg.chunk_dims).total() >= speck::kMaxCoefficients)
     return "chunk of 2^31 voxels or more (reduce chunk_dims)";
   return nullptr;

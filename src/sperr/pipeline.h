@@ -23,8 +23,8 @@
 namespace sperr::pipeline {
 
 /// Why `cfg` cannot compress a `dims` volume, or nullptr when it can: an
-/// empty volume, a mode parameter out of range, or a chunk of
-/// speck::kMaxCoefficients voxels or more. The shared validation of
+/// empty volume, a mode parameter out of range, a zero extent in
+/// chunk_dims, or a chunk of speck::kMaxCoefficients voxels or more. The shared validation of
 /// sperr::compress (which throws std::invalid_argument with the reason) and
 /// outofcore::compress_file (which returns Status::invalid_argument), run
 /// before either reads any input.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "data/synthetic.h"
 #include "sperr/sperr.h"
@@ -82,11 +84,11 @@ TEST(Archive, RebundleExtractedContainer) {
 
   Reader r1;
   ASSERT_EQ(Reader::open(blob1.data(), blob1.size(), r1), Status::ok);
-  const auto* container = r1.container("fuel");
-  ASSERT_NE(container, nullptr);
+  const auto container = r1.container("fuel");
+  ASSERT_NE(container.data(), nullptr);
 
   Writer w2;
-  w2.add_container("fuel_copy", *container);
+  w2.add_container("fuel_copy", {container.begin(), container.end()});
   const auto blob2 = w2.finish();
   Reader r2;
   ASSERT_EQ(Reader::open(blob2.data(), blob2.size(), r2), Status::ok);
@@ -94,6 +96,30 @@ TEST(Archive, RebundleExtractedContainer) {
   Dims od;
   ASSERT_EQ(r2.extract("fuel_copy", out, od), Status::ok);
   EXPECT_EQ(od, dims);
+}
+
+TEST(Archive, ContainersAreViewsIntoTheCallersBuffer) {
+  const Dims dims{16, 16, 8};
+  const auto field = data::s3d_ch4(dims);
+  Config cfg;
+  cfg.tolerance = 1e-4;
+  Writer w;
+  w.add("fuel", field.data(), dims, cfg);
+  w.add("fuel2", field.data(), dims, cfg);
+  const auto blob = w.finish();
+
+  Reader r;
+  ASSERT_EQ(Reader::open(blob.data(), blob.size(), r), Status::ok);
+  const uint8_t* end = blob.data() + blob.size();
+  for (const std::string& name : r.names()) {
+    const auto view = r.container(name);
+    ASSERT_NE(view.data(), nullptr) << name;
+    EXPECT_GT(view.size(), 0u) << name;
+    EXPECT_GE(view.data(), blob.data()) << name;
+    EXPECT_LE(view.data() + view.size(), end) << name;
+  }
+  EXPECT_EQ(r.container("missing").data(), nullptr);
+  EXPECT_TRUE(r.container("missing").empty());
 }
 
 TEST(Archive, EmptyArchiveIsValid) {
@@ -121,6 +147,26 @@ TEST(Archive, GarbageAndTruncationRejected) {
     Reader rr;
     EXPECT_NE(Reader::open(blob.data(), std::min<size_t>(keep, blob.size()), rr),
               Status::ok);
+  }
+}
+
+TEST(Archive, OversizedBlobLengthIsTruncation) {
+  const Dims dims{8, 8, 8};
+  std::vector<double> f(dims.total(), 2.0);
+  Config cfg;
+  cfg.tolerance = 1e-3;
+  Writer w;
+  w.add("x", f.data(), dims, cfg);
+  auto blob = w.finish();
+  // Framing: magic u32, count u32, name_len u16, name "x", blob_len u64.
+  const size_t len_at = 4 + 4 + 2 + 1;
+  for (const uint64_t k : {0ull, 9ull, 10ull, 11ull, 1000ull}) {
+    const uint64_t declared = UINT64_MAX - k;
+    for (int i = 0; i < 8; ++i) blob[len_at + i] = uint8_t(declared >> (8 * i));
+    Reader r;
+    EXPECT_EQ(Reader::open(blob.data(), blob.size(), r), Status::truncated_stream)
+        << "blob_len = UINT64_MAX - " << k;
+    EXPECT_TRUE(r.names().empty());
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 namespace sperr {
 namespace {
@@ -52,6 +53,14 @@ TEST(ByteIo, RawViewAndOverrun) {
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p[2], 3);
   EXPECT_EQ(br.raw(3), nullptr);  // only 2 left
+  EXPECT_FALSE(br.ok());
+}
+
+TEST(ByteIo, RawRefusesLengthThatWrapsThePosition) {
+  std::vector<uint8_t> buf = {1, 2, 3, 4, 5};
+  ByteReader br(buf.data(), buf.size());
+  (void)br.u16();
+  EXPECT_EQ(br.raw(SIZE_MAX - 1), nullptr);  // pos_ + n would wrap to 0
   EXPECT_FALSE(br.ok());
 }
 

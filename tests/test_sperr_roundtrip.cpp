@@ -1,13 +1,18 @@
 #include "sperr/sperr.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "data/synthetic.h"
+#include "sperr/outofcore.h"
 
 namespace sperr {
 namespace {
@@ -301,6 +306,35 @@ TEST(SperrRoundTrip, ChunkBeyondSpeckLimitRejectedBeforeInputIsRead) {
   cfg.chunk_dims = Dims{2048, 1024, 1000};
   EXPECT_THROW((void)compress(static_cast<const double*>(nullptr), dims, cfg),
                std::invalid_argument);
+}
+
+TEST(SperrRoundTrip, ZeroChunkExtentRejected) {
+  // The chunker would clamp a zero extent to one-voxel chunks; the shared
+  // validation refuses it instead, in memory and out of core alike.
+  const Dims dims{16, 12, 8};
+  const auto field = data::miranda_pressure(dims);
+  const std::string raw = testing::TempDir() + "sperr_zero_chunk_" +
+                          std::to_string(::getpid()) + ".raw";
+  const std::string packed = raw + ".sperr";
+  {
+    std::ofstream f(raw, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(field.data()),
+            std::streamsize(field.size() * sizeof(double)));
+  }
+  Config cfg;
+  cfg.tolerance = 1e-3;
+  cfg.chunk_dims = {8, 8, 8};
+  EXPECT_NO_THROW((void)compress(field.data(), dims, cfg));
+  EXPECT_EQ(outofcore::compress_file(raw, dims, 8, cfg, packed), Status::ok);
+  for (const Dims chunk : {Dims{0, 0, 0}, Dims{0, 8, 8}, Dims{8, 0, 8}, Dims{8, 8, 0}}) {
+    SCOPED_TRACE("chunk " + chunk.to_string());
+    cfg.chunk_dims = chunk;
+    EXPECT_THROW((void)compress(field.data(), dims, cfg), std::invalid_argument);
+    EXPECT_EQ(outofcore::compress_file(raw, dims, 8, cfg, packed),
+              Status::invalid_argument);
+  }
+  std::remove(raw.c_str());
+  std::remove(packed.c_str());
 }
 
 TEST(SperrRoundTrip, NonFiniteInputRejected) {

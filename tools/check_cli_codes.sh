@@ -73,6 +73,14 @@ expect 2 "bad --recover value" -- "$SPERR_CC" d "$WORK/a.sperr" "$WORK/a.raw" \
   --recover sideways
 expect 2 "non-positive --q-over-t" -- "$SPERR_CC" c "$WORK/field.raw" "$WORK/b.sperr" \
   --dims 48 48 24 --type f64 --idx 18 --q-over-t -1
+# A zero chunk extent would code one-voxel chunks; a non-numeric one used to
+# read as 0. Both are refused.
+expect 2 "zero --chunk extents" -- "$SPERR_CC" c "$WORK/field.raw" "$WORK/b.sperr" \
+  --dims 48 48 24 --type f64 --idx 18 --chunk 0 0 0
+expect 2 "non-numeric --chunk" -- "$SPERR_CC" c "$WORK/field.raw" "$WORK/b.sperr" \
+  --dims 48 48 24 --type f64 --idx 18 --chunk abc
+expect 2 "non-numeric --idx" -- "$SPERR_CC" c "$WORK/field.raw" "$WORK/b.sperr" \
+  --dims 48 48 24 --type f64 --idx 18x
 
 # --- exit 1: I/O errors ------------------------------------------------------
 expect 1 "missing input file" -- "$SPERR_CC" d "$WORK/nonexistent.sperr" "$WORK/x.raw"
@@ -136,6 +144,9 @@ expect 5 "decompress past --max-output-mb" -- "$SPERR_CC" d "$WORK/big.sperr" \
   "$WORK/big_out.raw" --max-output-mb 1
 expect 0 "decompress within --max-output-mb" -- "$SPERR_CC" d "$WORK/big.sperr" \
   "$WORK/big_out.raw" --max-output-mb 16
+# 2^44 MiB is 2^64 bytes: a ceiling that would wrap to 0 is a usage error.
+expect 2 "--max-output-mb past 2^64 bytes" -- "$SPERR_CC" d "$WORK/big.sperr" \
+  "$WORK/big_out.raw" --max-output-mb 17592186044416
 
 # --- recovery: damaged archive, zero-fill still succeeds ---------------------
 expect 0 "decompress --recover zero" -- "$SPERR_CC" d "$WORK/bad.sperr" \

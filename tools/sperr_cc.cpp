@@ -22,6 +22,9 @@
 // "the file is damaged" (3) apart from "I was called wrong" (2), "the disk
 // failed" (1), and "this is a decompression bomb" (5).
 
+#include <cerrno>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -66,6 +69,24 @@ constexpr int kExitResource = 5;
                "  L times, as often as every chunk allows.\n",
                sperr::Config{}.chunk_dims.to_string().c_str());
   std::exit(kExitUsage);
+}
+
+/// Numeric options parse strictly: a token that is not wholly a number in
+/// [lo, hi] is a usage error, never a silent 0.
+long long parse_int(const char* v, const char* what, long long lo, long long hi) {
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || n < lo || n > hi) usage(what);
+  return n;
+}
+
+double parse_double(const char* v, const char* what) {
+  char* end = nullptr;
+  errno = 0;
+  const double x = std::strtod(v, &end);
+  if (end == v || *end != '\0' || errno == ERANGE) usage(what);
+  return x;
 }
 
 std::vector<uint8_t> read_file(const std::string& path) {
@@ -133,41 +154,50 @@ struct Args {
         if (++i >= argc) usage(what);
         return argv[i];
       };
+      auto next_int = [&](const char* what) {
+        return int(parse_int(next(what), what, INT_MIN, INT_MAX));
+      };
+      auto next_size = [&](const char* what) {  // a count or extent
+        return size_t(parse_int(next(what), what, 0, LLONG_MAX));
+      };
+      auto next_double = [&](const char* what) { return parse_double(next(what), what); };
+      // Up to three extents; the ones after the first are optional.
+      auto extents = [&](sperr::Dims& d, const char* what) {
+        d.x = next_size(what);
+        if (i + 1 < argc && argv[i + 1][0] != '-') d.y = next_size(what);
+        if (i + 1 < argc && argv[i + 1][0] != '-') d.z = next_size(what);
+      };
       if (a == "--dims") {
-        dims.x = size_t(std::atoll(next("--dims needs values")));
+        extents(dims, "--dims needs 1 to 3 extents");
         have_dims = true;
-        if (i + 1 < argc && argv[i + 1][0] != '-') dims.y = size_t(std::atoll(argv[++i]));
-        if (i + 1 < argc && argv[i + 1][0] != '-') dims.z = size_t(std::atoll(argv[++i]));
       } else if (a == "--type") {
         type = next("--type needs f32|f64");
       } else if (a == "--pwe") {
-        pwe = std::atof(next("--pwe needs a tolerance"));
+        pwe = next_double("--pwe needs a tolerance");
       } else if (a == "--idx") {
-        idx = std::atoi(next("--idx needs an integer"));
+        idx = next_int("--idx needs an integer");
       } else if (a == "--bpp") {
-        bpp = std::atof(next("--bpp needs a rate"));
+        bpp = next_double("--bpp needs a rate");
       } else if (a == "--rmse") {
-        rmse = std::atof(next("--rmse needs a target"));
+        rmse = next_double("--rmse needs a target");
       } else if (a == "--q-over-t") {
-        q_over_t = std::atof(next("--q-over-t needs a value"));
+        q_over_t = next_double("--q-over-t needs a value");
       } else if (a == "--chunk") {
-        chunk.x = size_t(std::atoll(next("--chunk needs values")));
-        if (i + 1 < argc && argv[i + 1][0] != '-') chunk.y = size_t(std::atoll(argv[++i]));
-        if (i + 1 < argc && argv[i + 1][0] != '-') chunk.z = size_t(std::atoll(argv[++i]));
+        extents(chunk, "--chunk needs 1 to 3 extents");
       } else if (a == "--threads") {
-        threads = std::atoi(next("--threads needs a count"));
+        threads = next_int("--threads needs a count");
       } else if (a == "--intra-threads") {
-        intra_threads = std::atoi(next("--intra-threads needs a count"));
+        intra_threads = next_int("--intra-threads needs a count");
       } else if (a == "--no-lossless") {
         lossless = false;
       } else if (a == "--verify") {
         verify = true;
       } else if (a == "--drop") {
-        drop = size_t(std::atoll(next("--drop needs a level count")));
+        drop = next_size("--drop needs a level count");
       } else if (a == "--max-output-mb") {
-        const long long m = std::atoll(next("--max-output-mb needs a size"));
-        if (m < 0) usage("--max-output-mb must be >= 0");
-        max_output_mb = uint64_t(m);
+        max_output_mb = next_size("--max-output-mb needs a size >= 0");
+        // The ceiling is kept in bytes: a size that overflows them would wrap.
+        if (max_output_mb > (UINT64_MAX >> 20)) usage("--max-output-mb is too large");
       } else if (a == "--recover") {
         set_recover(next("--recover needs a policy"));
       } else if (a.rfind("--recover=", 0) == 0) {
