@@ -12,11 +12,10 @@
 
 namespace sperr::speck {
 
-/// Exclusive upper bound on the coefficients one SPECK stream codes: both
-/// coders' worklist entries are uint32 whose bit 31 tells a single
-/// coefficient (its leaf ordinal or linear index in the low bits) from a
-/// set's node id, and the decoder tags coefficient indices with their sign
-/// in bit 31. The container layer keeps chunks below it
+/// Exclusive upper bound on the coefficients one SPECK stream codes: set
+/// node ids, leaf ordinals and linear indices are uint32, and the decoder
+/// tags a coefficient's linear index in bit 31 (with its kind in a worklist
+/// entry, its sign in the LSP). The container layer keeps chunks below it
 /// (docs/FORMAT.md), speck::encode throws and speck::decode answers
 /// corrupt_stream above it.
 inline constexpr size_t kMaxCoefficients = size_t(1) << 31;

@@ -36,7 +36,7 @@
 #include <cmath>
 #include <memory>
 
-#if defined(__SSE2__)
+#if defined(__SSE2__) && !defined(SPERR_SCALAR)
 #include <emmintrin.h>
 #endif
 
@@ -64,7 +64,7 @@ constexpr int32_t kIntegerPlanes = 50;
 template <class Mag>
 void shift_in(Mag* k, uint64_t w, unsigned count) {
   unsigned i = 0;
-#if defined(__SSE2__)
+#if defined(__SSE2__) && !defined(SPERR_SCALAR)
   constexpr unsigned kLanes = 16 / sizeof(Mag);
   // A 64-bit lane's mask bit sits in both of its 32-bit halves, so the
   // 32-bit compare yields a whole 64-bit all-ones lane.

@@ -2,34 +2,36 @@
 // the paper's embedded stream bit for bit (tests/test_speck_fast.cpp holds
 // it to the recursive oracle coder in oracle/).
 //
-//   * The set hierarchy is the shared, read-only SetTree of the grid's
-//     extents (settree.h, built once per shape), and every set's maximum
-//     significance plane is folded once per call into an array beside it —
-//     the per-plane significance test collapses from a lazy strided box
-//     scan plus a double compare to one int8 load and compare. A single
-//     coefficient has no tree record: it is listed as kLeafTag | its DFS
-//     leaf ordinal, and its plane is read off its value.
-//   * Worklists are stable SoA buckets: an entry's set id and its cached
-//     max plane are appended once and never copied again; a descended
-//     entry is tombstoned (kConsumed) in place. The per-plane sorting
-//     sweep packs each bucket's significance and liveness tests into
-//     64-wide words (SSE2 byte compares where available, a scalar
-//     compare loop otherwise), counts insignificant-set runs with
-//     popcounts over those words, and emits each run as one put_zeros —
-//     the memory traffic per plane is one byte per listed set instead of
-//     a worklist copy. Only significant sets enter the frame-stack
-//     descent (the recursive coder's order, preserving the
-//     deducible-significance rule bit for bit).
-//   * Integer magnitudes in tree leaf order: setup stores every coefficient
-//     scaled by 1/q in the SetTree's DFS leaf order (gather_leaves), so a
-//     discovery reads its neighbour's cache line instead of missing on a
-//     random linear index. A coefficient found at plane n <= 50 is
-//     quantized there, once, to K = ceil(|c|/q) - 1 (its refinement bits
-//     are K's binary digits below n and its final recon is K + 0.5, see
-//     sweep_found_significant), and K joins a contiguous LSP array. A
-//     refinement pass pulls bit n of every earlier entry's K, 48 entries per
-//     put_bits; the PWE recon export recomputes K in one linear pass over
-//     the coefficients.
+//   * Setup quantizes once. A max-|c| pass gives the top plane; then one
+//     reverse sweep over the shared, read-only SetTree of the grid's extents
+//     (settree.h, built once per shape) turns every coefficient into a leaf
+//     word at its DFS leaf ordinal — its sign and K = ceil(|c|/q) - 1, two
+//     coefficients per SSE2 step — and folds every set's maximum
+//     significance plane into an array beside the tree. A leaf's plane is
+//     the bit length of K, less one; a set's plane test is one int8 load and
+//     compare. Words are 32-bit while the top plane is at most 29, else
+//     64-bit (see Encoder).
+//   * Worklists are stable SoA buckets: an entry (a set's node id, or a
+//     tagged leaf, see leaf_entry) and its cached max plane are appended
+//     once and never copied again; a descended entry is tombstoned
+//     (kConsumed) in place. The per-plane sorting sweep packs each bucket's
+//     significance and liveness tests into 64-wide words (SSE2 byte
+//     compares where available, a scalar compare loop otherwise), counts
+//     insignificant-set runs with popcounts over those words, and emits
+//     each run as one put_zeros — the memory traffic per plane is one byte
+//     per listed set instead of a worklist copy. Only significant sets
+//     enter the frame-stack descent (the recursive coder's order,
+//     preserving the deducible-significance rule bit for bit).
+//   * A discovery touches only what it holds. A leaf entry carries its sign
+//     and K (while words are 32-bit), so a leaf found in a bucket writes
+//     its zero run, its 1 and its sign in one put_bits and appends K to a
+//     contiguous LSP array. A set whose children are all leaves codes them
+//     in one put_bits of at most 16 bits, with no descent frame. A
+//     coefficient's refinement bits are K's binary digits below its
+//     discovery plane n <= 50, and its final recon is K + 0.5 (see
+//     found_significant). A refinement pass pulls bit n of every earlier
+//     entry's K, 48 entries per put_bits; the PWE recon export recomputes K
+//     in one linear pass over the coefficients.
 //   * Deterministic intra-chunk parallelism (threads > 1): each bucket's
 //     entries are partitioned into fixed, word-aligned contiguous lanes;
 //     every lane sweeps its slice into private bit/arrival/LSP buffers,
@@ -57,7 +59,7 @@
 #include <stdexcept>
 #include <string>
 
-#if defined(__SSE2__)
+#if defined(__SSE2__) && !defined(SPERR_SCALAR)
 #include <emmintrin.h>
 #endif
 
@@ -102,16 +104,6 @@ int8_t cached_plane(int16_t p) {
   return int8_t(std::min<int16_t>(p, kCachedPlaneMax));
 }
 
-/// Integer magnitude K = ceil(m) - 1 of a scaled magnitude m in
-/// (1, kDeepMagnitude], without libm: m > 0, so the truncating conversion
-/// is floor, and ceil differs from floor + 1 exactly when m is integral.
-/// For m in (2^n, 2^(n+1)], K lies in [2^n, 2^(n+1)) and its binary digits
-/// below n are the reference walk's refinement bits (refine_walk).
-uint64_t magnitude_of(double m) {
-  const auto t = int64_t(m);  // m <= 2^51: one signed conversion each way
-  return uint64_t(double(t) == m ? t - 1 : t);
-}
-
 /// The recursive coder's refinement chain for a coefficient of scaled
 /// magnitude m found significant at plane n: the residual r = m - 2^n walks
 /// planes n-1 .. 0, each emitting `r > 2^b` (subtracting 2^b on a 1) and
@@ -144,7 +136,7 @@ double refine_walk(double m, int32_t n, Visit&& visit) {
 template <class Mag>
 uint64_t plane_word(const Mag* k, unsigned count, int32_t n) {
   uint64_t w = 0;
-#if defined(__SSE2__)
+#if defined(__SSE2__) && !defined(SPERR_SCALAR)
   if (count == 48) {
     // Shift bit n into each lane's sign bit, then movemask gathers the
     // signs: four 32-bit or two 64-bit lanes per 16-byte load.
@@ -176,46 +168,70 @@ void put_plane_bits(const Mag* k, size_t count, int32_t n, WordBitWriter& bw) {
   }
 }
 
-/// What the encoder learns from one linear pass over the coefficients,
-/// before any structure is built.
-struct Scan {
-  size_t significant = 0;  ///< coefficients outside the dead zone
-  int32_t n_max = -1;      ///< top bitplane (kDeadPlane when none)
-};
-
-Scan scan_coefficients(const double* coeffs, size_t n, double q) {
-  Scan s;
+/// Top bitplane of the coefficients scaled by 1/q, from one max-|c| pass:
+/// division by q > 0 is monotone, so max(|c|) / q == max(|c| / q) and
+/// plane_of of it is the largest plane (kDeadPlane when none).
+int32_t top_plane(const double* coeffs, size_t n, double q) {
   double top = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    const double m = std::fabs(coeffs[i]) / q;
-    s.significant += m > 1.0;
-    top = m > top ? m : top;
+  size_t i = 0;
+#if defined(__SSE2__) && !defined(SPERR_SCALAR)
+  // maxpd returns its second operand when either is NaN: NaN is skipped,
+  // as the scalar compare below skips it.
+  const __m128d sign = _mm_set1_pd(-0.0);
+  __m128d t = _mm_setzero_pd();
+  for (; i + 2 <= n; i += 2)
+    t = _mm_max_pd(_mm_andnot_pd(sign, _mm_loadu_pd(coeffs + i)), t);
+  double lanes[2];
+  _mm_storeu_pd(lanes, t);
+  top = std::max(lanes[0], lanes[1]);
+#endif
+  for (; i < n; ++i) {
+    const double a = std::fabs(coeffs[i]);
+    top = a > top ? a : top;
   }
-  // plane_of(max m) == max plane_of(m): the top plane is the largest n
-  // with 2^n < max magnitude.
-  s.n_max = plane_of(top);
-  return s;
+  return plane_of(top / q);
 }
 
-/// `Mag` holds the integer magnitudes K < 2^(n_max + 1) in the LSP. The LSP
-/// only serves refinement bits, which lie below the top plane, so K's bits
-/// from n_max up may be dropped: uint32_t while n_max <= 32, else uint64_t.
-template <class Mag>
+/// Append `zeros` zero bits, then the low `count` bits of `bits`: one
+/// put_bits unless the run is too long to share it.
+void put_after_zeros(WordBitWriter& bw, size_t zeros, uint64_t bits,
+                     unsigned count) {
+  if (zeros + count <= 56) {
+    bw.put_bits(bits << zeros, unsigned(zeros + count));
+    return;
+  }
+  bw.put_zeros(zeros);
+  bw.put_bits(bits, count);
+}
+
+/// `Word` is one leaf word: uint32_t while n_max <= 29, else uint64_t. A
+/// leaf word holds a coefficient's sign (kSign) and its integer magnitude
+/// K = ceil(|c|/q) - 1 (0 in the dead zone, where the whole word is 0).
+/// K < 2^(n_max + 1) must stay below kSign, and bit 31 above it free for
+/// the worklist entries' kLeafTag (leaf_entry), hence the width switch at
+/// plane 29. Words of 64 bits also code the deep prefix: a coefficient
+/// above kClosedFormPlanes is held as kDeep | sign | its linear index, and
+/// its plane and walk are read off the coefficient.
+template <class Word>
 class Encoder {
+  static constexpr unsigned kBits = 8 * sizeof(Word);
+  static constexpr Word kSign = Word(1) << (kBits - 2);
+  static constexpr Word kDeep = kBits == 64 ? Word(1) << (kBits - 3) : 0;
+  static constexpr Word kLow = (kDeep ? kDeep : kSign) - 1;  ///< K or index
+
  public:
   Encoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
-          int threads, const Scan& scan)
+          int threads, int32_t n_max)
       : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits),
-        n_max_(scan.n_max) {
+        n_max_(n_max) {
     if (n_max_ >= 0) {
       SetTreeCache::Lease lease = SetTreeCache::shared().get(dims);
       tree_ = std::move(lease.tree);
       build_s_ = lease.build_s;
-      gather_leaves();
-      lsp_.reserve(scan.significant);
+      lsp_.reserve(gather_leaves());
     }
     // Budgeted mode reads the global bit position of every sign bit
-    // (sweep_found_significant), so it sweeps serially.
+    // (found_significant), so it sweeps serially.
     threads_ = budget_ ? 1 : resolve_thread_count(threads);
   }
 
@@ -249,7 +265,7 @@ class Encoder {
     // recon, so the two never share the peak.
     tree_.reset();
     planes_.reset();
-    leaf_val_.reset();
+    leaf_.reset();
     lsp_ = {};
     buckets_ = {};
     lanes_ = {};
@@ -291,7 +307,7 @@ class Encoder {
   /// bytes (see make_frame), so the walk emits sibling runs in batches
   /// instead of testing one child per iteration.
   struct SweepFrame {
-    uint32_t ids[8];  ///< child entries: node id or kLeafTag | ordinal
+    uint32_t ids[8];  ///< child entries (see leaf_entry)
     uint8_t nc;
     uint8_t next;     ///< child cursor
     uint8_t mask;     ///< child significance bits at the current plane
@@ -305,12 +321,12 @@ class Encoder {
   struct Lane {
     WordBitWriter* bw = nullptr;
     std::vector<Bucket>* spill = nullptr;  ///< per-depth arrival dest
-    std::vector<Mag>* lsp = nullptr;       ///< K per discovery, LSP order
+    std::vector<Word>* lsp = nullptr;      ///< K per discovery, LSP order
     std::vector<WordBitWriter>* ref = nullptr;  ///< deep-prefix bits per plane
     std::vector<SweepFrame> frames;  ///< descent stack (always private)
     WordBitWriter local_bw;
     std::vector<Bucket> local_spill;
-    std::vector<Mag> local_lsp;
+    std::vector<Word> local_lsp;
     std::vector<WordBitWriter> local_ref;
     double significance_s = 0.0;  ///< this bucket's packed-scan time
   };
@@ -319,40 +335,146 @@ class Encoder {
     return std::fabs(coeffs_[idx]) / q_;
   }
 
+  static uint64_t sign_bit(Word w) { return (w >> (kBits - 2)) & 1u; }
+
+  /// Significance plane of a leaf word: the bit length of K, less one.
+  [[nodiscard]] int16_t leaf_plane(Word w) const {
+    if constexpr (kDeep != 0)
+      if (w & kDeep) return plane_of(mag(w & kLow));
+    return int16_t(std::bit_width(w & kLow)) - 1;
+  }
+
+  /// Worklist entry of the leaf at ordinal `ord`, whose word is w: the
+  /// tagged word itself while words are 32-bit, else the tagged ordinal, and
+  /// discovery reads the 8-byte word back. Entries stay 4 bytes: 8-byte ones
+  /// would double the largest bucket and measured no faster.
+  static uint32_t leaf_entry(uint32_t ord, Word w) {
+    if constexpr (kBits == 32) return kLeafTag | w;
+    else return kLeafTag | ord;
+  }
+
+  /// Leaf word of a leaf's worklist entry (tag bit included while 32-bit).
+  [[nodiscard]] Word leaf_word(uint32_t e) const {
+    if constexpr (kBits == 32) return e;
+    else return leaf_[e & ~kLeafTag];
+  }
+
   /// Max significance plane of a worklist entry's set.
   [[nodiscard]] int16_t entry_plane(uint32_t e) const {
-    return e & kLeafTag ? plane_of(std::fabs(leaf_val_[e & ~kLeafTag]))
-                        : planes_[e];
+    return e & kLeafTag ? leaf_plane(leaf_word(e)) : planes_[e];
+  }
+
+  static bool leaf_only(const SetTree::Node& nd) {
+    return nd.leaves == (1u << nd.nchild) - 1u;
+  }
+
+  /// Leaf word of coeffs_[idx], the scalar twin of quantize_leaves' SSE2
+  /// step. K = ceil(m) - 1 comes from m rounded to the nearest integer by
+  /// adding 2^52 (exact below 2^52, as in export_recon): the sum's low
+  /// mantissa bits are round(m), less one where round(m) >= m.
+  [[nodiscard]] Word quantize(uint32_t idx) const {
+    constexpr double kRound = 0x1p52;
+    const double c = coeffs_[idx];
+    const double m = std::fabs(c) / q_;
+    const double t = m + kRound;
+    const uint64_t k = std::bit_cast<uint64_t>(t) - std::bit_cast<uint64_t>(kRound) -
+                       uint64_t(!(t - kRound < m));
+    const Word w = Word(k) | Word(std::bit_cast<uint64_t>(c) >> 63) << (kBits - 2);
+    return m > 1.0 ? w : 0;
+  }
+
+  /// Leaf words of coeffs_[idx[0 .. count)], count <= 8, into out; returns
+  /// their max plane. Two coefficients per SSE2 step, the scalar twin for
+  /// the rest. Above kClosedFormPlanes (64-bit words only) a scalar pass
+  /// swaps in the deep words.
+  int16_t quantize_leaves(const uint32_t* idx, unsigned count, Word* out) {
+    unsigned j = 0;
+#if defined(__SSE2__) && !defined(SPERR_SCALAR)
+    const __m128d q = _mm_set1_pd(q_), one = _mm_set1_pd(1.0);
+    const __m128d round = _mm_set1_pd(0x1p52), sign = _mm_set1_pd(-0.0);
+    for (; j + 2 <= count; j += 2) {
+      const __m128d c = _mm_loadh_pd(_mm_load_sd(coeffs_ + idx[j]), coeffs_ + idx[j + 1]);
+      const __m128d m = _mm_div_pd(_mm_andnot_pd(sign, c), q);
+      const __m128d t = _mm_add_pd(m, round);
+      // round(m) - 1 where round(m) >= m: the compare's all-ones is -1.
+      const __m128i k = _mm_add_epi64(
+          _mm_sub_epi64(_mm_castpd_si128(t), _mm_castpd_si128(round)),
+          _mm_castpd_si128(_mm_cmpge_pd(_mm_sub_pd(t, round), m)));
+      const __m128i s = _mm_srli_epi64(_mm_castpd_si128(_mm_and_pd(c, sign)),
+                                       kBits == 64 ? 1 : 33);
+      const __m128i w = _mm_and_si128(_mm_or_si128(k, s),
+                                      _mm_castpd_si128(_mm_cmpgt_pd(m, one)));
+      if constexpr (kBits == 64)
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(out + j), w);
+      else
+        _mm_storel_epi64(reinterpret_cast<__m128i*>(out + j),
+                         _mm_shuffle_epi32(w, _MM_SHUFFLE(3, 1, 2, 0)));
+    }
+#endif
+    for (; j < count; ++j) out[j] = quantize(idx[j]);
+    Word any = 0;
+    for (j = 0; j < count; ++j) {
+      any |= out[j];
+      significant_ += out[j] != 0;
+    }
+    if constexpr (kDeep != 0) {
+      if (n_max_ > kClosedFormPlanes) {
+        int16_t top = kDeadPlane;
+        for (j = 0; j < count; ++j) {
+          if (mag(idx[j]) > kDeepMagnitude)
+            out[j] = kDeep | Word(std::signbit(coeffs_[idx[j]])) << (kBits - 2) | idx[j];
+          top = std::max(top, leaf_plane(out[j]));
+        }
+        return top;
+      }
+    }
+    return int16_t(std::bit_width(any & kLow)) - 1;
   }
 
   /// One reverse sweep over the tree's sets, children before parents: each
-  /// leaf child's c / q lands at its DFS ordinal (the scaled coefficient
-  /// gives discovery its sign and magnitude), and every set's max plane
-  /// folds from its children's.
-  void gather_leaves() {
-    leaf_val_.reset(new double[dims_.total()]);
-    const auto leaf = [this](uint32_t ord, uint32_t idx) {
-      const double s = coeffs_[idx] / q_;
-      leaf_val_[ord] = s;
-      return plane_of(std::fabs(s));
-    };
+  /// leaf child's word lands at its DFS ordinal, and every set's max plane
+  /// folds from its children's. Returns the significant count.
+  size_t gather_leaves() {
+    leaf_.reset(new Word[dims_.total()]);
     const SetTree& tree = *tree_;
-    if (tree.size() == 0) {
-      (void)leaf(0, 0);  // a one-coefficient grid: the root is a leaf
-      return;
+    if (tree.size() == 0) {  // a one-coefficient grid: the root is a leaf
+      const uint32_t idx = 0;
+      (void)quantize_leaves(&idx, 1, leaf_.get());
+      return significant_;
     }
     planes_.reset(new int16_t[tree.size()]);
+    // The leaves are read in reverse DFS order, which the hardware
+    // prefetchers do not follow: fetch those of the set kAhead ids on.
+    constexpr size_t kAhead = 16;
     for (size_t i = tree.size(); i-- > 0;) {
+      if (i >= kAhead) {
+        const SetTree::Node& next = tree.node(uint32_t(i - kAhead));
+        for (unsigned j = 0; j < next.nchild; ++j)
+          if ((next.leaves >> j) & 1u) __builtin_prefetch(coeffs_ + tree.leaf_index(next, j));
+      }
       const SetTree::Node& nd = tree.node(uint32_t(i));
       int16_t mx = kDeadPlane;
+      uint32_t idx[8];
+      unsigned nl = 0;
       uint32_t set = nd.first;
-      for (unsigned j = 0; j < nd.nchild; ++j)
-        mx = std::max(mx, (nd.leaves >> j) & 1u
-                              ? leaf(SetTree::leaf_ordinal(nd, j),
-                                     tree.leaf_index(nd, j))
-                              : planes_[set++]);
+      for (unsigned j = 0; j < nd.nchild; ++j) {
+        if ((nd.leaves >> j) & 1u)
+          idx[nl++] = tree.leaf_index(nd, j);
+        else
+          mx = std::max(mx, planes_[set++]);
+      }
+      if (nl == nd.nchild) {
+        // Only leaf children: their ordinals run from leaf0.
+        mx = quantize_leaves(idx, nl, leaf_.get() + nd.leaf0);
+      } else if (nl) {
+        Word w[8];
+        mx = std::max(mx, quantize_leaves(idx, nl, w));
+        for (unsigned j = 0, k = 0; j < nd.nchild; ++j)
+          if ((nd.leaves >> j) & 1u) leaf_[SetTree::leaf_ordinal(nd, j)] = w[k++];
+      }
       planes_[i] = mx;
     }
+    return significant_;
   }
 
   /// Every significant coefficient was coded through plane 0, so its recon
@@ -367,7 +489,7 @@ class Encoder {
     double* o = out.data();
     constexpr double kRound = 0x1p52;
     size_t i = 0;
-#if defined(__SSE2__)
+#if defined(__SSE2__) && !defined(SPERR_SCALAR)
     const __m128d q = _mm_set1_pd(q_), one = _mm_set1_pd(1.0);
     const __m128d round = _mm_set1_pd(kRound), half = _mm_set1_pd(0.5);
     const __m128d sign = _mm_set1_pd(-0.0);
@@ -400,7 +522,8 @@ class Encoder {
 
   void run_sweeps() {
     buckets_.resize(max_depth(dims_) + 1);
-    buckets_[0].push(tree_->root(), cached_plane(entry_plane(tree_->root())));
+    const uint32_t root = tree_->size() ? tree_->root() : leaf_entry(0, leaf_[0]);
+    buckets_[0].push(root, cached_plane(entry_plane(root)));
     // Coefficients found above kClosedFormPlanes deposit their refinement
     // bits for plane b into ref_streams_[b] at discovery.
     if (n_max_ > kClosedFormPlanes) ref_streams_.resize(size_t(n_max_) + 1);
@@ -510,7 +633,7 @@ class Encoder {
 
   /// Pack significance (set plane >= n) and liveness (`plane != kConsumed`)
   /// of bucket entries [b, e) into sig_'s / live_'s words — one linear pass
-  /// over the cached plane bytes (plus the tree's planes above
+  /// over the cached plane bytes (plus the entries' exact planes above
   /// kCachedPlaneMax). `b` is a multiple of 64; every covered word is
   /// written in full, so no prior clearing is needed (resize_for_overwrite
   /// above).
@@ -522,7 +645,7 @@ class Encoder {
     size_t i = b;
     for (size_t w = b >> 6; i < e; ++w) {
       uint64_t sig = 0, live = 0;
-#if defined(__SSE2__)
+#if defined(__SSE2__) && !defined(SPERR_SCALAR)
       if (!deep && e - i >= 64) {
         // Four 16-byte compares per word: signed byte cmpgt gives the
         // significance mask (plane >= n <=> plane > n-1), cmpeq against the
@@ -559,7 +682,8 @@ class Encoder {
   /// Sweep entries [b, e) of bucket `d`: runs of live insignificant sets
   /// are counted by popcount and emitted as one batched zero run (the sets
   /// themselves stay listed in place — no copy); significant sets emit
-  /// their 1-bit, descend, and are tombstoned. `b` is a multiple of 64.
+  /// their 1-bit, descend, and are tombstoned. A significant leaf's zero
+  /// run, 1 and sign go out in one write. `b` is a multiple of 64.
   void sweep_range(size_t d, int32_t n, size_t b, size_t e, Lane& lane) {
     Bucket& bk = buckets_[d];
     const uint64_t* sigw = sig_.word_data();
@@ -577,13 +701,17 @@ class Encoder {
         zeros += size_t(std::popcount(live & below));
         live &= ~below & ~(uint64_t(1) << k);
         sig &= sig - 1;
-        if (zeros) {
-          lane.bw->put_zeros(zeros);
-          zeros = 0;
-        }
-        lane.bw->put_bits(1, 1);
         const size_t idx = base + k;
-        sweep_descend(bk.ids[idx], uint32_t(d), n, lane);
+        const uint32_t id = bk.ids[idx];
+        if (id & kLeafTag) {
+          const Word word = leaf_word(id);
+          put_after_zeros(*lane.bw, zeros, 1 | sign_bit(word) << 1, 2);
+          found_significant(word, n, lane, lane.bw->bit_count());
+        } else {
+          put_after_zeros(*lane.bw, zeros, 1, 1);
+          sweep_descend(id, uint32_t(d), n, lane);
+        }
+        zeros = 0;
         bk.planes[idx] = kConsumed;
       }
       zeros += size_t(std::popcount(live));
@@ -592,20 +720,26 @@ class Encoder {
   }
 
   /// One pass over a node's children: their worklist entries (sets by id,
-  /// leaves by ordinal), their cached planes packed into byte lanes of a
+  /// leaves by word), their cached planes packed into byte lanes of a
   /// uint64, and their significance tests at plane n as a mask. Replaces
   /// the per-child lazy plane load + compare with eight predictable
   /// iterations.
-  [[nodiscard]] SweepFrame make_frame(uint32_t node, int32_t n) const {
-    const SetTree::Node& nd = tree_->node(node);
+  [[nodiscard]] SweepFrame make_frame(const SetTree::Node& nd, int32_t n) const {
     SweepFrame f{};
     uint64_t planes = 0;
     uint32_t mask = 0;
     uint32_t set = nd.first;
     for (unsigned j = 0; j < nd.nchild; ++j) {
-      const bool leaf = (nd.leaves >> j) & 1u;
-      const uint32_t e = leaf ? kLeafTag | SetTree::leaf_ordinal(nd, j) : set++;
-      const int16_t p = entry_plane(e);
+      uint32_t e;
+      int16_t p;
+      if ((nd.leaves >> j) & 1u) {
+        const uint32_t ord = SetTree::leaf_ordinal(nd, j);
+        e = leaf_entry(ord, leaf_[ord]);
+        p = leaf_plane(leaf_[ord]);
+      } else {
+        e = set++;
+        p = planes_[e];
+      }
       f.ids[j] = e;
       planes |= uint64_t(uint8_t(cached_plane(p))) << (8 * j);
       mask |= uint32_t(p >= n) << j;
@@ -618,24 +752,62 @@ class Encoder {
     return f;
   }
 
+  /// A significant set whose children are all single coefficients, coded
+  /// without a frame: each child's significance bit (none for a deduced
+  /// last child) and each found one's sign go out in one put_bits of at
+  /// most 16 bits; the insignificant ones spill to bucket `depth`.
+  void code_leaf_set(const SetTree::Node& nd, size_t depth, int32_t n, Lane& lane) {
+    const Word* w = leaf_.get() + nd.leaf0;
+    Bucket& dest = (*lane.spill)[depth];
+    const size_t at = lane.bw->bit_count();
+    const unsigned last = nd.nchild - 1u;
+    uint64_t bits = 0;
+    unsigned len = 0;
+    bool any_sig = false;
+    for (unsigned j = 0; j < nd.nchild; ++j) {
+      const Word e = w[j];
+      const int16_t p = leaf_plane(e);
+      if (p < n) {
+        ++len;
+        dest.push(leaf_entry(nd.leaf0 + j, e), cached_plane(p));
+        continue;
+      }
+      // The last child of a set with no significant sibling must itself be
+      // significant: only its sign (encoder and decoder both deduce it).
+      const bool deduced = j == last && !any_sig;
+      const uint64_t sign = sign_bit(e);
+      bits |= (deduced ? sign : 1 | sign << 1) << len;
+      len += deduced ? 1 : 2;
+      any_sig = true;
+      found_significant(e, n, lane, at + len);
+    }
+    lane.bw->put_bits(bits, len);
+  }
+
   /// The recursive coder's descent of a significant set, iteratively, in
   /// identical DFS order with the identical deducible-significance rule —
   /// but emitting sibling bits in batches. The child significance mask is
-  /// known at frame creation, so a run of insignificant siblings and the
-  /// following significant child's 1-bit collapse into one put_bits (or
-  /// put_zeros) call, and the per-child branches on the bit value disappear.
-  /// Spilled-set order and the emitted bit sequence are unchanged: bits and
-  /// bucket arrivals are separate channels, and each stays in child order.
+  /// known at frame creation, so a run of insignificant siblings, the
+  /// following significant child's 1-bit and, for a leaf, its sign collapse
+  /// into one put_bits (or put_zeros) call, and the per-child branches on
+  /// the bit value disappear. A set of only leaves is coded whole
+  /// (code_leaf_set). Spilled-set order and the emitted bit sequence are
+  /// unchanged: bits and bucket arrivals are separate channels, and each
+  /// stays in child order.
   void sweep_descend(uint32_t id, uint32_t depth, int32_t n, Lane& lane) {
-    if (id & kLeafTag) {
-      sweep_found_significant(id & ~kLeafTag, n, lane);
+    const SetTree::Node& top = tree_->node(id);
+    if (leaf_only(top)) {
+      code_leaf_set(top, depth + 1, n, lane);
       return;
     }
     auto& frames = lane.frames;
     frames.clear();
-    frames.push_back(make_frame(id, n));
+    frames.push_back(make_frame(top, n));
     while (!frames.empty()) {
       SweepFrame& f = frames.back();
+      // Child depth = entry depth + descent depth (frames holds the
+      // child's ancestors up to and including its parent).
+      const size_t child_depth = depth + frames.size();
       const uint32_t rem = uint32_t(f.mask) >> f.next;
       if (rem == 0) {
         // Every remaining child is insignificant: one batched zero run,
@@ -644,9 +816,7 @@ class Encoder {
         const uint32_t cnt = uint32_t(f.nc) - f.next;
         if (cnt) {
           lane.bw->put_zeros(cnt);
-          // Child depth = entry depth + descent depth (frames holds the
-          // child's ancestors up to and including its parent).
-          Bucket& dest = (*lane.spill)[depth + frames.size()];
+          Bucket& dest = (*lane.spill)[child_depth];
           for (uint32_t i = f.next; i < f.nc; ++i)
             dest.push(f.ids[i], int8_t(f.planes >> (8 * i)));
         }
@@ -656,51 +826,57 @@ class Encoder {
       const uint32_t j = f.next + uint32_t(std::countr_zero(rem));
       const uint32_t gap = j - f.next;  // insignificant siblings before j
       if (gap) {
-        Bucket& dest = (*lane.spill)[depth + frames.size()];
+        Bucket& dest = (*lane.spill)[child_depth];
         for (uint32_t i = f.next; i < j; ++i)
           dest.push(f.ids[i], int8_t(f.planes >> (8 * i)));
       }
-      if (j == uint32_t(f.nc) - 1 && !f.any_sig) {
-        // Last child of a parent with no significant sibling must itself be
-        // significant: no bit (encoder and decoder both deduce it).
-        if (gap) lane.bw->put_zeros(gap);
-      } else {
-        lane.bw->put_bits(uint64_t(1) << gap, gap + 1);
-      }
+      // Last child of a parent with no significant sibling must itself be
+      // significant: no bit (encoder and decoder both deduce it).
+      const bool deduced = j == uint32_t(f.nc) - 1 && !f.any_sig;
       f.any_sig = true;
       f.next = uint8_t(j + 1);
       const uint32_t child = f.ids[j];
       if (child & kLeafTag) {
-        sweep_found_significant(child & ~kLeafTag, n, lane);
+        const Word w = leaf_word(child);
+        const uint64_t sign = sign_bit(w);
+        put_after_zeros(*lane.bw, gap, deduced ? sign : 1 | sign << 1, deduced ? 1 : 2);
+        found_significant(w, n, lane, lane.bw->bit_count());
         continue;
       }
-      frames.push_back(make_frame(child, n));
+      if (deduced) {
+        if (gap) lane.bw->put_zeros(gap);
+      } else {
+        lane.bw->put_bits(uint64_t(1) << gap, gap + 1);
+      }
+      const SetTree::Node& nd = tree_->node(child);
+      if (leaf_only(nd))
+        code_leaf_set(nd, child_depth + 1, n, lane);
+      else
+        frames.push_back(make_frame(nd, n));
     }
   }
 
   /// A coefficient turning significant at plane n has magnitude
   /// m in (2^n, 2^(n+1)]; its refinement bits at planes n-1 .. 0 follow
-  /// from m alone (refine_walk). Up to plane kClosedFormPlanes they are read
-  /// off K = magnitude_of(m), which joins the LSP for the refinement passes
-  /// to pull bits from; above it the walk writes its bits into the
-  /// per-plane deep-prefix streams at once and the LSP slot is a
-  /// placeholder.
-  void sweep_found_significant(uint32_t ord, int32_t n, Lane& lane) {
-    const double s = leaf_val_[ord];
-    lane.bw->put_bits(uint64_t(std::signbit(s)), 1);
-    const double m = std::fabs(s);
-    if (n > kClosedFormPlanes) {
-      auto& refs = *lane.ref;
-      refine_walk(m, n, [&](int32_t b, bool bit) {
-        refs[size_t(b)].put_bits(uint64_t(bit), 1);
-      });
-      lane.lsp->push_back(0);
-    } else {
-      lane.lsp->push_back(Mag(magnitude_of(m)));
+  /// from m alone (refine_walk). Up to plane kClosedFormPlanes they are
+  /// K's digits, and K joins the LSP for the refinement passes to pull bits
+  /// from; above it the walk writes its bits into the per-plane deep-prefix
+  /// streams at once and the LSP slot is a placeholder. `sign_end` is the
+  /// stream position just past the coefficient's sign bit.
+  void found_significant(Word e, int32_t n, Lane& lane, size_t sign_end) {
+    if constexpr (kDeep != 0) {
+      if (e & kDeep) {
+        auto& refs = *lane.ref;
+        refine_walk(mag(e & kLow), n, [&](int32_t b, bool bit) {
+          refs[size_t(b)].put_bits(uint64_t(bit), 1);
+        });
+        e = 0;
+      }
     }
-    // Budgeted mode is serial, so the lane writes the master stream and its
-    // bit count is this sign bit's global position + 1.
-    if (budget_ && lane.bw->bit_count() < budget_) kept_ = lsp_.size();
+    lane.lsp->push_back(e & kLow);
+    // Budgeted mode is serial, so the lane writes the master stream and
+    // sign_end is a global position.
+    if (budget_ && sign_end < budget_) kept_ = lsp_.size();
   }
 
   /// Emit plane n's refinement bits in LSP order: the deep prefix's bits,
@@ -728,8 +904,9 @@ class Encoder {
 
   std::shared_ptr<const SetTree> tree_;  ///< shared, read-only
   double build_s_ = 0.0;  ///< seconds this call spent building tree_
-  std::unique_ptr<int16_t[]> planes_;   ///< max plane per tree node id
-  std::unique_ptr<double[]> leaf_val_;  ///< c / q per leaf ordinal
+  std::unique_ptr<int16_t[]> planes_;  ///< max plane per tree node id
+  std::unique_ptr<Word[]> leaf_;       ///< leaf word per leaf ordinal
+  size_t significant_ = 0;             ///< nonzero leaf words
 
   int threads_ = 1;
   std::unique_ptr<TaskPool> pool_;  ///< non-null only when threads_ > 1
@@ -739,20 +916,20 @@ class Encoder {
   PackedBits sig_;   ///< per-bucket packed significance bits (scratch)
   PackedBits live_;  ///< per-bucket packed liveness bits (scratch)
 
-  std::vector<Mag> lsp_;  ///< K per significant coefficient, discovery order
-  size_t deep_ = 0;       ///< LSP prefix found above kClosedFormPlanes
+  std::vector<Word> lsp_;  ///< K per significant coefficient, discovery order
+  size_t deep_ = 0;        ///< LSP prefix found above kClosedFormPlanes
   std::vector<WordBitWriter> ref_streams_;  ///< deep-prefix bits per plane
 
   size_t kept_ = 0;  ///< budgeted: LSP entries whose sign bit precedes the last bit
   WordBitWriter wbw_;  ///< master stream
 };
 
-template <class Mag>
+template <class Word>
 std::vector<uint8_t> encode_as(const double* coeffs, Dims dims, double q,
-                               size_t budget_bits, int threads, const Scan& scan,
+                               size_t budget_bits, int threads, int32_t n_max,
                                const Timer& setup, EncodeStats* stats,
                                std::vector<double>* recon_out) {
-  Encoder<Mag> enc(coeffs, dims, q, budget_bits, threads, scan);
+  Encoder<Word> enc(coeffs, dims, q, budget_bits, threads, n_max);
   return enc.run(setup.seconds(), stats, recon_out);
 }
 
@@ -769,11 +946,11 @@ std::vector<uint8_t> encode(const double* coeffs,
     throw std::invalid_argument("speck::encode: " + dims.to_string() +
                                 " exceeds the 2^31-coefficient limit");
   const Timer setup;
-  const Scan scan = scan_coefficients(coeffs, dims.total(), q);
-  return scan.n_max <= 32
-             ? encode_as<uint32_t>(coeffs, dims, q, budget_bits, threads, scan,
+  const int32_t n_max = top_plane(coeffs, dims.total(), q);
+  return n_max <= 29
+             ? encode_as<uint32_t>(coeffs, dims, q, budget_bits, threads, n_max,
                                    setup, stats, recon_out)
-             : encode_as<uint64_t>(coeffs, dims, q, budget_bits, threads, scan,
+             : encode_as<uint64_t>(coeffs, dims, q, budget_bits, threads, n_max,
                                    setup, stats, recon_out);
 }
 

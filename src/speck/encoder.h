@@ -48,10 +48,12 @@ struct EncodeStats {
 
   /// Wall-clock seconds outside the per-plane passes, so that
   /// setup_s + sum(passes) + finish_s accounts for the whole encode call:
-  /// setup is the coefficient scan, the set tree lookup in the shared
-  /// SetTreeCache (tree_build_s of it when this call built the tree) and
-  /// the leaf-order gather with the max-plane fold; finish is the budget
-  /// cut, the stream assembly and the recon export.
+  /// setup is the max-|c| scan for the top plane, the set tree lookup in
+  /// the shared SetTreeCache (tree_build_s of it when this call built the
+  /// tree) and the gather that quantizes every coefficient once, to its
+  /// sign and integer magnitude in tree leaf order, while it folds the
+  /// sets' max planes; finish is the budget cut, the stream assembly and
+  /// the recon export.
   double setup_s = 0.0;
   double tree_build_s = 0.0;  ///< part of setup_s; 0 on a cache hit
   double finish_s = 0.0;

@@ -62,10 +62,11 @@ inline int16_t plane_of(double m) {
   return int16_t(exact_pow2 ? e - 1 : e);
 }
 
-/// Worklist entries are uint32: a set's node id, or kLeafTag | a handle
-/// for a single coefficient (the encoder's leaf ordinal, the decoder's
-/// linear index). Both stay below kMaxCoefficients = 2^31, so bit 31 is
-/// free for the tag.
+/// The decoder's worklist entries are uint32: a set's node id, or
+/// kLeafTag | a single coefficient's linear index. Both stay below
+/// kMaxCoefficients = 2^31, so bit 31 is free for the tag. (The encoder's
+/// leaf entries carry the coefficient's sign and magnitude instead, under a
+/// tag of their own.)
 inline constexpr uint32_t kLeafTag = uint32_t(1) << 31;
 
 /// Children of a set whose extents are all <= 3, the only sets with single

@@ -203,7 +203,7 @@ TEST(SpeckFast, DeepPlanesMatchReference) {
 }
 
 // The integer-magnitude path: a coefficient found at plane n <= 50 is coded
-// from K = ceil(m) - 1, held in 32 bits while the top plane is at most 32.
+// from K = ceil(m) - 1, held in 32 bits while the top plane is at most 29.
 // These grids are large enough (32x32x16) for the sorting sweep to split
 // buckets across lanes at 2/4/8 threads.
 
@@ -260,13 +260,15 @@ TEST(SpeckFast, ClosedFormBoundaryPlanesMatchReference) {
 }
 
 TEST(SpeckFast, IntegerWidthBoundaryMatchesReference) {
-  // Top planes 31, 32 and 33 straddle the switch from 32- to 64-bit K. At
-  // top 31 the interval top m = 2^32 gives K = 2^32 - 1; at top 32 the
-  // stored K loses its leading bit, which no refinement pass reads; at top
-  // 33 refinement at plane 32 needs bit 32.
+  // The encoder's leaf words and LSP are 32-bit while the top plane is at
+  // most 29 (sign in bit 30, K < 2^30 below it) and 64-bit above. Tops 28
+  // and 29 fill the 32-bit K up to its top bit, 30 and 31 take the 64-bit
+  // word. At top 50 the 64-bit K is at its widest (K < 2^51); from top 51
+  // the top coefficients are deep words (their linear index, walked). The
+  // interval top m = 2^(top + 1) gives the largest K.
   const Dims dims{32, 32, 16};
   const double q = 0.5;
-  for (const int top : {31, 32, 33}) {
+  for (const int top : {28, 29, 30, 31, 50, 51}) {
     SCOPED_TRACE("top plane " + std::to_string(top));
     const double scale = std::ldexp(1.0, top - 16);
     auto c = adversarial_coeffs(dims, 960 + uint64_t(top), q, scale);
@@ -284,6 +286,45 @@ TEST(SpeckFast, IntegerWidthBoundaryMatchesReference) {
     for (const size_t budget : {size_t(0), dims.total(), 20 * dims.total()})
       expect_field_identical(c, dims, q, budget);
   }
+}
+
+/// Bit `i` of an encoded stream's payload.
+bool payload_bit(const std::vector<uint8_t>& stream, size_t i) {
+  return (stream[Header::kBytes + i / 8] >> (i % 8)) & 1u;
+}
+
+TEST(SpeckFast, BudgetsInsideFusedWritesMatchReference) {
+  // The encoder writes several stream bits in one put_bits: a leaf-only
+  // set's significance and sign bits, a bucket leaf's zero run, 1 and
+  // sign, and a descent's sibling gap, 1 and sign. Budgets at every bit of
+  // these streams cut inside each such write, just before, on and just
+  // after its sign bits.
+  //
+  // A 2x2x2 grid is one set of eight leaves. At q = 1, plane 2: the root's
+  // 1 is bit 0, then one write codes the leaves: 5 "10", -0.25 "0", -6
+  // "11", 1.5 "0", 7 "10", -3 "0", 0 "0", -4.5 "11" (bits 1-12, signs at
+  // 2, 5, 8, 12). Plane 1: bucket leaves -0.25, 1.5, -3, 0: one write "0011"
+  // (bits 13-16, sign at 16), "0", then four refinement bits. Plane 0:
+  // "010" (sign at 24), "0", five refinement bits: 31 bits.
+  const Dims cube{2, 2, 2};
+  const std::vector<double> c = {5, -0.25, -6, 1.5, 7, -3, 0, -4.5};
+  EncodeStats st;
+  const auto full = encode(c.data(), cube, 1.0, 0, &st);
+  ASSERT_EQ(st.payload_bits, 31u);
+  const char* expect = "1100110100011" "0011" "0" "0010" "010" "0" "01000";
+  for (size_t i = 0; i < 31; ++i)
+    ASSERT_EQ(payload_bit(full, i), expect[i] == '1') << "payload bit " << i;
+  for (size_t budget = 1; budget <= 32; ++budget)
+    expect_field_identical(c, cube, 1.0, budget);
+
+  // Odd extents give sets with set and leaf children, so leaves are also
+  // found inside descent frames.
+  const Dims odd{5, 3, 3};
+  const auto f = adversarial_coeffs(odd, 1234, 0.5);
+  EncodeStats ost;
+  (void)encode(f.data(), odd, 0.5, 0, &ost);
+  for (size_t budget = 1; budget <= ost.payload_bits + 1; ++budget)
+    expect_field_identical(f, odd, 0.5, budget);
 }
 
 TEST(SpeckFast, BudgetsCuttingRefinementPassesMatchReference) {
