@@ -63,9 +63,8 @@ class WordBitWriter {
   }
 
   /// Append `nbits` bits from an LSB-first packed byte buffer (the format
-  /// finish() produces), 48 bits per put_bits call. This is how per-lane
-  /// bit streams from a parallel sweep merge into the master stream in
-  /// deterministic lane order.
+  /// finish() produces), 48 bits per put_bits call. This is how the SPECK
+  /// encoder's deep-prefix refinement streams join the master stream.
   void append_bits(const uint8_t* bytes, size_t nbits) {
     size_t done = 0;
     while (nbits - done >= 48) {

@@ -2,22 +2,23 @@
 
 // Minimal fork-join worker pool for deterministic intra-chunk parallelism.
 //
-// The SPECK sweep engine dispatches many small parallel regions per encode
-// (one per bitplane per worklist bucket), so spawning std::threads at every
-// region would dominate the work. A TaskPool spawns its workers once and
-// reuses them: run(fn) hands every worker the same callable with a distinct
-// lane id in [0, threads) and blocks until all lanes finish.
+// The SPECK coders split only element-wise loops into lanes (Lanes, below):
+// the decoder's refinement passes and coefficient export, and the encoder's
+// recon export — one parallel region per pass, each a large contiguous
+// range. A TaskPool spawns its workers once and reuses them: run(fn) hands
+// every worker the same callable with a distinct lane id in [0, threads)
+// and blocks until all lanes finish.
 //
-// Determinism is the caller's contract, not the pool's: callers partition
-// work into per-lane slices and merge the per-lane results in lane order,
-// so the combined output is identical at every thread count (the pool never
-// reorders, steals, or splits a lane).
+// Determinism is the caller's contract, not the pool's: each lane writes
+// only its own fixed slice, so the combined output is identical at every
+// thread count (the pool never reorders, steals, or splits a lane).
 
 #include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -100,22 +101,6 @@ class TaskPool {
   bool stop_ = false;
 };
 
-/// Contiguous slice [begin, end) of `count` items for `lane` of `lanes`:
-/// the fixed partition every parallel sweep uses. Lane boundaries depend
-/// only on (count, lanes), and concatenating the lanes' outputs in lane
-/// order reproduces the serial iteration order exactly.
-struct LaneRange {
-  size_t begin = 0;
-  size_t end = 0;
-};
-
-inline LaneRange lane_range(size_t count, int lanes, int lane) {
-  const size_t per = count / size_t(lanes);
-  const size_t rem = count % size_t(lanes);
-  const size_t b = per * size_t(lane) + std::min<size_t>(size_t(lane), rem);
-  return {b, b + per + (size_t(lane) < rem ? 1 : 0)};
-}
-
 /// Resolve a thread-count knob: 1 stays serial, 0 (or negative) means one
 /// lane per hardware thread, anything else is clamped to [1, 64].
 inline int resolve_thread_count(int threads) {
@@ -126,5 +111,44 @@ inline int resolve_thread_count(int threads) {
   }
   return std::clamp(threads, 1, 64);
 }
+
+/// An element-wise loop cut into fixed contiguous lanes: the one lane
+/// pattern of both SPECK coders. Lane boundaries depend only on the range
+/// and the lane count, and every lane writes only its own slice, so the
+/// result is identical at every thread count. The pool is spawned at the
+/// first range worth splitting; a coder whose loops all stay below kGrain
+/// starts no thread.
+class Lanes {
+ public:
+  /// Below this many items the fork-join costs more than the loop.
+  static constexpr size_t kGrain = size_t(1) << 14;
+
+  explicit Lanes(int threads) : threads_(resolve_thread_count(threads)) {}
+
+  /// fn(b, e) over [begin, end): once per lane when the range reaches
+  /// kGrain and there is more than one lane, else once over the whole range
+  /// (not at all when it is empty). Lane l of L takes the l-th of L
+  /// contiguous slices, the first (count mod L) one item longer.
+  template <class Fn>
+  void run(size_t begin, size_t end, Fn&& fn) {
+    const size_t count = end - begin;
+    if (threads_ > 1 && count >= kGrain) {
+      if (!pool_) pool_ = std::make_unique<TaskPool>(threads_);
+      const size_t per = count / size_t(threads_);
+      const size_t rem = count % size_t(threads_);
+      pool_->run([&](int lane) {
+        const size_t l = size_t(lane);
+        const size_t b = begin + per * l + std::min(l, rem);
+        fn(b, b + per + (l < rem ? 1 : 0));
+      });
+    } else if (count != 0) {
+      fn(begin, end);
+    }
+  }
+
+ private:
+  int threads_;
+  std::unique_ptr<TaskPool> pool_;
+};
 
 }  // namespace sperr

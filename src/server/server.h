@@ -18,9 +18,9 @@
 //   steady-state request processing performs no system allocations inside
 //   the pipeline. Chunk-granular work inside one request runs on the
 //   library's chunk loops (the encode on ServerConfig::threads_per_request
-//   OpenMP threads) and the SPECK coders' deterministic intra-chunk lanes
-//   (ServerConfig::intra_chunk_threads), so a single large request can
-//   still use the whole machine.
+//   OpenMP threads), so a single large multi-chunk request can still use
+//   the whole machine. ServerConfig::intra_chunk_threads adds the SPECK
+//   encoder's deterministic lanes, which split only its recon export.
 //
 // Connections are handled strictly request-reply: the reader dispatches one
 // frame, blocks for the worker's reply, writes it, then reads the next
@@ -69,8 +69,9 @@ struct ServerConfig {
   /// cross-request parallelism beats intra-request parallelism under load.
   int threads_per_request = 1;
 
-  /// Deterministic SPECK lanes per chunk (sperr::Config::intra_chunk_threads;
-  /// streams are byte-identical at every setting).
+  /// Deterministic SPECK encoder lanes per chunk, splitting the recon
+  /// export (sperr::Config::intra_chunk_threads; streams are
+  /// byte-identical at every setting).
   int intra_chunk_threads = 1;
 
   /// Frames advertising a larger body are rejected (bad_request) and the

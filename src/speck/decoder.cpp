@@ -14,7 +14,8 @@
 //     found above p, K = 2K + bit. The pass's bits are contiguous in the
 //     payload, so they are read as whole 64-bit words and shifted into
 //     four (or two) K per SSE2 step; with threads > 1 the pass is cut into
-//     fixed contiguous lanes of element-independent updates;
+//     fixed contiguous lanes of element-independent updates (Lanes, the
+//     helper the encoder's recon export also uses);
 //   * the reconstruction is exported once, at the end: an entry whose last
 //     applied plane is p decodes to (K + 0.5) * 2^p * q. The reference's
 //     per-pass sum 1.5 * 2^n +/- 2^b / 2 ... telescopes to exactly that,
@@ -48,10 +49,6 @@
 namespace sperr::speck {
 
 namespace {
-
-/// Parallel-lane grain for the refinement passes and the export; below it
-/// the dispatch costs more than the loop. Output-invariant.
-constexpr size_t kParallelGrain = size_t(1) << 14;
 
 /// Deepest discovery plane whose coefficients are held as integer K: their
 /// K < 2^51, so K + 0.5 and every partial sum of the reference's updates
@@ -90,7 +87,7 @@ template <class Mag>
 class Decoder {
  public:
   Decoder(BitReader br, Dims dims, const Header& hdr, int threads)
-      : br_(br), dims_(dims), hdr_(hdr), threads_(resolve_thread_count(threads)) {}
+      : br_(br), dims_(dims), hdr_(hdr), lanes_(threads) {}
 
   Status run(double* coeffs, DecodeStats* stats, const Timer& setup) {
     double build_s = 0.0;
@@ -160,28 +157,6 @@ class Decoder {
     uint8_t sets;  ///< children before the cursor that are sets
     bool any_sig;
   };
-
-  /// Lazily spawned worker pool: most streams never reach the parallel
-  /// grain, and a pool they would not use should cost nothing.
-  [[nodiscard]] TaskPool* pool() {
-    if (!pool_ && threads_ > 1) pool_ = std::make_unique<TaskPool>(threads_);
-    return pool_.get();
-  }
-
-  /// fn(b, e) over [begin, end), in fixed lanes when the range is worth it.
-  template <class Fn>
-  void for_lanes(size_t begin, size_t end, Fn&& fn) {
-    const size_t count = end - begin;
-    if (threads_ > 1 && count >= kParallelGrain) {
-      const int L = threads_;
-      pool()->run([&](int lane) {
-        const LaneRange r = lane_range(count, L, lane);
-        fn(begin + r.begin, begin + r.end);
-      });
-    } else if (count != 0) {
-      fn(begin, end);
-    }
-  }
 
   [[nodiscard]] bool get(bool& bit) {
     bit = br_.get();
@@ -289,7 +264,7 @@ class Decoder {
     }
     Mag* k = mag_.data();
     const BitReader& br = br_;
-    for_lanes(nd, take, [k, start, &br](size_t b, size_t e) {
+    lanes_.run(nd, take, [k, start, &br](size_t b, size_t e) {
       for (size_t j = b; j < e; j += 64)
         shift_in(k + j, br.word_at(start + j),
                  unsigned(std::min<size_t>(64, e - j)));
@@ -323,7 +298,7 @@ class Decoder {
         coeffs[sidx[j] & kIdxMask] = sidx[j] >> 31 ? -v : v;
       }
     };
-    for_lanes(nd, sidx_.size(), [&](size_t b, size_t e) {
+    lanes_.run(nd, sidx_.size(), [&](size_t b, size_t e) {
       emit(b, std::min(e, refined), at);
       emit(std::max(b, refined), std::min(e, listed), above);
       emit(std::max(b, listed), e, at);
@@ -333,8 +308,7 @@ class Decoder {
   BitReader br_;
   Dims dims_;
   Header hdr_;
-  int threads_;
-  std::unique_ptr<TaskPool> pool_;
+  Lanes lanes_;  ///< refinement-pass and export lanes
   bool done_ = false;
   double thrd_ = 0.0;  ///< 2^p of the plane being decoded
 

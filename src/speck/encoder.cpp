@@ -32,14 +32,11 @@
 //     found_significant). A refinement pass pulls bit n of every earlier
 //     entry's K, 48 entries per put_bits; the PWE recon export recomputes K
 //     in one linear pass over the coefficients.
-//   * Deterministic intra-chunk parallelism (threads > 1): each bucket's
-//     entries are partitioned into fixed, word-aligned contiguous lanes;
-//     every lane sweeps its slice into private bit/arrival/LSP buffers,
-//     and the per-lane outputs merge in lane order. Lane
-//     concatenation reproduces the serial entry order exactly, so the
-//     stream is byte-identical at every thread count. (Safe because a
-//     descent from bucket d only spawns entries for strictly deeper
-//     buckets, never for the bucket being swept.)
+//   * The sweep is serial: one bit writer, one set of buckets, one LSP.
+//     Lanes (threads > 1) split only the PWE recon export, an element-wise
+//     pass over the coefficients, through the Lanes helper the decoder also
+//     uses (common/threadpool.h), so the stream never depends on the
+//     thread count.
 //   * Size-bounded mode is the same sweep, stopped after the first whole
 //     plane that reaches the bit budget; the payload is then cut at the
 //     budget bit (the stream is embedded, so the cut is a valid prefix) and
@@ -72,12 +69,6 @@
 namespace sperr::speck {
 
 namespace {
-
-/// Buckets below this size are swept serially even in parallel mode: the
-/// fork-join dispatch would cost more than the sweep. The output is
-/// invariant to this threshold — lane merge order equals serial order — so
-/// it is a pure tuning knob.
-constexpr size_t kParallelSortGrain = size_t(1) << 12;
 
 /// Tombstone plane for a bucket entry whose set has descended. Strictly
 /// below every cached plane, so a consumed entry can never test significant.
@@ -223,16 +214,13 @@ class Encoder {
   Encoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
           int threads, int32_t n_max)
       : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits),
-        n_max_(n_max) {
+        n_max_(n_max), threads_(threads) {
     if (n_max_ >= 0) {
       SetTreeCache::Lease lease = SetTreeCache::shared().get(dims);
       tree_ = std::move(lease.tree);
       build_s_ = lease.build_s;
       lsp_.reserve(gather_leaves());
     }
-    // Budgeted mode reads the global bit position of every sign bit
-    // (found_significant), so it sweeps serially.
-    threads_ = budget_ ? 1 : resolve_thread_count(threads);
   }
 
   std::vector<uint8_t> run(double setup_s, EncodeStats* stats,
@@ -268,7 +256,6 @@ class Encoder {
     leaf_.reset();
     lsp_ = {};
     buckets_ = {};
-    lanes_ = {};
     wbw_ = {};
     if (recon_out && budget_)
       recon_out->clear();
@@ -313,22 +300,6 @@ class Encoder {
     uint8_t mask;     ///< child significance bits at the current plane
     bool any_sig;     ///< a significant child has been coded
     uint64_t planes;  ///< eight packed cached child planes (for spills)
-  };
-
-  /// One sweep lane's output channels. The serial sweep's lane points
-  /// straight at the master structures (zero merge cost); parallel lanes
-  /// point at private buffers that merge, in lane order, after each bucket.
-  struct Lane {
-    WordBitWriter* bw = nullptr;
-    std::vector<Bucket>* spill = nullptr;  ///< per-depth arrival dest
-    std::vector<Word>* lsp = nullptr;      ///< K per discovery, LSP order
-    std::vector<WordBitWriter>* ref = nullptr;  ///< deep-prefix bits per plane
-    std::vector<SweepFrame> frames;  ///< descent stack (always private)
-    WordBitWriter local_bw;
-    std::vector<Bucket> local_spill;
-    std::vector<Word> local_lsp;
-    std::vector<WordBitWriter> local_ref;
-    double significance_s = 0.0;  ///< this bucket's packed-scan time
   };
 
   [[nodiscard]] double mag(uint64_t idx) const {
@@ -478,22 +449,28 @@ class Encoder {
   }
 
   /// Every significant coefficient was coded through plane 0, so its recon
-  /// follows from the coefficient alone: one linear pass, no LSP scatter.
-  /// The closed form K + 0.5 = ceil(m) - 0.5 is taken from m rounded to
-  /// the nearest integer by adding and removing 2^52 (exact below 2^52), so
-  /// there is no integer conversion and SSE2 codes two coefficients per
-  /// step; deep-plane coefficients are then redone with the walk.
+  /// follows from the coefficient alone: one linear pass, no LSP scatter,
+  /// split into lanes of element-independent writes.
   void export_recon(std::vector<double>& out) const {
     const size_t n = dims_.total();
     out.resize(n);
     double* o = out.data();
+    Lanes(threads_).run(0, n, [&](size_t b, size_t e) { export_range(o, b, e); });
+  }
+
+  /// Recon of coefficients [b, e) into o. The closed form K + 0.5 =
+  /// ceil(m) - 0.5 is taken from m rounded to the nearest integer by adding
+  /// and removing 2^52 (exact below 2^52), so there is no integer
+  /// conversion and SSE2 codes two coefficients per step; deep-plane
+  /// coefficients are then redone with the walk.
+  void export_range(double* o, size_t b, size_t e) const {
     constexpr double kRound = 0x1p52;
-    size_t i = 0;
+    size_t i = b;
 #if defined(__SSE2__) && !defined(SPERR_SCALAR)
     const __m128d q = _mm_set1_pd(q_), one = _mm_set1_pd(1.0);
     const __m128d round = _mm_set1_pd(kRound), half = _mm_set1_pd(0.5);
     const __m128d sign = _mm_set1_pd(-0.0);
-    for (; i + 2 <= n; i += 2) {
+    for (; i + 2 <= e; i += 2) {
       const __m128d c = _mm_loadu_pd(coeffs_ + i);
       const __m128d m = _mm_div_pd(_mm_andnot_pd(sign, c), q);
       const __m128d near = _mm_sub_pd(_mm_add_pd(m, round), round);
@@ -504,7 +481,7 @@ class Encoder {
       _mm_storeu_pd(o + i, _mm_and_pd(_mm_cmpgt_pd(m, one), _mm_mul_pd(signed_r, q)));
     }
 #endif
-    for (; i < n; ++i) {
+    for (; i < e; ++i) {
       const double c = coeffs_[i];
       const double m = std::fabs(c) / q_;
       const double near = (m + kRound) - kRound;
@@ -512,7 +489,7 @@ class Encoder {
       o[i] = m > 1.0 ? std::copysign(r, c) * q_ : 0.0;
     }
     if (n_max_ > kClosedFormPlanes)
-      for (size_t k = 0; k < n; ++k) {
+      for (size_t k = b; k < e; ++k) {
         const double m = mag(k);
         if (!(m > kDeepMagnitude)) continue;
         const double r = refine_walk(m, plane_of(m), [](int32_t, bool) {});
@@ -527,22 +504,6 @@ class Encoder {
     // Coefficients found above kClosedFormPlanes deposit their refinement
     // bits for plane b into ref_streams_[b] at discovery.
     if (n_max_ > kClosedFormPlanes) ref_streams_.resize(size_t(n_max_) + 1);
-    serial_lane_.bw = &wbw_;
-    serial_lane_.spill = &buckets_;
-    serial_lane_.lsp = &lsp_;
-    serial_lane_.ref = &ref_streams_;
-    if (threads_ > 1) {
-      pool_ = std::make_unique<TaskPool>(threads_);
-      lanes_.resize(size_t(threads_));
-      for (Lane& ln : lanes_) {
-        ln.bw = &ln.local_bw;
-        ln.local_spill.resize(buckets_.size());
-        ln.spill = &ln.local_spill;
-        ln.lsp = &ln.local_lsp;
-        ln.local_ref.resize(ref_streams_.size());
-        ln.ref = &ln.local_ref;
-      }
-    }
 
     for (int32_t n = n_max_; n >= 0; --n) {
       // Everything found above the closed-form planes is the deep prefix.
@@ -570,80 +531,30 @@ class Encoder {
     // deeper buckets that were already swept, so every set is examined
     // exactly once per plane — the recursive coder's order.
     for (size_t d = buckets_.size(); d-- > 0;) {
-      Bucket& bk = buckets_[d];
-      const size_t count = bk.ids.size();
+      const size_t count = buckets_[d].ids.size();
       if (count == 0) continue;
-      const size_t nwords = (count + 63) / 64;
       sig_.resize_for_overwrite(count);
       live_.resize_for_overwrite(count);
-
-      if (pool_ && count >= kParallelSortGrain) {
-        // Word-aligned contiguous lanes: each lane packs and sweeps its own
-        // slice (its run scans never read another lane's words or mark
-        // another lane's tombstones), then the outputs merge below in lane
-        // order == serial entry order.
-        const int L = threads_;
-        pool_->run([&](int lane) {
-          Lane& ln = lanes_[size_t(lane)];
-          const LaneRange wr = lane_range(nwords, L, lane);
-          const size_t b = wr.begin * 64;
-          const size_t e = std::min(wr.end * 64, count);
-          if (b >= e) return;
-          Timer lt;
-          fill_sig_words(bk, n, b, e);
-          ln.significance_s = lt.seconds();
-          sweep_range(d, n, b, e, ln);
-        });
-        for (Lane& ln : lanes_) merge_lane(ln, n, pt);
-      } else {
-        Timer t;
-        fill_sig_words(bk, n, 0, count);
-        pt.significance_s += t.seconds();
-        sweep_range(d, n, 0, count, serial_lane_);
-      }
-    }
-  }
-
-  /// Append a parallel lane's outputs to the master structures (lanes are
-  /// merged in lane order == serial entry order) and clear them.
-  void merge_lane(Lane& ln, int32_t n, PassTiming& pt) {
-    pt.significance_s += ln.significance_s;  // folded in lane order
-    ln.significance_s = 0.0;
-    wbw_.append_bits(ln.local_bw.finish().data(), ln.local_bw.bit_count());
-    ln.local_bw.clear();
-    for (size_t dd = 0; dd < buckets_.size(); ++dd) {
-      Bucket& src = ln.local_spill[dd];
-      buckets_[dd].ids.insert(buckets_[dd].ids.end(), src.ids.begin(),
-                              src.ids.end());
-      buckets_[dd].planes.insert(buckets_[dd].planes.end(), src.planes.begin(),
-                                 src.planes.end());
-      src.ids.clear();
-      src.planes.clear();
-    }
-    lsp_.insert(lsp_.end(), ln.local_lsp.begin(), ln.local_lsp.end());
-    ln.local_lsp.clear();
-    for (size_t b = 0; b < ln.local_ref.size() && b < size_t(n); ++b) {
-      WordBitWriter& src = ln.local_ref[b];
-      if (src.bit_count()) {
-        ref_streams_[b].append_bits(src.finish().data(), src.bit_count());
-        src.clear();
-      }
+      Timer t;
+      fill_sig_words(buckets_[d], n);
+      pt.significance_s += t.seconds();
+      sweep_bucket(d, n);
     }
   }
 
   /// Pack significance (set plane >= n) and liveness (`plane != kConsumed`)
-  /// of bucket entries [b, e) into sig_'s / live_'s words — one linear pass
+  /// of a bucket's entries into sig_'s / live_'s words — one linear pass
   /// over the cached plane bytes (plus the entries' exact planes above
-  /// kCachedPlaneMax). `b` is a multiple of 64; every covered word is
-  /// written in full, so no prior clearing is needed (resize_for_overwrite
-  /// above).
-  void fill_sig_words(const Bucket& bk, int32_t n, size_t b, size_t e) {
+  /// kCachedPlaneMax). Every word is written in full, so no prior clearing
+  /// is needed (resize_for_overwrite above).
+  void fill_sig_words(const Bucket& bk, int32_t n) {
     uint64_t* sw = sig_.word_data();
     uint64_t* lw = live_.word_data();
     const int8_t* p = bk.planes.data();
     const bool deep = n > kCachedPlaneMax;
-    size_t i = b;
-    for (size_t w = b >> 6; i < e; ++w) {
+    const size_t e = bk.planes.size();
+    size_t i = 0;
+    for (size_t w = 0; i < e; ++w) {
       uint64_t sig = 0, live = 0;
 #if defined(__SSE2__) && !defined(SPERR_SCALAR)
       if (!deep && e - i >= 64) {
@@ -679,17 +590,18 @@ class Encoder {
     }
   }
 
-  /// Sweep entries [b, e) of bucket `d`: runs of live insignificant sets
-  /// are counted by popcount and emitted as one batched zero run (the sets
-  /// themselves stay listed in place — no copy); significant sets emit
-  /// their 1-bit, descend, and are tombstoned. A significant leaf's zero
-  /// run, 1 and sign go out in one write. `b` is a multiple of 64.
-  void sweep_range(size_t d, int32_t n, size_t b, size_t e, Lane& lane) {
+  /// Sweep bucket `d`: runs of live insignificant sets are counted by
+  /// popcount and emitted as one batched zero run (the sets themselves stay
+  /// listed in place — no copy); significant sets emit their 1-bit,
+  /// descend, and are tombstoned. A significant leaf's zero run, 1 and sign
+  /// go out in one write.
+  void sweep_bucket(size_t d, int32_t n) {
     Bucket& bk = buckets_[d];
     const uint64_t* sigw = sig_.word_data();
     const uint64_t* livew = live_.word_data();
+    const size_t e = bk.ids.size();
     size_t zeros = 0;
-    for (size_t w = b >> 6; w * 64 < e; ++w) {
+    for (size_t w = 0; w * 64 < e; ++w) {
       const size_t base = w * 64;
       uint64_t window = ~uint64_t(0);
       if (e - base < 64) window = (uint64_t(1) << (e - base)) - 1;
@@ -705,18 +617,18 @@ class Encoder {
         const uint32_t id = bk.ids[idx];
         if (id & kLeafTag) {
           const Word word = leaf_word(id);
-          put_after_zeros(*lane.bw, zeros, 1 | sign_bit(word) << 1, 2);
-          found_significant(word, n, lane, lane.bw->bit_count());
+          put_after_zeros(wbw_, zeros, 1 | sign_bit(word) << 1, 2);
+          found_significant(word, n, wbw_.bit_count());
         } else {
-          put_after_zeros(*lane.bw, zeros, 1, 1);
-          sweep_descend(id, uint32_t(d), n, lane);
+          put_after_zeros(wbw_, zeros, 1, 1);
+          sweep_descend(id, uint32_t(d), n);
         }
         zeros = 0;
         bk.planes[idx] = kConsumed;
       }
       zeros += size_t(std::popcount(live));
     }
-    if (zeros) lane.bw->put_zeros(zeros);
+    if (zeros) wbw_.put_zeros(zeros);
   }
 
   /// One pass over a node's children: their worklist entries (sets by id,
@@ -756,10 +668,10 @@ class Encoder {
   /// without a frame: each child's significance bit (none for a deduced
   /// last child) and each found one's sign go out in one put_bits of at
   /// most 16 bits; the insignificant ones spill to bucket `depth`.
-  void code_leaf_set(const SetTree::Node& nd, size_t depth, int32_t n, Lane& lane) {
+  void code_leaf_set(const SetTree::Node& nd, size_t depth, int32_t n) {
     const Word* w = leaf_.get() + nd.leaf0;
-    Bucket& dest = (*lane.spill)[depth];
-    const size_t at = lane.bw->bit_count();
+    Bucket& dest = buckets_[depth];
+    const size_t at = wbw_.bit_count();
     const unsigned last = nd.nchild - 1u;
     uint64_t bits = 0;
     unsigned len = 0;
@@ -779,9 +691,9 @@ class Encoder {
       bits |= (deduced ? sign : 1 | sign << 1) << len;
       len += deduced ? 1 : 2;
       any_sig = true;
-      found_significant(e, n, lane, at + len);
+      found_significant(e, n, at + len);
     }
-    lane.bw->put_bits(bits, len);
+    wbw_.put_bits(bits, len);
   }
 
   /// The recursive coder's descent of a significant set, iteratively, in
@@ -794,20 +706,19 @@ class Encoder {
   /// (code_leaf_set). Spilled-set order and the emitted bit sequence are
   /// unchanged: bits and bucket arrivals are separate channels, and each
   /// stays in child order.
-  void sweep_descend(uint32_t id, uint32_t depth, int32_t n, Lane& lane) {
+  void sweep_descend(uint32_t id, uint32_t depth, int32_t n) {
     const SetTree::Node& top = tree_->node(id);
     if (leaf_only(top)) {
-      code_leaf_set(top, depth + 1, n, lane);
+      code_leaf_set(top, depth + 1, n);
       return;
     }
-    auto& frames = lane.frames;
-    frames.clear();
-    frames.push_back(make_frame(top, n));
-    while (!frames.empty()) {
-      SweepFrame& f = frames.back();
-      // Child depth = entry depth + descent depth (frames holds the
+    frames_.clear();
+    frames_.push_back(make_frame(top, n));
+    while (!frames_.empty()) {
+      SweepFrame& f = frames_.back();
+      // Child depth = entry depth + descent depth (frames_ holds the
       // child's ancestors up to and including its parent).
-      const size_t child_depth = depth + frames.size();
+      const size_t child_depth = depth + frames_.size();
       const uint32_t rem = uint32_t(f.mask) >> f.next;
       if (rem == 0) {
         // Every remaining child is insignificant: one batched zero run,
@@ -815,18 +726,18 @@ class Encoder {
         // a significant parent has at least one significant child.)
         const uint32_t cnt = uint32_t(f.nc) - f.next;
         if (cnt) {
-          lane.bw->put_zeros(cnt);
-          Bucket& dest = (*lane.spill)[child_depth];
+          wbw_.put_zeros(cnt);
+          Bucket& dest = buckets_[child_depth];
           for (uint32_t i = f.next; i < f.nc; ++i)
             dest.push(f.ids[i], int8_t(f.planes >> (8 * i)));
         }
-        frames.pop_back();
+        frames_.pop_back();
         continue;
       }
       const uint32_t j = f.next + uint32_t(std::countr_zero(rem));
       const uint32_t gap = j - f.next;  // insignificant siblings before j
       if (gap) {
-        Bucket& dest = (*lane.spill)[child_depth];
+        Bucket& dest = buckets_[child_depth];
         for (uint32_t i = f.next; i < j; ++i)
           dest.push(f.ids[i], int8_t(f.planes >> (8 * i)));
       }
@@ -839,20 +750,20 @@ class Encoder {
       if (child & kLeafTag) {
         const Word w = leaf_word(child);
         const uint64_t sign = sign_bit(w);
-        put_after_zeros(*lane.bw, gap, deduced ? sign : 1 | sign << 1, deduced ? 1 : 2);
-        found_significant(w, n, lane, lane.bw->bit_count());
+        put_after_zeros(wbw_, gap, deduced ? sign : 1 | sign << 1, deduced ? 1 : 2);
+        found_significant(w, n, wbw_.bit_count());
         continue;
       }
       if (deduced) {
-        if (gap) lane.bw->put_zeros(gap);
+        if (gap) wbw_.put_zeros(gap);
       } else {
-        lane.bw->put_bits(uint64_t(1) << gap, gap + 1);
+        wbw_.put_bits(uint64_t(1) << gap, gap + 1);
       }
       const SetTree::Node& nd = tree_->node(child);
       if (leaf_only(nd))
-        code_leaf_set(nd, child_depth + 1, n, lane);
+        code_leaf_set(nd, child_depth + 1, n);
       else
-        frames.push_back(make_frame(nd, n));
+        frames_.push_back(make_frame(nd, n));
     }
   }
 
@@ -863,19 +774,16 @@ class Encoder {
   /// from; above it the walk writes its bits into the per-plane deep-prefix
   /// streams at once and the LSP slot is a placeholder. `sign_end` is the
   /// stream position just past the coefficient's sign bit.
-  void found_significant(Word e, int32_t n, Lane& lane, size_t sign_end) {
+  void found_significant(Word e, int32_t n, size_t sign_end) {
     if constexpr (kDeep != 0) {
       if (e & kDeep) {
-        auto& refs = *lane.ref;
         refine_walk(mag(e & kLow), n, [&](int32_t b, bool bit) {
-          refs[size_t(b)].put_bits(uint64_t(bit), 1);
+          ref_streams_[size_t(b)].put_bits(uint64_t(bit), 1);
         });
         e = 0;
       }
     }
-    lane.lsp->push_back(e & kLow);
-    // Budgeted mode is serial, so the lane writes the master stream and
-    // sign_end is a global position.
+    lsp_.push_back(e & kLow);
     if (budget_ && sign_end < budget_) kept_ = lsp_.size();
   }
 
@@ -908,11 +816,9 @@ class Encoder {
   std::unique_ptr<Word[]> leaf_;       ///< leaf word per leaf ordinal
   size_t significant_ = 0;             ///< nonzero leaf words
 
-  int threads_ = 1;
-  std::unique_ptr<TaskPool> pool_;  ///< non-null only when threads_ > 1
-  Lane serial_lane_;
-  std::vector<Lane> lanes_;
+  int threads_;  ///< lanes of the recon export
   std::vector<Bucket> buckets_;  ///< sweep worklists, bucketed by depth
+  std::vector<SweepFrame> frames_;  ///< descent stack
   PackedBits sig_;   ///< per-bucket packed significance bits (scratch)
   PackedBits live_;  ///< per-bucket packed liveness bits (scratch)
 

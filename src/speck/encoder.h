@@ -73,10 +73,11 @@ struct EncodeStats {
 /// output. A budgeted encode clears it: the reconstruction of a cut stream
 /// is what speck::decode returns for that stream.
 ///
-/// `threads` enables deterministic intra-chunk parallelism: each bitplane's
-/// worklists are partitioned into fixed contiguous lanes whose outputs merge
-/// in lane order, so the stream is byte-identical at every thread count.
-/// 0 = one lane per hardware thread; size-bounded mode always runs serial.
+/// `threads` splits the recon export, an element-wise pass over the
+/// coefficients, into fixed contiguous lanes (common/threadpool.h Lanes);
+/// the sorting and refinement passes run on the calling thread, so the
+/// stream and the recon are identical at every thread count. 0 = one lane
+/// per hardware thread; a budgeted encode exports no recon and uses none.
 std::vector<uint8_t> encode(const double* coeffs,
                             Dims dims,
                             double q,

@@ -54,13 +54,12 @@ struct Config {
   /// OpenMP threads for chunk-parallel execution; 0 = runtime default.
   int num_threads = 0;
 
-  /// Threads used *inside* each chunk's SPECK coder (deterministic lane
-  /// parallelism: the stream is byte-identical at every setting). 1 =
-  /// serial (default — chunk-level parallelism already saturates machines
-  /// on multi-chunk inputs), 0 = auto: a single-chunk input gets one lane
-  /// per thread of num_threads (or the OpenMP team), others 1. Raise it for
-  /// single-chunk (or few-chunk) requests, which otherwise leave cores
-  /// idle.
+  /// Lanes *inside* each chunk's SPECK encoder (deterministic: the stream
+  /// is byte-identical at every setting). They split only the PWE recon
+  /// export, an element-wise pass; the sorting sweep is serial. 1 = serial
+  /// (default — chunk-level parallelism already saturates machines on
+  /// multi-chunk inputs), 0 = auto: a single-chunk input gets one lane per
+  /// thread of num_threads (or the OpenMP team), others 1.
   int intra_chunk_threads = 1;
 
   /// Apply the final lossless pass (paper §V uses ZSTD; we use the built-in

@@ -66,8 +66,10 @@ size_t fixed_rate_budget(double bpp, Dims chunk_dims);
 /// It is rewound, not reset: allocations the caller made before survive.
 ///
 /// `intra_chunk_threads` feeds the SPECK coder's deterministic lanes
-/// (Config::intra_chunk_threads; 1 = serial, 0 = auto): the bytes are the
-/// same at every setting. The budgeted fixed-rate coder always runs serial.
+/// (Config::intra_chunk_threads; 1 = serial, 0 = auto), which split its
+/// element-wise loops (the encoder's PWE recon export, the decoder's
+/// refinement passes and export): the bytes are the same at every setting.
+/// The budgeted fixed-rate encode exports no recon, so it uses none.
 ///
 /// `float_output` marks an f32 container, which may be decoded to floats: a
 /// value is then also an outlier when the reconstruction rounded to float

@@ -7,12 +7,14 @@
 //
 // Regenerating (after an INTENTIONAL format/coder change):
 //   SPERR_GOLDEN_REGEN=1 ./test_golden  # rewrites tests/golden/*.sperr
+//                                       # and pwe_idx40_field.f64
 // then commit the new fixtures together with the change that motivated them.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -243,6 +245,60 @@ TEST(GoldenStreams, TruncatedFixedRateMultiChunk) {
   ASSERT_EQ(out_dims, dims);
   for (size_t i = 0; i < recon.size(); ++i)
     ASSERT_TRUE(std::isfinite(recon[i])) << "index " << i;
+}
+
+// ---- The PWE bound at a tight tolerance, from a stored field ---------------
+// At idx 40 (t = range * 2^-40) the locate stage decides outliers on the
+// last bits of the reconstruction, so a decoder whose arithmetic differs
+// from the encoder's (another build's flags, say) breaks the bound first
+// here. The original field is stored beside the container rather than
+// regenerated, so every build checks the committed bytes against the same
+// values.
+
+TEST(GoldenStreams, PweIdx40StoredField) {
+  const Dims dims{16, 16, 16};
+  const std::string field_path = golden_path("pwe_idx40_field.f64");
+  if (regen_requested()) {
+    const auto f = data::miranda_pressure(dims, 17);
+    std::vector<uint8_t> bytes(f.size() * sizeof(double));
+    std::memcpy(bytes.data(), f.data(), bytes.size());
+    write_file(field_path, bytes);
+  }
+  const auto bytes = read_file(field_path);
+  ASSERT_EQ(bytes.size(), dims.total() * sizeof(double)) << field_path;
+  std::vector<double> field(dims.total());
+  std::memcpy(field.data(), bytes.data(), bytes.size());
+
+  Config cfg;
+  cfg.mode = Mode::pwe;
+  cfg.tolerance = tolerance_from_idx(field.data(), field.size(), 40);
+  cfg.chunk_dims = Dims{256, 256, 256};
+  Stats stats;
+  // A byte mismatch does not stop the test: the committed bytes are then
+  // decoded by a build that did not make them, and the bound still holds.
+  const auto golden = check_bytes("pwe_idx40.sperr",
+                                  compress(field.data(), dims, cfg, &stats));
+  EXPECT_GT(stats.num_outliers, 0u);
+
+  std::vector<double> recon64;
+  std::vector<float> recon32;
+  Dims d64, d32;
+  ASSERT_EQ(decompress(golden.data(), golden.size(), recon64, d64), Status::ok);
+  ASSERT_EQ(decompress(golden.data(), golden.size(), recon32, d32), Status::ok);
+  ASSERT_EQ(d64, dims);
+  ASSERT_EQ(d32, dims);
+  const double t = cfg.tolerance;
+  for (size_t i = 0; i < field.size(); ++i) {
+    ASSERT_LE(std::fabs(field[i] - recon64[i]), t) << "f64 decode, index " << i;
+    // t is far below the float spacing of these values (about 1e6), so an
+    // f64 container's float decode is the f64 decode rounded to float, and
+    // within t plus half that spacing of the original.
+    ASSERT_EQ(recon32[i], float(recon64[i])) << "f32 decode, index " << i;
+    const double half_ulp =
+        (double(std::nextafter(recon32[i], INFINITY)) - double(recon32[i])) / 2;
+    ASSERT_LE(std::fabs(field[i] - double(recon32[i])), t + half_ulp)
+        << "f32 decode, index " << i;
+  }
 }
 
 // ---- Legacy container compatibility ---------------------------------------

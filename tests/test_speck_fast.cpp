@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/threadpool.h"
 #include "common/timer.h"
 #include "oracle/oracle.h"
 #include "speck/common.h"
@@ -69,9 +70,10 @@ void expect_decode_stats_equal(const DecodeStats& a, const DecodeStats& b) {
 }
 
 /// The thread counts every case in the differential wall is held to. 1 is
-/// the serial sweep engine; 2/4/8 exercise lane partitioning, including
-/// more lanes than this machine has cores (correctness must not depend on
-/// real concurrency).
+/// fully serial; 2/4/8 split the element-wise loops into lanes (the
+/// encoder's recon export, the decoder's refinement passes and export) once
+/// they reach Lanes::kGrain items, including more lanes than this machine
+/// has cores (correctness must not depend on real concurrency).
 constexpr int kThreadWall[] = {1, 2, 4, 8};
 
 /// Full differential check of one field at one (q, budget), at every
@@ -204,8 +206,8 @@ TEST(SpeckFast, DeepPlanesMatchReference) {
 
 // The integer-magnitude path: a coefficient found at plane n <= 50 is coded
 // from K = ceil(m) - 1, held in 32 bits while the top plane is at most 29.
-// These grids are large enough (32x32x16) for the sorting sweep to split
-// buckets across lanes at 2/4/8 threads.
+// These grids (32x32x16) hold exactly Lanes::kGrain coefficients, so the
+// recon export splits into lanes at 2/4/8 threads.
 
 /// Overwrite every `stride`-th coefficient with a random sign times m * q.
 template <class Magnitude>
@@ -286,6 +288,24 @@ TEST(SpeckFast, IntegerWidthBoundaryMatchesReference) {
     for (const size_t budget : {size_t(0), dims.total(), 20 * dims.total()})
       expect_field_identical(c, dims, q, budget);
   }
+}
+
+TEST(SpeckFast, LanesAboveTheGrainMatchSerial) {
+  // An odd coefficient count well above Lanes::kGrain: at 2/4/8 threads the
+  // encoder's recon export and the decoder's refinement passes and export
+  // all split, the lane bounds fall at different places for each count,
+  // and the first (count mod lanes) lanes take one item more.
+  const Dims dims{41, 37, 19};
+  static_assert(size_t(41) * 37 * 19 > Lanes::kGrain);
+  const double q = 0.5;
+  // Lifted 2^8, so that most of the field, the small values included, is
+  // significant and the decoder's LSP also passes the grain.
+  const auto c = adversarial_coeffs(dims, 990, q, 256.0);
+  EncodeStats stats;
+  (void)encode(c.data(), dims, q, 0, &stats);
+  ASSERT_GT(stats.significant_count, Lanes::kGrain);
+  for (const size_t budget : {size_t(0), dims.total()})
+    expect_field_identical(c, dims, q, budget);
 }
 
 /// Bit `i` of an encoded stream's payload.
