@@ -330,8 +330,11 @@ struct SpeckRecord {
   double ref_decode_s = 0.0;
   double fast_encode_s = 0.0;  // flattened production coder, serial
   double fast_decode_s = 0.0;
-  double par_encode_s = 0.0;   // production coder at `threads` lanes
-  double par_decode_s = 0.0;
+  // The encoder's lanes split only its PWE recon export, so the lane
+  // ratio times both encodes with recon_out: on one lane and on `threads`.
+  double recon_encode_s = 0.0;
+  double par_encode_s = 0.0;
+  double par_decode_s = 0.0;   // production decoder at `threads` lanes
   bool bit_identical = false;      // serial fast coder vs reference
   bool parallel_bit_identical = false;  // every thread count vs reference
   std::vector<sperr::speck::PassTiming> passes;  // serial fast encode
@@ -381,15 +384,19 @@ SpeckRecord run_speck_record(size_t n, int repeats, int threads) {
   rec.tree_build_s = fast_stats.tree_build_s;
   rec.tree_bytes = SetTreeCache::shared().get(rec.dims).tree->bytes();
 
-  // Intra-chunk lane determinism: streams and decodes must stay identical
-  // at every thread count, not just the benchmarked one.
-  rec.parallel_bit_identical = rec.bit_identical;
+  // Intra-chunk lane determinism: streams, recon exports and decodes must
+  // stay identical at every thread count, not just the benchmarked one.
+  std::vector<double> recon1, recon;
+  rec.parallel_bit_identical =
+      rec.bit_identical &&
+      encode(coeffs.data(), rec.dims, q, 0, nullptr, &recon1) == ref_stream;
   for (const int t : {2, 4, 8}) {
-    const auto s = encode(coeffs.data(), rec.dims, q, 0, nullptr, nullptr, t);
+    const auto s = encode(coeffs.data(), rec.dims, q, 0, nullptr, &recon, t);
     std::vector<double> out(coeffs.size());
     (void)decode(s.data(), s.size(), rec.dims, out.data(), nullptr, t);
     rec.parallel_bit_identical =
         rec.parallel_bit_identical && s == ref_stream &&
+        std::memcmp(recon.data(), recon1.data(), recon1.size() * sizeof(double)) == 0 &&
         std::memcmp(out.data(), ref_out.data(),
                     out.size() * sizeof(double)) == 0;
   }
@@ -397,7 +404,7 @@ SpeckRecord run_speck_record(size_t n, int repeats, int threads) {
   sperr::Timer timer;
   rec.ref_encode_s = rec.ref_decode_s = 1e300;
   rec.fast_encode_s = rec.fast_decode_s = 1e300;
-  rec.par_encode_s = rec.par_decode_s = 1e300;
+  rec.recon_encode_s = rec.par_encode_s = rec.par_decode_s = 1e300;
   for (int r = 0; r < repeats; ++r) {
     timer.reset();
     auto s = encode_reference(coeffs.data(), rec.dims, q);
@@ -410,9 +417,14 @@ SpeckRecord run_speck_record(size_t n, int repeats, int threads) {
     benchmark::DoNotOptimize(s.data());
 
     timer.reset();
-    s = encode(coeffs.data(), rec.dims, q, 0, nullptr, nullptr, threads);
+    s = encode(coeffs.data(), rec.dims, q, 0, nullptr, &recon);
+    rec.recon_encode_s = std::min(rec.recon_encode_s, timer.seconds());
+    benchmark::DoNotOptimize(recon.data());
+
+    timer.reset();
+    s = encode(coeffs.data(), rec.dims, q, 0, nullptr, &recon, threads);
     rec.par_encode_s = std::min(rec.par_encode_s, timer.seconds());
-    benchmark::DoNotOptimize(s.data());
+    benchmark::DoNotOptimize(recon.data());
 
     timer.reset();
     (void)decode_reference(ref_stream.data(), ref_stream.size(), rec.dims,
@@ -456,6 +468,7 @@ int write_speck_json(const std::string& path, size_t n, int repeats, int threads
       "  \"reference_decode_seconds\": %.6f,\n"
       "  \"fast_encode_seconds\": %.6f,\n"
       "  \"fast_decode_seconds\": %.6f,\n"
+      "  \"recon_encode_seconds\": %.6f,\n"
       "  \"parallel_encode_seconds\": %.6f,\n"
       "  \"parallel_decode_seconds\": %.6f,\n"
       "  \"encode_speedup\": %.3f,\n"
@@ -478,12 +491,12 @@ int write_speck_json(const std::string& path, size_t n, int repeats, int threads
       "  \"decode_finish_seconds\": %.6f,\n",
       rec.dims.x, rec.dims.y, rec.dims.z, rec.repeats, rec.threads, rec.planes,
       rec.payload_bits, rec.ref_encode_s, rec.ref_decode_s, rec.fast_encode_s,
-      rec.fast_decode_s, rec.par_encode_s, rec.par_decode_s,
+      rec.fast_decode_s, rec.recon_encode_s, rec.par_encode_s, rec.par_decode_s,
       rec.ref_encode_s / rec.fast_encode_s,
       rec.ref_decode_s / rec.fast_decode_s,
       (rec.ref_encode_s + rec.ref_decode_s) /
           (rec.fast_encode_s + rec.fast_decode_s),
-      rec.fast_encode_s / rec.par_encode_s,
+      rec.recon_encode_s / rec.par_encode_s,
       rec.fast_decode_s / rec.par_decode_s,
       mvox_e / rec.fast_encode_s, mvox_e / rec.fast_decode_s,
       rec.bit_identical ? "true" : "false",

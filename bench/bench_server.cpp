@@ -65,6 +65,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "sperr/sperr.h"
+#include "testkit/loopback.h"
 
 namespace {
 
@@ -319,7 +320,7 @@ bool check_backpressure() {
     RawConn c(srv.port());
     FrameHeader h;
     std::vector<uint8_t> reply;
-    if (c.fd < 0 || !roundtrip(c.fd, Opcode::verify, id, junk, h, reply))
+    if (c.fd < 0 || !exchange(c.fd, Opcode::verify, id, junk, h, reply))
       return false;
     status = h.code;
     return true;
@@ -393,7 +394,7 @@ std::vector<uint8_t> bomb_container() {
 bool fetch_stats(int fd, uint64_t id, StatsSnapshot& snap) {
   FrameHeader h;
   std::vector<uint8_t> reply;
-  return roundtrip(fd, Opcode::stats, id, {}, h, reply) &&
+  return exchange(fd, Opcode::stats, id, {}, h, reply) &&
          h.code == uint8_t(WireStatus::ok) &&
          StatsSnapshot::parse(reply.data(), reply.size(), snap);
 }
@@ -414,7 +415,8 @@ HardeningResult check_hardening() {
     RawConn stall(srv.port());
     std::vector<uint8_t> header;
     put_frame_header(header, kRequestMagic, uint8_t(Opcode::stats), 7, 0);
-    bool ok = stall.fd >= 0 && write_all(stall.fd, header.data(), 23);
+    bool ok = stall.fd >= 0 &&
+              write_all_deadline(stall.fd, header.data(), 23, -1) == IoOutcome::ok;
     RawConn good(srv.port());
     StatsSnapshot snap;
     ok = ok && good.fd >= 0 && fetch_stats(good.fd, 1, snap);
@@ -451,7 +453,7 @@ HardeningResult check_hardening() {
     const std::vector<uint8_t> junk = {0xde, 0xad, 0xbe, 0xef};
     FrameHeader h;
     std::vector<uint8_t> reply;
-    bool ok = c.fd >= 0 && roundtrip(c.fd, Opcode::verify, 9, junk, h, reply) &&
+    bool ok = c.fd >= 0 && exchange(c.fd, Opcode::verify, 9, junk, h, reply) &&
               h.code == uint8_t(WireStatus::deadline_exceeded);
     // The lone worker is still inside the hook; let it drain so the STATS
     // probe below is answered inside its own deadline.
@@ -477,7 +479,8 @@ HardeningResult check_hardening() {
     bool ok = a.fd >= 0 && fetch_stats(a.fd, 1, snap);  // a is registered now
     RawConn b(srv.port());
     uint8_t raw[kFrameHeaderBytes];
-    ok = ok && b.fd >= 0 && read_exact(b.fd, raw, sizeof raw);
+    ok = ok && b.fd >= 0 &&
+         read_exact_deadline(b.fd, raw, sizeof raw, -1) == IoOutcome::ok;
     if (ok) {
       const FrameHeader h = parse_frame_header(raw);
       ok = h.magic == kReplyMagic && h.code == uint8_t(WireStatus::busy) &&
@@ -513,20 +516,20 @@ HardeningResult check_hardening() {
     FrameHeader h;
     std::vector<uint8_t> before, after, reply;
     bool ok = victim.fd >= 0 && attacker.fd >= 0 &&
-              roundtrip(victim.fd, Opcode::decompress, 1,
+              exchange(victim.fd, Opcode::decompress, 1,
                         build_decompress_body(0, 8, honest.data(),
                                               honest.size()),
                         h, before) &&
               h.code == uint8_t(WireStatus::ok);
     sperr::Timer bomb_timer;
     ok = ok &&
-         roundtrip(attacker.fd, Opcode::decompress, 2,
+         exchange(attacker.fd, Opcode::decompress, 2,
                    build_decompress_body(0, 8, bomb.data(), bomb.size()), h,
                    reply) &&
          h.code == uint8_t(WireStatus::resource_exhausted) && reply.empty() &&
          bomb_timer.seconds() < 0.25;
     ok = ok &&
-         roundtrip(victim.fd, Opcode::decompress, 3,
+         exchange(victim.fd, Opcode::decompress, 3,
                    build_decompress_body(0, 8, honest.data(), honest.size()),
                    h, after) &&
          h.code == uint8_t(WireStatus::ok) && after == before;
@@ -561,7 +564,7 @@ HardeningResult check_hardening() {
       FrameHeader h;
       std::vector<uint8_t> reply;
       const bool ok =
-          c.fd >= 0 && roundtrip(c.fd, Opcode::decompress, 1, body, h, reply);
+          c.fd >= 0 && exchange(c.fd, Opcode::decompress, 1, body, h, reply);
       code = h.code;
       srv.stop();
       return ok;

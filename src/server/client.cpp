@@ -55,38 +55,6 @@ bool Client::ensure_connected(int budget_ms) {
 
 bool Client::connect() { return ensure_connected(cfg_.connect_budget_ms); }
 
-bool Client::exchange(Opcode op, uint64_t request_id,
-                      const std::vector<uint8_t>& body, FrameHeader& reply_hdr,
-                      std::vector<uint8_t>& reply_body) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + body.size());
-  put_frame_header(frame, kRequestMagic, uint8_t(op), request_id, body.size());
-  frame.insert(frame.end(), body.begin(), body.end());
-  Timer op_clock;
-  if (write_all_deadline(fd_, frame.data(), frame.size(), cfg_.op_timeout_ms) !=
-      IoOutcome::ok)
-    return false;
-  // The whole exchange shares one op budget: whatever the send consumed is
-  // no longer available to the reply wait.
-  auto remain = [&] {
-    if (cfg_.op_timeout_ms < 0) return -1;
-    const int r = cfg_.op_timeout_ms - int(op_clock.milliseconds());
-    return r > 0 ? r : 0;
-  };
-  uint8_t raw[kFrameHeaderBytes];
-  if (read_exact_deadline(fd_, raw, sizeof raw, remain()) != IoOutcome::ok)
-    return false;
-  reply_hdr = parse_frame_header(raw);
-  if (reply_hdr.magic != kReplyMagic || reply_hdr.body_len > cfg_.max_reply_body)
-    return false;
-  reply_body.resize(size_t(reply_hdr.body_len));
-  if (reply_hdr.body_len > 0 &&
-      read_exact_deadline(fd_, reply_body.data(), reply_body.size(),
-                          remain()) != IoOutcome::ok)
-    return false;
-  return reply_hdr.request_id == request_id;
-}
-
 CallResult Client::call(Opcode op, const std::vector<uint8_t>& body) {
   ++stats_.calls;
   CallResult res;
@@ -100,7 +68,8 @@ CallResult Client::call(Opcode op, const std::vector<uint8_t>& body) {
       const uint64_t rid = next_request_id_++;
       FrameHeader hdr;
       std::vector<uint8_t> reply;
-      if (exchange(op, rid, body, hdr, reply)) {
+      if (exchange(fd_, op, rid, body, hdr, reply, cfg_.max_reply_body,
+                   cfg_.op_timeout_ms)) {
         res.ok = true;
         res.status = WireStatus(hdr.code);
         res.body = std::move(reply);

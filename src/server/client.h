@@ -123,9 +123,6 @@ class Client {
 
  private:
   bool ensure_connected(int budget_ms);
-  bool exchange(Opcode op, uint64_t request_id,
-                const std::vector<uint8_t>& body, FrameHeader& reply_hdr,
-                std::vector<uint8_t>& reply_body);
 
   ClientConfig cfg_;
   Rng rng_;

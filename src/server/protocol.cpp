@@ -39,58 +39,6 @@ FrameHeader parse_frame_header(const uint8_t* bytes) {
   return h;
 }
 
-bool read_exact(int fd, void* buf, size_t n) {
-  char* p = static_cast<char*>(buf);
-  while (n > 0) {
-    const ssize_t got = ::recv(fd, p, n, 0);
-    if (got > 0) {
-      p += got;
-      n -= size_t(got);
-    } else if (got == 0) {
-      return false;  // orderly EOF mid-message
-    } else if (errno != EINTR) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool write_all(int fd, const void* buf, size_t n) {
-  const char* p = static_cast<const char*>(buf);
-  while (n > 0) {
-    // MSG_NOSIGNAL: a peer that closed early must surface as EPIPE, not
-    // terminate the server process with SIGPIPE.
-    const ssize_t put = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (put > 0) {
-      p += put;
-      n -= size_t(put);
-    } else if (put < 0 && errno != EINTR) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool send_frame(int fd, uint32_t magic, uint8_t code, uint64_t request_id,
-                const uint8_t* body, size_t body_len) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kFrameHeaderBytes + body_len);
-  put_frame_header(frame, magic, code, request_id, body_len);
-  if (body_len > 0) frame.insert(frame.end(), body, body + body_len);
-  return write_all(fd, frame.data(), frame.size());
-}
-
-bool recv_frame(int fd, FrameHeader& hdr, std::vector<uint8_t>& body,
-                size_t max_body) {
-  uint8_t raw[kFrameHeaderBytes];
-  if (!read_exact(fd, raw, sizeof raw)) return false;
-  hdr = parse_frame_header(raw);
-  if (hdr.body_len > max_body) return false;
-  body.resize(size_t(hdr.body_len));
-  if (hdr.body_len > 0 && !read_exact(fd, body.data(), body.size())) return false;
-  return true;
-}
-
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -215,21 +163,33 @@ int connect_loopback_deadline(uint16_t port, int timeout_ms) {
   return fd;
 }
 
-int connect_loopback(uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  // Request/reply traffic: small frames benefit from immediate sends.
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  return fd;
+bool exchange(int fd, Opcode op, uint64_t request_id,
+              const std::vector<uint8_t>& body, FrameHeader& reply_hdr,
+              std::vector<uint8_t>& reply_body, size_t max_body, int timeout_ms) {
+  std::vector<uint8_t> frame;
+  frame.reserve(kFrameHeaderBytes + body.size());
+  put_frame_header(frame, kRequestMagic, uint8_t(op), request_id, body.size());
+  frame.insert(frame.end(), body.begin(), body.end());
+  sperr::Timer op_clock;
+  if (write_all_deadline(fd, frame.data(), frame.size(), timeout_ms) != IoOutcome::ok)
+    return false;
+  // The whole exchange shares one budget: whatever the send consumed is no
+  // longer available to the reply wait.
+  auto remain = [&] {
+    if (timeout_ms < 0) return -1;
+    const int r = timeout_ms - int(op_clock.milliseconds());
+    return r > 0 ? r : 0;
+  };
+  uint8_t raw[kFrameHeaderBytes];
+  if (read_exact_deadline(fd, raw, sizeof raw, remain()) != IoOutcome::ok) return false;
+  reply_hdr = parse_frame_header(raw);
+  if (reply_hdr.magic != kReplyMagic || reply_hdr.body_len > max_body) return false;
+  reply_body.resize(size_t(reply_hdr.body_len));
+  if (reply_hdr.body_len > 0 &&
+      read_exact_deadline(fd, reply_body.data(), reply_body.size(), remain()) !=
+          IoOutcome::ok)
+    return false;
+  return reply_hdr.request_id == request_id;
 }
 
 std::vector<uint8_t> build_compress_body(const sperr::Config& cfg, Dims dims,
@@ -275,16 +235,6 @@ std::vector<uint8_t> build_extract_body(uint32_t chunk_index,
   put_u32(body, chunk_index);
   body.insert(body.end(), container, container + size);
   return body;
-}
-
-bool roundtrip(int fd, Opcode op, uint64_t request_id,
-               const std::vector<uint8_t>& body, FrameHeader& reply_hdr,
-               std::vector<uint8_t>& reply_body, size_t max_body) {
-  if (!send_frame(fd, kRequestMagic, uint8_t(op), request_id, body.data(),
-                  body.size()))
-    return false;
-  if (!recv_frame(fd, reply_hdr, reply_body, max_body)) return false;
-  return reply_hdr.magic == kReplyMagic && reply_hdr.request_id == request_id;
 }
 
 }  // namespace sperr::server

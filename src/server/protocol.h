@@ -149,21 +149,14 @@ inline constexpr size_t kStatsReplyBytes = 224;
 inline constexpr size_t kStatsReplyBytesV0 = 168;  ///< pre-hardening prefix
 inline constexpr size_t kStatsReplyBytesV1 = 216;  ///< pre-resource-limits prefix
 
-// --- blocking socket I/O helpers (shared by server, bench, tests) -----------
-
-/// Read exactly `n` bytes; false on EOF/error (partial reads discarded).
-bool read_exact(int fd, void* buf, size_t n);
-
-/// Write all `n` bytes; false on error.
-bool write_all(int fd, const void* buf, size_t n);
-
-// --- deadline-guarded socket I/O (server + retrying client) -----------------
+// --- deadline-guarded socket I/O (server, client, tests, tools) -------------
 //
-// All deadline helpers require an O_NONBLOCK descriptor and poll() before
+// A deadline needs an O_NONBLOCK descriptor: the helpers poll() before
 // every recv/send, retrying EINTR with the remaining budget recomputed. The
 // deadline is an *overall* budget for the whole operation, not a
 // per-progress idle check — a slow-loris peer dripping one byte per poll
-// interval still gets reaped when the total budget runs out.
+// interval still gets reaped when the total budget runs out. With no
+// deadline (< 0) they also serve a blocking descriptor.
 
 enum class IoOutcome : uint8_t {
   ok = 0,
@@ -189,19 +182,18 @@ IoOutcome write_all_deadline(int fd, const void* buf, size_t n, int timeout_ms);
 /// is non-blocking (use the deadline helpers on it); -1 on failure/timeout.
 int connect_loopback_deadline(uint16_t port, int timeout_ms);
 
-/// Write one frame (header + body) in a single buffer.
-bool send_frame(int fd, uint32_t magic, uint8_t code, uint64_t request_id,
-                const uint8_t* body, size_t body_len);
+/// Send one request frame and read its reply, both under one `timeout_ms`
+/// budget for the whole exchange (< 0 = no deadline). False on a transport
+/// failure, a reply that is not an SPRA frame, a reply body over
+/// `max_body` or a request id that does not match: the stream can no
+/// longer be framed. Protocol-level errors arrive as the reply's status
+/// byte in `reply_hdr.code`.
+bool exchange(int fd, Opcode op, uint64_t request_id,
+              const std::vector<uint8_t>& body, FrameHeader& reply_hdr,
+              std::vector<uint8_t>& reply_body,
+              size_t max_body = kDefaultMaxBodyBytes, int timeout_ms = -1);
 
-/// Read one frame. Returns false on EOF/error or when the advertised body
-/// exceeds `max_body`. No semantic validation: callers check magic/version.
-bool recv_frame(int fd, FrameHeader& hdr, std::vector<uint8_t>& body,
-                size_t max_body = kDefaultMaxBodyBytes);
-
-/// Client-side convenience: connect to 127.0.0.1:port. Returns -1 on error.
-int connect_loopback(uint16_t port);
-
-// --- client-side body builders (shared by bench_server and the tests) -------
+// --- request body builders (client side: benches, tests, tools) ------------
 
 /// Build a COMPRESS request body around f64 samples (precision 8). The
 /// quality field is taken from the Config slot matching cfg.mode
@@ -216,13 +208,5 @@ std::vector<uint8_t> build_decompress_body(uint8_t policy, uint8_t precision,
 /// Build an EXTRACT_CHUNK request body around a container.
 std::vector<uint8_t> build_extract_body(uint32_t chunk_index,
                                         const uint8_t* container, size_t size);
-
-/// Client-side convenience: send a request and block for its reply.
-/// Returns false on transport failure; protocol-level errors arrive as the
-/// reply's status byte in `reply_hdr.code`.
-bool roundtrip(int fd, Opcode op, uint64_t request_id,
-               const std::vector<uint8_t>& body, FrameHeader& reply_hdr,
-               std::vector<uint8_t>& reply_body,
-               size_t max_body = kDefaultMaxBodyBytes);
 
 }  // namespace sperr::server

@@ -316,8 +316,7 @@ struct Server::Impl {
     }
     const std::unique_ptr<double[]> buf(new double[chunk.dims.total()]);  // all written
     const ChunkReport crep = detail::decode_chunk(oc, index, Recovery::fail_fast,
-                                                  buf.get(), &tls_arena(),
-                                                  cfg.intra_chunk_threads);
+                                                  buf.get(), &tls_arena());
     if (crep.damaged()) {
       r.status = WireStatus::corrupt;
       return r;

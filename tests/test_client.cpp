@@ -14,9 +14,9 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "data/synthetic.h"
-#include "server/chaosproxy.h"
 #include "server/server.h"
 #include "sperr/sperr.h"
+#include "testkit/chaosproxy.h"
 
 namespace {
 

@@ -15,7 +15,6 @@
 #include <limits>
 #include <string>
 
-#include "common/faultinject.h"
 #include "data/synthetic.h"
 #include "sperr/archive.h"
 #include "sperr/chunker.h"
@@ -23,6 +22,7 @@
 #include "sperr/outofcore.h"
 #include "sperr/recovery.h"
 #include "sperr/sperr.h"
+#include "testkit/faultinject.h"
 
 namespace sperr {
 namespace {

@@ -828,7 +828,7 @@ TEST(Robustness, BombServerAnswersResourceExhaustedOnWire) {
   sc.queue_capacity = 4;
   Server srv(sc);
   ASSERT_EQ(srv.start(), Status::ok);
-  const int fd = connect_loopback(srv.port());
+  const int fd = connect_loopback_deadline(srv.port(), -1);
   ASSERT_GE(fd, 0);
 
   const auto bomb =
@@ -836,7 +836,7 @@ TEST(Robustness, BombServerAnswersResourceExhaustedOnWire) {
   FrameHeader h;
   std::vector<uint8_t> reply;
   const auto t0 = std::chrono::steady_clock::now();
-  ASSERT_TRUE(roundtrip(fd, Opcode::decompress, 1,
+  ASSERT_TRUE(exchange(fd, Opcode::decompress, 1,
                         build_decompress_body(0, 8, bomb.data(), bomb.size()),
                         h, reply));
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -848,9 +848,9 @@ TEST(Robustness, BombServerAnswersResourceExhaustedOnWire) {
 
   // A bomb is an answered request, not a dropped connection: the same
   // socket keeps working, and STATS accounts the rejection.
-  ASSERT_TRUE(roundtrip(fd, Opcode::verify, 2, bomb, h, reply));
+  ASSERT_TRUE(exchange(fd, Opcode::verify, 2, bomb, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::resource_exhausted));
-  ASSERT_TRUE(roundtrip(fd, Opcode::stats, 3, {}, h, reply));
+  ASSERT_TRUE(exchange(fd, Opcode::stats, 3, {}, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
   StatsSnapshot snap;
   ASSERT_TRUE(StatsSnapshot::parse(reply.data(), reply.size(), snap));
@@ -870,11 +870,11 @@ TEST(Robustness, BombServerMemoryBudgetBoundsHonestRequests) {
   sc.max_output_bytes = 16 << 10;
   Server srv(sc);
   ASSERT_EQ(srv.start(), Status::ok);
-  const int fd = connect_loopback(srv.port());
+  const int fd = connect_loopback_deadline(srv.port(), -1);
   ASSERT_GE(fd, 0);
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(roundtrip(fd, Opcode::decompress, 1,
+  ASSERT_TRUE(exchange(fd, Opcode::decompress, 1,
                         build_decompress_body(0, 8, blob.data(), blob.size()),
                         h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::resource_exhausted));
@@ -888,9 +888,9 @@ TEST(Robustness, BombServerMemoryBudgetBoundsHonestRequests) {
   ok_cfg.max_memory_bytes = 4 << 20;
   Server ok_srv(ok_cfg);
   ASSERT_EQ(ok_srv.start(), Status::ok);
-  const int fd2 = connect_loopback(ok_srv.port());
+  const int fd2 = connect_loopback_deadline(ok_srv.port(), -1);
   ASSERT_GE(fd2, 0);
-  ASSERT_TRUE(roundtrip(fd2, Opcode::decompress, 1,
+  ASSERT_TRUE(exchange(fd2, Opcode::decompress, 1,
                         build_decompress_body(0, 8, blob.data(), blob.size()),
                         h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));

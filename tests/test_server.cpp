@@ -30,13 +30,15 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "sperr/sperr.h"
+#include "testkit/loopback.h"
 
 namespace {
 
 using namespace sperr::server;
 using sperr::Dims;
 
-/// RAII client connection to a test server.
+/// RAII client connection to a test server. The descriptor blocks, so the
+/// raw-socket tests can recv() on it directly.
 struct Client {
   int fd = -1;
   explicit Client(uint16_t port) : fd(connect_loopback(port)) {}
@@ -64,6 +66,18 @@ struct Workload {
   }
 };
 
+/// Read one reply frame off a raw connection, for the tests that write
+/// their request bytes themselves (bad magic, version or body length, a
+/// half-close).
+bool read_reply(int fd, FrameHeader& h, std::vector<uint8_t>& body) {
+  uint8_t raw[kFrameHeaderBytes];
+  if (read_exact_deadline(fd, raw, sizeof raw, -1) != IoOutcome::ok) return false;
+  h = parse_frame_header(raw);
+  body.resize(size_t(h.body_len));
+  return body.empty() ||
+         read_exact_deadline(fd, body.data(), body.size(), -1) == IoOutcome::ok;
+}
+
 const Workload& workload() {
   static const Workload w;
   return w;
@@ -85,7 +99,7 @@ TEST(Server, CompressMatchesDirectCall) {
 
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::compress, 7,
+  ASSERT_TRUE(exchange(c.fd, Opcode::compress, 7,
                         build_compress_body(w.cfg, w.dims, w.field.data()), h,
                         reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
@@ -103,7 +117,7 @@ TEST(Server, CompressWithSelfVerifyFlag) {
 
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(roundtrip(
+  ASSERT_TRUE(exchange(
       c.fd, Opcode::compress, 8,
       build_compress_body(w.cfg, w.dims, w.field.data(), kCompressFlagVerify), h,
       reply));
@@ -120,7 +134,7 @@ TEST(Server, DecompressMatchesDirectCall) {
 
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(roundtrip(
+  ASSERT_TRUE(exchange(
       c.fd, Opcode::decompress, 9,
       build_decompress_body(0, 8, w.container.data(), w.container.size()), h,
       reply));
@@ -134,7 +148,7 @@ TEST(Server, DecompressMatchesDirectCall) {
             0);
 
   // f32 output: same field, 4-byte samples.
-  ASSERT_TRUE(roundtrip(
+  ASSERT_TRUE(exchange(
       c.fd, Opcode::decompress, 10,
       build_decompress_body(0, 4, w.container.data(), w.container.size()), h,
       reply));
@@ -169,12 +183,12 @@ TEST(Server, FloatDecompressReservesTheFloatOutput) {
   ASSERT_GE(c.fd, 0);
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::decompress, 1,
+  ASSERT_TRUE(exchange(c.fd, Opcode::decompress, 1,
                         build_decompress_body(0, 4, blob.data(), blob.size()), h,
                         reply));
   ASSERT_EQ(h.code, uint8_t(WireStatus::ok));
   EXPECT_EQ(reply.size(), 24 + n * 4);
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::decompress, 2,
+  ASSERT_TRUE(exchange(c.fd, Opcode::decompress, 2,
                         build_decompress_body(0, 8, blob.data(), blob.size()), h,
                         reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::resource_exhausted));
@@ -189,7 +203,7 @@ TEST(Server, VerifyCleanAndDamagedContainers) {
 
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::verify, 1, w.container, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::verify, 1, w.container, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
   ASSERT_EQ(reply.size(), kVerifyReplyHeaderBytes + 8 * kVerifyChunkRecordBytes);
   EXPECT_EQ(reply[1], 1);  // intact
@@ -197,7 +211,7 @@ TEST(Server, VerifyCleanAndDamagedContainers) {
   // Flip a byte mid-container: VERIFY must localize, not crash.
   auto damaged = w.container;
   damaged[damaged.size() / 2] ^= 0x40;
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::verify, 2, damaged, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::verify, 2, damaged, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::corrupt));
   if (reply.size() >= kVerifyReplyHeaderBytes) {
     sperr::ByteReader br(reply.data(), reply.size());
@@ -209,7 +223,7 @@ TEST(Server, VerifyCleanAndDamagedContainers) {
 
   // Garbage is corrupt with an empty body (no parsable directory).
   const std::vector<uint8_t> junk = {0xde, 0xad, 0xbe, 0xef};
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::verify, 3, junk, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::verify, 3, junk, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::corrupt));
   EXPECT_TRUE(reply.empty());
 }
@@ -224,7 +238,7 @@ TEST(Server, ExtractChunkMatchesFullDecode) {
   FrameHeader h;
   std::vector<uint8_t> reply;
   for (uint32_t k = 0; k < 8; ++k) {
-    ASSERT_TRUE(roundtrip(c.fd, Opcode::extract_chunk, k,
+    ASSERT_TRUE(exchange(c.fd, Opcode::extract_chunk, k,
                           build_extract_body(k, w.container.data(),
                                              w.container.size()),
                           h, reply));
@@ -247,7 +261,7 @@ TEST(Server, ExtractChunkMatchesFullDecode) {
   }
 
   // Out-of-range index: a usable container but no such chunk.
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::extract_chunk, 99,
+  ASSERT_TRUE(exchange(c.fd, Opcode::extract_chunk, 99,
                         build_extract_body(8, w.container.data(),
                                            w.container.size()),
                         h, reply));
@@ -265,10 +279,10 @@ TEST(Server, StatsCountersAreDeterministic) {
   std::vector<uint8_t> reply;
   // Two VERIFYs (one clean, one garbage) then STATS: the snapshot counts
   // the STATS request itself (docs/PROTOCOL.md contract).
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::verify, 1, w.container, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::verify, 1, w.container, h, reply));
   const std::vector<uint8_t> junk = {1, 2, 3};
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::verify, 2, junk, h, reply));
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::stats, 3, {}, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::verify, 2, junk, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::stats, 3, {}, h, reply));
   ASSERT_EQ(h.code, uint8_t(WireStatus::ok));
 
   StatsSnapshot s;
@@ -318,7 +332,7 @@ TEST(Server, BusyBackpressureIsBoundedAndRecovers) {
     Client c(srv.port());
     FrameHeader h;
     std::vector<uint8_t> reply;
-    if (c.fd < 0 || !roundtrip(c.fd, Opcode::verify, id, junk, h, reply))
+    if (c.fd < 0 || !exchange(c.fd, Opcode::verify, id, junk, h, reply))
       return false;
     status = h.code;
     return true;
@@ -358,14 +372,14 @@ TEST(ServerMalformed, TruncatedHeaderThenServerStillServes) {
     Client c(srv.port());
     ASSERT_GE(c.fd, 0);
     const uint8_t partial[10] = {0x53, 0x50, 0x52, 0x51, 1, 3, 0, 0, 1, 0};
-    ASSERT_TRUE(write_all(c.fd, partial, sizeof partial));
+    ASSERT_EQ(write_all_deadline(c.fd, partial, sizeof partial, -1), IoOutcome::ok);
   }  // close mid-header
   // The server must shrug the dead connection off and keep serving.
   Client c2(srv.port());
   ASSERT_GE(c2.fd, 0);
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(roundtrip(c2.fd, Opcode::stats, 1, {}, h, reply));
+  ASSERT_TRUE(exchange(c2.fd, Opcode::stats, 1, {}, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
 }
 
@@ -379,13 +393,13 @@ TEST(ServerMalformed, TruncatedBodyThenServerStillServes) {
     put_frame_header(frame, kRequestMagic, uint8_t(Opcode::verify), 1,
                      /*body_len=*/100);
     frame.push_back(0xaa);  // 1 of the promised 100 bytes
-    ASSERT_TRUE(write_all(c.fd, frame.data(), frame.size()));
+    ASSERT_EQ(write_all_deadline(c.fd, frame.data(), frame.size(), -1), IoOutcome::ok);
   }
   Client c2(srv.port());
   ASSERT_GE(c2.fd, 0);
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(roundtrip(c2.fd, Opcode::stats, 1, {}, h, reply));
+  ASSERT_TRUE(exchange(c2.fd, Opcode::stats, 1, {}, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
 }
 
@@ -394,15 +408,16 @@ TEST(ServerMalformed, BadMagicClosesConnection) {
   ASSERT_EQ(srv.start(), sperr::Status::ok);
   Client c(srv.port());
   ASSERT_GE(c.fd, 0);
-  ASSERT_TRUE(send_frame(c.fd, 0x4b4e554a /* "JUNK" */, uint8_t(Opcode::stats), 5,
-                         nullptr, 0));
+  std::vector<uint8_t> frame;
+  put_frame_header(frame, 0x4b4e554a /* "JUNK" */, uint8_t(Opcode::stats), 5, 0);
+  ASSERT_EQ(write_all_deadline(c.fd, frame.data(), frame.size(), -1), IoOutcome::ok);
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(recv_frame(c.fd, h, reply));
+  ASSERT_TRUE(read_reply(c.fd, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::bad_request));
   // Framing is in doubt: the server closes after replying.
   uint8_t byte;
-  EXPECT_FALSE(read_exact(c.fd, &byte, 1));
+  EXPECT_NE(read_exact_deadline(c.fd, &byte, 1, -1), IoOutcome::ok);
 }
 
 TEST(ServerMalformed, VersionSkewIsRejected) {
@@ -413,14 +428,15 @@ TEST(ServerMalformed, VersionSkewIsRejected) {
   std::vector<uint8_t> frame;
   put_frame_header(frame, kRequestMagic, uint8_t(Opcode::stats), 6, 0);
   frame[4] = 99;  // future protocol version
-  ASSERT_TRUE(write_all(c.fd, frame.data(), frame.size()));
+  ASSERT_EQ(write_all_deadline(c.fd, frame.data(), frame.size(), -1), IoOutcome::ok);
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(recv_frame(c.fd, h, reply));
+  ASSERT_TRUE(read_reply(c.fd, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::unsupported_version));
   EXPECT_EQ(h.request_id, 6u);
   uint8_t byte;
-  EXPECT_FALSE(read_exact(c.fd, &byte, 1));  // connection closed
+  // Connection closed.
+  EXPECT_NE(read_exact_deadline(c.fd, &byte, 1, -1), IoOutcome::ok);
 }
 
 TEST(ServerMalformed, OversizedBodyLengthIsRejectedUnread) {
@@ -437,13 +453,14 @@ TEST(ServerMalformed, OversizedBodyLengthIsRejectedUnread) {
   std::vector<uint8_t> frame;
   put_frame_header(frame, kRequestMagic, uint8_t(Opcode::verify), 7,
                    size_t(1) << 30);
-  ASSERT_TRUE(write_all(c.fd, frame.data(), frame.size()));
+  ASSERT_EQ(write_all_deadline(c.fd, frame.data(), frame.size(), -1), IoOutcome::ok);
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(recv_frame(c.fd, h, reply));
+  ASSERT_TRUE(read_reply(c.fd, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::bad_request));
   uint8_t byte;
-  EXPECT_FALSE(read_exact(c.fd, &byte, 1));  // connection closed
+  // Connection closed.
+  EXPECT_NE(read_exact_deadline(c.fd, &byte, 1, -1), IoOutcome::ok);
 }
 
 TEST(ServerMalformed, UnknownOpcodeKeepsConnection) {
@@ -451,14 +468,13 @@ TEST(ServerMalformed, UnknownOpcodeKeepsConnection) {
   ASSERT_EQ(srv.start(), sperr::Status::ok);
   Client c(srv.port());
   ASSERT_GE(c.fd, 0);
-  ASSERT_TRUE(send_frame(c.fd, kRequestMagic, 9, 11, nullptr, 0));
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(recv_frame(c.fd, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode(9), 11, {}, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::bad_request));
   EXPECT_EQ(h.request_id, 11u);
   // Framing stayed intact, so the connection survives.
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::stats, 12, {}, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::stats, 12, {}, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
 }
 
@@ -471,7 +487,7 @@ TEST(ServerMalformed, GarbageBodiesGetErrorReplies) {
   std::vector<uint8_t> reply;
 
   // COMPRESS with a body shorter than its fixed header.
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::compress, 1, {1, 2, 3}, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::compress, 1, {1, 2, 3}, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::bad_request));
 
   // COMPRESS advertising dims that disagree with the sample bytes.
@@ -480,25 +496,25 @@ TEST(ServerMalformed, GarbageBodiesGetErrorReplies) {
   const std::vector<double> two(2, 0.5);
   auto body = build_compress_body(cfg, Dims{2, 1, 1}, two.data());
   body.pop_back();  // now one byte short of dims.total() * 8
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::compress, 2, body, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::compress, 2, body, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::bad_request));
 
   // DECOMPRESS with an unknown recovery policy.
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::decompress, 3,
+  ASSERT_TRUE(exchange(c.fd, Opcode::decompress, 3,
                         build_decompress_body(7, 8, body.data(), 4), h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::bad_request));
 
   // STATS with a non-empty body (the spec requires empty).
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::stats, 4, {0}, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::stats, 4, {0}, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::bad_request));
 
   // EXTRACT_CHUNK on garbage container bytes.
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::extract_chunk, 5,
+  ASSERT_TRUE(exchange(c.fd, Opcode::extract_chunk, 5,
                         build_extract_body(0, body.data(), 16), h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::corrupt));
 
   // The connection survived all five.
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::stats, 6, {}, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::stats, 6, {}, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
 }
 
@@ -516,7 +532,7 @@ TEST(Server, GracefulStopAnswersAdmittedRequests) {
       FrameHeader h;
       std::vector<uint8_t> reply;
       if (c.fd >= 0 &&
-          roundtrip(c.fd, Opcode::verify, uint64_t(i), w.container, h, reply) &&
+          exchange(c.fd, Opcode::verify, uint64_t(i), w.container, h, reply) &&
           h.code == uint8_t(WireStatus::ok))
         answered.fetch_add(1);
     });
@@ -532,7 +548,7 @@ TEST(Server, GracefulStopAnswersAdmittedRequests) {
 bool fetch_stats(int fd, uint64_t id, StatsSnapshot& snap) {
   FrameHeader h;
   std::vector<uint8_t> reply;
-  return roundtrip(fd, Opcode::stats, id, {}, h, reply) &&
+  return exchange(fd, Opcode::stats, id, {}, h, reply) &&
          h.code == uint8_t(WireStatus::ok) &&
          StatsSnapshot::parse(reply.data(), reply.size(), snap);
 }
@@ -552,7 +568,8 @@ TEST(ServerHardened, IdleConnectionIsReaped) {
   ASSERT_GE(stall.fd, 0);
   std::vector<uint8_t> header;
   put_frame_header(header, kRequestMagic, uint8_t(Opcode::stats), 7, 0);
-  ASSERT_TRUE(write_all(stall.fd, header.data(), 23));  // one byte short
+  // One byte short.
+  ASSERT_EQ(write_all_deadline(stall.fd, header.data(), 23, -1), IoOutcome::ok);
 
   Client good(srv.port());
   ASSERT_GE(good.fd, 0);
@@ -592,7 +609,7 @@ TEST(ServerHardened, RequestDeadlineAnswersDeadlineExceeded) {
   FrameHeader h;
   std::vector<uint8_t> reply;
   sperr::Timer t;
-  ASSERT_TRUE(roundtrip(c.fd, Opcode::verify, 9, junk, h, reply));
+  ASSERT_TRUE(exchange(c.fd, Opcode::verify, 9, junk, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::deadline_exceeded));
   EXPECT_EQ(h.request_id, 9u);
   EXPECT_LT(t.seconds(), 0.35);  // answered at the deadline, not after the work
@@ -620,7 +637,7 @@ TEST(ServerHardened, ConnectionCapRepliesBusyAndCloses) {
   Client b(srv.port());
   ASSERT_GE(b.fd, 0);
   uint8_t raw[kFrameHeaderBytes];
-  ASSERT_TRUE(read_exact(b.fd, raw, sizeof raw));
+  ASSERT_EQ(read_exact_deadline(b.fd, raw, sizeof raw, -1), IoOutcome::ok);
   const FrameHeader h = parse_frame_header(raw);
   EXPECT_EQ(h.magic, kReplyMagic);
   EXPECT_EQ(h.code, uint8_t(WireStatus::busy));
@@ -647,8 +664,9 @@ TEST(ServerHardened, RstMidBodyDoesNotCrash) {
     std::vector<uint8_t> frame;
     put_frame_header(frame, kRequestMagic, uint8_t(Opcode::verify), 1,
                      w.container.size());
-    ASSERT_TRUE(write_all(c.fd, frame.data(), frame.size()));
-    ASSERT_TRUE(write_all(c.fd, w.container.data(), w.container.size() / 2));
+    ASSERT_EQ(write_all_deadline(c.fd, frame.data(), frame.size(), -1), IoOutcome::ok);
+    ASSERT_EQ(write_all_deadline(c.fd, w.container.data(), w.container.size() / 2, -1),
+              IoOutcome::ok);
     struct linger lg = {1, 0};  // RST on close
     ASSERT_EQ(::setsockopt(c.fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg), 0);
     ::close(c.fd);
@@ -675,17 +693,13 @@ TEST(ServerHardened, HalfCloseAfterRequestStillGetsReply) {
   put_frame_header(frame, kRequestMagic, uint8_t(Opcode::verify), 21,
                    w.container.size());
   frame.insert(frame.end(), w.container.begin(), w.container.end());
-  ASSERT_TRUE(write_all(c.fd, frame.data(), frame.size()));
+  ASSERT_EQ(write_all_deadline(c.fd, frame.data(), frame.size(), -1), IoOutcome::ok);
   ASSERT_EQ(::shutdown(c.fd, SHUT_WR), 0);
-  uint8_t raw[kFrameHeaderBytes];
-  ASSERT_TRUE(read_exact(c.fd, raw, sizeof raw));
-  const FrameHeader h = parse_frame_header(raw);
+  FrameHeader h;
+  std::vector<uint8_t> body;
+  ASSERT_TRUE(read_reply(c.fd, h, body));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
   EXPECT_EQ(h.request_id, 21u);
-  std::vector<uint8_t> body(size_t(h.body_len));
-  if (!body.empty()) {
-    ASSERT_TRUE(read_exact(c.fd, body.data(), body.size()));
-  }
   char extra;
   EXPECT_EQ(::recv(c.fd, &extra, 1, 0), 0);  // then EOF
   srv.stop();
@@ -707,7 +721,7 @@ TEST(ServerHardened, DisconnectWhileReplyInFlightDoesNotCrash) {
   for (int round = 0; round < 4; ++round) {
     Client c(srv.port());
     ASSERT_GE(c.fd, 0);
-    ASSERT_TRUE(write_all(c.fd, frame.data(), frame.size()));
+    ASSERT_EQ(write_all_deadline(c.fd, frame.data(), frame.size(), -1), IoOutcome::ok);
     struct linger lg = {1, 0};
     ASSERT_EQ(::setsockopt(c.fd, SOL_SOCKET, SO_LINGER, &lg, sizeof lg), 0);
     ::close(c.fd);  // RST races the in-flight reply
@@ -717,7 +731,7 @@ TEST(ServerHardened, DisconnectWhileReplyInFlightDoesNotCrash) {
   ASSERT_GE(good.fd, 0);
   FrameHeader h;
   std::vector<uint8_t> reply;
-  ASSERT_TRUE(roundtrip(good.fd, Opcode::verify, 40, w.container, h, reply));
+  ASSERT_TRUE(exchange(good.fd, Opcode::verify, 40, w.container, h, reply));
   EXPECT_EQ(h.code, uint8_t(WireStatus::ok));
   // Each RST'd connection's reader unwinds on its own thread, possibly
   // after this reply: wait (bounded) for the count to settle at `good`.
@@ -796,9 +810,11 @@ TEST(ProtocolConformance, WorkedExampleReplaysVerbatim) {
     const Exchange& ex = exchanges[i];
     ASSERT_GE(ex.request.size(), kFrameHeaderBytes) << "exchange " << i;
     ASSERT_GE(ex.reply.size(), kFrameHeaderBytes) << "exchange " << i;
-    ASSERT_TRUE(write_all(c.fd, ex.request.data(), ex.request.size()));
+    ASSERT_EQ(write_all_deadline(c.fd, ex.request.data(), ex.request.size(), -1),
+              IoOutcome::ok);
     std::vector<uint8_t> got(ex.reply.size());
-    ASSERT_TRUE(read_exact(c.fd, got.data(), got.size())) << "exchange " << i;
+    ASSERT_EQ(read_exact_deadline(c.fd, got.data(), got.size(), -1), IoOutcome::ok)
+        << "exchange " << i;
     for (size_t b = 0; b < got.size(); ++b) {
       if (ex.wild[b]) continue;
       ASSERT_EQ(got[b], ex.reply[b])

@@ -10,7 +10,9 @@
 #      block (the hexdump tests/test_server.cpp replays verbatim);
 #   4. every seed file tools/fuzz/make_corpus.cpp writes is tracked by git,
 #      so an ignore rule cannot silently shrink the corpus a fresh clone
-#      replays (fuzz_regression, cli_exit_codes).
+#      replays (fuzz_regression, cli_exit_codes);
+#   5. the library stays free of test support: no file under src/ includes
+#      a testkit/ header, and no src/**/CMakeLists.txt names sperr_testkit.
 # External (http/https/mailto) links are not fetched: CI must not depend on
 # network reachability.
 
@@ -102,6 +104,13 @@ if git -C "$ROOT" rev-parse --is-inside-work-tree > /dev/null 2>&1; then
 else
   echo "check_docs: not a git work tree, corpus tracking check skipped"
 fi
+
+# --- 5. test support stays out of the library ---------------------------------
+while IFS= read -r hit; do
+  echo "TESTKIT IN LIBRARY: ${hit#"$ROOT"/}"
+  fail=1
+done < <(grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]testkit/' "$ROOT/src";
+         find "$ROOT/src" -name CMakeLists.txt -exec grep -Hn 'sperr_testkit' {} +)
 
 if [ "$fail" -ne 0 ]; then
   echo "check_docs: FAILED"

@@ -37,11 +37,11 @@ sperr::server::Server* start_server() {
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   using namespace sperr::server;
   static Server* server = start_server();
-  static int fd = connect_loopback(server->port());
+  static int fd = connect_loopback_deadline(server->port(), -1);
   if (size == 0) return 0;
 
   // Opcodes 1..4 (compress / decompress / verify / extract_chunk); STATS
-  // requires an empty body and is covered by the roundtrip below anyway
+  // requires an empty body and is covered by the exchange below anyway
   // when size == 1 maps to a zero-length body.
   const auto op = Opcode(1 + data[0] % 4);
   const std::vector<uint8_t> body(data + 1, data + size);
@@ -49,13 +49,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   FrameHeader reply_hdr;
   std::vector<uint8_t> reply_body;
   if (fd < 0 ||
-      !roundtrip(fd, op, /*request_id=*/1, body, reply_hdr, reply_body)) {
+      !exchange(fd, op, /*request_id=*/1, body, reply_hdr, reply_body)) {
     // Transport failure: the server closes connections on framing doubt,
     // never on a well-framed hostile body — reconnect and keep fuzzing
     // (a server that died entirely will fail the reconnect and every
     // subsequent input, which libFuzzer surfaces as a hang/timeout).
     if (fd >= 0) ::close(fd);
-    fd = connect_loopback(server->port());
+    fd = connect_loopback_deadline(server->port(), -1);
   }
   return 0;
 }

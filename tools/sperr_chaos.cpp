@@ -2,7 +2,7 @@
 //
 //   sperr_chaos [--port P] [--seed S] [--events N] [--duration-s T] [--quiet]
 //
-// Places a seeded ChaosProxy (src/server/chaosproxy.h) in front of a
+// Places a seeded ChaosProxy (tools/testkit/chaosproxy.h) in front of a
 // server and drives request traffic through it with the retrying Client
 // until at least N fault events (split writes, mid-body stalls, RSTs,
 // half-closes, truncating closes) have actually fired. Every idempotent
@@ -31,10 +31,10 @@
 
 #include "common/rng.h"
 #include "common/timer.h"
-#include "server/chaosproxy.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "sperr/sperr.h"
+#include "testkit/chaosproxy.h"
 
 namespace {
 

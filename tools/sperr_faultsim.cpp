@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/faultinject.h"
 #include "data/synthetic.h"
 #include "lossless/codec.h"
 #include "sperr/chunker.h"
@@ -38,6 +37,7 @@
 #include "sperr/outofcore.h"
 #include "sperr/recovery.h"
 #include "sperr/sperr.h"
+#include "testkit/faultinject.h"
 
 namespace {
 
