@@ -25,15 +25,25 @@
 // exactness; they are found first, so they form an LSP prefix that keeps
 // the reference's per-pass double update.
 //
-// The sorting pass is bit-serial by nature (each bit's meaning depends on
-// every bit before it): runs of 0-bits (still-insignificant sets) are
-// skipped with one word-level peek_zero_run and stay listed, compacted in
-// place, and only significant sets descend bit by bit. Parallelism never
-// touches it, so the output is identical at every thread count.
+// The sorting pass reads the stream a 64-bit word at a time. Each bit's
+// meaning depends on every bit before it, so the words are taken in order,
+// but one word decodes many bucket entries: runs of 0-bits
+// (still-insignificant sets) are counted with countr_zero and stay listed,
+// compacted in place; a leaf entry decodes without a branch on its bit (its
+// id kept and an LSP slot written either way, the bit choosing which one
+// counts); a significant set whose children are all leaves decodes from one
+// peeked word, and any other descent reads each frame's children from one.
+// The bucket sweep's last 63 bits take the bit-serial path (peek_zero_run,
+// then get()), and a descent checks each bit against the bits left, so a
+// cut stream stops exactly where the reference stops. The LSP is sized
+// once to its bound and written by index.
+// Parallelism never touches the sorting pass, so the output is identical at
+// every thread count.
 
 #include "speck/decoder.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <memory>
 
@@ -98,10 +108,11 @@ class Decoder {
       lis_.resize(max_depth(dims_) + 1);
       lis_[0].push_back(tree_->root());
       // A significant coefficient costs at least its sign bit, so this
-      // bounds the LSP without ever growing (and copying) it.
-      const size_t cap = std::min<size_t>(dims_.total(), br_.bits_left());
-      sidx_.reserve(cap);
-      mag_.reserve(cap);
+      // bounds the LSP without ever growing (and copying) it; the extra
+      // slot takes the sweep's unconditional write past the last entry.
+      const size_t cap = std::min<size_t>(dims_.total(), br_.bits_left()) + 1;
+      sidx_.reset(new uint32_t[cap]);
+      mag_.reset(new Mag[cap]);
     }
     const double setup_s = setup.seconds();
 
@@ -117,11 +128,16 @@ class Decoder {
     for (int32_t p = hdr_.n_max; p >= 0; --p) {
       const size_t bits0 = br_.bits_read();
       thrd_ = std::ldexp(1.0, p);
-      listed = sidx_.size();
+      listed = nsig_;
       refined = 0;
       last = p;
       t.reset();
-      sorting_pass(p);
+      sorting_pass();
+      // The pass's discoveries lie in (2^p, 2^(p+1)]: K = 1, recon
+      // 1.5 * 2^p. Above kIntegerPlanes the recon itself is kept, as a
+      // double.
+      std::fill(mag_.get() + listed, mag_.get() + nsig_, Mag(1));
+      if (p > kIntegerPlanes) deep_.resize(nsig_, 1.5 * thrd_);
       sorting_s += t.seconds();
       if (!done_) {
         t.reset();
@@ -136,7 +152,7 @@ class Decoder {
     export_coeffs(coeffs, last, refined, listed);
     if (stats) {
       stats->bits_consumed = br_.bits_read();
-      stats->significant_count = sidx_.size();
+      stats->significant_count = nsig_;
       stats->truncated = done_;
       stats->planes_decoded = planes;
       stats->setup_s = setup_s;
@@ -158,6 +174,15 @@ class Decoder {
     bool any_sig;
   };
 
+  /// One bucket's sweep state: entries [i, count) are still to decode, and
+  /// the `kept` entries before them stay listed.
+  struct Sweep {
+    uint32_t* ids;
+    size_t count;
+    size_t i = 0;
+    size_t kept = 0;
+  };
+
   [[nodiscard]] bool get(bool& bit) {
     bit = br_.get();
     if (br_.exhausted()) {
@@ -169,82 +194,207 @@ class Decoder {
 
   /// Sweep every LIS bucket, deepest first, compacting it in place: the
   /// sets that stay insignificant keep their order, and a descent only ever
-  /// lists sets in deeper buckets, never in the one being swept.
-  void sorting_pass(int32_t p) {
+  /// lists sets in deeper buckets, never in the one being swept. Entries
+  /// decode from whole words while 64 payload bits remain (sweep_words),
+  /// then bit by bit (sweep_bits), so a cut stream stops exactly where the
+  /// reference stops.
+  void sorting_pass() {
     for (size_t d = lis_.size(); d-- > 0;) {
-      uint32_t* ids = lis_[d].data();
-      const size_t count = lis_[d].size();
-      size_t i = 0, kept = 0;
-      while (i < count) {
-        // A run of 0-bits is a run of still-insignificant sets: skip it and
-        // keep the ids with one move instead of a get() per set.
-        const size_t run = br_.peek_zero_run(count - i);
-        if (run != 0) {
-          br_.skip(run);
+      Sweep s{lis_[d].data(), lis_[d].size()};
+      sweep_words(s, uint32_t(d));
+      if (!done_) sweep_bits(s, uint32_t(d));
+      if (done_) return;
+      lis_[d].resize(s.kept);
+    }
+  }
+
+  /// The word path of a bucket sweep: each 64-bit word decodes entries
+  /// until fewer than two of its bits are left (a found leaf takes its
+  /// 1-bit and its sign). A run of 8 or more 0-bits (still-insignificant
+  /// sets) moves with one copy. Any other entry but a significant set
+  /// decodes without a branch on its bit b: its id is kept and its LSP slot
+  /// written either way, and b picks which of the two counts and whether
+  /// the sign bit is consumed. A significant set takes its 1-bit and
+  /// descends. Stops with fewer than 64 payload bits left.
+  void sweep_words(Sweep& s, uint32_t depth) {
+    uint32_t* const ids = s.ids;
+    uint32_t* const sidx = sidx_.get();
+    const size_t count = s.count;
+    size_t i = s.i, kept = s.kept, n = nsig_;
+    while (i < count && br_.bits_left() >= 64) {
+      const uint64_t w = br_.word_at(br_.bits_read());
+      unsigned used = 0;
+      uint32_t set = kLeafTag;  // no set to descend
+      while (used < 63 && i < count) {
+        const uint64_t rest = w >> used;
+        if ((rest & 0xffu) == 0) {
+          const size_t run = std::min<size_t>(
+              std::min(unsigned(std::countr_zero(rest)), 64 - used), count - i);
           if (kept != i) std::copy(ids + i, ids + i + run, ids + kept);
           kept += run;
           i += run;
-          if (i == count) break;
+          used += unsigned(run);
+          continue;
         }
-        // The run ended on a 1-bit (a significant set) or at the stream end.
-        process_significant(ids[i++], uint32_t(d), p);
-        if (done_) return;
+        // A significant set's descent starts with a load of its node at a
+        // random place in the tree: fetch the one 16 entries on early.
+        if (i + 16 < count && !(ids[i + 16] & kLeafTag))
+          __builtin_prefetch(&tree_->node(ids[i + 16]));
+        const uint32_t id = ids[i++];
+        const uint32_t b = uint32_t(rest) & 1u;
+        if (b & ~(id >> 31)) {  // a significant set: its 1-bit, then descend
+          set = id;
+          ++used;
+          break;
+        }
+        ids[kept] = id;
+        sidx[n] = (id & kIdxMask) | (uint32_t(rest >> 1) & 1u) << 31;
+        kept += 1 - b;
+        n += b;
+        used += 1 + b;
       }
-      lis_[d].resize(kept);
+      br_.skip(used);
+      if (set != kLeafTag) {
+        nsig_ = n;
+        descend(set, depth);
+        if (done_) return;
+        n = nsig_;
+      }
+    }
+    s.i = i;
+    s.kept = kept;
+    nsig_ = n;
+  }
+
+  /// The bit-serial rest of a bucket sweep, the stream's last bits: a run
+  /// of 0-bits is skipped with one peek_zero_run and the sets keep their
+  /// ids with one move; the entry at the 1-bit (or the stream end) is read
+  /// with get(), which latches done_ where a bit is missing.
+  void sweep_bits(Sweep& s, uint32_t depth) {
+    while (s.i < s.count) {
+      const size_t run = br_.peek_zero_run(s.count - s.i);
+      if (run != 0) {
+        br_.skip(run);
+        if (s.kept != s.i) std::copy(s.ids + s.i, s.ids + s.i + run, s.ids + s.kept);
+        s.kept += run;
+        s.i += run;
+        if (s.i == s.count) return;
+      }
+      const uint32_t id = s.ids[s.i++];
+      bool sig;
+      if (!get(sig)) return;
+      if (id & kLeafTag)
+        found_significant(id & kIdxMask);
+      else
+        descend(id, depth);
+      if (done_) return;
     }
   }
 
-  /// Mirror of the encoder's descent: significance bits come from the
-  /// stream instead of the max tree; everything else — DFS order, LIS
-  /// bucketing, the deducible-last-child rule, stop-on-exhaustion — is the
-  /// same state machine. Consumes the set's own 1-bit first; a missing bit
-  /// ends the decode, as in the reference.
-  void process_significant(uint32_t id, uint32_t depth, int32_t p) {
-    bool sig;
-    if (!get(sig)) return;
-    if (id & kLeafTag) {
-      found_significant(id & ~kLeafTag, p);
+  /// Mirror of the encoder's descent of a significant set (its 1-bit
+  /// already read): significance bits come from the stream instead of the
+  /// max tree; everything else — DFS order, LIS bucketing, the
+  /// deducible-last-child rule, stop-on-exhaustion — is the same state
+  /// machine. A set of only leaves decodes whole (decode_leaf_set). Any
+  /// other set gets a frame, and each visit of a frame decodes its children
+  /// from one peeked word up to the first significant child set: at most
+  /// 16 bits, a significance bit and a sign per child. A bit at or past the
+  /// stream end stops the decode there, as in the reference.
+  void descend(uint32_t id, uint32_t depth) {
+    const SetTree::Node& top = tree_->node(id);
+    if (leaf_only(top) && br_.bits_left() >= 16) {
+      decode_leaf_set(top, lis_[depth + 1]);
       return;
     }
     frames_.clear();
-    frames_.push_back({&tree_->node(id), 0, 0, false});
+    frames_.push_back({&top, 0, 0, false});
     while (!frames_.empty()) {
       Frame& f = frames_.back();
       const SetTree::Node& nd = *f.node;
-      if (f.next == nd.nchild) {
+      std::vector<uint32_t>& dest = lis_[depth + frames_.size()];
+      const size_t avail = std::min<size_t>(64, br_.bits_left());
+      const uint64_t w = br_.word_at(br_.bits_read());
+      unsigned used = 0;
+      const SetTree::Node* child_set = nullptr;
+      while (f.next < nd.nchild) {
+        const unsigned j = f.next++;
+        const bool leaf = (nd.leaves >> j) & 1u;
+        // The last child of a set with no significant sibling must itself
+        // be significant: it has no bit.
+        if (f.next != nd.nchild || f.any_sig) {
+          if (used == avail) return stop(used);
+          if (((w >> used++) & 1u) == 0) {
+            dest.push_back(leaf ? kLeafTag | tree_->leaf_index(nd, j)
+                                : nd.first + f.sets++);
+            continue;
+          }
+        }
+        f.any_sig = true;
+        if (!leaf) {
+          child_set = &tree_->node(nd.first + f.sets++);
+          break;
+        }
+        if (used == avail) return stop(used);  // sign bit missing: dropped
+        sidx_[nsig_++] = tree_->leaf_index(nd, j) | uint32_t((w >> used++) & 1u) << 31;
+      }
+      br_.skip(used);
+      if (!child_set) {
         frames_.pop_back();
-        continue;
+      } else if (leaf_only(*child_set) && br_.bits_left() >= 16) {
+        decode_leaf_set(*child_set, lis_[depth + frames_.size() + 1]);
+      } else {
+        frames_.push_back({child_set, 0, 0, false});
       }
-      const unsigned j = f.next;
-      const bool leaf = (nd.leaves >> j) & 1u;
-      const uint32_t child = leaf ? kLeafTag | tree_->leaf_index(nd, j)
-                                  : nd.first + f.sets++;
-      const bool last = ++f.next == nd.nchild;
-      const bool deducible = last && !f.any_sig;
-      bool csig = true;
-      if (!deducible && !get(csig)) return;
-      f.any_sig |= csig;
-      if (!csig) {
-        lis_[depth + frames_.size()].push_back(child);
-        continue;
-      }
-      if (leaf) {
-        found_significant(child & ~kLeafTag, p);
-        if (done_) return;
-        continue;
-      }
-      frames_.push_back({&tree_->node(child), 0, 0, false});
     }
   }
 
-  /// A coefficient found at plane p lies in (2^p, 2^(p+1)]: K = 1, recon
-  /// 1.5 * 2^p. Above kIntegerPlanes the recon itself is kept, as a double.
-  void found_significant(uint32_t idx, int32_t p) {
+  static bool leaf_only(const SetTree::Node& nd) {
+    return nd.leaves == (1u << nd.nchild) - 1u;
+  }
+
+  /// A significant set whose children are all single coefficients, decoded
+  /// from one peeked word (at least 16 bits must remain): the mirror of the
+  /// encoder's code_leaf_set. Each child's bit b (1 without a bit for a
+  /// deduced last child) picks, without a branch, whether the child spills
+  /// to `dest` or takes an LSP slot and its sign bit.
+  void decode_leaf_set(const SetTree::Node& nd, std::vector<uint32_t>& dest) {
+    const uint64_t w = br_.word_at(br_.bits_read());
+    uint32_t* const sidx = sidx_.get();
+    size_t n = nsig_;
+    uint32_t spill[8];
+    unsigned kept = 0, used = 0;
+    uint32_t any_sig = 0;
+    const unsigned last = nd.nchild - 1u;
+    for (unsigned j = 0; j < nd.nchild; ++j) {
+      const uint32_t idx = tree_->leaf_index(nd, j);
+      const uint32_t deduced = uint32_t(j == last) & ~any_sig & 1u;
+      const uint32_t b = deduced | (uint32_t(w >> used) & 1u);
+      used += 1 - deduced;
+      spill[kept] = kLeafTag | idx;
+      sidx[n] = idx | (uint32_t(w >> used) & 1u) << 31;
+      kept += 1 - b;
+      n += b;
+      used += b;
+      any_sig |= b;
+    }
+    dest.insert(dest.end(), spill, spill + kept);
+    nsig_ = n;
+    br_.skip(used);
+  }
+
+  /// The stream ended inside a descent: consume the `used` bits read so far
+  /// (the rest of the stream) and end the decode.
+  void stop(unsigned used) {
+    br_.skip(used);
+    done_ = true;
+  }
+
+  /// Sign of a bucket leaf found significant on the bit-serial path; a
+  /// missing sign bit drops the entry, as in the reference.
+  void found_significant(uint32_t idx) {
     bool negative;
-    if (!get(negative)) return;  // sign bit missing: entry dropped, as reference
-    sidx_.push_back(idx | (uint32_t(negative) << 31));
-    mag_.push_back(1);
-    if (p > kIntegerPlanes) deep_.push_back(1.5 * thrd_);
+    if (!get(negative)) return;
+    sidx_[nsig_++] = idx | (uint32_t(negative) << 31);
   }
 
   /// Refine LSP entries [0, count) — everything found above this plane —
@@ -262,7 +412,7 @@ class Decoder {
       for (size_t i = j; i < e; ++i)
         deep_[i] += ((w >> (i - j)) & 1u) ? half : -half;
     }
-    Mag* k = mag_.data();
+    Mag* k = mag_.get();
     const BitReader& br = br_;
     lanes_.run(nd, take, [k, start, &br](size_t b, size_t e) {
       for (size_t j = b; j < e; j += 64)
@@ -282,7 +432,7 @@ class Decoder {
   void export_coeffs(double* coeffs, int32_t last, size_t refined, size_t listed) {
     const double q = hdr_.q;
     std::fill(coeffs, coeffs + dims_.total(), 0.0);
-    const uint32_t* sidx = sidx_.data();
+    const uint32_t* sidx = sidx_.get();
     const size_t nd = deep_.size();
     for (size_t j = 0; j < nd; ++j)
       coeffs[sidx[j] & kIdxMask] = (sidx[j] >> 31 ? -deep_[j] : deep_[j]) * q;
@@ -291,14 +441,14 @@ class Decoder {
     // keeps the unused scales of an all-deep LSP well defined.
     const int32_t p = std::min(last, kIntegerPlanes);
     const double at = std::ldexp(q, p), above = std::ldexp(q, p + 1);
-    const Mag* k = mag_.data();
+    const Mag* k = mag_.get();
     auto emit = [sidx, k, coeffs](size_t b, size_t e, double scale) {
       for (size_t j = b; j < e; ++j) {
         const double v = (double(k[j]) + 0.5) * scale;
         coeffs[sidx[j] & kIdxMask] = sidx[j] >> 31 ? -v : v;
       }
     };
-    lanes_.run(nd, sidx_.size(), [&](size_t b, size_t e) {
+    lanes_.run(nd, nsig_, [&](size_t b, size_t e) {
       emit(b, std::min(e, refined), at);
       emit(std::max(b, refined), std::min(e, listed), above);
       emit(std::max(b, listed), e, at);
@@ -316,8 +466,10 @@ class Decoder {
   /// Node ids and kLeafTag | linear index, by depth.
   std::vector<std::vector<uint32_t>> lis_;
   std::vector<Frame> frames_;
-  std::vector<uint32_t> sidx_;  ///< sign<<31 | coefficient index, LSP order
-  std::vector<Mag> mag_;        ///< K per LSP entry (deep prefix: unused)
+  /// The LSP, nsig_ entries, sized once to its bound (see run()).
+  std::unique_ptr<uint32_t[]> sidx_;  ///< sign<<31 | coefficient index
+  std::unique_ptr<Mag[]> mag_;        ///< K per entry (deep prefix: unused)
+  size_t nsig_ = 0;
   std::vector<double> deep_;    ///< recon of the LSP prefix found above
                                 ///< kIntegerPlanes, scaled units
 };

@@ -46,7 +46,8 @@ struct DecodeStats {
 ///
 /// `threads` parallelizes the data-parallel parts of the decode — the
 /// refinement passes' integer updates and the final coefficient export (the
-/// sorting pass is bit-serial by nature). The output is identical at every
+/// sorting pass runs on one lane: each bit's meaning depends on the bits
+/// before it, though it reads them a word at a time). The output is identical at every
 /// thread count: each parallel region partitions a contiguous array into
 /// fixed lanes of element-independent updates. 0 = one lane per hardware
 /// thread.

@@ -510,6 +510,67 @@ TEST(Robustness, SpeckSortingWordBitFlipsSurviveThreadSweep) {
   }
 }
 
+TEST(Robustness, CraftedSpeckPayloadsMatchReference) {
+  // Payloads no encoder writes, behind a valid header: all 1s (every set
+  // significant and every sign negative, so discoveries come as fast as the
+  // bits allow), all 0s, alternating bits in both phases, and random
+  // bytes. Each is read under header nbits from 0 to the whole payload,
+  // around the sorting sweep's 16- and 64-bit switches, and under top
+  // planes that hold K in 32 bits, in 64 bits, and above the integer planes
+  // (the double-valued deep prefix). The sweep writes its LSP by index into
+  // arrays sized once to min(coefficients, bits) + 1, so the address
+  // sanitizer build catches a write past them here. Every decode must come
+  // back ok and equal the reference decoder's, at 1 and 4 threads.
+  const Dims shapes[] = {{1, 1, 1}, {17, 9, 5}, {32, 32, 32}};
+  for (const Dims dims : shapes) {
+    const size_t payload = dims.total() / 2 + 16;
+    Rng rng(1013);
+    std::vector<uint8_t> random(payload);
+    for (auto& b : random) b = uint8_t(rng.next());
+    const std::vector<std::vector<uint8_t>> patterns = {
+        std::vector<uint8_t>(payload, 0xff), std::vector<uint8_t>(payload, 0x00),
+        std::vector<uint8_t>(payload, 0x55), std::vector<uint8_t>(payload, 0xaa),
+        random};
+    const uint64_t bits = 8 * uint64_t(payload);
+    for (size_t k = 0; k < patterns.size(); ++k) {
+      for (const int32_t n_max : {2, 31, 40, 60}) {
+        for (const uint64_t nbits : {uint64_t(0), uint64_t(1), uint64_t(15),
+                                     uint64_t(16), uint64_t(17), uint64_t(63),
+                                     uint64_t(64), uint64_t(65), bits / 3, bits}) {
+          SCOPED_TRACE(dims.to_string() + " pattern " + std::to_string(k) +
+                       " n_max " + std::to_string(n_max) + " nbits " +
+                       std::to_string(nbits));
+          speck::Header hdr;
+          hdr.q = 0.75;
+          hdr.n_max = n_max;
+          hdr.nbits = nbits;
+          std::vector<uint8_t> stream;
+          hdr.serialize(stream);
+          stream.insert(stream.end(), patterns[k].begin(), patterns[k].end());
+
+          std::vector<double> ref_out(dims.total());
+          speck::DecodeStats ref_ds;
+          ASSERT_EQ(speck::decode_reference(stream.data(), stream.size(), dims,
+                                            ref_out.data(), &ref_ds),
+                    Status::ok);
+          for (const int t : {1, 4}) {
+            std::vector<double> out(dims.total());
+            speck::DecodeStats ds;
+            ASSERT_EQ(speck::decode(stream.data(), stream.size(), dims, out.data(),
+                                    &ds, t),
+                      Status::ok);
+            EXPECT_EQ(ds.bits_consumed, ref_ds.bits_consumed);
+            EXPECT_EQ(ds.significant_count, ref_ds.significant_count);
+            EXPECT_EQ(ds.truncated, ref_ds.truncated);
+            for (size_t i = 0; i < out.size(); ++i)
+              ASSERT_EQ(out[i], ref_out[i]) << "threads " << t << " coefficient " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(Robustness, TolerantDecodeSurvivesSpeckSweepCorruption) {
   // The same corruption one level up: a chunked archive whose SPECK chunk
   // payloads are damaged. The strict decoder may cleanly reject (per-chunk

@@ -603,6 +603,96 @@ TEST(SpeckFast, DecodesCutAtEveryPassBoundaryMatchReference) {
   }
 }
 
+TEST(SpeckFast, DecodesCutAtEveryBitNearTheWordPathMatchReference) {
+  // The sorting sweep decodes from whole words while 64 payload bits
+  // remain, a set of only leaves from one peeked word while 16 remain, and
+  // bit by bit after that. A cut at bit N puts those switches at N - 64 and
+  // N - 16, so cutting at every bit of a window slides them, and the stream
+  // end itself, across every kind of bit: a bucket leaf's significance bit
+  // and its sign, a set's bit, the bits of a descent. Each sorting pass
+  // sweeps the leaf bucket first and the shallow set buckets (whose
+  // descents end in sets of only leaves) last, so the windows are bits
+  // [256, 416) of a pass and its last 160 bits, in the pass densest in
+  // discoveries per sorting bit and in the sparsest one. The field makes
+  // both: nearly half its coefficients sit just above 2^8 q, so descents at
+  // plane 8 list the rest as leaves; nearly half sit just above 4q, so the
+  // leaf bucket at plane 2 is nearly all discoveries, and a tenth spread
+  // over the planes between keeps those sweeps sparse but not empty. Cuts
+  // alternate between lowering the header's nbits only and also dropping
+  // the bytes past the cut; 32^3 coefficients put the LSP past the
+  // parallel grain.
+  const Dims dims{32, 32, 32};
+  const double q = 0.5;
+  Rng rng(1500);
+  std::vector<double> c(dims.total());
+  for (auto& v : c) {
+    const double u = rng.uniform();
+    const int plane = u < 0.45 ? 8 : (u < 0.9 ? 2 : 3 + int(rng.below(5)));
+    v = (rng.next() & 1 ? -1.0 : 1.0) * std::ldexp(q, plane) * (1.0 + 0.9 * rng.uniform());
+  }
+  EncodeStats st;
+  const auto stream = encode(c.data(), dims, q, 0, &st);
+
+  // Discoveries per sorting bit of each pass long enough for both windows,
+  // from the reference's counts at the pass's sorting start and end.
+  std::vector<double> ref_out(dims.total()), out(dims.total());
+  auto ref_found = [&](uint64_t nbits) {
+    const auto cut = cut_header_at(stream, nbits);
+    DecodeStats ds;
+    EXPECT_EQ(decode_reference(cut.data(), cut.size(), dims, ref_out.data(), &ds),
+              Status::ok);
+    return double(ds.significant_count);
+  };
+  struct Span {
+    uint64_t begin, end;
+    double density;
+  };
+  std::vector<Span> spans;
+  uint64_t pos = 0;
+  for (const auto& p : st.passes) {
+    const uint64_t end = pos + p.sorting_bits;
+    if (p.sorting_bits >= 1024 && end < st.payload_bits)
+      spans.push_back({pos, end, (ref_found(end) - ref_found(pos)) / double(p.sorting_bits)});
+    pos = end + p.refinement_bits;
+  }
+  ASSERT_GE(spans.size(), 2u);
+  const auto [sparse, dense] = std::minmax_element(
+      spans.begin(), spans.end(),
+      [](const Span& a, const Span& b) { return a.density < b.density; });
+  ASSERT_LT(sparse->density, 0.1);
+  ASSERT_GT(dense->density, 0.3);
+
+  for (const Span* span : {&*dense, &*sparse}) {
+    for (const uint64_t from : {span->begin + 256, span->end - 160}) {
+      SCOPED_TRACE("density " + std::to_string(span->density) + ", cuts from bit " +
+                   std::to_string(from));
+      // A cut that drops a discovery the next bit completes falls between a
+      // significance bit and its sign.
+      bool sign_cut = false;
+      size_t prev_found = 0;
+      for (uint64_t nbits = from; nbits < from + 160; ++nbits) {
+        SCOPED_TRACE("cut at bit " + std::to_string(nbits));
+        const auto cut = nbits % 2 ? truncate_to_bits(stream, nbits)
+                                   : cut_header_at(stream, nbits);
+        DecodeStats ref_ds;
+        ASSERT_EQ(decode_reference(cut.data(), cut.size(), dims, ref_out.data(), &ref_ds),
+                  Status::ok);
+        ASSERT_TRUE(ref_ds.truncated);
+        sign_cut |= nbits > from && ref_ds.significant_count > prev_found;
+        prev_found = ref_ds.significant_count;
+        for (const int t : {1, 4}) {
+          DecodeStats ds;
+          ASSERT_EQ(decode(cut.data(), cut.size(), dims, out.data(), &ds, t), Status::ok);
+          expect_decode_stats_equal(ds, ref_ds);
+          for (size_t i = 0; i < out.size(); ++i)
+            ASSERT_EQ(out[i], ref_out[i]) << "threads " << t << " coefficient " << i;
+        }
+      }
+      EXPECT_TRUE(sign_cut);
+    }
+  }
+}
+
 TEST(SpeckFast, DecodeTimingsAccountForTheCall) {
   // The decode counters are non-negative, their seconds fit inside the
   // call's wall time, and a full stream reports every coded plane.
