@@ -38,6 +38,34 @@ inline uint32_t range_max_depth(uint64_t n) {
   return d + 2;
 }
 
+/// One direction's working lists, kept per thread across calls: the LIS
+/// buckets by depth, the significant points (LSP) and the ones found this
+/// pass (LNSP). A sorting pass compacts each bucket in place and no list is
+/// ever freed or moved, so each grows to its high-water mark once and a
+/// steady-state call reuses that capacity.
+template <class Set, class Sig>
+struct Lists {
+  std::vector<std::vector<Set>> lis;
+  std::vector<Sig> lsp;
+  std::vector<Sig> lnsp;
+
+  /// Empty lists for an array of `array_len`; returns the bucket count.
+  size_t prepare(uint64_t array_len) {
+    const size_t depths = range_max_depth(array_len) + 1;
+    if (lis.size() < depths) lis.resize(depths);
+    for (auto& l : lis) l.clear();
+    lsp.clear();
+    lnsp.clear();
+    return depths;
+  }
+
+  /// The calling thread's lists (no call on a thread runs inside another).
+  static Lists& local() {
+    thread_local Lists lists;
+    return lists;
+  }
+};
+
 // ---------------------------------------------------------------------------
 // Encoder
 // ---------------------------------------------------------------------------
@@ -46,31 +74,27 @@ class Encoder {
  public:
   Encoder(std::vector<Outlier> outliers, uint64_t array_len, double t)
       : outliers_(std::move(outliers)), array_len_(array_len), t_(t) {
-    std::sort(outliers_.begin(), outliers_.end(),
-              [](const Outlier& a, const Outlier& b) { return a.pos < b.pos; });
-    mags_.reserve(outliers_.size());
-    negs_.reserve(outliers_.size());
-    double max_mag = 0.0;
-    for (const auto& o : outliers_) {
-      const double m = std::fabs(o.corr);
-      mags_.push_back(m);
-      negs_.push_back(o.corr < 0.0);
-      max_mag = std::max(max_mag, m);
-    }
+    // The pipeline locates outliers in index order: sort only if needed.
+    const auto by_pos = [](const Outlier& a, const Outlier& b) { return a.pos < b.pos; };
+    if (!std::is_sorted(outliers_.begin(), outliers_.end(), by_pos))
+      std::sort(outliers_.begin(), outliers_.end(), by_pos);
+    max_mag_ = 0.0;
+    for (const auto& o : outliers_) max_mag_ = std::max(max_mag_, std::fabs(o.corr));
     // Listing 1 line 4: the largest n >= 0 with 2^n * t < max |corr|.
     n_max_ = -1;
     if (!outliers_.empty()) {
       n_max_ = 0;
-      while (std::ldexp(t_, n_max_ + 1) < max_mag) ++n_max_;
+      while (std::ldexp(t_, n_max_ + 1) < max_mag_) ++n_max_;
     }
   }
 
   std::vector<uint8_t> run(EncodeStats* stats) {
+    depths_ = lists_.prepare(array_len_);
     if (n_max_ >= 0) {
-      lis_.resize(range_max_depth(array_len_) + 1);
-      lis_[0].push_back({Range{0, array_len_}, 0, 0, uint32_t(outliers_.size()), -1.0});
+      lists_.lis[0].push_back({Range{0, array_len_}, 0, 0, uint32_t(outliers_.size()), max_mag_});
       for (int32_t n = n_max_; n >= 0; --n) {
         const double thrd = std::ldexp(t_, n);
+        relist_ = n > 0;
         sorting_pass(thrd);
         refinement_pass(thrd);
       }
@@ -94,7 +118,7 @@ class Encoder {
 
  private:
   /// A set in the LIS: an index range plus the slice [lo, hi) of the sorted
-  /// outlier array that falls inside it, and a lazily computed max |corr|.
+  /// outlier array that falls inside it, and its max |corr|.
   struct SetEntry {
     Range range;
     uint32_t depth;
@@ -109,84 +133,89 @@ class Encoder {
 
   void put(bool bit) { bw_.put_bits(bit, 1); }
 
+  [[nodiscard]] double mag(uint32_t i) const { return std::fabs(outliers_[i].corr); }
+
   void sorting_pass(double thrd) {
     // Listing 2 line 1: sets in increasing order of size (deepest bucket
     // first); children spawned by Code() land in deeper, already-finished
-    // buckets, so each LIS set is processed exactly once per pass.
-    for (size_t d = lis_.size(); d-- > 0;) {
-      auto pending = std::move(lis_[d]);
-      lis_[d].clear();
-      for (auto& e : pending) process(e, thrd);
+    // buckets, so each LIS set is processed exactly once per pass. A bucket
+    // is compacted in place: the sets that stay insignificant keep their
+    // order, and nothing is appended to the bucket being swept.
+    for (size_t d = depths_; d-- > 0;) {
+      std::vector<SetEntry>& list = lists_.lis[d];
+      size_t kept = 0;
+      for (size_t i = 0; i < list.size(); ++i)
+        if (!process(list[i], thrd) && relist_) list[kept++] = list[i];
+      list.resize(kept);
     }
+  }
+
+  /// List an insignificant child set. The last plane lists nothing: no
+  /// later pass reads the LIS.
+  void relist(const SetEntry& e) {
+    if (relist_) lists_.lis[e.depth].push_back(e);
   }
 
   /// Examine one set (Listing 2's Process). `known_sig` marks the deducible
   /// case — a second child whose sibling tested insignificant under a
-  /// significant parent — for which no bit is emitted. Returns significance.
-  bool process(SetEntry& e, double thrd, bool known_sig = false) {
-    if (e.max_mag < 0.0) {
-      e.max_mag = 0.0;
-      for (uint32_t i = e.lo; i < e.hi; ++i) e.max_mag = std::max(e.max_mag, mags_[i]);
-    }
+  /// significant parent — for which no bit is emitted. Returns significance;
+  /// an insignificant set is its caller's to list.
+  bool process(const SetEntry& e, double thrd, bool known_sig = false) {
     const bool sig = known_sig || e.max_mag > thrd;
     if (!known_sig) put(sig);  // Listing 2 line 3
-    if (!sig) {
-      lis_[e.depth].push_back(e);
-      return false;
-    }
+    if (!sig) return false;
     if (e.range.len == 1) {
       // A single significant point: emit its sign and move it to LNSP.
       // (e.lo indexes the unique outlier at this position.)
-      put(negs_[e.lo]);  // Listing 2 line 6
-      lnsp_.push_back({e.lo, mags_[e.lo]});
+      put(outliers_[e.lo].corr < 0.0);  // Listing 2 line 6
+      lists_.lnsp.push_back({e.lo, mag(e.lo)});
       return true;
     }
     // Listing 2, Code(S): split and process both halves immediately.
     Range a, b;
     split_range(e.range, a, b);
-    const uint32_t mid = partition_point(e.lo, e.hi, b.start);
-    SetEntry ca{a, e.depth + 1, e.lo, mid, -1.0};
-    SetEntry cb{b, e.depth + 1, mid, e.hi, -1.0};
+    SetEntry ca{a, e.depth + 1, e.lo, e.lo, 0.0};
+    SetEntry cb{b, e.depth + 1, 0, e.hi, 0.0};
+    split_slice(e, b.start, ca, cb);
     const bool first_sig = process(ca, thrd);
-    process(cb, thrd, !first_sig);
+    if (!first_sig) relist(ca);
+    if (!process(cb, thrd, !first_sig)) relist(cb);
     return true;
   }
 
-  /// First outlier index in [lo, hi) whose position is >= split.
-  [[nodiscard]] uint32_t partition_point(uint32_t lo, uint32_t hi, uint64_t split) const {
-    while (lo < hi) {
-      const uint32_t mid = lo + (hi - lo) / 2;
-      if (outliers_[mid].pos < split)
-        lo = mid + 1;
-      else
-        hi = mid;
-    }
-    return lo;
+  /// Split e's slice between its halves at position `at` (the first
+  /// position of the second half) and find each half's max |corr|: one pass
+  /// over the slice, which Code(S) needs whole anyway, since it tests both
+  /// halves at once.
+  void split_slice(const SetEntry& e, uint64_t at, SetEntry& first, SetEntry& second) const {
+    uint32_t i = e.lo;
+    for (; i < e.hi && outliers_[i].pos < at; ++i) first.max_mag = std::max(first.max_mag, mag(i));
+    first.hi = second.lo = i;
+    for (; i < e.hi; ++i) second.max_mag = std::max(second.max_mag, mag(i));
   }
 
   void refinement_pass(double thrd) {
     // Listing 3: refine previously significant points, then quantize the
     // newly found ones by subtracting the current threshold.
-    for (auto& p : lsp_) {
+    for (auto& p : lists_.lsp) {
       const bool bit = p.residual > thrd;
       put(bit);
       if (bit) p.residual -= thrd;
     }
-    for (auto& p : lnsp_) p.residual -= thrd;
-    lsp_.insert(lsp_.end(), lnsp_.begin(), lnsp_.end());
-    lnsp_.clear();
+    for (auto& p : lists_.lnsp) p.residual -= thrd;
+    lists_.lsp.insert(lists_.lsp.end(), lists_.lnsp.begin(), lists_.lnsp.end());
+    lists_.lnsp.clear();
   }
 
   std::vector<Outlier> outliers_;  // sorted by position
   uint64_t array_len_;
   double t_;
-  std::vector<double> mags_;
-  std::vector<uint8_t> negs_;
+  double max_mag_ = 0.0;
   int32_t n_max_ = -1;
 
-  std::vector<std::vector<SetEntry>> lis_;
-  std::vector<SigEntry> lsp_;
-  std::vector<SigEntry> lnsp_;
+  Lists<SetEntry, SigEntry>& lists_ = Lists<SetEntry, SigEntry>::local();
+  size_t depths_ = 0;    ///< LIS buckets in use
+  bool relist_ = true;   ///< insignificant sets stay listed (not the last plane)
   WordBitWriter bw_;
 };
 
@@ -200,23 +229,24 @@ class Decoder {
       : br_(br), array_len_(array_len), t_(t), n_max_(n_max) {}
 
   void run(std::vector<Outlier>& out) {
+    depths_ = lists_.prepare(array_len_);  // also drops the last call's points
     if (n_max_ >= 0) {
-      lis_.resize(range_max_depth(array_len_) + 1);
-      lis_[0].push_back({Range{0, array_len_}, 0});
+      lists_.lis[0].push_back({Range{0, array_len_}, 0});
       for (int32_t n = n_max_; n >= 0 && !done_; --n) {
         const double thrd = std::ldexp(t_, n);
+        relist_ = n > 0;
         sorting_pass(thrd);
         if (done_) break;
         refinement_pass(thrd);
       }
     }
     out.clear();
-    out.reserve(lsp_.size() + lnsp_.size());
+    out.reserve(lists_.lsp.size() + lists_.lnsp.size());
     auto emit = [&](const SigEntry& p) {
       out.push_back({p.pos, p.negative ? -p.value : p.value});
     };
-    for (const auto& p : lsp_) emit(p);
-    for (const auto& p : lnsp_) emit(p);
+    for (const auto& p : lists_.lsp) emit(p);
+    for (const auto& p : lists_.lnsp) emit(p);
     std::sort(out.begin(), out.end(),
               [](const Outlier& a, const Outlier& b) { return a.pos < b.pos; });
   }
@@ -242,28 +272,33 @@ class Decoder {
     return true;
   }
 
+  /// The encoder's sweep and listing, with the bits read; the decode stops
+  /// at the first missing bit (the lists are not read after that).
   void sorting_pass(double thrd) {
-    for (size_t d = lis_.size(); d-- > 0;) {
-      auto pending = std::move(lis_[d]);
-      lis_[d].clear();
-      for (auto& e : pending) {
-        process(e, thrd);
+    for (size_t d = depths_; d-- > 0;) {
+      std::vector<SetEntry>& list = lists_.lis[d];
+      size_t kept = 0;
+      for (size_t i = 0; i < list.size(); ++i) {
+        const bool sig = process(list[i], thrd);
         if (done_) return;
+        if (!sig && relist_) list[kept++] = list[i];
       }
+      list.resize(kept);
     }
+  }
+
+  void relist(const SetEntry& e) {
+    if (relist_) lists_.lis[e.depth].push_back(e);
   }
 
   bool process(SetEntry& e, double thrd, bool known_sig = false) {
     bool sig = true;
     if (!known_sig && !get(sig)) return false;
-    if (!sig) {
-      lis_[e.depth].push_back(e);
-      return false;
-    }
+    if (!sig) return false;
     if (e.range.len == 1) {
       bool negative;
       if (!get(negative)) return true;
-      lnsp_.push_back({e.range.start, 1.5 * thrd, negative});
+      lists_.lnsp.push_back({e.range.start, 1.5 * thrd, negative});
       return true;
     }
     Range a, b;
@@ -271,18 +306,20 @@ class Decoder {
     SetEntry ca{a, e.depth + 1};
     SetEntry cb{b, e.depth + 1};
     const bool first_sig = process(ca, thrd);
-    if (!done_) process(cb, thrd, !first_sig);
+    if (done_) return true;
+    if (!first_sig) relist(ca);
+    if (!process(cb, thrd, !first_sig) && !done_) relist(cb);
     return true;
   }
 
   void refinement_pass(double thrd) {
-    for (auto& p : lsp_) {
+    for (auto& p : lists_.lsp) {
       bool bit;
       if (!get(bit)) return;
       p.value += bit ? thrd / 2.0 : -thrd / 2.0;
     }
-    lsp_.insert(lsp_.end(), lnsp_.begin(), lnsp_.end());
-    lnsp_.clear();
+    lists_.lsp.insert(lists_.lsp.end(), lists_.lnsp.begin(), lists_.lnsp.end());
+    lists_.lnsp.clear();
   }
 
   BitReader br_;
@@ -291,9 +328,9 @@ class Decoder {
   int32_t n_max_;
   bool done_ = false;
 
-  std::vector<std::vector<SetEntry>> lis_;
-  std::vector<SigEntry> lsp_;
-  std::vector<SigEntry> lnsp_;
+  Lists<SetEntry, SigEntry>& lists_ = Lists<SetEntry, SigEntry>::local();
+  size_t depths_ = 0;    ///< LIS buckets in use
+  bool relist_ = true;   ///< insignificant sets stay listed (not the last plane)
 };
 
 }  // namespace

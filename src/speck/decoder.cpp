@@ -35,8 +35,10 @@
 // peeked word, and any other descent reads each frame's children from one.
 // The bucket sweep's last 63 bits take the bit-serial path (peek_zero_run,
 // then get()), and a descent checks each bit against the bits left, so a
-// cut stream stops exactly where the reference stops. The LSP is sized
-// once to its bound and written by index.
+// cut stream stops exactly where the reference stops. The LSP and the
+// buckets are sized once to their bounds and written by index, in one
+// Arena::Scope of the calling worker's arena, so a warm arena serves a
+// steady-state decode without fresh pages.
 // Parallelism never touches the sorting pass, so the output is identical at
 // every thread count.
 
@@ -46,6 +48,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #if defined(__SSE2__) && !defined(SPERR_SCALAR)
 #include <emmintrin.h>
@@ -96,8 +99,9 @@ void shift_in(Mag* k, uint64_t w, unsigned count) {
 template <class Mag>
 class Decoder {
  public:
-  Decoder(BitReader br, Dims dims, const Header& hdr, int threads)
-      : br_(br), dims_(dims), hdr_(hdr), lanes_(threads) {}
+  /// Takes every array from `arena`; the caller's Arena::Scope releases them.
+  Decoder(BitReader br, Dims dims, const Header& hdr, int threads, Arena& arena)
+      : br_(br), dims_(dims), hdr_(hdr), lanes_(threads), arena_(arena) {}
 
   Status run(double* coeffs, DecodeStats* stats, const Timer& setup) {
     double build_s = 0.0;
@@ -105,14 +109,20 @@ class Decoder {
       SetTreeCache::Lease lease = SetTreeCache::shared().get(dims_);
       tree_ = std::move(lease.tree);
       build_s = lease.build_s;
-      lis_.resize(max_depth(dims_) + 1);
-      lis_[0].push_back(tree_->root());
       // A significant coefficient costs at least its sign bit, so this
       // bounds the LSP without ever growing (and copying) it; the extra
       // slot takes the sweep's unconditional write past the last entry.
-      const size_t cap = std::min<size_t>(dims_.total(), br_.bits_left()) + 1;
-      sidx_.reset(new uint32_t[cap]);
-      mag_.reset(new Mag[cap]);
+      const size_t bits = br_.bits_left();
+      const size_t cap = std::min<size_t>(dims_.total(), bits) + 1;
+      sidx_ = arena_.alloc<uint32_t>(cap);
+      mag_ = arena_.alloc<Mag>(cap);
+      // A bucket lists each entry of its depth at most once, and every
+      // listed entry but the root cost a 0-bit.
+      const std::vector<uint32_t>& entries = tree_->entries_by_depth();
+      lis_.resize(entries.size());
+      for (size_t d = 0; d < entries.size(); ++d)
+        lis_[d].ids = arena_.alloc<uint32_t>(std::min<size_t>(entries[d], bits + 1));
+      lis_[0].push(tree_->root());
     }
     const double setup_s = setup.seconds();
 
@@ -136,7 +146,7 @@ class Decoder {
       // The pass's discoveries lie in (2^p, 2^(p+1)]: K = 1, recon
       // 1.5 * 2^p. Above kIntegerPlanes the recon itself is kept, as a
       // double.
-      std::fill(mag_.get() + listed, mag_.get() + nsig_, Mag(1));
+      std::fill(mag_ + listed, mag_ + nsig_, Mag(1));
       if (p > kIntegerPlanes) deep_.resize(nsig_, 1.5 * thrd_);
       sorting_s += t.seconds();
       if (!done_) {
@@ -174,6 +184,14 @@ class Decoder {
     bool any_sig;
   };
 
+  /// A LIS bucket: `size` entries of an array sized once to its bound.
+  struct Bucket {
+    uint32_t* ids;
+    size_t size = 0;
+
+    void push(uint32_t id) { ids[size++] = id; }
+  };
+
   /// One bucket's sweep state: entries [i, count) are still to decode, and
   /// the `kept` entries before them stay listed.
   struct Sweep {
@@ -200,11 +218,11 @@ class Decoder {
   /// reference stops.
   void sorting_pass() {
     for (size_t d = lis_.size(); d-- > 0;) {
-      Sweep s{lis_[d].data(), lis_[d].size()};
+      Sweep s{lis_[d].ids, lis_[d].size};
       sweep_words(s, uint32_t(d));
       if (!done_) sweep_bits(s, uint32_t(d));
       if (done_) return;
-      lis_[d].resize(s.kept);
+      lis_[d].size = s.kept;
     }
   }
 
@@ -218,7 +236,7 @@ class Decoder {
   /// descends. Stops with fewer than 64 payload bits left.
   void sweep_words(Sweep& s, uint32_t depth) {
     uint32_t* const ids = s.ids;
-    uint32_t* const sidx = sidx_.get();
+    uint32_t* const sidx = sidx_;
     const size_t count = s.count;
     size_t i = s.i, kept = s.kept, n = nsig_;
     while (i < count && br_.bits_left() >= 64) {
@@ -311,7 +329,7 @@ class Decoder {
     while (!frames_.empty()) {
       Frame& f = frames_.back();
       const SetTree::Node& nd = *f.node;
-      std::vector<uint32_t>& dest = lis_[depth + frames_.size()];
+      Bucket& dest = lis_[depth + frames_.size()];
       const size_t avail = std::min<size_t>(64, br_.bits_left());
       const uint64_t w = br_.word_at(br_.bits_read());
       unsigned used = 0;
@@ -324,8 +342,7 @@ class Decoder {
         if (f.next != nd.nchild || f.any_sig) {
           if (used == avail) return stop(used);
           if (((w >> used++) & 1u) == 0) {
-            dest.push_back(leaf ? kLeafTag | tree_->leaf_index(nd, j)
-                                : nd.first + f.sets++);
+            dest.push(leaf ? kLeafTag | tree_->leaf_index(nd, j) : nd.first + f.sets++);
             continue;
           }
         }
@@ -357,9 +374,9 @@ class Decoder {
   /// encoder's code_leaf_set. Each child's bit b (1 without a bit for a
   /// deduced last child) picks, without a branch, whether the child spills
   /// to `dest` or takes an LSP slot and its sign bit.
-  void decode_leaf_set(const SetTree::Node& nd, std::vector<uint32_t>& dest) {
+  void decode_leaf_set(const SetTree::Node& nd, Bucket& dest) {
     const uint64_t w = br_.word_at(br_.bits_read());
-    uint32_t* const sidx = sidx_.get();
+    uint32_t* const sidx = sidx_;
     size_t n = nsig_;
     uint32_t spill[8];
     unsigned kept = 0, used = 0;
@@ -377,7 +394,8 @@ class Decoder {
       used += b;
       any_sig |= b;
     }
-    dest.insert(dest.end(), spill, spill + kept);
+    std::copy(spill, spill + kept, dest.ids + dest.size);
+    dest.size += kept;
     nsig_ = n;
     br_.skip(used);
   }
@@ -412,7 +430,7 @@ class Decoder {
       for (size_t i = j; i < e; ++i)
         deep_[i] += ((w >> (i - j)) & 1u) ? half : -half;
     }
-    Mag* k = mag_.get();
+    Mag* k = mag_;
     const BitReader& br = br_;
     lanes_.run(nd, take, [k, start, &br](size_t b, size_t e) {
       for (size_t j = b; j < e; j += 64)
@@ -432,7 +450,7 @@ class Decoder {
   void export_coeffs(double* coeffs, int32_t last, size_t refined, size_t listed) {
     const double q = hdr_.q;
     std::fill(coeffs, coeffs + dims_.total(), 0.0);
-    const uint32_t* sidx = sidx_.get();
+    const uint32_t* sidx = sidx_;
     const size_t nd = deep_.size();
     for (size_t j = 0; j < nd; ++j)
       coeffs[sidx[j] & kIdxMask] = (sidx[j] >> 31 ? -deep_[j] : deep_[j]) * q;
@@ -441,7 +459,7 @@ class Decoder {
     // keeps the unused scales of an all-deep LSP well defined.
     const int32_t p = std::min(last, kIntegerPlanes);
     const double at = std::ldexp(q, p), above = std::ldexp(q, p + 1);
-    const Mag* k = mag_.get();
+    const Mag* k = mag_;
     auto emit = [sidx, k, coeffs](size_t b, size_t e, double scale) {
       for (size_t j = b; j < e; ++j) {
         const double v = (double(k[j]) + 0.5) * scale;
@@ -462,13 +480,14 @@ class Decoder {
   bool done_ = false;
   double thrd_ = 0.0;  ///< 2^p of the plane being decoded
 
+  Arena& arena_;  ///< holds the LSP and the buckets
   std::shared_ptr<const SetTree> tree_;  ///< shared, read-only
   /// Node ids and kLeafTag | linear index, by depth.
-  std::vector<std::vector<uint32_t>> lis_;
+  std::vector<Bucket> lis_;
   std::vector<Frame> frames_;
   /// The LSP, nsig_ entries, sized once to its bound (see run()).
-  std::unique_ptr<uint32_t[]> sidx_;  ///< sign<<31 | coefficient index
-  std::unique_ptr<Mag[]> mag_;        ///< K per entry (deep prefix: unused)
+  uint32_t* sidx_ = nullptr;  ///< sign<<31 | coefficient index
+  Mag* mag_ = nullptr;        ///< K per entry (deep prefix: unused)
   size_t nsig_ = 0;
   std::vector<double> deep_;    ///< recon of the LSP prefix found above
                                 ///< kIntegerPlanes, scaled units
@@ -476,8 +495,10 @@ class Decoder {
 
 template <class Mag>
 Status decode_as(const BitReader& br, Dims dims, const Header& hdr, int threads,
-                 double* coeffs, DecodeStats* stats, const Timer& setup) {
-  Decoder<Mag> dec(br, dims, hdr, threads);
+                 double* coeffs, DecodeStats* stats, const Timer& setup,
+                 Arena& arena) {
+  const Arena::Scope scope(arena);
+  Decoder<Mag> dec(br, dims, hdr, threads, arena);
   return dec.run(coeffs, stats, setup);
 }
 
@@ -488,7 +509,8 @@ Status decode(const uint8_t* stream,
               Dims dims,
               double* coeffs,
               DecodeStats* stats,
-              int threads) {
+              int threads,
+              Arena* arena) {
   const Timer setup;
   if (dims.total() >= kMaxCoefficients) return Status::corrupt_stream;
 
@@ -502,9 +524,10 @@ Status decode(const uint8_t* stream,
   const uint64_t nbits = std::min<uint64_t>(hdr.nbits, payload_bytes * 8);
 
   const BitReader br(stream + hr.pos(), payload_bytes, nbits);
+  Arena& a = arena ? *arena : tls_arena();
   return hdr.n_max <= 31
-             ? decode_as<uint32_t>(br, dims, hdr, threads, coeffs, stats, setup)
-             : decode_as<uint64_t>(br, dims, hdr, threads, coeffs, stats, setup);
+             ? decode_as<uint32_t>(br, dims, hdr, threads, coeffs, stats, setup, a)
+             : decode_as<uint64_t>(br, dims, hdr, threads, coeffs, stats, setup, a);
 }
 
 }  // namespace sperr::speck

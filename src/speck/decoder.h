@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/types.h"
 #include "speck/common.h"
 
@@ -51,11 +52,15 @@ struct DecodeStats {
 /// thread count: each parallel region partitions a contiguous array into
 /// fixed lanes of element-independent updates. 0 = one lane per hardware
 /// thread.
+///
+/// `arena` (nullptr = the calling thread's tls_arena()) holds the LSP and
+/// the LIS buckets, in a Scope that closes before the call returns.
 Status decode(const uint8_t* stream,
               size_t nbytes,
               Dims dims,
               double* coeffs,
               DecodeStats* stats = nullptr,
-              int threads = 1);
+              int threads = 1,
+              Arena* arena = nullptr);
 
 }  // namespace sperr::speck

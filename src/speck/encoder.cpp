@@ -37,6 +37,15 @@
 //     pass over the coefficients, through the Lanes helper the decoder also
 //     uses (common/threadpool.h), so the stream never depends on the
 //     thread count.
+//   * The coder state lives in one Arena::Scope of the calling worker's
+//     arena: the leaf words, the set planes, the LSP (sized to the
+//     significant count setup finds) and the buckets with their packed
+//     significance and liveness words (each bucket sized once to its depth's
+//     entry count in the SetTree, since an entry is appended at most once).
+//     Nothing regrows or is copied, and a warm arena serves a steady-state
+//     encode without fresh pages. The recon export needs only the
+//     coefficients (reconstruct), so it runs after the scope has closed and
+//     its output may take the coder state's pages.
 //   * Size-bounded mode is the same sweep, stopped after the first whole
 //     plane that reaches the bit budget; the payload is then cut at the
 //     budget bit (the stream is embedded, so the cut is a valid prefix) and
@@ -60,7 +69,6 @@
 #include <emmintrin.h>
 #endif
 
-#include "common/bitset.h"
 #include "common/bitstream.h"
 #include "common/threadpool.h"
 #include "common/timer.h"
@@ -211,20 +219,20 @@ class Encoder {
   static constexpr Word kLow = (kDeep ? kDeep : kSign) - 1;  ///< K or index
 
  public:
+  /// Takes every array from `arena`; the caller's Arena::Scope releases them.
   Encoder(const double* coeffs, Dims dims, double q, size_t budget_bits,
-          int threads, int32_t n_max)
+          int32_t n_max, Arena& arena)
       : coeffs_(coeffs), dims_(dims), q_(q), budget_(budget_bits),
-        n_max_(n_max), threads_(threads) {
+        n_max_(n_max), arena_(arena) {
     if (n_max_ >= 0) {
       SetTreeCache::Lease lease = SetTreeCache::shared().get(dims);
       tree_ = std::move(lease.tree);
       build_s_ = lease.build_s;
-      lsp_.reserve(gather_leaves());
+      lsp_ = arena_.alloc<Word>(gather_leaves());
     }
   }
 
-  std::vector<uint8_t> run(double setup_s, EncodeStats* stats,
-                           std::vector<double>* recon_out) {
+  std::vector<uint8_t> run(double setup_s, EncodeStats* stats) {
     if (n_max_ >= 0) run_sweeps();
     Timer finish;
     size_t nbits = wbw_.bit_count();
@@ -239,7 +247,7 @@ class Encoder {
       last.sorting_bits -= over - ref_over;
       nbits = budget_;
     }
-    const size_t significant = cut ? kept_ : lsp_.size();
+    const size_t significant = cut ? kept_ : nlsp_;
 
     Header hdr;
     hdr.q = q_;
@@ -248,19 +256,6 @@ class Encoder {
     std::vector<uint8_t> out;
     out.reserve(Header::kBytes + (nbits + 7) / 8);
     hdr.write(out, wbw_.finish().data());
-
-    // The coder state is dead: free it before the export allocates the
-    // recon, so the two never share the peak.
-    tree_.reset();
-    planes_.reset();
-    leaf_.reset();
-    lsp_ = {};
-    buckets_ = {};
-    wbw_ = {};
-    if (recon_out && budget_)
-      recon_out->clear();
-    else if (recon_out)
-      export_recon(*recon_out);
 
     if (stats) {
       stats->payload_bits = nbits;
@@ -278,14 +273,16 @@ class Encoder {
   /// A worklist: entries append once and are tombstoned in place when their
   /// set descends — never copied, unlike a re-listed LIS. `planes` caches
   /// each set's max plane (saturated, see kCachedPlaneMax), so a sweep's
-  /// significance tests read one contiguous byte per entry.
+  /// significance tests read one contiguous byte per entry. Both arrays hold
+  /// the depth's whole entry count, so a push never checks capacity.
   struct Bucket {
-    std::vector<uint32_t> ids;
-    std::vector<int8_t> planes;
+    uint32_t* ids;
+    int8_t* planes;
+    size_t size = 0;
 
     void push(uint32_t id, int8_t plane) {
-      ids.push_back(id);
-      planes.push_back(plane);
+      ids[size] = id;
+      planes[size++] = plane;
     }
   };
 
@@ -406,14 +403,14 @@ class Encoder {
   /// leaf child's word lands at its DFS ordinal, and every set's max plane
   /// folds from its children's. Returns the significant count.
   size_t gather_leaves() {
-    leaf_.reset(new Word[dims_.total()]);
+    leaf_ = arena_.alloc<Word>(dims_.total());
     const SetTree& tree = *tree_;
     if (tree.size() == 0) {  // a one-coefficient grid: the root is a leaf
       const uint32_t idx = 0;
-      (void)quantize_leaves(&idx, 1, leaf_.get());
+      (void)quantize_leaves(&idx, 1, leaf_);
       return significant_;
     }
-    planes_.reset(new int16_t[tree.size()]);
+    planes_ = arena_.alloc<int16_t>(tree.size());
     // The leaves are read in reverse DFS order, which the hardware
     // prefetchers do not follow: fetch those of the set kAhead ids on.
     constexpr size_t kAhead = 16;
@@ -436,7 +433,7 @@ class Encoder {
       }
       if (nl == nd.nchild) {
         // Only leaf children: their ordinals run from leaf0.
-        mx = quantize_leaves(idx, nl, leaf_.get() + nd.leaf0);
+        mx = quantize_leaves(idx, nl, leaf_ + nd.leaf0);
       } else if (nl) {
         Word w[8];
         mx = std::max(mx, quantize_leaves(idx, nl, w));
@@ -448,57 +445,19 @@ class Encoder {
     return significant_;
   }
 
-  /// Every significant coefficient was coded through plane 0, so its recon
-  /// follows from the coefficient alone: one linear pass, no LSP scatter,
-  /// split into lanes of element-independent writes.
-  void export_recon(std::vector<double>& out) const {
-    const size_t n = dims_.total();
-    out.resize(n);
-    double* o = out.data();
-    Lanes(threads_).run(0, n, [&](size_t b, size_t e) { export_range(o, b, e); });
-  }
-
-  /// Recon of coefficients [b, e) into o. The closed form K + 0.5 =
-  /// ceil(m) - 0.5 is taken from m rounded to the nearest integer by adding
-  /// and removing 2^52 (exact below 2^52), so there is no integer
-  /// conversion and SSE2 codes two coefficients per step; deep-plane
-  /// coefficients are then redone with the walk.
-  void export_range(double* o, size_t b, size_t e) const {
-    constexpr double kRound = 0x1p52;
-    size_t i = b;
-#if defined(__SSE2__) && !defined(SPERR_SCALAR)
-    const __m128d q = _mm_set1_pd(q_), one = _mm_set1_pd(1.0);
-    const __m128d round = _mm_set1_pd(kRound), half = _mm_set1_pd(0.5);
-    const __m128d sign = _mm_set1_pd(-0.0);
-    for (; i + 2 <= e; i += 2) {
-      const __m128d c = _mm_loadu_pd(coeffs_ + i);
-      const __m128d m = _mm_div_pd(_mm_andnot_pd(sign, c), q);
-      const __m128d near = _mm_sub_pd(_mm_add_pd(m, round), round);
-      // near + 0.5 where near < m, near - 0.5 elsewhere; then c's sign.
-      const __m128d up = _mm_cmplt_pd(near, m);
-      const __m128d r = _mm_add_pd(near, _mm_or_pd(half, _mm_andnot_pd(up, sign)));
-      const __m128d signed_r = _mm_or_pd(r, _mm_and_pd(c, sign));
-      _mm_storeu_pd(o + i, _mm_and_pd(_mm_cmpgt_pd(m, one), _mm_mul_pd(signed_r, q)));
-    }
-#endif
-    for (; i < e; ++i) {
-      const double c = coeffs_[i];
-      const double m = std::fabs(c) / q_;
-      const double near = (m + kRound) - kRound;
-      const double r = near < m ? near + 0.5 : near - 0.5;
-      o[i] = m > 1.0 ? std::copysign(r, c) * q_ : 0.0;
-    }
-    if (n_max_ > kClosedFormPlanes)
-      for (size_t k = b; k < e; ++k) {
-        const double m = mag(k);
-        if (!(m > kDeepMagnitude)) continue;
-        const double r = refine_walk(m, plane_of(m), [](int32_t, bool) {});
-        o[k] = std::copysign(r, coeffs_[k]) * q_;
-      }
-  }
-
   void run_sweeps() {
-    buckets_.resize(max_depth(dims_) + 1);
+    // Every bucket holds its depth's whole entry count; the packed words
+    // cover the largest.
+    const std::vector<uint32_t>& entries = tree_->entries_by_depth();
+    buckets_.resize(entries.size());
+    size_t widest = 0;
+    for (size_t d = 0; d < entries.size(); ++d) {
+      buckets_[d].ids = arena_.alloc<uint32_t>(entries[d]);
+      buckets_[d].planes = arena_.alloc<int8_t>(entries[d]);
+      widest = std::max<size_t>(widest, entries[d]);
+    }
+    sig_ = arena_.alloc<uint64_t>((widest + 63) / 64);
+    live_ = arena_.alloc<uint64_t>((widest + 63) / 64);
     const uint32_t root = tree_->size() ? tree_->root() : leaf_entry(0, leaf_[0]);
     buckets_[0].push(root, cached_plane(entry_plane(root)));
     // Coefficients found above kClosedFormPlanes deposit their refinement
@@ -507,9 +466,9 @@ class Encoder {
 
     for (int32_t n = n_max_; n >= 0; --n) {
       // Everything found above the closed-form planes is the deep prefix.
-      if (n == kClosedFormPlanes) deep_ = lsp_.size();
+      if (n == kClosedFormPlanes) deep_ = nlsp_;
       // Closed-form entries found above plane n are refined at n.
-      const size_t refined = n < kClosedFormPlanes ? lsp_.size() : deep_;
+      const size_t refined = n < kClosedFormPlanes ? nlsp_ : deep_;
       PassTiming pt;
       pt.plane = n;
       Timer t;
@@ -531,10 +490,7 @@ class Encoder {
     // deeper buckets that were already swept, so every set is examined
     // exactly once per plane — the recursive coder's order.
     for (size_t d = buckets_.size(); d-- > 0;) {
-      const size_t count = buckets_[d].ids.size();
-      if (count == 0) continue;
-      sig_.resize_for_overwrite(count);
-      live_.resize_for_overwrite(count);
+      if (buckets_[d].size == 0) continue;
       Timer t;
       fill_sig_words(buckets_[d], n);
       pt.significance_s += t.seconds();
@@ -546,13 +502,13 @@ class Encoder {
   /// of a bucket's entries into sig_'s / live_'s words — one linear pass
   /// over the cached plane bytes (plus the entries' exact planes above
   /// kCachedPlaneMax). Every word is written in full, so no prior clearing
-  /// is needed (resize_for_overwrite above).
+  /// is needed.
   void fill_sig_words(const Bucket& bk, int32_t n) {
-    uint64_t* sw = sig_.word_data();
-    uint64_t* lw = live_.word_data();
-    const int8_t* p = bk.planes.data();
+    uint64_t* sw = sig_;
+    uint64_t* lw = live_;
+    const int8_t* p = bk.planes;
     const bool deep = n > kCachedPlaneMax;
-    const size_t e = bk.planes.size();
+    const size_t e = bk.size;
     size_t i = 0;
     for (size_t w = 0; i < e; ++w) {
       uint64_t sig = 0, live = 0;
@@ -597,9 +553,9 @@ class Encoder {
   /// go out in one write.
   void sweep_bucket(size_t d, int32_t n) {
     Bucket& bk = buckets_[d];
-    const uint64_t* sigw = sig_.word_data();
-    const uint64_t* livew = live_.word_data();
-    const size_t e = bk.ids.size();
+    const uint64_t* sigw = sig_;
+    const uint64_t* livew = live_;
+    const size_t e = bk.size;
     size_t zeros = 0;
     for (size_t w = 0; w * 64 < e; ++w) {
       const size_t base = w * 64;
@@ -669,7 +625,7 @@ class Encoder {
   /// last child) and each found one's sign go out in one put_bits of at
   /// most 16 bits; the insignificant ones spill to bucket `depth`.
   void code_leaf_set(const SetTree::Node& nd, size_t depth, int32_t n) {
-    const Word* w = leaf_.get() + nd.leaf0;
+    const Word* w = leaf_ + nd.leaf0;
     Bucket& dest = buckets_[depth];
     const size_t at = wbw_.bit_count();
     const unsigned last = nd.nchild - 1u;
@@ -783,8 +739,8 @@ class Encoder {
         e = 0;
       }
     }
-    lsp_.push_back(e & kLow);
-    if (budget_ && sign_end < budget_) kept_ = lsp_.size();
+    lsp_[nlsp_++] = e & kLow;
+    if (budget_ && sign_end < budget_) kept_ = nlsp_;
   }
 
   /// Emit plane n's refinement bits in LSP order: the deep prefix's bits,
@@ -799,7 +755,7 @@ class Encoder {
       }
     }
     if (refined > deep_)
-      put_plane_bits(lsp_.data() + deep_, refined - deep_, n, wbw_);
+      put_plane_bits(lsp_ + deep_, refined - deep_, n, wbw_);
   }
 
   const double* coeffs_;
@@ -810,20 +766,21 @@ class Encoder {
   int32_t n_max_ = -1;
   std::vector<PassTiming> pass_times_;
 
+  Arena& arena_;  ///< holds every array below
   std::shared_ptr<const SetTree> tree_;  ///< shared, read-only
   double build_s_ = 0.0;  ///< seconds this call spent building tree_
-  std::unique_ptr<int16_t[]> planes_;  ///< max plane per tree node id
-  std::unique_ptr<Word[]> leaf_;       ///< leaf word per leaf ordinal
-  size_t significant_ = 0;             ///< nonzero leaf words
+  int16_t* planes_ = nullptr;  ///< max plane per tree node id
+  Word* leaf_ = nullptr;       ///< leaf word per leaf ordinal
+  size_t significant_ = 0;     ///< nonzero leaf words
 
-  int threads_;  ///< lanes of the recon export
   std::vector<Bucket> buckets_;  ///< sweep worklists, bucketed by depth
   std::vector<SweepFrame> frames_;  ///< descent stack
-  PackedBits sig_;   ///< per-bucket packed significance bits (scratch)
-  PackedBits live_;  ///< per-bucket packed liveness bits (scratch)
+  uint64_t* sig_ = nullptr;   ///< a bucket's packed significance bits (scratch)
+  uint64_t* live_ = nullptr;  ///< a bucket's packed liveness bits (scratch)
 
-  std::vector<Word> lsp_;  ///< K per significant coefficient, discovery order
-  size_t deep_ = 0;        ///< LSP prefix found above kClosedFormPlanes
+  Word* lsp_ = nullptr;  ///< K per significant coefficient, discovery order
+  size_t nlsp_ = 0;      ///< LSP entries (at most significant_)
+  size_t deep_ = 0;      ///< LSP prefix found above kClosedFormPlanes
   std::vector<WordBitWriter> ref_streams_;  ///< deep-prefix bits per plane
 
   size_t kept_ = 0;  ///< budgeted: LSP entries whose sign bit precedes the last bit
@@ -832,13 +789,58 @@ class Encoder {
 
 template <class Word>
 std::vector<uint8_t> encode_as(const double* coeffs, Dims dims, double q,
-                               size_t budget_bits, int threads, int32_t n_max,
-                               const Timer& setup, EncodeStats* stats,
-                               std::vector<double>* recon_out) {
-  Encoder<Word> enc(coeffs, dims, q, budget_bits, threads, n_max);
-  return enc.run(setup.seconds(), stats, recon_out);
+                               size_t budget_bits, int32_t n_max, const Timer& setup,
+                               EncodeStats* stats, Arena& arena) {
+  const Arena::Scope scope(arena);
+  Encoder<Word> enc(coeffs, dims, q, budget_bits, n_max, arena);
+  return enc.run(setup.seconds(), stats);
 }
 
+/// Recon of coefficients [b, e) into o, the whole reconstruct(): every
+/// significant coefficient was coded through plane 0, so its recon follows
+/// from the coefficient alone. The closed form K + 0.5 = ceil(m) - 0.5 is
+/// taken from m rounded to the nearest integer by adding and removing 2^52
+/// (exact below 2^52), so there is no integer conversion and SSE2 codes two
+/// coefficients per step; where the range holds a deep-plane coefficient
+/// (m > kDeepMagnitude), those are then redone with the walk.
+void export_range(const double* coeffs, double q, double* o, size_t b, size_t e) {
+  constexpr double kRound = 0x1p52;
+  size_t i = b;
+  bool deep = false;
+#if defined(__SSE2__) && !defined(SPERR_SCALAR)
+  const __m128d qv = _mm_set1_pd(q), one = _mm_set1_pd(1.0);
+  const __m128d round = _mm_set1_pd(kRound), half = _mm_set1_pd(0.5);
+  const __m128d sign = _mm_set1_pd(-0.0), deep_m = _mm_set1_pd(kDeepMagnitude);
+  __m128d any_deep = _mm_setzero_pd();
+  for (; i + 2 <= e; i += 2) {
+    const __m128d c = _mm_loadu_pd(coeffs + i);
+    const __m128d m = _mm_div_pd(_mm_andnot_pd(sign, c), qv);
+    const __m128d near = _mm_sub_pd(_mm_add_pd(m, round), round);
+    // near + 0.5 where near < m, near - 0.5 elsewhere; then c's sign.
+    const __m128d up = _mm_cmplt_pd(near, m);
+    const __m128d r = _mm_add_pd(near, _mm_or_pd(half, _mm_andnot_pd(up, sign)));
+    const __m128d signed_r = _mm_or_pd(r, _mm_and_pd(c, sign));
+    _mm_storeu_pd(o + i, _mm_and_pd(_mm_cmpgt_pd(m, one), _mm_mul_pd(signed_r, qv)));
+    any_deep = _mm_or_pd(any_deep, _mm_cmpgt_pd(m, deep_m));
+  }
+  deep = _mm_movemask_pd(any_deep) != 0;
+#endif
+  for (; i < e; ++i) {
+    const double c = coeffs[i];
+    const double m = std::fabs(c) / q;
+    const double near = (m + kRound) - kRound;
+    const double r = near < m ? near + 0.5 : near - 0.5;
+    o[i] = m > 1.0 ? std::copysign(r, c) * q : 0.0;
+    deep |= m > kDeepMagnitude;
+  }
+  if (deep)
+    for (size_t k = b; k < e; ++k) {
+      const double m = std::fabs(coeffs[k]) / q;
+      if (!(m > kDeepMagnitude)) continue;
+      const double r = refine_walk(m, plane_of(m), [](int32_t, bool) {});
+      o[k] = std::copysign(r, coeffs[k]) * q;
+    }
+}
 }  // namespace
 
 std::vector<uint8_t> encode(const double* coeffs,
@@ -847,17 +849,43 @@ std::vector<uint8_t> encode(const double* coeffs,
                             size_t budget_bits,
                             EncodeStats* stats,
                             std::vector<double>* recon_out,
-                            int threads) {
+                            int threads,
+                            Arena* arena) {
   if (dims.total() >= kMaxCoefficients)
     throw std::invalid_argument("speck::encode: " + dims.to_string() +
                                 " exceeds the 2^31-coefficient limit");
   const Timer setup;
   const int32_t n_max = top_plane(coeffs, dims.total(), q);
-  return n_max <= 29
-             ? encode_as<uint32_t>(coeffs, dims, q, budget_bits, threads, n_max,
-                                   setup, stats, recon_out)
-             : encode_as<uint64_t>(coeffs, dims, q, budget_bits, threads, n_max,
-                                   setup, stats, recon_out);
+  Arena& a = arena ? *arena : tls_arena();
+  std::vector<uint8_t> out =
+      n_max <= 29
+          ? encode_as<uint32_t>(coeffs, dims, q, budget_bits, n_max, setup, stats, a)
+          : encode_as<uint64_t>(coeffs, dims, q, budget_bits, n_max, setup, stats, a);
+  if (recon_out && budget_bits) {
+    recon_out->clear();
+  } else if (recon_out) {
+    const Timer t;
+    recon_out->resize(dims.total());
+    reconstruct(coeffs, dims, q, recon_out->data(), threads);
+    if (stats) stats->finish_s += t.seconds();
+  }
+  return out;
+}
+
+size_t encode_arena_bytes(Dims dims) {
+  // Per coefficient: a leaf word and an LSP entry of 8 B, at most one set
+  // (2 B of plane), two bucket entries (id and plane byte, for a set and a
+  // leaf) and two bits of packed words; then each allocation's alignment
+  // and red zone, a few hundred of them at most.
+  const size_t n = dims.total();
+  return n * (2 * sizeof(uint64_t) + sizeof(int16_t) + 2 * (sizeof(uint32_t) + sizeof(int8_t))) +
+         2 * ((n + 63) / 64) * sizeof(uint64_t) + 512 * 2 * Arena::kAlignment;
+}
+
+void reconstruct(const double* coeffs, Dims dims, double q, double* out, int threads) {
+  Lanes(threads).run(0, dims.total(), [&](size_t b, size_t e) {
+    export_range(coeffs, q, out, b, e);
+  });
 }
 
 }  // namespace sperr::speck

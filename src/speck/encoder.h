@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/types.h"
 #include "speck/common.h"
 
@@ -52,8 +53,8 @@ struct EncodeStats {
   /// the shared SetTreeCache (tree_build_s of it when this call built the
   /// tree) and the gather that quantizes every coefficient once, to its
   /// sign and integer magnitude in tree leaf order, while it folds the
-  /// sets' max planes; finish is the budget cut, the stream assembly and
-  /// the recon export.
+  /// sets' max planes; finish is the budget cut, the stream assembly and,
+  /// when encode() writes recon_out, the recon export.
   double setup_s = 0.0;
   double tree_build_s = 0.0;  ///< part of setup_s; 0 on a cache hit
   double finish_s = 0.0;
@@ -67,23 +68,43 @@ struct EncodeStats {
 /// the embedded payload is cut there.
 ///
 /// `recon_out`, when non-null, receives the encoder's coefficient
-/// reconstruction (resized to dims.total()), so the SPERR pipeline can
-/// locate outliers without decoding its own stream (paper §V-C stage 3 is
-/// just an inverse transform plus a comparison). It equals the decoder's
-/// output. A budgeted encode clears it: the reconstruction of a cut stream
-/// is what speck::decode returns for that stream.
+/// reconstruction (resized to dims.total(), see reconstruct), so the SPERR
+/// pipeline can locate outliers without decoding its own stream (paper §V-C
+/// stage 3 is just an inverse transform plus a comparison). It equals the
+/// decoder's output. A budgeted encode clears it: the reconstruction of a
+/// cut stream is what speck::decode returns for that stream.
 ///
 /// `threads` splits the recon export, an element-wise pass over the
 /// coefficients, into fixed contiguous lanes (common/threadpool.h Lanes);
 /// the sorting and refinement passes run on the calling thread, so the
 /// stream and the recon are identical at every thread count. 0 = one lane
 /// per hardware thread; a budgeted encode exports no recon and uses none.
+///
+/// `arena` (nullptr = the calling thread's tls_arena()) holds the coder
+/// state, in a Scope that closes before the call returns: a warm arena
+/// serves a steady-state encode without fresh pages.
 std::vector<uint8_t> encode(const double* coeffs,
                             Dims dims,
                             double q,
                             size_t budget_bits = 0,
                             EncodeStats* stats = nullptr,
                             std::vector<double>* recon_out = nullptr,
-                            int threads = 1);
+                            int threads = 1,
+                            Arena* arena = nullptr);
+
+/// An upper bound on the bytes encode() takes from its arena for a `dims`
+/// grid, in any mode: 64-bit leaf words and LSP entries for every
+/// coefficient, fewer sets than coefficients, and every bucket holding at
+/// most all of them. A caller reserves it (Arena::reserve) so that the
+/// coder state and what follows it share one block of a cold arena.
+size_t encode_arena_bytes(Dims dims);
+
+/// The recon encode() hands back for an unbudgeted stream of `coeffs` at
+/// step q, written to out[0 .. dims.total()): what speck::decode returns for
+/// that stream. It reads only the coefficients, so a caller may take `out`
+/// from the arena the encode's coder state just released. `threads` is as
+/// for encode().
+void reconstruct(const double* coeffs, Dims dims, double q, double* out,
+                 int threads = 1);
 
 }  // namespace sperr::speck

@@ -41,6 +41,7 @@ SetTree::SetTree(Dims dims) : dims_(dims) {
   root.nx = uint32_t(dims.x);
   root.ny = uint32_t(dims.y);
   root.nz = uint32_t(dims.z);
+  depth_entries_.push_back(1);  // the root
   if (root.is_single()) return;
   std::map<Extents, uint64_t> memo;
   nodes_.resize(count_sets(root, memo));
@@ -49,10 +50,17 @@ SetTree::SetTree(Dims dims) : dims_(dims) {
     Box box;
     uint32_t id;
     uint32_t leaf0;
+    uint32_t depth;
+  };
+  // Children of a set at depth d sit at d + 1, an inline leaf-only set's
+  // leaves at d + 2.
+  auto count_at = [this](uint32_t depth, uint32_t n) {
+    if (depth_entries_.size() <= depth) depth_entries_.resize(depth + 1, 0);
+    depth_entries_[depth] += n;
   };
   std::vector<Frame> stack;
   stack.reserve(64 * 8);
-  stack.push_back({root, 0, 0});
+  stack.push_back({root, 0, 0, 0});
   uint32_t next = 1;
   while (!stack.empty()) {
     const Frame f = stack.back();
@@ -69,6 +77,7 @@ SetTree::SetTree(Dims dims) : dims_(dims) {
     Frame sets[8];
     int ns = 0;
     uint32_t ord = f.leaf0;
+    count_at(f.depth + 1, uint32_t(nc));
     for (int i = 0; i < nc; ++i) {
       const Box& c = children[i];
       if (c.is_single()) {
@@ -80,8 +89,9 @@ SetTree::SetTree(Dims dims) : dims_(dims) {
         const int cn = (c.nx > 1 ? 2 : 1) * (c.ny > 1 ? 2 : 1) * (c.nz > 1 ? 2 : 1);
         nodes_[next++] = {0, ord, uint32_t(dims.index(c.x, c.y, c.z)), uint8_t(cn),
                           uint8_t((1u << cn) - 1), extent_code(c)};
+        count_at(f.depth + 2, uint32_t(cn));
       } else {
-        sets[ns++] = {c, next++, ord};
+        sets[ns++] = {c, next++, ord, f.depth + 1};
       }
       ord += uint32_t(c.count());
     }

@@ -18,7 +18,10 @@
 //     parent (a reverse sweep is a bottom-up fold);
 //   * leaf ordinals number the coefficients in depth-first order of the
 //     split_box() traversal, so a set covers one contiguous ordinal range
-//     starting at leaf0 — for a power-of-two cube that is Z-order.
+//     starting at leaf0 — for a power-of-two cube that is Z-order;
+//   * the build counts the entries (sets and leaves) at each depth, the
+//     root at depth 0. A coder lists an entry in the worklist of its depth
+//     at most once at a time, so these counts size the worklists once.
 //
 // The structure depends only on the grid extents, never on the data, so
 // encoder and decoder use identical trees without communicating anything.
@@ -127,7 +130,12 @@ class SetTree {
   [[nodiscard]] size_t size() const { return nodes_.size(); }
   /// Heap and object bytes the tree holds.
   [[nodiscard]] size_t bytes() const {
-    return sizeof(*this) + nodes_.capacity() * sizeof(Node);
+    return sizeof(*this) + nodes_.capacity() * sizeof(Node) +
+           depth_entries_.capacity() * sizeof(uint32_t);
+  }
+  /// Sets and leaves at each depth (the root's is 0), deepest last.
+  [[nodiscard]] const std::vector<uint32_t>& entries_by_depth() const {
+    return depth_entries_;
   }
   /// The root's worklist entry: node 0, or leaf 0 for a one-coefficient grid.
   [[nodiscard]] uint32_t root() const { return nodes_.empty() ? kLeafTag : 0; }
@@ -145,6 +153,7 @@ class SetTree {
  private:
   Dims dims_;
   std::vector<Node> nodes_;
+  std::vector<uint32_t> depth_entries_;
   /// kSmallSets' deltas as linear offsets in this grid.
   uint32_t offset_[27][8] = {};
 };

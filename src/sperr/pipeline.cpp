@@ -49,6 +49,10 @@ Status encode_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
   // forward wavelet transform then overwrites in place.
   Timer timer;
   double* coeffs = a.alloc<double>(n);
+  // The wavelet tiles, the SPECK coder state and then the recon follow the
+  // coefficients; on a cold arena they share one block only if it is
+  // reserved now, and only then does the recon reuse the coder's pages.
+  a.reserve(speck::encode_arena_bytes(dims));
   gather_chunk(volume, vol_dims, chunk, coeffs);
   double transform_s = timer.seconds();
 
@@ -93,12 +97,20 @@ Status encode_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
   }
 
   // Stage 2: SPECK-code all bitplanes down to q, or up to the budget. In
-  // PWE mode the encoder also hands back the decoder-equivalent coefficient
-  // reconstruction so stage 3 need not decode the stream it just built.
+  // PWE mode the decoder-equivalent coefficient reconstruction comes from
+  // the coefficients (speck::reconstruct), so stage 3 need not decode the
+  // stream it just built. The coder state lives in a scope of `a` that has
+  // closed by the time the recon is taken, so the recon reuses its pages.
   timer.reset();
-  std::vector<double> recon;
-  out.speck = speck::encode(coeffs, dims, q, budget, &out.speck_stats,
-                            pwe ? &recon : nullptr, intra_chunk_threads);
+  out.speck = speck::encode(coeffs, dims, q, budget, &out.speck_stats, nullptr,
+                            intra_chunk_threads, &a);
+  double* recon = nullptr;
+  if (pwe) {
+    const Timer export_timer;
+    recon = a.alloc<double>(n);
+    speck::reconstruct(coeffs, dims, q, recon, intra_chunk_threads);
+    out.speck_stats.finish_s += export_timer.seconds();
+  }
   out.timing.speck_s = timer.seconds();
   if (!pwe) return Status::ok;
 
@@ -109,14 +121,14 @@ Status encode_chunk(const double* volume, Dims vol_dims, const Chunk& chunk,
   // be within t too.
   const double tolerance = cfg.tolerance;
   timer.reset();
-  wavelet::inverse_dwt(recon.data(), dims, wavelet::Kernel::cdf97, &a);
+  wavelet::inverse_dwt(recon, dims, wavelet::Kernel::cdf97, &a);
   std::vector<outlier::Outlier> outliers;
   for (size_t z = 0; z < dims.z; ++z)
     for (size_t y = 0; y < dims.y; ++y) {
       const double* in = volume + vol_dims.index(chunk.origin.x, chunk.origin.y + y,
                                                  chunk.origin.z + z);
       const size_t row = dims.index(0, y, z);
-      const double* rec = recon.data() + row;
+      const double* rec = recon + row;
       for (size_t x = 0; x < dims.x; ++x) {
         const double err = in[x] - rec[x];
         if (std::fabs(err) > tolerance ||
@@ -153,8 +165,8 @@ Status decode(const uint8_t* speck_stream, size_t speck_len,
               double* out, Arena* arena, int intra_chunk_threads, size_t drop_levels) {
   Arena& a = arena ? *arena : tls_arena();
   Arena::Scope scope(a);
-  const Status s =
-      speck::decode(speck_stream, speck_len, dims, out, nullptr, intra_chunk_threads);
+  const Status s = speck::decode(speck_stream, speck_len, dims, out, nullptr,
+                                 intra_chunk_threads, &a);
   if (s != Status::ok) return s;
 
   if (drop_levels > 0) {

@@ -61,8 +61,10 @@ size_t fixed_rate_budget(double bpp, Dims chunk_dims);
 /// the stream at fixed_rate_budget(cfg.bpp, dims) bits, with no error bound.
 ///
 /// `arena` (nullptr = the calling thread's tls_arena()) holds the large
-/// transient buffers (coefficients, wavelet tiles); the chunk loops pass
-/// each worker's warm arena, so steady-state chunks allocate nothing there.
+/// transient buffers (coefficients, wavelet tiles, the SPECK coder state and
+/// the PWE recon, which reuses the coder state's pages); the chunk loops
+/// pass each worker's warm arena, so steady-state chunks allocate nothing
+/// there.
 /// It is rewound, not reset: allocations the caller made before survive.
 ///
 /// `intra_chunk_threads` feeds the SPECK coder's deterministic lanes

@@ -1,6 +1,8 @@
 // Invariants of the per-thread scratch arena the chunked hot paths rely on:
-// alignment of every pointer, non-moving growth, Scope rewind semantics, and
-// the coalescing reset() that makes steady-state chunk loops allocation-free.
+// alignment of every pointer, non-moving growth, Scope rewind semantics,
+// reserve(), the coalescing reset() that makes steady-state chunk loops
+// allocation-free, and (under AddressSanitizer) the poisoning of the space
+// the arena does not hand out.
 
 #include <gtest/gtest.h>
 
@@ -110,6 +112,70 @@ TEST(Arena, PreSizedConstructorAvoidsGrowth) {
   EXPECT_EQ(allocs, 1u);
   a.alloc<double>((1 << 20) / sizeof(double));
   EXPECT_EQ(a.system_alloc_count(), allocs);
+}
+
+TEST(Arena, ReserveKeepsLaterStagesInOneBlock) {
+  // A cold arena: the first allocation fills its block exactly, so without
+  // the reservation each later stage would open a block of its own.
+  Arena a;
+  a.alloc<uint8_t>(1 << 16);
+  a.reserve(1 << 20);
+  const size_t allocs = a.system_alloc_count();
+  uint8_t* stage1 = nullptr;
+  {
+    Arena::Scope s(a);
+    stage1 = a.alloc<uint8_t>(1 << 19);
+    a.alloc<uint8_t>(1 << 18);
+  }
+  // The next stage lands on the released stage's pages, in the same block.
+  EXPECT_EQ(a.alloc<uint8_t>(1 << 19), stage1);
+  a.alloc<uint8_t>(1 << 18);
+  EXPECT_EQ(a.system_alloc_count(), allocs);
+
+  a.reset();
+  const size_t coalesced = a.system_alloc_count();
+  a.reserve(a.capacity() / 2);  // room on a warm arena: a no-op
+  EXPECT_EQ(a.system_alloc_count(), coalesced);
+}
+
+TEST(ArenaDeathTest, WriteOnePastAnAllocationIsReported) {
+#if SPERR_ARENA_POISON
+  // Two arrays back to back, as the SPECK coders lay out their state: a
+  // write one element past the first lands in its red zone, not silently in
+  // the second.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Arena a;
+        uint32_t* first = a.alloc<uint32_t>(16);
+        uint32_t* second = a.alloc<uint32_t>(16);
+        second[0] = 1;
+        volatile uint32_t* p = first;
+        p[16] = 7;
+      },
+      "use-after-poison");
+#else
+  GTEST_SKIP() << "the arena poisons its free space only under AddressSanitizer";
+#endif
+}
+
+TEST(Arena, ReleasedScopeIsReusedAfterPoisoning) {
+  // Whatever the build, memory a Scope released is handed out again and is
+  // fully usable (under ASan: unpoisoned again).
+  Arena a;
+  uint8_t* kept = a.alloc<uint8_t>(100);
+  uint8_t* inner = nullptr;
+  {
+    Arena::Scope s(a);
+    inner = a.alloc<uint8_t>(1000);
+    std::memset(inner, 1, 1000);
+  }
+  uint8_t* again = a.alloc<uint8_t>(1000);
+  EXPECT_EQ(again, inner);
+  std::memset(again, 2, 1000);
+  std::memset(kept, 3, 100);
+  a.reset();
+  std::memset(a.alloc<uint8_t>(100), 4, 100);
 }
 
 TEST(Arena, TlsArenaIsPerThreadAndPersistent) {

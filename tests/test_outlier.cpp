@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <tuple>
@@ -157,6 +158,60 @@ TEST(OutlierCoder, StreamIsSelfContained) {
   std::vector<Outlier> decoded;
   ASSERT_EQ(decode(stream.data(), stream.size(), 5000, decoded), Status::ok);
   EXPECT_EQ(decoded.size(), outliers.size());
+}
+
+/// FNV-1a over 64-bit words, little-endian bytes.
+struct Fnv {
+  uint64_t h = 0xcbf29ce484222325ull;
+  void add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= uint8_t(v >> (8 * i));
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+TEST(OutlierCoder, EveryPrefixDecodesAsPinned) {
+  // 10k outliers in a 1M array, corrections up to 41 t: planes 5 .. 0. The
+  // goldens pin full streams only; this pins what every byte prefix decodes
+  // to, and cut streams (the header's bit count set to the prefix, as a
+  // budget would) through the truncated-decode paths: at every 97th payload
+  // byte and at each of the last 128, which end inside the last plane.
+  const uint64_t len = uint64_t(1) << 20;
+  const double t = 0.25;
+  const auto stream = encode(random_outliers(len, 10000, t, 30, 40.0), len, t);
+  Fnv bytes;
+  for (const uint8_t b : stream) bytes.add(b);
+
+  constexpr size_t kHeader = 22, kNbitsAt = 14;
+  uint64_t nbits = 0;
+  for (size_t i = 0; i < 8; ++i) nbits |= uint64_t(stream[kNbitsAt + i]) << (8 * i);
+  const size_t payload = stream.size() - kHeader;
+  ASSERT_GT(payload, 128u);
+
+  Fnv decoded;
+  std::vector<Outlier> out;
+  auto add = [&](Status st) {
+    decoded.add(uint64_t(st));
+    if (st != Status::ok) return;
+    decoded.add(out.size());
+    for (const Outlier& o : out) {
+      decoded.add(o.pos);
+      decoded.add(std::bit_cast<uint64_t>(o.corr));
+    }
+  };
+  for (size_t k = 0; k <= stream.size(); ++k) add(decode(stream.data(), k, len, out));
+  std::vector<size_t> cuts;
+  for (size_t k = 0; k < payload; k += 97) cuts.push_back(k);
+  for (size_t k = payload - 128; k <= payload; ++k) cuts.push_back(k);
+  for (const size_t k : cuts) {
+    std::vector<uint8_t> cut(stream.begin(), stream.begin() + std::ptrdiff_t(kHeader + k));
+    const uint64_t nb = std::min<uint64_t>(nbits, 8 * k);
+    for (size_t i = 0; i < 8; ++i) cut[kNbitsAt + i] = uint8_t(nb >> (8 * i));
+    add(decode(cut.data(), cut.size(), len, out));
+  }
+  EXPECT_EQ(bytes.h, 0x9c28bdaf453a6010ull) << std::hex << bytes.h;
+  EXPECT_EQ(decoded.h, 0x9c9c77b60d363d16ull) << std::hex << decoded.h;
 }
 
 TEST(OutlierCoder, GarbageRejected) {
