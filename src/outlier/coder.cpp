@@ -247,8 +247,6 @@ class Decoder {
     };
     for (const auto& p : lists_.lsp) emit(p);
     for (const auto& p : lists_.lnsp) emit(p);
-    std::sort(out.begin(), out.end(),
-              [](const Outlier& a, const Outlier& b) { return a.pos < b.pos; });
   }
 
  private:

@@ -44,6 +44,7 @@ std::vector<uint8_t> encode(std::vector<Outlier> outliers,
 
 /// Decode a stream produced by encode(). Reconstructed positions are exact;
 /// each reconstructed correction satisfies |corr_decoded - corr_true| <= t/2.
+/// The points come back in the coder's discovery order, not by position.
 Status decode(const uint8_t* stream,
               size_t nbytes,
               uint64_t array_len,

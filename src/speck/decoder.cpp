@@ -13,9 +13,9 @@
 //   * a refinement pass at plane p appends one bit to the K of every entry
 //     found above p, K = 2K + bit. The pass's bits are contiguous in the
 //     payload, so they are read as whole 64-bit words and shifted into
-//     four (or two) K per SSE2 step; with threads > 1 the pass is cut into
-//     fixed contiguous lanes of element-independent updates (Lanes, the
-//     helper the encoder's recon export also uses);
+//     four (or two) K per SSE2 step; with threads > 1 a long pass is cut
+//     into fixed contiguous lanes of element-independent updates
+//     (run_lanes, which the encoder's recon export also calls);
 //   * the reconstruction is exported once, at the end: an entry whose last
 //     applied plane is p decodes to (K + 0.5) * 2^p * q. The reference's
 //     per-pass sum 1.5 * 2^n +/- 2^b / 2 ... telescopes to exactly that,
@@ -101,7 +101,11 @@ class Decoder {
  public:
   /// Takes every array from `arena`; the caller's Arena::Scope releases them.
   Decoder(BitReader br, Dims dims, const Header& hdr, int threads, Arena& arena)
-      : br_(br), dims_(dims), hdr_(hdr), lanes_(threads), arena_(arena) {}
+      : br_(br),
+        dims_(dims),
+        hdr_(hdr),
+        threads_(resolve_thread_count(threads)),
+        arena_(arena) {}
 
   Status run(double* coeffs, DecodeStats* stats, const Timer& setup) {
     double build_s = 0.0;
@@ -432,7 +436,7 @@ class Decoder {
     }
     Mag* k = mag_;
     const BitReader& br = br_;
-    lanes_.run(nd, take, [k, start, &br](size_t b, size_t e) {
+    run_lanes(threads_, nd, take, [k, start, &br](size_t b, size_t e) {
       for (size_t j = b; j < e; j += 64)
         shift_in(k + j, br.word_at(start + j),
                  unsigned(std::min<size_t>(64, e - j)));
@@ -466,7 +470,7 @@ class Decoder {
         coeffs[sidx[j] & kIdxMask] = sidx[j] >> 31 ? -v : v;
       }
     };
-    lanes_.run(nd, nsig_, [&](size_t b, size_t e) {
+    run_lanes(threads_, nd, nsig_, [&](size_t b, size_t e) {
       emit(b, std::min(e, refined), at);
       emit(std::max(b, refined), std::min(e, listed), above);
       emit(std::max(b, listed), e, at);
@@ -476,7 +480,7 @@ class Decoder {
   BitReader br_;
   Dims dims_;
   Header hdr_;
-  Lanes lanes_;  ///< refinement-pass and export lanes
+  int threads_;  ///< lanes of the refinement passes and the export
   bool done_ = false;
   double thrd_ = 0.0;  ///< 2^p of the plane being decoded
 

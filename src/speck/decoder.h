@@ -48,10 +48,11 @@ struct DecodeStats {
 /// `threads` parallelizes the data-parallel parts of the decode — the
 /// refinement passes' integer updates and the final coefficient export (the
 /// sorting pass runs on one lane: each bit's meaning depends on the bits
-/// before it, though it reads them a word at a time). The output is identical at every
-/// thread count: each parallel region partitions a contiguous array into
-/// fixed lanes of element-independent updates. 0 = one lane per hardware
-/// thread.
+/// before it, though it reads them a word at a time). The output is
+/// identical at every thread count: each such loop partitions a contiguous
+/// array into fixed lanes of element-independent updates, forked only where
+/// every lane gets kLaneGrain items (common/threadpool.h run_lanes). 0 = one
+/// lane per hardware thread.
 ///
 /// `arena` (nullptr = the calling thread's tls_arena()) holds the LSP and
 /// the LIS buckets, in a Scope that closes before the call returns.

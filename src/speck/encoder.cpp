@@ -34,8 +34,8 @@
 //     in one linear pass over the coefficients.
 //   * The sweep is serial: one bit writer, one set of buckets, one LSP.
 //     Lanes (threads > 1) split only the PWE recon export, an element-wise
-//     pass over the coefficients, through the Lanes helper the decoder also
-//     uses (common/threadpool.h), so the stream never depends on the
+//     pass over the coefficients, through run_lanes, which the decoder also
+//     calls (common/threadpool.h), so the stream never depends on the
 //     thread count.
 //   * The coder state lives in one Arena::Scope of the calling worker's
 //     arena: the leaf words, the set planes, the LSP (sized to the
@@ -883,7 +883,7 @@ size_t encode_arena_bytes(Dims dims) {
 }
 
 void reconstruct(const double* coeffs, Dims dims, double q, double* out, int threads) {
-  Lanes(threads).run(0, dims.total(), [&](size_t b, size_t e) {
+  run_lanes(threads, 0, dims.total(), [&](size_t b, size_t e) {
     export_range(coeffs, q, out, b, e);
   });
 }

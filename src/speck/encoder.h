@@ -75,7 +75,7 @@ struct EncodeStats {
 /// cut stream is what speck::decode returns for that stream.
 ///
 /// `threads` splits the recon export, an element-wise pass over the
-/// coefficients, into fixed contiguous lanes (common/threadpool.h Lanes);
+/// coefficients, into fixed contiguous lanes (common/threadpool.h run_lanes);
 /// the sorting and refinement passes run on the calling thread, so the
 /// stream and the recon are identical at every thread count. 0 = one lane
 /// per hardware thread; a budgeted encode exports no recon and uses none.

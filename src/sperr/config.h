@@ -91,16 +91,6 @@ struct StageTiming {
     return transform_s + speck_s + locate_s + outlier_s + lossless_s;
   }
 
-  /// Forward-transform stage throughput in MB/s (0 when unmeasured).
-  [[nodiscard]] double transform_mbps() const {
-    return transform_s > 0.0 ? double(bytes) / transform_s / 1e6 : 0.0;
-  }
-
-  /// Whole-pipeline throughput in MB/s (0 when unmeasured).
-  [[nodiscard]] double total_mbps() const {
-    return total() > 0.0 ? double(bytes) / total() / 1e6 : 0.0;
-  }
-
   StageTiming& operator+=(const StageTiming& o) {
     transform_s += o.transform_s;
     speck_s += o.speck_s;

@@ -29,6 +29,13 @@ std::vector<Outlier> random_outliers(uint64_t array_len, size_t count, double t,
   return out;
 }
 
+/// decode() returns the points in coder order; the tests compare them by
+/// position.
+void sort_by_pos(std::vector<Outlier>& v) {
+  std::sort(v.begin(), v.end(),
+            [](const Outlier& a, const Outlier& b) { return a.pos < b.pos; });
+}
+
 void expect_bounded_roundtrip(const std::vector<Outlier>& outliers,
                               uint64_t array_len, double t) {
   const auto stream = encode(outliers, array_len, t);
@@ -36,9 +43,9 @@ void expect_bounded_roundtrip(const std::vector<Outlier>& outliers,
   ASSERT_EQ(decode(stream.data(), stream.size(), array_len, decoded), Status::ok);
   ASSERT_EQ(decoded.size(), outliers.size());
 
+  sort_by_pos(decoded);
   auto sorted = outliers;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Outlier& a, const Outlier& b) { return a.pos < b.pos; });
+  sort_by_pos(sorted);
   for (size_t i = 0; i < sorted.size(); ++i) {
     EXPECT_EQ(decoded[i].pos, sorted[i].pos) << "outlier " << i;
     // The central guarantee (paper §IV-B): |corr_decoded - corr| <= t/2.
@@ -136,6 +143,7 @@ TEST(OutlierCoder, HugeSparseArrayStaysCheap) {
   std::vector<Outlier> decoded;
   ASSERT_EQ(decode(stream.data(), stream.size(), len, decoded), Status::ok);
   ASSERT_EQ(decoded.size(), 3u);
+  sort_by_pos(decoded);
   EXPECT_EQ(decoded[0].pos, 0u);
   EXPECT_EQ(decoded[1].pos, len / 3);
   EXPECT_EQ(decoded[2].pos, len - 1);
@@ -194,6 +202,7 @@ TEST(OutlierCoder, EveryPrefixDecodesAsPinned) {
   auto add = [&](Status st) {
     decoded.add(uint64_t(st));
     if (st != Status::ok) return;
+    sort_by_pos(out);
     decoded.add(out.size());
     for (const Outlier& o : out) {
       decoded.add(o.pos);

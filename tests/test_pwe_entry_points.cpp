@@ -6,7 +6,8 @@
 // promised for them). The inputs are the edge cases of the coder: a constant
 // field, an isolated spike, a dynamic range above 2^50 (more than 50 SPECK
 // bitplanes), a single voxel, a 1-D line, chunking that does not divide the
-// field, and f32 fields whose t is below the float spacing.
+// field, f32 fields whose t is below the float spacing, and a subnormal
+// field and tolerance.
 
 #include <gtest/gtest.h>
 
@@ -99,6 +100,16 @@ std::vector<Case> make_cases() {
     c.t = tolerance_from_idx(c.field.data(), c.field.size(), 24);
     cases.push_back(std::move(c));
   }
+  {
+    // Every value and t subnormal (below 2.2e-308): a smooth field of range
+    // 1e-309 at t = 1e-312.
+    Case c{"subnormal", {24, 24, 24}, {24, 24, 24}, {}, 1e-312, false};
+    c.field = data::miranda_pressure(c.dims);
+    const auto [lo, hi] = std::minmax_element(c.field.begin(), c.field.end());
+    const double base = *lo, span = *hi - *lo;
+    for (double& v : c.field) v = (v - base) / span * 1e-309;
+    cases.push_back(std::move(c));
+  }
   return cases;
 }
 
@@ -107,13 +118,15 @@ const std::vector<Case>& cases() {
   return all;
 }
 
-/// Largest |decoded - original| in units of t.
+/// Largest |decoded - original| in units of t; NaN if any decoded value is.
 template <typename T>
 double max_err_over_t(const Case& c, const T* decoded, size_t n) {
   EXPECT_EQ(n, c.field.size());
   double m = 0.0;
-  for (size_t i = 0; i < std::min(n, c.field.size()); ++i)
-    m = std::max(m, std::fabs(double(decoded[i]) - c.field[i]));
+  for (size_t i = 0; i < std::min(n, c.field.size()); ++i) {
+    const double e = std::fabs(double(decoded[i]) - c.field[i]);
+    if (!(e <= m)) m = e;
+  }
   return m / c.t;
 }
 

@@ -71,10 +71,13 @@ void expect_decode_stats_equal(const DecodeStats& a, const DecodeStats& b) {
 
 /// The thread counts every case in the differential wall is held to. 1 is
 /// fully serial; 2/4/8 split the element-wise loops into lanes (the
-/// encoder's recon export, the decoder's refinement passes and export) once
-/// they reach Lanes::kGrain items, including more lanes than this machine
-/// has cores (correctness must not depend on real concurrency).
+/// encoder's recon export, the decoder's refinement passes and export)
+/// where every lane gets kLaneGrain items, including more lanes than this
+/// machine has cores (correctness must not depend on real concurrency).
 constexpr int kThreadWall[] = {1, 2, 4, 8};
+
+/// The most lanes any thread count of the wall asks for.
+constexpr size_t kMostLanes = size_t(kThreadWall[std::size(kThreadWall) - 1]);
 
 /// Full differential check of one field at one (q, budget), at every
 /// thread count in kThreadWall: the encoded stream must be byte-identical
@@ -206,8 +209,10 @@ TEST(SpeckFast, DeepPlanesMatchReference) {
 
 // The integer-magnitude path: a coefficient found at plane n <= 50 is coded
 // from K = ceil(m) - 1, held in 32 bits while the top plane is at most 29.
-// These grids (32x32x16) hold exactly Lanes::kGrain coefficients, so the
-// recon export splits into lanes at 2/4/8 threads.
+// These grids hold kMostLanes * kLaneGrain coefficients, so the recon
+// export splits into 2, 4 and 8 lanes at 2/4/8 threads.
+constexpr Dims kLaneDims{128, 64, 64};
+static_assert(kLaneDims.total() >= kMostLanes * kLaneGrain);
 
 /// Overwrite every `stride`-th coefficient with a random sign times m * q.
 template <class Magnitude>
@@ -222,7 +227,7 @@ TEST(SpeckFast, IntegerMagnitudeBoundariesMatchReference) {
   // Exact integers m = k, where ceil(m) - 1 = k - 1 but truncation gives k,
   // and the next double above them, where the two agree. q = 0.25 keeps
   // m = c / q exact; q = 0.3 puts m within an ulp of the integer.
-  const Dims dims{32, 32, 16};
+  const Dims dims = kLaneDims;
   for (const double q : {0.25, 0.3}) {
     auto c = adversarial_coeffs(dims, 900, q);
     plant(c, q, 3, 901, [](Rng& rng) {
@@ -239,7 +244,7 @@ TEST(SpeckFast, ClosedFormBoundaryPlanesMatchReference) {
   // prefix (51, 52) walks the residual chain, the suffix (49, 50) and the
   // ordinary field below take K, and every later refinement pass lists
   // both. Interval tops, exact integers and their successors included.
-  const Dims dims{32, 32, 16};
+  const Dims dims = kLaneDims;
   const double q = 0.5;
   auto c = adversarial_coeffs(dims, 950, q);
   int slot = 0;
@@ -268,7 +273,7 @@ TEST(SpeckFast, IntegerWidthBoundaryMatchesReference) {
   // word. At top 50 the 64-bit K is at its widest (K < 2^51); from top 51
   // the top coefficients are deep words (their linear index, walked). The
   // interval top m = 2^(top + 1) gives the largest K.
-  const Dims dims{32, 32, 16};
+  const Dims dims = kLaneDims;
   const double q = 0.5;
   for (const int top : {28, 29, 30, 31, 50, 51}) {
     SCOPED_TRACE("top plane " + std::to_string(top));
@@ -291,19 +296,20 @@ TEST(SpeckFast, IntegerWidthBoundaryMatchesReference) {
 }
 
 TEST(SpeckFast, LanesAboveTheGrainMatchSerial) {
-  // An odd coefficient count well above Lanes::kGrain: at 2/4/8 threads the
-  // encoder's recon export and the decoder's refinement passes and export
-  // all split, the lane bounds fall at different places for each count,
-  // and the first (count mod lanes) lanes take one item more.
-  const Dims dims{41, 37, 19};
-  static_assert(size_t(41) * 37 * 19 > Lanes::kGrain);
+  // An odd coefficient count above kMostLanes * kLaneGrain: at 2/4/8
+  // threads the encoder's recon export and the decoder's export split into
+  // that many lanes (the decoder's longer refinement passes into up to that
+  // many), the lane bounds fall at different places for each count, and the
+  // first (count mod lanes) lanes take one item more.
+  constexpr Dims dims{91, 89, 83};
+  static_assert(dims.total() % 2 == 1 && dims.total() > kMostLanes * kLaneGrain);
   const double q = 0.5;
   // Lifted 2^8, so that most of the field, the small values included, is
-  // significant and the decoder's LSP also passes the grain.
+  // significant and the decoder's LSP also splits kMostLanes ways.
   const auto c = adversarial_coeffs(dims, 990, q, 256.0);
   EncodeStats stats;
   (void)encode(c.data(), dims, q, 0, &stats);
-  ASSERT_GT(stats.significant_count, Lanes::kGrain);
+  ASSERT_GE(stats.significant_count, kMostLanes * kLaneGrain);
   for (const size_t budget : {size_t(0), dims.total()})
     expect_field_identical(c, dims, q, budget);
 }

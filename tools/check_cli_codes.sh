@@ -81,6 +81,34 @@ expect 2 "non-numeric --chunk" -- "$SPERR_CC" c "$WORK/field.raw" "$WORK/b.sperr
   --dims 48 48 24 --type f64 --idx 18 --chunk abc
 expect 2 "non-numeric --idx" -- "$SPERR_CC" c "$WORK/field.raw" "$WORK/b.sperr" \
   --dims 48 48 24 --type f64 --idx 18x
+# A tolerance that underflows to 0 or overflows is refused; a subnormal one
+# is a tolerance like any other (next section).
+expect 2 "--pwe underflowing to 0" -- "$SPERR_CC" c "$WORK/field.raw" "$WORK/b.sperr" \
+  --dims 48 48 24 --type f64 --pwe 1e-400
+expect 2 "--pwe overflowing" -- "$SPERR_CC" c "$WORK/field.raw" "$WORK/b.sperr" \
+  --dims 48 48 24 --type f64 --pwe 1e400
+
+# --- exit 0: a subnormal field at a subnormal --pwe --------------------------
+# 16^3 f64 values with a zero exponent field (so below 2.2e-308): mantissa
+# m = 2^40 * (i mod 61) + i^2, i.e. up to about 3e-310, at t = 1e-312.
+esc=""
+for ((i = 0; i < 4096; ++i)); do
+  m=$(( (1 << 40) * (i % 61) + i * i ))
+  for ((b = 0; b < 8; ++b)); do
+    printf -v byte '\\x%02x' $(( (m >> (8 * b)) & 255 ))
+    esc+=$byte
+  done
+done
+# shellcheck disable=SC2059  # $esc is the field as \x escapes
+printf "$esc" > "$WORK/subnormal.raw"
+expect_size "$WORK/subnormal.raw" $((16 * 16 * 16 * 8)) "subnormal field"
+expect 0 "subnormal --pwe on a subnormal field" -- "$SPERR_CC" c \
+  "$WORK/subnormal.raw" "$WORK/subnormal.sperr" --dims 16 16 16 --type f64 \
+  --pwe 1e-312 --verify
+grep -q 'PWE bound HELD' "$WORK/out.txt" || {
+  echo "FAIL: --pwe 1e-312 on a subnormal field did not hold the bound" >&2
+  fails=$((fails + 1))
+}
 
 # --- exit 1: I/O errors ------------------------------------------------------
 expect 1 "missing input file" -- "$SPERR_CC" d "$WORK/nonexistent.sperr" "$WORK/x.raw"

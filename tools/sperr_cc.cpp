@@ -24,6 +24,7 @@
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -85,7 +86,10 @@ double parse_double(const char* v, const char* what) {
   char* end = nullptr;
   errno = 0;
   const double x = std::strtod(v, &end);
-  if (end == v || *end != '\0' || errno == ERANGE) usage(what);
+  // strtod flags a subnormal result ERANGE too; only one that underflowed
+  // to 0 or overflowed is out of range.
+  const bool out_of_range = errno == ERANGE && (x == 0.0 || std::isinf(x));
+  if (end == v || *end != '\0' || out_of_range) usage(what);
   return x;
 }
 
