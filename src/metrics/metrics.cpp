@@ -22,7 +22,10 @@ Quality compare_impl(const T* orig, const T* recon, size_t n) {
     s.add(o);
     const double e = o - double(recon[i]);
     sq_sum += e * e;
-    max_err = std::max(max_err, std::fabs(e));
+    // A NaN error must stick: std::max would keep the old maximum, and a
+    // reconstruction of NaNs would pass any `max_pwe <= t` check.
+    const double a = std::fabs(e);
+    if (a > max_err || std::isnan(a)) max_err = a;
   }
   q.rmse = std::sqrt(sq_sum / double(n));
   q.max_pwe = max_err;

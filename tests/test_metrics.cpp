@@ -25,6 +25,20 @@ TEST(Quality, KnownError) {
   EXPECT_DOUBLE_EQ(q.max_pwe, 1.0);
 }
 
+TEST(Quality, NanReconstructionFailsAnyBound) {
+  // A NaN anywhere in the reconstruction, even before a finite error, makes
+  // max_pwe NaN, so `max_pwe <= t` fails whatever t is.
+  const double nan = std::nan("");
+  std::vector<double> a = {1, 2, 3, 4};
+  std::vector<double> b = {1, nan, 3.5, 4};
+  const Quality q = compare(a.data(), b.data(), a.size());
+  EXPECT_TRUE(std::isnan(q.max_pwe));
+  EXPECT_FALSE(q.max_pwe <= 1e300);
+
+  std::vector<float> af(a.begin(), a.end()), bf(a.size(), std::nanf(""));
+  EXPECT_TRUE(std::isnan(compare(af.data(), bf.data(), af.size()).max_pwe));
+}
+
 TEST(Quality, PsnrUsesRangeAsPeak) {
   std::vector<double> a = {0, 100};
   std::vector<double> b = {1, 100};  // rmse = 1/sqrt(2)
