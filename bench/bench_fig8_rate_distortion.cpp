@@ -76,7 +76,7 @@ int main() {
       if (sperr::decompress(blob.data(), blob.size(), recon, od) != sperr::Status::ok)
         continue;
       Point p{idx, bench::evaluate(data, recon, blob.size())};
-      p.bound_violated = p.rd.max_pwe > cfg.tolerance;
+      p.bound_violated = !(p.rd.max_pwe <= cfg.tolerance);
       sperr_pts.push_back(p);
     }
     print_series("SPERR", sperr_pts);
@@ -92,7 +92,7 @@ int main() {
           sperr::Status::ok)
         continue;
       Point p{idx, bench::evaluate(data, recon, blob.size())};
-      p.bound_violated = p.rd.max_pwe > t;
+      p.bound_violated = !(p.rd.max_pwe <= t);
       sz_pts.push_back(p);
     }
     print_series("SZ-like", sz_pts);
@@ -108,7 +108,7 @@ int main() {
           sperr::Status::ok)
         continue;
       Point p{idx, bench::evaluate(data, recon, blob.size())};
-      p.bound_violated = p.rd.max_pwe > t;
+      p.bound_violated = !(p.rd.max_pwe <= t);
       zfp_pts.push_back(p);
     }
     print_series("ZFP-like", zfp_pts);
@@ -125,7 +125,7 @@ int main() {
           sperr::Status::ok)
         continue;
       Point p{idx, bench::evaluate(data, recon, blob.size())};
-      p.bound_violated = p.rd.max_pwe > t;
+      p.bound_violated = !(p.rd.max_pwe <= t);
       mgard_pts.push_back(p);
       if (p.bound_violated) break;
     }

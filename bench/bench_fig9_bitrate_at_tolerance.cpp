@@ -45,7 +45,7 @@ int main() {
       if (decompress_fn(blob.data(), blob.size(), recon, od) != sperr::Status::ok)
         return {};
       const auto rd = bench::evaluate(data, recon, blob.size());
-      return {double(blob.size()) * 8.0 / npts, rd.max_pwe > t};
+      return {double(blob.size()) * 8.0 / npts, !(rd.max_pwe <= t)};
     };
 
     sperr::Config cfg = bench::sperr_config_for(field);

@@ -93,7 +93,7 @@ int main() {
     const auto q = sperr::metrics::compare(field.data(), recon.data(), field.size());
     std::printf("verified %-16s max err / t = %.3f (%s)\n", var.name.c_str(),
                 q.max_pwe / t, q.max_pwe <= t ? "ok" : "VIOLATED");
-    if (q.max_pwe > t) return 1;
+    if (!(q.max_pwe <= t)) return 1;
   }
   std::printf("every variable verified within its tolerance.\n");
   return 0;
